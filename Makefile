@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test parity test-serve-slow test-autotune-slow quant-gate bench-engine bench-engine-quant bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode trace-smoke
+.PHONY: verify test parity test-serve-slow test-autotune-slow quant-gate bench-engine bench-engine-quant bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity suite explicitly
 ## (it is part of tests/, the second run pins it even if testpaths change).
@@ -23,8 +23,8 @@ test-serve-slow:
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_engine_throughput.py
 
-## Int8-rung bench alone (tier-2): >= 2x over bucketed float32 + parity
-## gate; rewrites BENCH_engine.json.
+## Int8-rung bench alone (tier-2): records its ratio to bucketed float32
+## and gates ranking-space parity; rewrites BENCH_engine.json.
 bench-engine-quant:
 	$(PYTHON) -m pytest -q benchmarks/test_engine_throughput.py -k int8_rung
 
@@ -70,6 +70,17 @@ bench-drift:
 ## gates bit-exact chunk parity and >= 3x speedup; emits BENCH_encode.json.
 bench-encode:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_encode.py
+
+## End-to-end benchmark (tier-2): all four workloads (Fig. 9 session,
+## onboarding, drift, open-loop serving), each with its per-layer split.
+## Results land under benchmarks/e2e/.work/results/.
+bench-e2e:
+	python3 benchmarks/e2e/run.py --workload all --trace 1
+
+## End-to-end benchmark unit tests (span attribution, input determinism,
+## BENCHMARK.json consistency); a few seconds.
+test-bench-e2e:
+	PYTHONPATH=src pytest benchmarks/e2e
 
 ## Observability smoke (tier-2): traced session on customer A, NDJSON
 ## well-formedness + iteration parity + `repro trace summarize` rendering.

@@ -19,23 +19,43 @@ import numpy as np
 
 from .. import obs
 from ..schema.graph import JoinGraph
-from ..schema.model import Schema
+from ..schema.model import AttributeRef, DataType, Schema
 from .candidates import CandidateStore
 
+#: One integer per :attr:`DataType.family`, so the mask is an integer
+#: compare per pair; :meth:`DataType.is_compatible` is the rule it encodes.
+_FAMILY_CODES = {
+    family: code
+    for code, family in enumerate(sorted({dtype.family for dtype in DataType}))
+}
+_UNKNOWN_CODE = _FAMILY_CODES[DataType.UNKNOWN.family]
 
-def dtype_compatibility_mask(store: CandidateStore) -> np.ndarray:
-    """Boolean mask, True where the pair's data types are compatible."""
-    source_dtypes = [
-        store.source_schema.attribute(ref).dtype for ref in store.source_refs
+
+def dtype_family_codes(schema: Schema, refs: list[AttributeRef]) -> np.ndarray:
+    """The dtype family code of each ref's attribute, in ``refs`` order."""
+    return np.fromiter(
+        (_FAMILY_CODES[schema.attribute(ref).dtype.family] for ref in refs),
+        dtype=np.int8,
+        count=len(refs),
+    )
+
+
+def dtype_compatibility_mask(
+    store: CandidateStore, target_codes: np.ndarray | None = None
+) -> np.ndarray:
+    """Boolean mask, True where the pair's data types are compatible.
+
+    Types are compatible when their families match or either is
+    ``UNKNOWN``.  ``target_codes`` (from :func:`dtype_family_codes`) lets a
+    caller reuse the target side, which no schema delta changes.
+    """
+    if target_codes is None:
+        target_codes = dtype_family_codes(store.target_schema, store.target_refs)
+    source = dtype_family_codes(store.source_schema, store.source_refs)[
+        store.pair_source
     ]
-    target_dtypes = [
-        store.target_schema.attribute(ref).dtype for ref in store.target_refs
-    ]
-    compatibility = np.zeros((len(source_dtypes), len(target_dtypes)), dtype=bool)
-    for i, source_dtype in enumerate(source_dtypes):
-        for j, target_dtype in enumerate(target_dtypes):
-            compatibility[i, j] = source_dtype.is_compatible(target_dtype)
-    return compatibility[store.pair_source, store.pair_target]
+    target = target_codes[store.pair_target]
+    return (source == target) | (source == _UNKNOWN_CODE) | (target == _UNKNOWN_CODE)
 
 
 def entity_penalty(distance: int) -> float:
@@ -60,6 +80,9 @@ class ScoreAdjuster:
         self._dtype_mask_key: tuple[bytes, bytes] | None = None
         self._join_graph = JoinGraph(target_schema) if apply_entity_penalty else None
         self._target_entities = [ref.entity for ref in store.target_refs]
+        self._target_dtype_codes = dtype_family_codes(
+            store.target_schema, store.target_refs
+        )
 
     def _pair_fingerprint(self) -> tuple[bytes, bytes]:
         """Identity of the store's current pair layout (order-sensitive)."""
@@ -75,7 +98,9 @@ class ScoreAdjuster:
         """
         key = self._pair_fingerprint()
         if self._dtype_mask is None or key != self._dtype_mask_key:
-            self._dtype_mask = dtype_compatibility_mask(self.store)
+            self._dtype_mask = dtype_compatibility_mask(
+                self.store, self._target_dtype_codes
+            )
             self._dtype_mask_key = key
         return self._dtype_mask
 

@@ -33,10 +33,10 @@ import numpy as np
 from ..lm.tokenizer import EncodedPair
 
 #: Store namespace + schema version of persisted plans.  Bump the version
-#: whenever the candidate set or measurement protocol changes: stale plans
-#: must not survive a protocol change.
+#: whenever the candidate set, the measurement protocol or the cost of a
+#: measured kernel changes: stale plans must not survive a protocol change.
 PLAN_KIND = "engine-autotune"
-PLAN_VERSION = "v1"
+PLAN_VERSION = "v2"
 
 #: The exact rung: what the engine runs when quantization is off, and what
 #: every shape degrades to when no faster candidate survives the parity probe.

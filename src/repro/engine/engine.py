@@ -346,8 +346,11 @@ class ScoringEngine:
     def _store_key(self) -> str:
         from .. import store
 
+        # Blocks are keyed by the weights, not by the forward's arithmetic:
+        # bump the namespace whenever a kernel change moves float32 rounding,
+        # or a store would mix old- and new-rounding scores for one model.
         return store.content_key(
-            "engine-scores-v1", self.cache_token or "", self._current_weights_key()
+            "engine-scores-v2", self.cache_token or "", self._current_weights_key()
         )
 
     def _load_persisted(self) -> None:

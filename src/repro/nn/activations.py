@@ -15,19 +15,23 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi).astype(np.float32)
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU with the tanh approximation used by BERT.
 
-    Returns ``(output, x)``; the input is the backward cache.
+    Returns ``(output, x)``; the input is the backward cache.  The cube is
+    spelled ``x * x * x``: NumPy sends a float32 ``x**3`` to libm ``powf``,
+    tens of times slower than two multiplies, and that one call was about
+    two-thirds of a float32 MiniBERT pass.
     """
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
     output = 0.5 * x * (1.0 + np.tanh(inner))
     return output, x
 
 
 def gelu_backward(grad_output: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Derivative of the tanh-approximated GELU."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
+    x_squared = x * x
+    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x_squared * x))
     tanh_inner = np.tanh(inner)
     sech2 = 1.0 - tanh_inner**2
-    d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
+    d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x_squared)
     derivative = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
     return grad_output * derivative
 
@@ -43,11 +47,12 @@ def gelu_lut(x: np.ndarray) -> np.ndarray:
     The input is quantized per tensor to 255 symmetric levels
     (``step = max|x| / 127``) and the exact tanh-approximated GELU is
     evaluated once per level; the activation itself is then a uint8 gather.
-    This *is* the quantized nonlinearity -- the tanh/x^3 libm calls of
-    :func:`gelu` dominate the float32 forward pass at MiniBERT sizes, and
-    the table evaluation amortises them over the whole tensor.  Error is
-    bounded by ``max|gelu'| * step / 2``; the ranking-space parity gate
-    (``repro.eval.quant``) governs acceptability end to end.
+    This *is* the quantized nonlinearity; it saves the float32 ``tanh``
+    per element, but with :func:`gelu`'s cube as plain multiplies that no
+    longer makes the int8 forward faster than the float32 one
+    (``BENCH_engine.json``).  Error is bounded by ``max|gelu'| * step / 2``;
+    the ranking-space parity gate (``repro.eval.quant``) governs
+    acceptability end to end.
     """
     peak = float(np.abs(x).max()) if x.size else 0.0
     if peak == 0.0 or not np.isfinite(peak):

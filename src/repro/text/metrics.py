@@ -60,21 +60,27 @@ def edit_similarity(a: str, b: str) -> float:
 # ---------------------------------------------------------------------------
 
 def longest_common_subsequence(a: str, b: str) -> int:
-    """Length of the longest common subsequence of two strings."""
+    """Length of the longest common subsequence of two strings.
+
+    Bit-parallel (Allison-Dix / Hyyro): bit ``j`` of ``row`` stands for
+    column ``j`` of the DP row over ``b``, cleared where the row's LCS grows
+    by one at ``j``.  Each character of ``a`` updates the whole row with one
+    add, one subtract and one or on Python ints, so the LCS is the number
+    of cleared bits.
+    """
     if not a or not b:
         return 0
     if len(a) < len(b):
         a, b = b, a
-    previous = [0] * (len(b) + 1)
+    matches: dict[str, int] = {}
+    for j, char_b in enumerate(b):
+        matches[char_b] = matches.get(char_b, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    row = full
     for char_a in a:
-        current = [0]
-        for j, char_b in enumerate(b, start=1):
-            if char_a == char_b:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        match = row & matches.get(char_a, 0)
+        row = (row + match) | (row - match)
+    return len(b) - (row & full).bit_count()
 
 
 def lcs_ratio(a: str, b: str) -> float:

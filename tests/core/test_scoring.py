@@ -5,7 +5,16 @@ import pytest
 
 from repro.core import CandidateStore, ScoreAdjuster, entity_penalty
 from repro.core.scoring import dtype_compatibility_mask
-from repro.schema import AttributeRef
+from repro.schema import (
+    Attribute,
+    AttributeRef,
+    DataType,
+    Entity,
+    RetypeColumn,
+    Schema,
+    SchemaDelta,
+)
+from repro.schema.drift import apply_delta as apply_schema_delta
 
 
 @pytest.fixture()
@@ -88,6 +97,60 @@ class TestDtypeFilter:
 
         adjusted = adjuster.adjust(np.ones(store.num_pairs))
         np.testing.assert_array_equal(adjusted, np.where(fresh_mask, 1.0, 0.0))
+
+
+def reference_dtype_mask(store: CandidateStore) -> np.ndarray:
+    """The per-pair ``DataType.is_compatible`` double loop (test oracle)."""
+    compatibility = np.zeros((store.num_sources, store.num_targets), dtype=bool)
+    for i, source_ref in enumerate(store.source_refs):
+        source_dtype = store.source_schema.attribute(source_ref).dtype
+        for j, target_ref in enumerate(store.target_refs):
+            target_dtype = store.target_schema.attribute(target_ref).dtype
+            compatibility[i, j] = source_dtype.is_compatible(target_dtype)
+    return compatibility[store.pair_source, store.pair_target]
+
+
+def random_schema(name: str, rng: np.random.Generator) -> Schema:
+    dtypes = list(DataType)  # includes UNKNOWN
+    entities = [
+        Entity(
+            f"{name}{e}",
+            [
+                Attribute(f"c{a}", dtypes[int(rng.integers(len(dtypes)))])
+                for a in range(int(rng.integers(1, 7)))
+            ],
+        )
+        for e in range(int(rng.integers(1, 5)))
+    ]
+    return Schema(name, entities)
+
+
+class TestDtypeMaskParity:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_double_loop_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        source, target = random_schema("S", rng), random_schema("T", rng)
+        store = CandidateStore(source, target)
+        if seed % 2:  # a pruned, non-product pair layout
+            store.prune(max(store.num_targets // 2, 1), rng.random(store.num_pairs))
+        adjuster = ScoreAdjuster(store, target, apply_entity_penalty=False)
+        expected = reference_dtype_mask(store)
+        np.testing.assert_array_equal(dtype_compatibility_mask(store), expected)
+        np.testing.assert_array_equal(adjuster._current_dtype_mask(), expected)
+
+        # Retype one source column to a type of another family (or to or
+        # from UNKNOWN) and the invalidated adjuster must follow it.
+        retyped = store.source_refs[int(rng.integers(store.num_sources))]
+        old = source.attribute(retyped).dtype
+        new = DataType.UNKNOWN if old is not DataType.UNKNOWN else DataType.BOOLEAN
+        evolved, effect = apply_schema_delta(
+            source, SchemaDelta((RetypeColumn(retyped, new),))
+        )
+        store.apply_delta(evolved, effect)
+        adjuster.invalidate_dtype_mask()
+        expected = reference_dtype_mask(store)
+        np.testing.assert_array_equal(dtype_compatibility_mask(store), expected)
+        np.testing.assert_array_equal(adjuster._current_dtype_mask(), expected)
 
 
 class TestEntityPenalty:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import store
 from repro.core.config import LsmConfig
 from repro.core.matcher import LearnedSchemaMatcher
 from repro.engine import EngineConfig, ScoringEngine
@@ -193,3 +194,61 @@ class TestEngineLevelIncrementalRescoring:
             assert second.stats.pairs_persisted_hits == 4
         finally:
             second.close()
+
+    def test_old_namespace_blocks_are_not_served(
+        self, engine_stack, tmp_path, monkeypatch
+    ):
+        """Score blocks are keyed by weights, not by the forward's rounding:
+        a block persisted under the previous namespace (older GELU
+        arithmetic) must be recomputed, never mixed into today's scores."""
+        model, classifier, special_ids = engine_stack
+        encoded = [encoded_of_length(length, fill=7) for length in (4, 8, 12)]
+
+        fresh = ScoringEngine(
+            model, classifier, special_ids, EngineConfig(persist_scores=False)
+        )
+        try:
+            expected = fresh.score_encoded(encoded)
+        finally:
+            fresh.close()
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "current"))
+        writer = ScoringEngine(
+            model, classifier, special_ids, EngineConfig(persist_scores=True),
+            cache_token="test-vertical",
+        )
+        try:
+            writer.score_encoded(encoded)
+            block = store.load_arrays("engine-scores", writer._store_key())
+            weights_key = writer._current_weights_key()
+        finally:
+            writer.close()
+        assert block is not None
+
+        reloaded = ScoringEngine(
+            model, classifier, special_ids, EngineConfig(persist_scores=True),
+            cache_token="test-vertical",
+        )
+        try:
+            np.testing.assert_array_equal(reloaded.score_encoded(encoded), expected)
+            assert reloaded.stats.pairs_persisted_hits == len(encoded)
+        finally:
+            reloaded.close()
+
+        # The same fingerprints with poisoned scores, under the old key only.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "old"))
+        store.save_arrays(
+            "engine-scores",
+            store.content_key("engine-scores-v1", "test-vertical", weights_key),
+            {"fingerprints": block["fingerprints"], "scores": block["scores"] + 1.0},
+        )
+        upgraded = ScoringEngine(
+            model, classifier, special_ids, EngineConfig(persist_scores=True),
+            cache_token="test-vertical",
+        )
+        try:
+            np.testing.assert_array_equal(upgraded.score_encoded(encoded), expected)
+            assert upgraded.stats.pairs_persisted_hits == 0
+            assert upgraded.stats.pairs_scored == len(encoded)
+        finally:
+            upgraded.close()

@@ -24,6 +24,23 @@ from repro.text import (
 )
 
 _word = st.from_regex(r"[a-z]{0,12}", fullmatch=True)
+#: Small alphabets force repeated characters; the non-ASCII letters check
+#: that match masks are keyed by character, not by byte.
+_lcs_text = st.text(alphabet="ab_zéü日", max_size=40)
+
+
+def reference_lcs(a: str, b: str) -> int:
+    """The O(n*m) dynamic program (test oracle for the bit-parallel LCS)."""
+    previous = [0] * (len(b) + 1)
+    for char_a in a:
+        current = [0]
+        for j, char_b in enumerate(b, start=1):
+            if char_a == char_b:
+                current.append(previous[j - 1] + 1)
+            else:
+                current.append(max(previous[j], current[j - 1]))
+        previous = current
+    return previous[-1]
 
 
 class TestLevenshtein:
@@ -71,6 +88,19 @@ class TestLcs:
     def test_property_self_similarity(self, a):
         if a:
             assert lcs_ratio(a, a) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lcs_text, _lcs_text)
+    def test_property_matches_dp_oracle(self, a, b):
+        assert longest_common_subsequence(a, b) == reference_lcs(a, b)
+        assert longest_common_subsequence(b, a) == reference_lcs(a, b)
+
+    def test_matches_dp_oracle_on_long_strings(self):
+        # Rows wider than a machine word: the recurrence's carries must run
+        # across the whole Python int.
+        a = "transaction_line_item_discount_amount" * 3
+        b = "txn_ln_itm_disc_amt_" * 5
+        assert longest_common_subsequence(a, b) == reference_lcs(a, b)
 
     def test_substring(self):
         assert longest_common_substring("abcdef", "zabcy") == 3

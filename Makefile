@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test parity test-serve-slow test-autotune-slow quant-gate bench-engine bench-engine-quant bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
+.PHONY: verify test parity test-serve-slow bench-engine bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity suite explicitly
 ## (it is part of tests/, the second run pins it even if testpaths change).
@@ -18,25 +18,10 @@ parity:
 test-serve-slow:
 	$(PYTHON) -m pytest -q tests/serve -m slow
 
-## Engine perf smoke (tier-2): bucketing + int8 rung vs bucketed float32
-## with the ranking-space parity gate; emits BENCH_engine.json at the root.
+## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
+## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_engine_throughput.py
-
-## Int8-rung bench alone (tier-2): records its ratio to bucketed float32
-## and gates ranking-space parity; rewrites BENCH_engine.json.
-bench-engine-quant:
-	$(PYTHON) -m pytest -q benchmarks/test_engine_throughput.py -k int8_rung
-
-## Ranking-space parity gate (tier-2): identical top-1 + AUC within 1e-3
-## between float32 and int8 scores on every public ground-truth dataset.
-quant-gate:
-	$(PYTHON) -m pytest -q tests/eval/test_quant_gate.py
-
-## Slow autotuner sweep (tier-2): measures every candidate strategy per
-## shape; excluded from `make test` by the `slow` marker.
-test-autotune-slow:
-	$(PYTHON) -m pytest -q tests/engine -m slow
 
 ## Training perf smoke (tier-2): emits BENCH_train.json at the repo root.
 bench-train:

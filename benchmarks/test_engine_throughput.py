@@ -1,14 +1,10 @@
-"""Engine throughput smoke: bucketing beats naive; int8 rung measured.
+"""Engine throughput smoke: bucketing beats naive.
 
 A skewed-length synthetic schema (many short attribute names, a handful of
-long-description pairs) is scored three ways: the monolithic batch padded
-to the longest pair, the engine's length-bucketed float32 plan, and the
-bucketed plan on the int8 rung (``quant_mode="on"``).  Bucketing must win
-because attention cost is quadratic in the padded length.  The int8 rung
-is only measured: its old >= 2x margin was the float path's libm ``powf``
-cube in GELU, and against the fixed float path it no longer wins.  What
-still gates it is the ranking-space parity check over the public
-datasets.  The combined datapoint is ``BENCH_engine.json``.
+long-description pairs) is scored two ways: the monolithic batch padded
+to the longest pair and the engine's length-bucketed plan.  Bucketing must
+win because attention cost is quadratic in the padded length, and both
+paths must agree within 1e-8.  The datapoint is ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -20,9 +16,12 @@ from _emit import emit_benchmark
 from conftest import register_report
 
 from repro.engine import EngineConfig, ScoringEngine
-from repro.eval.quant import activate_channel_path, quant_gate_reports
 from repro.eval.reporting import render_table
-from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
+from repro.featurizers.bert import (
+    MatchingClassifier,
+    activate_channel_path,
+    score_encoded_batch,
+)
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
 from repro.lm.tokenizer import EncodedPair, stack_encoded
@@ -67,8 +66,8 @@ def bench_workload():
     model.eval()
     classifier = MatchingClassifier(32, 16, np.random.default_rng(2))
     classifier.eval()
-    # Non-silent channel path, so int8-vs-float32 deviations recorded below
-    # actually flow through the quantized encoder (see repro.eval.quant).
+    # Non-silent channel path, so the parity check below covers every
+    # transformer block, not just the raw-embedding cosine.
     activate_channel_path(classifier, seed=3)
     return encoded, model, classifier, [0, 1, 2, 3, 4]
 
@@ -104,6 +103,7 @@ def test_bucketed_batching_beats_naive_single_batch():
         naive_scores = run_naive()  # warm both paths before timing
         bucketed_scores = run_bucketed()
         np.testing.assert_allclose(bucketed_scores, naive_scores, atol=1e-8, rtol=0)
+        deviation = float(np.abs(bucketed_scores - naive_scores).max())
         naive_seconds = best_of(run_naive)
         bucketed_seconds = best_of(run_bucketed)
     finally:
@@ -121,74 +121,19 @@ def test_bucketed_batching_beats_naive_single_batch():
         )
     )
 
-    # The whole point of bucketing: short pairs stop paying MAX_LENGTH
-    # padding.  Demand a real margin, not a tie.
-    assert bucketed_seconds < naive_seconds, (naive_seconds, bucketed_seconds)
-
-
-def test_int8_rung_against_bucketed_float32():
-    encoded, model, classifier, special_ids = bench_workload()
-
-    times: dict[str, float] = {}
-    scores: dict[str, np.ndarray] = {}
-    for mode in ("off", "on"):
-        engine = ScoringEngine(
-            model,
-            classifier,
-            special_ids,
-            EngineConfig(microbatch_size=64, bucket_granularity=8,
-                         persist_scores=False, n_workers=0, quant_mode=mode),
-        )
-
-        def run() -> np.ndarray:
-            engine.clear_cached_scores()
-            return engine.score_encoded(encoded)
-
-        try:
-            scores[mode] = run()  # warm (builds the quantized scorer once)
-            times[mode] = best_of(run)
-            if mode == "on":
-                engine_stats = engine.stats.as_dict()
-        finally:
-            engine.close()
-
-    speedup = times["off"] / times["on"]
-    deviation = float(np.abs(scores["on"] - scores["off"]).max())
-    assert engine_stats["quant_batches"] > 0, engine_stats
-    assert engine_stats["quant_fallbacks"] == 0, engine_stats
-
-    # Ranking-space parity over the public ground-truth datasets: the int8
-    # rung ships only if users cannot tell (identical top-1, AUC within
-    # epsilon) -- see repro.eval.quant.
-    parity = [report.as_dict() for report in quant_gate_reports()]
-
-    register_report(
-        render_table(
-            ["path", "wall-clock (s)", "speedup"],
-            [
-                ["bucketed float32", f"{times['off']:.4f}", "1.00x"],
-                ["bucketed int8 rung", f"{times['on']:.4f}", f"{speedup:.2f}x"],
-            ],
-            title=(
-                f"Int8 inference rung -- {len(encoded)} skewed-length pairs, "
-                f"parity gate on {len(parity)} datasets"
-            ),
-        )
-    )
-
     datapoint = emit_benchmark(
         "BENCH_engine.json",
-        benchmark="engine_quant",
+        benchmark="engine_bucketing",
         workload=WORKLOAD,
-        baseline_seconds=times["off"],
-        fast_seconds=times["on"],
-        gate={
-            "max_score_deviation": deviation,
-            "quant_batches": engine_stats["quant_batches"],
-            "quant_fallbacks": engine_stats["quant_fallbacks"],
-            "parity": parity,
+        baseline_seconds=naive_seconds,
+        fast_seconds=bucketed_seconds,
+        gate={"max_score_deviation": deviation, "atol": 1e-8},
+        extra={
+            "baseline": "monolithic batch padded to max_length",
+            "fast": "length-bucketed micro-batches (in-process float32)",
         },
-        extra={"baseline": "bucketed float32 engine", "fast": "int8 rung (quant_mode=on)"},
     )
 
-    assert all(report["passed"] for report in parity), datapoint
+    # The whole point of bucketing: short pairs stop paying MAX_LENGTH
+    # padding.  Demand a real margin, not a tie.
+    assert bucketed_seconds < naive_seconds, datapoint

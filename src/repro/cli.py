@@ -277,7 +277,6 @@ def _cmd_engine(args: argparse.Namespace) -> None:
             n_workers=args.workers,
             microbatch_size=args.microbatch,
             bucket_granularity=args.bucket_granularity,
-            quant_mode=args.quant,
         ),
         update_bert_every=10**9,  # isolate incremental re-scoring from retraining
     )
@@ -310,13 +309,6 @@ def _cmd_engine(args: argparse.Namespace) -> None:
     if isinstance(hot_swaps, int) and (hot_swaps or respawns_avoided):
         print(f"Serving plane absorbed {respawns_avoided} weight update(s) "
               f"with {hot_swaps} worker hot-swap(s) and zero pool respawns.")
-    quant_batches = stats.get("quant_batches", 0)
-    quant_fallbacks = stats.get("quant_fallbacks", 0)
-    autotune_shapes = stats.get("autotune_shapes", 0)
-    if args.quant != "off":
-        print(f"Int8 rung ({args.quant}): {quant_batches} micro-batch(es) quantized, "
-              f"{quant_fallbacks} float32 fallback(s), "
-              f"{autotune_shapes} shape(s) autotuned this run.")
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -595,15 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--workers", type=int, default=0)
     engine.add_argument("--microbatch", type=int, default=64)
     engine.add_argument("--bucket-granularity", type=int, default=8)
-    engine.add_argument(
-        "--quant",
-        choices=["off", "auto", "on"],
-        default="off",
-        help=(
-            "int8 inference rung: 'auto' lets the per-shape kernel autotuner "
-            "choose (plan persisted per machine), 'on' forces it everywhere"
-        ),
-    )
     engine.add_argument(
         "--fast", action="store_true", help="tiny artefacts for a quick smoke run"
     )

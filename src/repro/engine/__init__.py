@@ -10,23 +10,18 @@ Public surface:
   shared-memory serving plane (zero-respawn weight hot-swap);
 * :class:`MicroBatchExecutor` -- the spawn-safe pickle-payload worker pool
   (the serving ladder's middle rung);
-* :class:`RetryGate` -- bounded retry policy for best-effort pool creation;
-* :class:`QuantizedScorer` -- the int8 inference rung (quantize-on-publish);
-* :class:`KernelAutotuner` -- the per-shape execution-strategy autotuner.
+* :class:`RetryGate` -- bounded retry policy for best-effort pool creation.
 """
 
-from .autotune import FLOAT32_DECISION, KernelAutotuner, machine_fingerprint, shape_key
 from .batching import (
     MicroBatch,
     bucket_key,
     plan_bucket_chunks,
     plan_microbatches,
     plan_num_buckets,
-    split_batch,
 )
 from .engine import FINGERPRINT_BYTES, EngineConfig, ScoringEngine, fingerprint_encoded
 from .executor import MicroBatchExecutor, RetryGate, make_worker_payload
-from .quant import QUANT_PREFIX, QuantizedScorer, has_quant_views
 from .shm import (
     ArenaClient,
     ArenaError,
@@ -46,12 +41,8 @@ __all__ = [
     "EngineConfig",
     "EngineStats",
     "FINGERPRINT_BYTES",
-    "FLOAT32_DECISION",
-    "KernelAutotuner",
     "MicroBatch",
     "MicroBatchExecutor",
-    "QUANT_PREFIX",
-    "QuantizedScorer",
     "RetryGate",
     "ScoringEngine",
     "ScratchRegion",
@@ -59,14 +50,10 @@ __all__ = [
     "WeightArena",
     "bucket_key",
     "fingerprint_encoded",
-    "has_quant_views",
     "live_segment_names",
-    "machine_fingerprint",
     "make_worker_payload",
     "plan_bucket_chunks",
     "plan_microbatches",
     "plan_num_buckets",
-    "shape_key",
     "shared_memory_available",
-    "split_batch",
 ]

@@ -101,30 +101,6 @@ def plan_microbatches(
     return plan
 
 
-def split_batch(batch: EncodedPair, parts: int) -> list[EncodedPair]:
-    """Split a stacked batch row-wise into up to ``parts`` contiguous chunks.
-
-    The kernel autotuner's *micro-batch split point* axis: some shapes score
-    faster as two half-height GEMMs (better cache residency) than as one.
-    Row order is preserved, so concatenating the per-chunk scores
-    reconstructs the original batch's scores positionally.
-    """
-    rows = int(batch.input_ids.shape[0])
-    parts = max(1, min(int(parts), rows))
-    if parts == 1:
-        return [batch]
-    bounds = [round(i * rows / parts) for i in range(parts + 1)]
-    return [
-        EncodedPair(
-            input_ids=batch.input_ids[start:stop],
-            segment_ids=batch.segment_ids[start:stop],
-            attention_mask=batch.attention_mask[start:stop],
-        )
-        for start, stop in zip(bounds[:-1], bounds[1:])
-        if stop > start
-    ]
-
-
 def plan_num_buckets(plan: list[MicroBatch]) -> int:
     """Distinct padded lengths across a plan (for the stats counters)."""
     return len({microbatch.padded_length for microbatch in plan})

@@ -82,22 +82,6 @@ class EngineConfig:
         Bounded-retry policy for pool creation (both rungs): after a
         failure, skip this many eligible scoring calls before re-attempting,
         giving up for good after ``pool_max_failures`` consecutive failures.
-    quant_mode:
-        ``"off"`` (default) scores everything on the exact float32 path;
-        ``"auto"`` lets the per-shape kernel autotuner
-        (:mod:`repro.engine.autotune`) pick between float32 and the int8
-        rung per micro-batch shape, with the measured plan persisted
-        per-machine through :mod:`repro.store`; ``"on"`` forces the int8
-        rung everywhere (still degrading to float32 on any rung failure).
-        Off by default because int8 scores deviate from float32 by
-        quantization rounding -- the ranking-space parity gate
-        (:mod:`repro.eval.quant`) is the evidence for turning it on.
-    quant_score_atol:
-        Maximum absolute score deviation the autotuner's parity probe
-        accepts before rejecting an int8 candidate for a shape (automatic
-        float32 fallback).
-    autotune_repeats:
-        Best-of repetitions per candidate timing measurement.
     """
 
     microbatch_size: int = 64
@@ -110,9 +94,6 @@ class EngineConfig:
     shm_scratch_min_bytes: int = 1 << 18
     pool_retry_cooldown: int = 8
     pool_max_failures: int = 3
-    quant_mode: str = "off"
-    quant_score_atol: float = 0.05
-    autotune_repeats: int = 3
 
     def __post_init__(self) -> None:
         if self.microbatch_size < 1:
@@ -127,14 +108,6 @@ class EngineConfig:
             raise ValueError("pool_retry_cooldown must be >= 0")
         if self.pool_max_failures < 1:
             raise ValueError("pool_max_failures must be >= 1")
-        if self.quant_mode not in ("off", "auto", "on"):
-            raise ValueError(
-                f"quant_mode must be 'off', 'auto' or 'on', got {self.quant_mode!r}"
-            )
-        if self.quant_score_atol <= 0:
-            raise ValueError("quant_score_atol must be > 0")
-        if self.autotune_repeats < 1:
-            raise ValueError("autotune_repeats must be >= 1")
 
 
 def fingerprint_encoded(pair: EncodedPair) -> bytes:
@@ -170,14 +143,6 @@ class ScoringEngine:
         self._scores: dict[bytes, float] = {}
         self._weights_key: str | None = None
         self._persisted_loaded = False
-        #: Int8 rung state: the quantized scorer is rebuilt per weight
-        #: version (float weights mutate in place, invisibly to quantized
-        #: images); ``_quant_broken`` latches a runtime rung failure until
-        #: the next version.
-        self._quant_scorer = None
-        self._quant_version: int | None = None
-        self._quant_broken = False
-        self._autotuner = None
         self._executor = MicroBatchExecutor(
             self.config.n_workers,
             self.config.start_method,
@@ -229,98 +194,15 @@ class ScoringEngine:
             self._plane.publish(self._weight_tensors, self._version, self.stats)
 
     def _weight_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Prefixed flat walk of the live weights, for arena publishes.
-
-        With the int8 rung enabled this is **quantize-on-publish**: the
-        quantized artifacts ride along under the ``quant.`` prefix, so pool
-        workers and residency snapshots bind pre-quantized zero-copy views
-        instead of each re-quantizing the float weights.
-        """
+        """Prefixed flat walk of the live weights, for arena publishes."""
         from ..nn.serialize import flat_tensors
 
-        tensors = [
+        return [
             (f"model.{name}", array) for name, array in flat_tensors(self.model)
         ] + [
             (f"classifier.{name}", array)
             for name, array in flat_tensors(self.classifier)
         ]
-        if self.config.quant_mode != "off":
-            try:
-                tensors += self._ensure_quant_scorer().quant_tensors()
-            except Exception:  # the rung is optional; never block a publish
-                self.stats.quant_fallbacks += 1
-                self._quant_broken = True
-        return tensors
-
-    # -- int8 rung ---------------------------------------------------------------
-
-    def _ensure_quant_scorer(self):
-        """The int8 scorer for the *current* weight version (rebuilt on bump)."""
-        from .quant import QuantizedScorer
-
-        if self._quant_scorer is None or self._quant_version != self._version:
-            with self.stats.timer("quantize"):
-                self._quant_scorer = QuantizedScorer(
-                    self.model, self.classifier, self.special_ids
-                )
-            self._quant_version = self._version
-            self._quant_broken = False
-        return self._quant_scorer
-
-    def _ensure_autotuner(self):
-        from .autotune import KernelAutotuner
-
-        if self._autotuner is None:
-            self._autotuner = KernelAutotuner(
-                model_config=self.model.config.to_dict(),
-                vocab_size=self.model.config.vocab_size,
-                score_atol=self.config.quant_score_atol,
-                repeats=self.config.autotune_repeats,
-                cache_token=self.cache_token,
-            )
-            if self._autotuner.load():
-                self.stats.autotune_cache_hits += 1
-        return self._autotuner
-
-    def _plan_decisions(self, plan) -> list[tuple[str, str | None, int] | None]:
-        """Execution decision per micro-batch, positionally aligned with ``plan``.
-
-        ``None`` entries mean "plain float32" (quantization off or rung
-        broken for this version).  In ``auto`` mode any shape the persisted
-        plan does not cover is measured first -- the lazy per-shape
-        autotune pass -- and the decisions come from the plan; ``on``
-        forces the int8 rung's default strategy everywhere.
-        """
-        from .autotune import FLOAT32_DECISION
-
-        if self.config.quant_mode == "off" or self._quant_broken:
-            return [None] * len(plan)
-        if self.config.quant_mode == "on":
-            return [("int8", "fold", 1)] * len(plan)
-        try:
-            scorer = self._ensure_quant_scorer()
-            autotuner = self._ensure_autotuner()
-            from ..featurizers.bert import score_encoded_batch
-
-            shapes = [
-                (mb.padded_length, len(mb.indices)) for mb in plan
-            ]
-            autotuner.ensure_shapes(
-                shapes,
-                lambda batch: score_encoded_batch(
-                    self.model, self.classifier, self.special_ids, batch
-                ),
-                lambda batch, packing, split: scorer.score(batch, packing, split),
-                stats=self.stats,
-            )
-            return [
-                autotuner.decision_for(padded, rows) or FLOAT32_DECISION
-                for padded, rows in shapes
-            ]
-        except Exception:  # autotune is best-effort; degrade to exact path
-            self.stats.quant_fallbacks += 1
-            self._quant_broken = True
-            return [None] * len(plan)
 
     def clear_cached_scores(self) -> None:
         """Drop cached scores without bumping the model version (testing aid)."""
@@ -391,35 +273,11 @@ class ScoringEngine:
 
     # -- scoring -----------------------------------------------------------------
 
-    def _score_microbatch_quant(self, batch, decision) -> np.ndarray | None:
-        """One int8 forward; ``None`` (plus a latched fallback) on failure."""
-        try:
-            scores = self._ensure_quant_scorer().score(
-                batch, packing=decision[1], split=int(decision[2])
-            )
-            if np.all(np.isfinite(scores)):
-                return scores
-        except Exception:
-            pass
-        self.stats.quant_fallbacks += 1
-        self._quant_broken = True
-        return None
-
-    def _score_plan_inprocess(self, plan, decisions=None) -> list[np.ndarray]:
+    def _score_plan_inprocess(self, plan) -> list[np.ndarray]:
         from ..featurizers.bert import score_encoded_batch
 
-        if decisions is None:
-            decisions = self._plan_decisions(plan)
         results = []
-        for microbatch, decision in zip(plan, decisions):
-            if decision is not None and decision[0] == "int8" and not self._quant_broken:
-                with self.stats.timer("forward"):
-                    scores = self._score_microbatch_quant(microbatch.batch, decision)
-                if scores is not None:
-                    self.stats.quant_batches += 1
-                    self.stats.inprocess_batches += 1
-                    results.append(scores)
-                    continue
+        for microbatch in plan:
             with self.stats.timer("forward"):
                 results.append(
                     score_encoded_batch(
@@ -436,11 +294,7 @@ class ScoringEngine:
         never respawned), rung 2 the pickle-payload pool (respawned per
         model version), rung 3 in-process scoring.  Each rung is
         best-effort: any failure falls to the next, preserving parity.
-        Orthogonally, the kernel autotuner assigns each micro-batch an
-        execution decision (exact float32 vs the int8 rung); int8 failures
-        degrade per micro-batch without leaving the current ladder rung.
         """
-        decisions = self._plan_decisions(plan)
         total_pairs = sum(len(microbatch.indices) for microbatch in plan)
         eligible = (
             self.config.n_workers > 0
@@ -448,7 +302,7 @@ class ScoringEngine:
             and total_pairs >= self.config.min_pairs_for_workers
         )
         if eligible:
-            results = self._score_plan_shm(plan, decisions)
+            results = self._score_plan_shm(plan)
             if results is not None:
                 self.stats.worker_batches += len(plan)
                 self.stats.shm_batches += len(plan)
@@ -458,14 +312,14 @@ class ScoringEngine:
                 self.stats.worker_batches += len(plan)
                 return results
             self.stats.worker_fallbacks += 1
-        return self._score_plan_inprocess(plan, decisions)
+        return self._score_plan_inprocess(plan)
 
-    def _score_plan_shm(self, plan, decisions=None) -> list[np.ndarray] | None:
+    def _score_plan_shm(self, plan) -> list[np.ndarray] | None:
         """Rung 1: the persistent shared-memory serving plane."""
         if self._plane is None or not self._plane.usable:
             return None
         results = self._plane.score(
-            plan, self._version, self._weight_tensors, self.stats, decisions
+            plan, self._version, self._weight_tensors, self.stats
         )
         if results is None:
             self.stats.shm_fallbacks += 1
@@ -637,10 +491,6 @@ class ScoringEngine:
             "serving.use_shm": self.config.use_shm,
             "serving.shm_available": shm.shared_memory_available(),
             "serving.n_workers": self.config.n_workers,
-            "serving.quant_mode": self.config.quant_mode,
-            "serving.autotune_shapes": (
-                len(self._autotuner.plan) if self._autotuner is not None else 0
-            ),
         }
         if self._plane is not None:
             payload.update(

@@ -401,9 +401,6 @@ class ArenaClient:
         self._data = None
         self._data_name: str | None = None
         self.version: int | None = None
-        #: All views of the currently bound version, by published (prefixed)
-        #: name -- the int8 rung re-binds its pre-quantized tensors from here.
-        self.views: dict[str, np.ndarray] = {}
 
     def sync(self) -> tuple[bool, float]:
         """Hot-swap to the arena's current version if it moved.
@@ -467,7 +464,6 @@ class ArenaClient:
                 old.close()
             except BufferError:
                 pass  # a stray view still maps it; the OS reclaims at exit
-        self.views = views
         self.version = version
         return True, time.perf_counter() - started
 
@@ -486,10 +482,6 @@ class ArenaClient:
 _WORKER_CLIENT: ArenaClient | None = None
 _WORKER_SPECIAL_IDS: list[int] = []
 _WORKER_SCRATCH: dict[str, object] = {}
-#: Lazily built int8 scorer, rebound to the arena's pre-quantized views on
-#: every hot swap (see :func:`_worker_quant_scorer`).
-_WORKER_QUANT = None
-_WORKER_QUANT_VERSION: int | None = None
 
 
 def make_bootstrap_payload(
@@ -549,46 +541,17 @@ def _ping_worker(_: int) -> bool:
     return _WORKER_CLIENT is not None
 
 
-def _worker_quant_scorer():
-    """The worker's int8 scorer, bound to the arena's pre-quantized views.
-
-    Built lazily on the first int8 task and *re-bound* (not rebuilt)
-    whenever the arena version moved: quantize-on-publish means the parent
-    already shipped ``quant.``-prefixed int8 tensors, so a hot swap here is
-    a zero-copy view rebind, never a per-worker re-quantization.  Raises if
-    the current publish carries no quantized tensors -- the caller then
-    scores float32.
-    """
-    global _WORKER_QUANT, _WORKER_QUANT_VERSION
-    assert _WORKER_CLIENT is not None
-    if _WORKER_QUANT is None or _WORKER_QUANT_VERSION != _WORKER_CLIENT.version:
-        from .quant import QuantizedScorer
-
-        scorer = _WORKER_QUANT or QuantizedScorer(
-            _WORKER_CLIENT.model, _WORKER_CLIENT.classifier, _WORKER_SPECIAL_IDS
-        )
-        scorer.rebind_views(_WORKER_CLIENT.views)
-        _WORKER_QUANT = scorer
-        _WORKER_QUANT_VERSION = _WORKER_CLIENT.version
-    return _WORKER_QUANT
-
-
 def _score_shm_task(task) -> tuple:
     """Pool task: sync weights, materialise inputs, score one micro-batch.
 
-    Tasks end with the autotuner's execution decision (``(rung, packing,
-    split)`` or ``None`` for plain float32).  Returns ``("ok", scores,
-    swapped, attach_seconds, quant_used)`` or ``("error", message, False,
-    0.0, False)`` -- failures travel as values so one bad task cannot poison
-    the pool.  An int8 decision that cannot be honoured (no quantized
-    tensors in the publish, rung failure) degrades to float32 in-place and
-    reports ``quant_used=False`` so the parent can count the fallback.
+    Returns ``("ok", scores, swapped, attach_seconds)`` or ``("error",
+    message, False, 0.0)`` -- failures travel as values so one bad task
+    cannot poison the pool.
     """
     try:
         assert _WORKER_CLIENT is not None, "worker used before initialization"
         swapped, attach_seconds = _WORKER_CLIENT.sync()
         kind = task[0]
-        decision = task[-1]
         if kind == "scratch":
             segment = _worker_scratch(task[1])
             arrays = [
@@ -600,25 +563,14 @@ def _score_shm_task(task) -> tuple:
         batch = EncodedPair(
             input_ids=arrays[0], segment_ids=arrays[1], attention_mask=arrays[2]
         )
-        if decision is not None and decision[0] == "int8":
-            try:
-                scores = _worker_quant_scorer().score(
-                    batch, packing=decision[1], split=int(decision[2])
-                )
-                if np.all(np.isfinite(scores)):
-                    return ("ok", np.asarray(scores), swapped, attach_seconds, True)
-            except Exception:
-                logger.warning(
-                    "worker int8 rung failed; scoring float32", exc_info=True
-                )
         from ..featurizers.bert import score_encoded_batch
 
         scores = score_encoded_batch(
             _WORKER_CLIENT.model, _WORKER_CLIENT.classifier, _WORKER_SPECIAL_IDS, batch
         )
-        return ("ok", np.asarray(scores), swapped, attach_seconds, False)
+        return ("ok", np.asarray(scores), swapped, attach_seconds)
     except Exception as exc:  # degrade, never error
-        return ("error", f"{type(exc).__name__}: {exc}", False, 0.0, False)
+        return ("error", f"{type(exc).__name__}: {exc}", False, 0.0)
 
 
 # -- orchestration ---------------------------------------------------------------
@@ -733,11 +685,7 @@ class ShmServingPlane:
             self._gate.record_failure()
             return False
 
-    def _build_tasks(
-        self, plan: Sequence[MicroBatch], stats, decisions: Sequence | None = None
-    ) -> list:
-        if decisions is None:
-            decisions = [None] * len(plan)
+    def _build_tasks(self, plan: Sequence[MicroBatch], stats) -> list:
         triples = [
             (mb.batch.input_ids, mb.batch.segment_ids, mb.batch.attention_mask)
             for mb in plan
@@ -749,7 +697,7 @@ class ShmServingPlane:
                     flat = [array for triple in triples for array in triple]
                     name, descriptors = self.scratch.write(flat)
                 return [
-                    ("scratch", name, descriptors[3 * i : 3 * i + 3], decisions[i])
+                    ("scratch", name, descriptors[3 * i : 3 * i + 3])
                     for i in range(len(triples))
                 ]
             except Exception:
@@ -757,10 +705,7 @@ class ShmServingPlane:
                     "scratch staging failed; sending micro-batches inline",
                     exc_info=True,
                 )
-        return [
-            ("inline", triple, decision)
-            for triple, decision in zip(triples, decisions)
-        ]
+        return [("inline", triple) for triple in triples]
 
     def score(
         self,
@@ -768,22 +713,15 @@ class ShmServingPlane:
         version: int,
         tensors_factory: Callable[[], Sequence[tuple[str, np.ndarray]]],
         stats,
-        decisions: Sequence | None = None,
     ) -> list[np.ndarray] | None:
-        """Score ``plan`` on the persistent pool; ``None`` means fall back.
-
-        ``decisions`` positionally assigns each micro-batch an execution
-        decision (``(rung, packing, split)`` from the kernel autotuner, or
-        ``None`` for plain float32); workers that cannot honour an int8
-        decision degrade that task to float32 and the fallback is counted.
-        """
+        """Score ``plan`` on the persistent pool; ``None`` means fall back."""
         if not self.usable:
             return None
         if not self.publish(tensors_factory, version, stats):
             return None
         if not self._ensure_pool():
             return None
-        tasks = self._build_tasks(plan, stats, decisions)
+        tasks = self._build_tasks(plan, stats)
         try:
             with stats.timer("forward"):
                 raw = self._pool.map(_score_shm_task, tasks, chunksize=1)
@@ -797,18 +735,13 @@ class ShmServingPlane:
         results: list[np.ndarray] = []
         swapped = 0
         attach_seconds = 0.0
-        for item, task in zip(raw, tasks):
+        for item in raw:
             if item[0] != "ok":
                 logger.warning("shm worker task failed (%s); falling back", item[1])
                 return None
             results.append(item[1])
             swapped += int(bool(item[2]))
             attach_seconds += item[3]
-            wanted_int8 = task[-1] is not None and task[-1][0] == "int8"
-            if item[4]:
-                stats.quant_batches += 1
-            elif wanted_int8:
-                stats.quant_fallbacks += 1
         if swapped:
             stats.hot_swaps += swapped
             stats.add_time("attach", attach_seconds, calls=swapped)

@@ -55,16 +55,6 @@ class EngineStats:
     invalidations: int = 0
     #: Calls to ``score_encoded``.
     scoring_calls: int = 0
-    #: Micro-batches executed on the int8 quantized rung.
-    quant_batches: int = 0
-    #: Micro-batches the int8 rung refused or failed, falling back to float32.
-    quant_fallbacks: int = 0
-    #: Autotune passes that measured at least one new shape.
-    autotune_runs: int = 0
-    #: Distinct (length, rows) shapes measured by the kernel autotuner.
-    autotune_shapes: int = 0
-    #: Engine startups whose autotune plan loaded from the persisted store.
-    autotune_cache_hits: int = 0
     #: Wall-clock seconds per named stage.
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Invocations per named stage.

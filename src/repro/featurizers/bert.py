@@ -100,6 +100,25 @@ class MatchingClassifier(Module):
         return np.concatenate([grad_scalars, grad_channels], axis=1)
 
 
+def activate_channel_path(
+    classifier: MatchingClassifier, seed: int = 0, scale: float = 0.3
+) -> None:
+    """Give the classifier's channel path seeded non-zero output weights.
+
+    At init the channel path is silent (``output.weight == 0`` and the
+    contextual-cosine scalar weight is 0), so scores depend only on raw
+    embeddings and never on a transformer block.  Parity checks and
+    benchmarks call this so the encoder's hidden states reach the logit the
+    way training would wire them.
+    """
+    rng = np.random.default_rng(seed)
+    shape = classifier.output.weight.value.shape
+    classifier.output.weight.value[:] = (
+        rng.standard_normal(shape) * scale
+    ).astype(np.float32)
+    classifier.scalar_path.weight.value[0] = 1.0
+
+
 # -- pure scoring functions ------------------------------------------------------
 #
 # Module-level so the scoring engine's worker processes (repro.engine.executor)

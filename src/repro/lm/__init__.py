@@ -1,4 +1,4 @@
-"""MiniBERT language model: vocab, tokeniser, encoder, MLM pre-training, cache."""
+"""MiniBERT language model: vocab, tokeniser, encoder, MLM pre-training."""
 
 from .vocab import (
     CLS_TOKEN,
@@ -33,7 +33,6 @@ from .mlm import (
     mask_tokens_with_redraw,
     pretrain_mlm,
 )
-from . import cache
 
 __all__ = [
     "AttributeTokenStore",
@@ -60,7 +59,6 @@ __all__ = [
     "WordPieceTokenizer",
     "WordPieceVocab",
     "build_vocab",
-    "cache",
     "encoded_length",
     "mask_tokens",
     "mask_tokens_with_redraw",

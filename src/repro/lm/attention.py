@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.activations import masked_softmax_lut, softmax, softmax_backward
-from ..nn.layers import Dropout, Linear, Module, QuantizedLinear, xavier_uniform
+from ..nn.activations import softmax, softmax_backward
+from ..nn.layers import Dropout, Linear, Module, xavier_uniform
 from .config import BertConfig
 
 #: Additive bias applied to masked (padding) key positions before softmax.
@@ -145,57 +145,6 @@ class MultiHeadSelfAttention(Module):
         state[f"{prefix}qkv.bias"] = np.concatenate(
             [state.pop(f"{prefix}{name}.bias") for name in _QKV_NAMES], axis=0
         )
-
-
-class QuantizedSelfAttention(Module):
-    """Inference-only int8 rung of :class:`MultiHeadSelfAttention`.
-
-    Built from a fused attention module: the packed QKV and output GEMMs run
-    as :class:`~repro.nn.layers.QuantizedLinear` (dynamic per-row activation
-    quantization over per-channel int8 weights), and the padded-key softmax
-    runs as :func:`~repro.nn.activations.masked_softmax_lut` -- the additive
-    ``MASK_BIAS`` pass of the float path becomes a broadcast multiply over
-    table-gathered exponentials.
-
-    Only the quantized artifacts (``weight_q``/``scale``/``bias``) are
-    registered parameters, so ``flat_tensors`` over the quantized model
-    walks exactly the tensors the arena's quantize-on-publish format ships.
-    ``packing`` (see :data:`~repro.nn.layers.QUANT_PACKINGS`) is set by the
-    kernel autotuner per micro-batch shape.
-    """
-
-    def __init__(self, fused: MultiHeadSelfAttention) -> None:
-        super().__init__()
-        self.config = fused.config
-        self.qkv = self.add_child("qkv", QuantizedLinear.from_linear(fused.qkv))
-        self.output = self.add_child(
-            "output", QuantizedLinear.from_linear(fused.output)
-        )
-
-    _split_heads = MultiHeadSelfAttention._split_heads
-    _merge_heads = MultiHeadSelfAttention._merge_heads
-
-    def forward(
-        self, x: np.ndarray, attention_mask: np.ndarray, packing: str = "fold"
-    ) -> np.ndarray:
-        # float(): keep the scale weakly typed (see MultiHeadSelfAttention).
-        scale = 1.0 / float(np.sqrt(self.config.head_dim))
-        packed = self.qkv.forward(x, packing=packing)
-        projected_q, projected_k, projected_v = np.split(packed, 3, axis=-1)
-        queries = self._split_heads(projected_q)
-        keys = self._split_heads(projected_k)
-        values = self._split_heads(projected_v)
-
-        scores = np.matmul(queries, keys.transpose(0, 1, 3, 2))
-        scores *= scale
-        probs = masked_softmax_lut(scores, attention_mask[:, None, None, :])
-
-        context = np.matmul(probs, values)
-        merged = self._merge_heads(context)
-        return self.output.forward(merged, packing=packing)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise RuntimeError("QuantizedSelfAttention is inference-only: no backward pass")
 
 
 class UnfusedAttentionReference(Module):

@@ -15,17 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.activations import tanh, tanh_backward
-from ..nn.layers import (
-    Dropout,
-    Embedding,
-    LayerNorm,
-    Linear,
-    Module,
-    QuantizedLinear,
-    layernorm_fast,
-)
+from ..nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
 from .config import BertConfig
-from .encoder import QuantizedTransformerBlock, TransformerBlock
+from .encoder import TransformerBlock
 from .tokenizer import EncodedPair
 
 
@@ -145,76 +137,3 @@ class MiniBert(Module):
         self.position_embedding.backward(grad_embedded)
         self.segment_embedding.backward(grad_embedded)
         self._seq_len = None
-
-
-class QuantizedMiniBert(Module):
-    """Inference-only int8 rung of :class:`MiniBert`.
-
-    Wraps a live float :class:`MiniBert`: every GEMM weight is quantized to
-    per-channel int8 (the registered parameters of this module are exactly
-    the quantized artifacts -- ``weight_q``/``scale``/``bias`` -- which is
-    what the shared-memory arena's quantize-on-publish format ships), while
-    embeddings and LayerNorm affine parameters are *referenced* from the
-    source model, so a hot-swap that rebinds the float weights is visible
-    here and only the int8 images need recomputing (or rebinding to the
-    arena's pre-quantized views).
-
-    The forward pass mirrors :meth:`MiniBert.forward` in eval mode --
-    identical masking and pooling semantics -- with the quantized execution
-    strategy (`fold`/`accum` packing) selected via :attr:`packing` by the
-    kernel autotuner.  Scores deviate from the float path only through
-    quantization rounding; the ranking-space parity gate
-    (:mod:`repro.eval.quant`) is the acceptance criterion.
-    """
-
-    def __init__(self, model: "MiniBert") -> None:
-        super().__init__()
-        self.config = model.config
-        self.source = model
-        #: Quantized-GEMM execution strategy; set per micro-batch shape by
-        #: the kernel autotuner (see :data:`repro.nn.layers.QUANT_PACKINGS`).
-        self.packing = "fold"
-        self.blocks: list[QuantizedTransformerBlock] = []
-        for index, block in enumerate(model.blocks):
-            quantized = QuantizedTransformerBlock(block)
-            self.add_child(f"block{index}", quantized)
-            self.blocks.append(quantized)
-        self.pooler = self.add_child("pooler", QuantizedLinear.from_linear(model.pooler))
-        # Referenced (not registered) float state: embeddings + norms.
-        self.token_embedding = model.token_embedding
-        self.position_embedding = model.position_embedding
-        self.segment_embedding = model.segment_embedding
-        self.embedding_norm = model.embedding_norm
-        self.training = False
-
-    def forward(self, batch: EncodedPair) -> tuple[np.ndarray, np.ndarray]:
-        """Encode a batch; returns ``(hidden_states, pooled_cls)`` like MiniBert."""
-        input_ids = batch.input_ids
-        if input_ids.ndim != 2:
-            raise ValueError(
-                f"forward expects a batched EncodedPair with 2-D input_ids, got "
-                f"shape {input_ids.shape}; wrap single pairs with stack_encoded"
-            )
-        batch_size, seq_len = input_ids.shape
-        if seq_len > self.config.max_position:
-            raise ValueError(
-                f"sequence length {seq_len} exceeds max_position {self.config.max_position}"
-            )
-        positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
-        embedded = (
-            self.token_embedding.table.value[input_ids]
-            + self.position_embedding.table.value[positions]
-            + self.segment_embedding.table.value[batch.segment_ids]
-        )
-        norm = self.embedding_norm
-        hidden = layernorm_fast(embedded, norm.gamma.value, norm.beta.value, norm.eps)
-
-        mask = batch.attention_mask.astype(hidden.dtype)
-        for block in self.blocks:
-            hidden = block.forward(hidden, mask, packing=self.packing)
-
-        pooled = np.tanh(self.pooler.forward(hidden[:, 0, :], packing=self.packing))
-        return hidden, pooled
-
-    def backward(self, *args, **kwargs) -> None:
-        raise RuntimeError("QuantizedMiniBert is inference-only: no backward pass")

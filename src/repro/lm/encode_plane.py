@@ -2,7 +2,7 @@
 batch assembly.
 
 The paper's serving cost is "encode ``[CLS] a_s [SEP] a_t [SEP]`` then
-score" (§IV-C1).  The scoring half is bucketed, shm-resident and int8; this
+score" (§IV-C1).  The scoring half is bucketed and shm-resident; this
 module removes the remaining hot-path cost, the pure-Python encode half:
 
 * **attribute-level token store** -- each attribute's text is WordPiece-

@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.activations import gelu, gelu_backward, gelu_lut
-from ..nn.layers import (
-    Dropout,
-    LayerNorm,
-    Linear,
-    Module,
-    QuantizedLinear,
-    layernorm_fast,
-)
-from .attention import MultiHeadSelfAttention, QuantizedSelfAttention
+from ..nn.activations import gelu, gelu_backward
+from ..nn.layers import Dropout, LayerNorm, Linear, Module
+from .attention import MultiHeadSelfAttention
 from .config import BertConfig
 
 
@@ -61,48 +54,3 @@ class TransformerBlock(Module):
         grad_residual = self.attention_norm.backward(grad_x)
         grad_attended = self.attention_out_dropout.backward(grad_residual)
         return self.attention.backward(grad_attended) + grad_residual
-
-
-class QuantizedTransformerBlock(Module):
-    """Inference-only int8 rung of :class:`TransformerBlock`.
-
-    The four GEMMs (packed QKV, attention output, FFN up/down) run
-    quantized; GELU runs as the table-gathered
-    :func:`~repro.nn.activations.gelu_lut`; both residual LayerNorms run as
-    :func:`~repro.nn.layers.layernorm_fast`.  LayerNorm/dropout-free state
-    is *referenced* from the source float block, not copied: the norm
-    ``gamma``/``beta`` reads go through the live parameter objects, so an
-    arena hot-swap that rebinds the float model is immediately visible here.
-    """
-
-    def __init__(self, block: TransformerBlock) -> None:
-        super().__init__()
-        self.attention = self.add_child(
-            "attention", QuantizedSelfAttention(block.attention)
-        )
-        self.intermediate = self.add_child(
-            "intermediate", QuantizedLinear.from_linear(block.intermediate)
-        )
-        self.ffn_output = self.add_child(
-            "ffn_output", QuantizedLinear.from_linear(block.ffn_output)
-        )
-        self._attention_norm = block.attention_norm
-        self._ffn_norm = block.ffn_norm
-
-    def forward(
-        self, x: np.ndarray, attention_mask: np.ndarray, packing: str = "fold"
-    ) -> np.ndarray:
-        attended = self.attention.forward(x, attention_mask, packing=packing)
-        norm = self._attention_norm
-        x = layernorm_fast(
-            x + attended, norm.gamma.value, norm.beta.value, norm.eps
-        )
-        activated = gelu_lut(self.intermediate.forward(x, packing=packing))
-        projected = self.ffn_output.forward(activated, packing=packing)
-        norm = self._ffn_norm
-        return layernorm_fast(
-            x + projected, norm.gamma.value, norm.beta.value, norm.eps
-        )
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise RuntimeError("QuantizedTransformerBlock is inference-only: no backward pass")

@@ -196,6 +196,10 @@ def build_vocab(
     segmentations: dict[str, list[str]] = {word: list(_word_to_symbols(word)) for word in words}
     budget = max(0, target_size - len(SPECIAL_TOKENS) - len(pieces))
     merged_pieces: list[str] = []
+    # A merge can spell a piece that already exists (``#`` + ``###`` ->
+    # ``##``, then ``##`` + ``##1`` -> ``##1``); the segmentations still take
+    # it, but the token list keeps one copy.
+    known = set(SPECIAL_TOKENS) | alphabet
     for _ in range(budget):
         pair_frequency: Counter = Counter()
         for word, symbols in segmentations.items():
@@ -208,7 +212,9 @@ def build_vocab(
         if best_freq < 2:
             break
         merged = left + right.removeprefix("##")
-        merged_pieces.append(merged)
+        if merged not in known:
+            known.add(merged)
+            merged_pieces.append(merged)
         for word, symbols in segmentations.items():
             if len(symbols) < 2:
                 continue

@@ -36,65 +36,6 @@ def gelu_backward(grad_output: np.ndarray, x: np.ndarray) -> np.ndarray:
     return grad_output * derivative
 
 
-#: Table resolution of the quantized-activation nonlinearities below; 256
-#: entries make the gather index an exact uint8 cast.
-LUT_LEVELS = 256
-
-
-def gelu_lut(x: np.ndarray) -> np.ndarray:
-    """GELU on symmetrically quantized activations (the int8 rung's GELU).
-
-    The input is quantized per tensor to 255 symmetric levels
-    (``step = max|x| / 127``) and the exact tanh-approximated GELU is
-    evaluated once per level; the activation itself is then a uint8 gather.
-    This *is* the quantized nonlinearity; it saves the float32 ``tanh``
-    per element, but with :func:`gelu`'s cube as plain multiplies that no
-    longer makes the int8 forward faster than the float32 one
-    (``BENCH_engine.json``).  Error is bounded by ``max|gelu'| * step / 2``;
-    the ranking-space parity gate (``repro.eval.quant``) governs
-    acceptability end to end.
-    """
-    peak = float(np.abs(x).max()) if x.size else 0.0
-    if peak == 0.0 or not np.isfinite(peak):
-        return gelu(x)[0]
-    step = np.float32(peak / 127.0)
-    grid = (np.arange(LUT_LEVELS, dtype=np.float32) - 127.0) * step
-    table = gelu(grid)[0]
-    index = (x * np.float32(1.0 / step) + np.float32(127.5)).astype(np.uint8)
-    return table[index]
-
-
-def masked_softmax_lut(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
-    """Attention softmax over quantized scores with the mask as a multiply.
-
-    Mathematically, softmax over ``scores + (1 - mask) * MASK_BIAS`` equals
-    ``exp(scores) * mask / sum(exp(scores) * mask)`` -- masked keys
-    contribute exactly zero either way -- so the additive bias pass of the
-    float path is replaced by one broadcast multiply.  ``exp`` is evaluated
-    on a 256-level grid spanning the batch's score range (shifted by the
-    maximum for stability) and gathered per element.
-
-    ``scores`` has shape (B, H, Tq, Tk); ``key_mask`` broadcasts against it
-    with 1.0 for real keys and 0.0 for padding.
-    """
-    high = float(scores.max()) if scores.size else 0.0
-    low = float(scores.min()) if scores.size else 0.0
-    if not (np.isfinite(high) and np.isfinite(low)):
-        exp = np.exp(scores - high) * key_mask
-        return exp / np.maximum(exp.sum(axis=-1, keepdims=True), 1e-30)
-    step = np.float32(max(high - low, 1e-6) / (LUT_LEVELS - 1))
-    grid = np.arange(LUT_LEVELS, dtype=np.float32) * step + np.float32(low - high)
-    table = np.exp(grid)
-    index = (
-        (scores - np.float32(low)) * np.float32(1.0 / step) + np.float32(0.5)
-    ).astype(np.uint8)
-    exp = table[index] * key_mask
-    denominator = exp.sum(axis=-1, keepdims=True)
-    np.maximum(denominator, 1e-30, out=denominator)
-    exp *= 1.0 / denominator
-    return exp
-
-
 def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ReLU; cache is the boolean positive mask."""
     mask = x > 0

@@ -21,18 +21,12 @@ DTYPE = np.float32
 
 
 class Parameter:
-    """A trainable tensor with an accumulated gradient.
-
-    ``dtype`` defaults to the library-wide float32; the int8 inference rung
-    registers quantized weights (int8) and their per-channel scales through
-    the same class so the serializer and the shared-memory arena treat them
-    like any other parameter.
-    """
+    """A trainable tensor with an accumulated gradient."""
 
     __slots__ = ("value", "grad")
 
-    def __init__(self, value: np.ndarray, dtype: np.dtype | type = DTYPE) -> None:
-        self.value = np.asarray(value, dtype=dtype)
+    def __init__(self, value: np.ndarray) -> None:
+        self.value = np.asarray(value, dtype=DTYPE)
         self.grad = np.zeros_like(self.value)
 
     @property
@@ -57,10 +51,8 @@ class Module:
         self._children: dict[str, "Module"] = {}
         self.training = True
 
-    def register(
-        self, name: str, value: np.ndarray, dtype: np.dtype | type = DTYPE
-    ) -> Parameter:
-        parameter = Parameter(value, dtype=dtype)
+    def register(self, name: str, value: np.ndarray) -> Parameter:
+        parameter = Parameter(value)
         self._parameters[name] = parameter
         return parameter
 
@@ -227,138 +219,6 @@ class LayerNorm(Module):
         grad_input = (grad_norm - mean_grad - normalised * mean_grad_norm) * inv_std
         self._cache = None
         return grad_input
-
-
-# -- int8 inference rung ---------------------------------------------------------
-#
-# Per-channel symmetric weight quantization plus dynamic per-row activation
-# quantization.  Products of int8 values are at most 127^2 = 16129 and the
-# inner dimensions here are far below 2^24 / 16129, so accumulating the
-# integer-valued float32 images on the BLAS units is *exact* int32
-# accumulation -- every partial sum stays inside the float32 mantissa.
-# (numpy has no BLAS path for integer dtypes; an actual int32 GEMM is
-# 20-45x slower than float32 on this substrate.)
-
-#: Symmetric int8 quantization range.
-QUANT_LEVELS = 127.0
-#: Guard against zero columns/rows: scales never drop below this.
-QUANT_EPS = 1e-12
-
-
-def quantize_weight_per_channel(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric int8 quantization of a (fan_in, fan_out) weight matrix.
-
-    Each *output channel* (column) gets its own scale ``max|w_col| / 127``,
-    so wide and narrow columns keep independent resolution.  Returns
-    ``(weight_q, scale)`` with ``weight ~= weight_q * scale[None, :]``.
-    """
-    weight = np.asarray(weight, dtype=DTYPE)
-    if weight.ndim != 2:
-        raise ValueError(f"per-channel quantization expects a 2-D weight, got {weight.shape}")
-    scale = np.maximum(
-        np.abs(weight).max(axis=0) / QUANT_LEVELS, QUANT_EPS
-    ).astype(DTYPE)
-    weight_q = np.rint(weight / scale[None, :]).astype(np.int8)
-    return weight_q, scale
-
-
-#: Execution strategies of the quantized GEMM (the autotuner's packing axis).
-#: ``fold`` folds both scales into the operands before the GEMM (fewest
-#: memory passes; accumulation happens on scaled values, so it rounds like a
-#: float32 GEMM over the quantization grid).  ``accum`` runs the GEMM on the
-#: raw integer images -- exact int32 accumulation -- and dequantizes the
-#: accumulator in place afterwards.
-QUANT_PACKINGS = ("fold", "accum")
-
-
-class QuantizedLinear(Module):
-    """Inference-only int8 affine layer mirroring a :class:`Linear`.
-
-    Parameters are the quantized artifacts themselves -- ``weight_q`` (int8),
-    ``scale`` (float32 per-output-channel) and ``bias`` (float32) -- so the
-    standard serializer walks (:func:`repro.nn.serialize.flat_tensors` /
-    ``bind_state_views``) publish and rebind them like any float tensor; the
-    shared-memory arena ships pre-quantized weights with zero extra copies.
-
-    The forward pass quantizes activations dynamically per row (symmetric,
-    ``max|x_row| / 127``) and runs one of the :data:`QUANT_PACKINGS`
-    strategies.  Float32 images of the int8 weights are cached per packing
-    and invalidated whenever ``weight_q.value`` is rebound (hot-swap).
-    """
-
-    def __init__(self, weight_q: np.ndarray, scale: np.ndarray, bias: np.ndarray) -> None:
-        super().__init__()
-        weight_q = np.asarray(weight_q)
-        if weight_q.ndim != 2:
-            raise ValueError(f"weight_q must be 2-D, got {weight_q.shape}")
-        self.fan_in, self.fan_out = weight_q.shape
-        self.weight_q = self.register("weight_q", weight_q, dtype=np.int8)
-        self.scale = self.register("scale", scale)
-        self.bias = self.register("bias", bias)
-        self._images: dict[str, np.ndarray] = {}
-        self._image_source: np.ndarray | None = None
-
-    @classmethod
-    def from_linear(cls, linear: Linear) -> "QuantizedLinear":
-        weight_q, scale = quantize_weight_per_channel(linear.weight.value)
-        return cls(weight_q, scale, linear.bias.value)
-
-    def _image(self, packing: str) -> np.ndarray:
-        """Float32 image of the int8 weight for ``packing`` (cached)."""
-        if self._image_source is not self.weight_q.value:
-            self._images.clear()
-            self._image_source = self.weight_q.value
-        image = self._images.get(packing)
-        if image is None:
-            image = self.weight_q.value.astype(DTYPE)
-            if packing == "fold":
-                image *= self.scale.value[None, :]
-            self._images[packing] = image
-        return image
-
-    def forward(self, x: np.ndarray, packing: str = "fold") -> np.ndarray:
-        if packing not in QUANT_PACKINGS:
-            raise ValueError(f"unknown packing {packing!r}; expected one of {QUANT_PACKINGS}")
-        shape = x.shape
-        flat = x.reshape(-1, shape[-1])
-        row_scale = np.abs(flat).max(axis=1, keepdims=True)
-        row_scale /= DTYPE(QUANT_LEVELS)
-        np.maximum(row_scale, QUANT_EPS, out=row_scale)
-        quantized = np.rint(flat / row_scale)
-        if packing == "fold":
-            quantized *= row_scale
-            out = quantized @ self._image("fold")
-        else:
-            out = quantized @ self._image("accum")
-            out *= row_scale
-            out *= self.scale.value[None, :]
-        out += self.bias.value
-        return out.reshape(*shape[:-1], self.fan_out)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        raise RuntimeError("QuantizedLinear is inference-only: no backward pass")
-
-
-def layernorm_fast(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Inference-only LayerNorm over the last axis, tuned for the int8 rung.
-
-    Same arithmetic as :class:`LayerNorm.forward` but with the variance
-    computed through a single ``einsum`` over the centred values instead of
-    ``x.var`` (which materialises an extra squared temporary), and no
-    backward cache.  Deviations from the training-path LayerNorm are at the
-    float32 rounding level; the quant rung's ranking-space parity gate
-    governs acceptability.
-    """
-    last = x.shape[-1]
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    flat = centred.reshape(-1, last)
-    var = np.einsum("ij,ij->i", flat, flat).reshape(centred.shape[:-1] + (1,))
-    var *= DTYPE(1.0 / last)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    return centred * (inv_std * gamma) + beta
 
 
 class Dropout(Module):

@@ -54,36 +54,20 @@ class ResidentModel:
     pins: int = 0
     last_used: int = 0
     arena: WeightArena | None = field(default=None, repr=False)
-    #: Pre-quantized int8 scorer over this snapshot, when residency-level
-    #: quantization is enabled.  With an arena, its tensors are zero-copy
-    #: views of the published ``quant.``-prefixed artifacts.
-    quant: object | None = field(default=None, repr=False)
 
     @property
     def pinned(self) -> bool:
         return self.pins > 0
 
-    def quantized(self):
-        """The snapshot's int8 scorer, or ``None`` if quantization is off."""
-        return self.quant
-
 
 class ModelResidency:
     """LRU-bounded registry of resident per-tenant model versions."""
 
-    def __init__(
-        self, capacity: int = 4, use_shm: bool = True, quantize: bool = True
-    ) -> None:
+    def __init__(self, capacity: int = 4, use_shm: bool = True) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.use_shm = use_shm
-        #: Quantize-on-publish for snapshots: each resident version carries a
-        #: ready-made int8 scorer (:class:`repro.engine.quant.QuantizedScorer`),
-        #: its tensors published into the version's arena so sessions bind
-        #: pre-quantized zero-copy views.  Best-effort: any failure leaves
-        #: the version resident with ``quant=None``.
-        self.quantize = quantize
         self._lock = threading.Lock()
         self._entries: dict[str, ResidentModel] = {}
         self._latest: dict[str, str] = {}
@@ -117,22 +101,12 @@ class ModelResidency:
             for module in (snapshot_model, snapshot_classifier)
             for parameter in module.parameters().values()
         )
-        quant = None
-        if self.quantize:
-            try:
-                from ..engine.quant import QuantizedScorer
-
-                quant = QuantizedScorer(
-                    snapshot_model, snapshot_classifier, sorted(special_ids)
-                )
-            except Exception:
-                quant = None
         with self._lock:
             version = self._versions.get(tenant, 0) + 1
             self._versions[tenant] = version
             key = self.make_key(tenant, version)
             arena = self._try_arena_residency(
-                key, snapshot_model, snapshot_classifier, version, quant
+                key, snapshot_model, snapshot_classifier, version
             )
             self._clock += 1
             entry = ResidentModel(
@@ -145,7 +119,6 @@ class ModelResidency:
                 nbytes=nbytes,
                 last_used=self._clock,
                 arena=arena,
-                quant=quant,
             )
             self._entries[key] = entry
             self._latest[tenant] = key
@@ -157,15 +130,9 @@ class ModelResidency:
         return key
 
     def _try_arena_residency(
-        self, key: str, model, classifier, version: int, quant=None
+        self, key: str, model, classifier, version: int
     ) -> WeightArena | None:
-        """Move the snapshot's weights into a dedicated shm arena (best effort).
-
-        When the snapshot carries a quantized scorer its int8 artifacts are
-        published into the same arena (quantize-on-publish) and the scorer
-        is re-bound to the shared views, so every session of the tenant
-        shares one pre-quantized copy too.
-        """
+        """Move the snapshot's weights into a dedicated shm arena (best effort)."""
         if not self.use_shm or not shm.shared_memory_available():
             return None
         self._arena_seq += 1
@@ -177,8 +144,6 @@ class ModelResidency:
                 (f"classifier.{name}", array)
                 for name, array in flat_tensors(classifier)
             ]
-            if quant is not None:
-                tensors += quant.quant_tensors()
             arena.publish(tensors, version)
             views = arena.views()
             bind_state_views(
@@ -197,8 +162,6 @@ class ModelResidency:
                     if name.startswith("classifier.")
                 },
             )
-            if quant is not None:
-                quant.rebind_views(views)
             return arena
         except Exception:
             # The deep-copied weights are still bound: degrade to private

@@ -1,8 +1,9 @@
 """Resilient on-disk artifact store (pre-trained weights, vocabularies).
 
-Public surface of the store subsystem.  ``repro.lm.cache`` re-exports this
-module's function API for backwards compatibility; new code should import
-from ``repro.store`` directly.
+Public surface of the store subsystem: the :class:`ArtifactStore` class
+plus a module-level function API (``content_key`` / ``save_arrays`` /
+``load_arrays`` / ``save_json`` / ``load_json`` / ``clear_cache``) over the
+process-wide default store.
 """
 
 from .integrity import QUARANTINE_SUFFIX, SIDECAR_SUFFIX, probe, quarantine

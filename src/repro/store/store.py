@@ -1,4 +1,4 @@
-"""The resilient artifact store behind ``repro.lm.cache``.
+"""The resilient on-disk artifact store.
 
 Pre-training happens "once per ISS / per vertical" in the paper; this store
 makes that literal: experiments that share an ISS reuse the same pre-trained
@@ -343,8 +343,7 @@ def default_store() -> ArtifactStore:
     """The process-wide store for the currently-resolved cache root.
 
     Re-resolved on every call so ``REPRO_CACHE_DIR`` (or a chdir) takes
-    effect immediately — matching the behaviour of the original
-    ``repro.lm.cache`` module that recomputed its directory per call.
+    effect immediately.
     """
     global _DEFAULT_STORE
     root = resolve_root()

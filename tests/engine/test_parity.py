@@ -2,18 +2,30 @@
 
 The batched/bucketed/parallel scoring engine must be a pure optimisation:
 for every public dataset pairing, its scores match the sequential one-pair-
-at-a-time reference within 1e-8, across worker counts {0, 1, 4} and odd
-micro-batch sizes (1, a prime, larger than the pair count).
+at-a-time reference across worker counts {0, 1, 4} and odd micro-batch
+sizes (1, a prime, larger than the pair count).
+
+Two classifiers are checked.  A fresh :class:`MatchingClassifier` starts
+with a silent channel path, so its scores read only the raw embeddings and
+match within 1e-8.  With :func:`activate_channel_path` every transformer
+block reaches the logit; those scores match within :data:`LIVE_ATOL`, and a
+guard test proves they really move with a block weight.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.datasets import PUBLIC_NAMES, load_dataset
 from repro.engine import EngineConfig, ScoringEngine, plan_microbatches
-from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
+from repro.featurizers.bert import (
+    MatchingClassifier,
+    activate_channel_path,
+    score_encoded_batch,
+)
 from repro.featurizers.base import make_pair_view
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
@@ -29,15 +41,23 @@ MAX_LENGTH = 32
 
 WORKER_COUNTS = (0, 1, 4)
 
+#: Engine-vs-sequential tolerance once the channel path is live.  Bucketing
+#: pads a pair to its micro-batch's length and BLAS picks its summation
+#: order by GEMM shape, so float32 hidden states differ by a few ulps between
+#: a pair scored alone and in a batch.  Through the live channel path those
+#: reach the probability: deviations measured 1.4-1.8e-7, i.e. 2-3 float32
+#: ulps (6e-8) at p = 0.5.  1e-6 is ~16 ulps at p = 1, far below the 1e-3
+#: a block-weight change moves the scores by (the guard test below).
+LIVE_ATOL = 1e-6
+
 
 def _batch_sizes(num_pairs: int) -> tuple[int, ...]:
     return (1, 7, num_pairs + 5)
 
 
-@pytest.fixture(scope="module", params=PUBLIC_NAMES)
-def scoring_stack(request):
+def _build_stack(dataset: str, live_channel: bool):
     """(model, classifier, special_ids, encoded pairs, sequential scores)."""
-    task = load_dataset(request.param)
+    task = load_dataset(dataset)
     corpus = build_corpus(schemata=[task.target], seed=0)
     vocab = build_vocab(corpus, target_size=300)
     tokenizer = WordPieceTokenizer(vocab)
@@ -56,6 +76,8 @@ def scoring_stack(request):
     )
     model.eval()
     classifier = MatchingClassifier(32, 16, np.random.default_rng(2))
+    if live_channel:
+        activate_channel_path(classifier, seed=3)
     classifier.eval()
     special_ids = sorted(vocab.special_ids())
 
@@ -85,6 +107,18 @@ def scoring_stack(request):
     return model, classifier, special_ids, encoded, sequential
 
 
+@pytest.fixture(scope="module", params=PUBLIC_NAMES)
+def scoring_stack(request):
+    """The stack with a fresh classifier: its channel path is silent."""
+    return _build_stack(request.param, live_channel=False)
+
+
+@pytest.fixture(scope="module", params=PUBLIC_NAMES)
+def live_scoring_stack(request):
+    """The stack with a live channel path: scores read every block."""
+    return _build_stack(request.param, live_channel=True)
+
+
 def test_lengths_are_skewed(scoring_stack):
     """The datasets genuinely exercise bucketing: multiple distinct lengths."""
     _, _, _, encoded, _ = scoring_stack
@@ -99,10 +133,8 @@ def test_monolithic_batch_matches_sequential(scoring_stack):
     np.testing.assert_allclose(batched, sequential, atol=1e-8, rtol=0)
 
 
-@pytest.mark.parametrize("n_workers", WORKER_COUNTS)
-def test_engine_matches_sequential(scoring_stack, n_workers):
-    """Bucketed (and parallel) engine scores equal the sequential reference."""
-    model, classifier, special_ids, encoded, sequential = scoring_stack
+def _assert_engine_matches_sequential(stack, n_workers: int, atol: float) -> None:
+    model, classifier, special_ids, encoded, sequential = stack
     config = EngineConfig(
         n_workers=n_workers,
         min_pairs_for_workers=1,
@@ -118,7 +150,7 @@ def test_engine_matches_sequential(scoring_stack, n_workers):
             np.testing.assert_allclose(
                 scores,
                 sequential,
-                atol=1e-8,
+                atol=atol,
                 rtol=0,
                 err_msg=f"n_workers={n_workers} batch_size={batch_size}",
             )
@@ -128,6 +160,30 @@ def test_engine_matches_sequential(scoring_stack, n_workers):
             assert engine.stats.worker_fallbacks == 0
     finally:
         engine.close()
+
+
+@pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+def test_engine_matches_sequential(scoring_stack, n_workers):
+    """Bucketed (and parallel) engine scores equal the sequential reference."""
+    _assert_engine_matches_sequential(scoring_stack, n_workers, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_workers", WORKER_COUNTS)
+def test_engine_matches_sequential_live_channel(live_scoring_stack, n_workers):
+    """The same parity with every transformer block driving the scores."""
+    _assert_engine_matches_sequential(live_scoring_stack, n_workers, atol=LIVE_ATOL)
+
+
+def test_block_weight_moves_live_scores(live_scoring_stack):
+    """Guard: the live suite depends on the encoder blocks, so a kernel bug
+    in a block cannot pass it vacuously."""
+    model, classifier, special_ids, encoded, sequential = live_scoring_stack
+    perturbed = copy.deepcopy(model)
+    perturbed.blocks[0].ffn_output.weight.value *= 3.0
+    moved = score_encoded_batch(
+        perturbed, classifier, special_ids, stack_encoded(encoded)
+    )
+    assert np.abs(moved - sequential).max() > 1e-3
 
 
 def test_engine_scores_are_order_independent(scoring_stack):

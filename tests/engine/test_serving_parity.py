@@ -7,6 +7,10 @@ updates absorbed by arena hot-swaps (``respawns_avoided``) rather than
 pool respawns, and with no shared-memory segments left behind after close.
 (The bucketed-vs-sequential golden parity lives in ``test_parity.py``;
 here the reference engine isolates exactly the serving-plane delta.)
+
+A fresh classifier's channel path is silent until the first update adds
+noise to it, so the live-channel variant activates it up front: every
+update is then checked with the transformer blocks driving the scores.
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ from repro.engine import (
     live_segment_names,
     shared_memory_available,
 )
-from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
+from repro.featurizers.bert import (
+    MatchingClassifier,
+    activate_channel_path,
+    score_encoded_batch,
+)
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
 from repro.lm.tokenizer import EncodedPair, stack_encoded
@@ -57,6 +65,14 @@ def stack():
     classifier.eval()
     encoded = [synthetic_pair(4 + int(rng.integers(0, 24)), rng) for _ in range(96)]
     return model, classifier, [0, 1, 2, 3, 4], encoded
+
+
+@pytest.fixture
+def live_stack(stack):
+    """The same stack with the classifier's channel path live."""
+    model, classifier, special_ids, encoded = stack
+    activate_channel_path(classifier, seed=3)
+    return model, classifier, special_ids, encoded
 
 
 def mutate_weights(model, classifier, seed: int) -> None:
@@ -121,6 +137,24 @@ def test_hot_swap_parity_across_updates(stack, n_workers):
         assert stats.respawns_avoided == NUM_UPDATES
         assert stats.hot_swaps >= NUM_UPDATES  # each worker swaps per version
         assert stats.publishes == NUM_UPDATES + 1
+    finally:
+        engine.close()
+    assert not live_segment_names()
+
+
+@pytest.mark.parametrize("n_workers", (1, 4))
+def test_hot_swap_parity_live_channel(live_stack, n_workers):
+    """Same plan on both sides, so the 1e-8 bound holds with live blocks too."""
+    config = EngineConfig(
+        n_workers=n_workers,
+        min_pairs_for_workers=1,
+        microbatch_size=8,
+        persist_scores=False,
+    )
+    engine = run_updates(live_stack, config)
+    try:
+        assert engine.stats.shm_batches > 0
+        assert engine.stats.worker_fallbacks == 0 and engine.stats.shm_fallbacks == 0
     finally:
         engine.close()
     assert not live_segment_names()

@@ -279,98 +279,3 @@ class TestManifest:
 def test_disable_env_kills_availability(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
     assert not shared_memory_available()
-
-
-class TestQuantArena:
-    """Int8 + scale tensors through the arena: the quantize-on-publish path."""
-
-    def quant_tensors(self, seed: int):
-        from repro.engine.quant import QuantizedScorer
-
-        model, classifier = make_stack(seed=seed)
-        scorer = QuantizedScorer(model, classifier, [0, 1, 2, 3, 4])
-        return scorer, scorer.quant_tensors()
-
-    def test_int8_and_scale_round_trip(self):
-        scorer, tensors = self.quant_tensors(seed=0)
-        arena = WeightArena()
-        try:
-            arena.publish(tensors, version=1)
-            views = arena.views()
-            assert set(views) == {name for name, _ in tensors}
-            for name, array in tensors:
-                view = views[name]
-                assert view.dtype == array.dtype, name
-                np.testing.assert_array_equal(view, array)
-                assert not view.flags.writeable
-            # At least one published tensor really is int8 (the rung's
-            # whole point); scales ride along as float32.
-            dtypes = {views[name].dtype for name, _ in tensors}
-            assert np.dtype(np.int8) in dtypes and np.dtype(np.float32) in dtypes
-        finally:
-            arena.close()
-        assert_no_leaks(arena.base)
-
-    def test_scorer_rebinds_to_published_views(self):
-        from repro.lm.tokenizer import EncodedPair
-
-        scorer, tensors = self.quant_tensors(seed=0)
-        rng = np.random.default_rng(3)
-        ids = rng.integers(5, 50, size=(4, 12)).astype(np.int64)
-        batch = EncodedPair(
-            input_ids=ids,
-            segment_ids=np.zeros_like(ids),
-            attention_mask=np.ones_like(ids),
-        )
-        before = scorer.score(batch)
-        arena = WeightArena()
-        try:
-            arena.publish(tensors, version=1)
-            scorer.rebind_views(arena.views())
-            np.testing.assert_allclose(scorer.score(batch), before, atol=1e-7)
-        finally:
-            arena.close()
-        assert_no_leaks(arena.base)
-
-    def test_torn_publish_detected_on_int8_manifest(self):
-        """The stamp-last defence must hold for mixed float+int8 publishes."""
-        source_model, source_classifier = make_stack(seed=0)
-        scorer, tensors = self.quant_tensors(seed=0)
-        model, classifier = make_stack(seed=99)
-        arena = WeightArena()
-        try:
-            arena.publish(
-                prefixed_tensors(source_model, source_classifier) + tensors,
-                version=1,
-            )
-            client = ArenaClient(arena.ctrl_name, model, classifier)
-            try:
-                client.sync()
-                # Stamp moved, manifest still describes version 1.
-                struct.pack_into("<q", arena._ctrl.buf, 0, 9)
-                with pytest.raises(ArenaError, match="torn publish"):
-                    client.sync()
-            finally:
-                client.close()
-        finally:
-            arena.close()
-        assert_no_leaks(arena.base)
-
-    def test_corrupt_int8_bytes_detected(self):
-        scorer, tensors = self.quant_tensors(seed=0)
-        arena = WeightArena()
-        try:
-            arena.publish(tensors, version=1)
-            # Flip one byte inside the data segment; a fresh client must
-            # notice the data digest mismatch.
-            arena._data.buf[64] ^= 0xFF
-            model, classifier = make_stack(seed=99)
-            client = ArenaClient(arena.ctrl_name, model, classifier)
-            try:
-                with pytest.raises(ArenaError):
-                    client.sync()
-            finally:
-                client.close()
-        finally:
-            arena.close()
-        assert_no_leaks(arena.base)

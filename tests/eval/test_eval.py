@@ -9,6 +9,7 @@ from repro.eval import (
     median,
     render_accuracy_table,
     render_table,
+    roc_auc,
     summarise_curve,
     top_k_accuracy,
 )
@@ -132,3 +133,42 @@ class TestTrapezoidCompat:
     def test_area_above_curve_value(self):
         # Straight line from (0, 0) to (100, 100): area above is exactly 50.
         assert area_above_curve([0.0, 100.0], [0.0, 100.0]) == pytest.approx(50.0)
+
+
+class TestRocAuc:
+    def test_perfect_ranking_is_one(self):
+        assert roc_auc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9]) == 1.0
+
+    def test_inverted_ranking_is_zero(self):
+        assert roc_auc([1, 1, 0, 0], [0.1, 0.2, 0.8, 0.9]) == 0.0
+
+    def test_interleaved_ranking(self):
+        # Positives at 0.2 and 0.4 beat 3 of the 4 (positive, negative) pairs.
+        assert roc_auc([0, 1, 0, 1], [0.1, 0.2, 0.3, 0.4]) == pytest.approx(0.75)
+
+    def test_ties_use_midranks(self):
+        # One positive tied with one negative: that pair contributes 1/2.
+        assert roc_auc([0, 1], [0.5, 0.5]) == pytest.approx(0.5)
+        assert roc_auc([0, 0, 1], [0.1, 0.5, 0.5]) == pytest.approx(0.75)
+
+    def test_all_tied_scores_are_half(self):
+        assert roc_auc([0, 1, 0, 1], [0.7, 0.7, 0.7, 0.7]) == pytest.approx(0.5)
+
+    def test_degenerate_single_class_returns_half(self):
+        assert roc_auc([1, 1, 1], [0.1, 0.2, 0.3]) == 0.5
+        assert roc_auc([0, 0], [0.5, 0.9]) == 0.5
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            roc_auc([0, 1], [0.5])
+
+    def test_matches_naive_pairwise_definition(self):
+        rng = np.random.default_rng(0)
+        labels = (rng.random(60) > 0.6).astype(np.float64)
+        scores = np.round(rng.random(60), 1)  # coarse grid forces ties
+        positive = scores[labels > 0.5]
+        negative = scores[labels <= 0.5]
+        wins = (positive[:, None] > negative[None, :]).sum()
+        ties = (positive[:, None] == negative[None, :]).sum()
+        expected = (wins + 0.5 * ties) / (positive.size * negative.size)
+        assert roc_auc(labels, scores) == pytest.approx(expected)

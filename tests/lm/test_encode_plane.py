@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.batching import plan_bucket_chunks, plan_microbatches
@@ -108,6 +108,10 @@ class TestTrieWordPiece:
         st.lists(st.lists(word_st, min_size=1, max_size=6), min_size=1, max_size=4),
         st.lists(word_st, min_size=1, max_size=12),
     )
+    # Merges once re-spelled an existing piece here (``#`` + ``###`` ->
+    # ``##``, then ``##`` + ``##1`` -> ``##1``) and build_vocab raised on the
+    # duplicate token.
+    @example(corpus=[["##1", "##1"]], words=["1"])
     def test_matches_reference_on_random_vocabs(self, corpus, words):
         vocab = build_vocab(corpus, target_size=80)
         fresh = WordPieceTokenizer(vocab)

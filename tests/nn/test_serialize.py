@@ -11,6 +11,7 @@ from repro.nn import (
     save_module,
     state_dict,
 )
+from repro.nn.serialize import bind_state_views, flat_tensors
 
 
 def build_model(rng) -> Module:
@@ -60,68 +61,27 @@ class TestStateDict:
         for name, parameter in model.parameters().items():
             assert np.array_equal(parameter.value, other.parameters()[name].value)
 
-
-class TestNonFloat32Dtypes:
-    """The serializer walk must carry the int8 rung's artifacts verbatim."""
-
-    def build_quant(self, rng):
-        from repro.nn.layers import QuantizedLinear
-
-        model = Module()
-        model.add_child(
-            "projection", QuantizedLinear.from_linear(Linear(6, 4, rng))
-        )
-        return model
-
-    def test_flat_tensors_preserves_dtypes(self, rng):
-        from repro.nn.serialize import flat_tensors
-
-        tensors = dict(flat_tensors(self.build_quant(rng)))
-        assert tensors["projection.weight_q"].dtype == np.int8
-        assert tensors["projection.scale"].dtype == np.float32
-        assert tensors["projection.bias"].dtype == np.float32
-
-    def test_state_dict_round_trip_int8(self, rng):
-        model = self.build_quant(rng)
-        state = state_dict(model)
-        other = self.build_quant(np.random.default_rng(99))
-        load_state_dict(other, state)
-        for name, parameter in other.parameters().items():
-            assert parameter.value.dtype == model.parameters()[name].value.dtype
-            assert np.array_equal(parameter.value, state[name])
-
-    def test_file_round_trip_int8(self, tmp_path, rng):
-        model = self.build_quant(rng)
-        path = tmp_path / "quant.npz"
-        save_module(model, path)
-        other = self.build_quant(np.random.default_rng(99))
-        load_module(other, path)
-        weight_q = other.parameters()["projection.weight_q"].value
-        assert weight_q.dtype == np.int8
-        assert np.array_equal(
-            weight_q, model.parameters()["projection.weight_q"].value
-        )
-
-    def test_bind_state_views_rejects_dtype_mismatch(self, rng):
-        from repro.nn.serialize import bind_state_views, flat_tensors
-
-        model = self.build_quant(rng)
-        views = {
-            name: array.astype(np.float32)
-            for name, array in flat_tensors(model)
-        }
-        with pytest.raises(ValueError, match="layout mismatch"):
-            bind_state_views(model, views)
-
-    def test_bind_state_views_rebinds_int8(self, rng):
-        from repro.nn.serialize import bind_state_views, flat_tensors
-
-        model = self.build_quant(rng)
+    def test_bind_state_views_rebinds_fresh_storage(self, rng):
+        model = build_model(rng)
         replacement = {
             name: array.copy()  # fresh storage, same layout
             for name, array in flat_tensors(model)
         }
         bind_state_views(model, replacement)
-        assert model.parameters()["projection.weight_q"].value is replacement[
-            "projection.weight_q"
-        ]
+        assert model.parameters()["first.weight"].value is replacement["first.weight"]
+
+
+class TestNonFloat32Dtypes:
+    """Parameters are float32; a view of any other dtype is a layout error."""
+
+    def test_bind_state_views_rejects_dtype_mismatch(self, rng):
+        model = build_model(rng)
+        views = {
+            name: array.astype(np.float64) for name, array in flat_tensors(model)
+        }
+        with pytest.raises(ValueError, match="layout mismatch"):
+            bind_state_views(model, views)
+        # A rejected bind leaves every parameter on its original storage.
+        for name, parameter in model.parameters().items():
+            assert parameter.value is not views[name]
+            assert parameter.value.dtype == np.float32

@@ -1,11 +1,20 @@
 """Tests for the metrics registry and the cross-snapshot merge protocol."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.engine.stats import EngineStats
 from repro.nn.stats import TrainStats
 from repro.obs import MetricsRegistry, merge_metrics
 from repro.store.stats import CacheStats
+
+#: Every counter of EngineStats (all fields but the per-stage timing dicts).
+ENGINE_COUNTERS = [
+    f.name
+    for f in fields(EngineStats)
+    if f.name not in ("stage_seconds", "stage_calls")
+]
 
 
 class TestMetricsRegistry:
@@ -118,33 +127,28 @@ class TestStatsMerge:
         assert merged.stage_seconds["backward"] == pytest.approx(3.0)
         assert merged.stage_calls["backward"] == 2
 
-    def test_engine_stats_merge_covers_quant_counters(self):
-        """The int8 rung's counters sum like every other counter."""
+    def test_engine_stats_merge_covers_every_counter(self):
+        """merge() sums every counter field, not a hand-kept subset."""
         left = EngineStats(
-            quant_batches=3, quant_fallbacks=1, autotune_runs=2
+            **{name: index + 1 for index, name in enumerate(ENGINE_COUNTERS)}
         )
         right = EngineStats(
-            quant_batches=4, autotune_shapes=5, autotune_cache_hits=1
+            **{name: 10 * (index + 1) for index, name in enumerate(ENGINE_COUNTERS)}
         )
+        left.add_time("forward", 1.0)
+        right.add_time("forward", 0.5)
         merged = left.merge(right)
-        assert merged.quant_batches == 7
-        assert merged.quant_fallbacks == 1
-        assert merged.autotune_runs == 2
-        assert merged.autotune_shapes == 5
-        assert merged.autotune_cache_hits == 1
+        for index, name in enumerate(ENGINE_COUNTERS):
+            assert getattr(merged, name) == 11 * (index + 1), name
+        assert merged.stage_seconds == {"forward": pytest.approx(1.5)}
+        assert merged.stage_calls == {"forward": 2}
 
-    def test_fresh_engine_stats_render_quant_counters_as_zero(self):
-        """as_dict derives from the dataclass fields: new counters never
+    def test_fresh_engine_stats_render_every_counter_as_zero(self):
+        """as_dict derives from the dataclass fields: counters never
         vanish from the rendered snapshot just because they are zero."""
         rendered = EngineStats().as_dict()
-        for counter in (
-            "quant_batches",
-            "quant_fallbacks",
-            "autotune_runs",
-            "autotune_shapes",
-            "autotune_cache_hits",
-        ):
-            assert counter in rendered and rendered[counter] == 0
+        for name in ENGINE_COUNTERS:
+            assert name in rendered and rendered[name] == 0, name
 
     def test_merge_round_trips_through_registry_protocol(self):
         """Stats merge() and snapshot merge_metrics() agree on the totals."""
@@ -153,9 +157,9 @@ class TestStatsMerge:
         via_snapshots = merge_metrics(left.as_dict(), right.as_dict())
         assert via_stats == via_snapshots
 
-    def test_merge_round_trips_with_quant_counters_set(self):
-        left = EngineStats(quant_batches=2, autotune_cache_hits=1)
-        right = EngineStats(quant_fallbacks=3, autotune_shapes=4)
+    def test_merge_round_trips_with_every_counter_set(self):
+        left = EngineStats(**{name: 2 for name in ENGINE_COUNTERS})
+        right = EngineStats(**{name: 3 for name in ENGINE_COUNTERS})
         via_stats = left.merge(right).as_dict()
         via_snapshots = merge_metrics(left.as_dict(), right.as_dict())
         assert via_stats == via_snapshots

@@ -60,12 +60,12 @@ bench-encode:
 ## onboarding, drift, open-loop serving), each with its per-layer split.
 ## Results land under benchmarks/e2e/.work/results/.
 bench-e2e:
-	python3 benchmarks/e2e/run.py --workload all --trace 1
+	$(PYTHON) benchmarks/e2e/run.py --workload all --trace 1
 
 ## End-to-end benchmark unit tests (span attribution, input determinism,
 ## BENCHMARK.json consistency); a few seconds.
 test-bench-e2e:
-	PYTHONPATH=src pytest benchmarks/e2e
+	$(PYTHON) -m pytest benchmarks/e2e
 
 ## Observability smoke (tier-2): traced session on customer A, NDJSON
 ## well-formedness + iteration parity + `repro trace summarize` rendering.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..obs.counters import Counters
 from ..schema.drift import DeltaEffect, SchemaDelta
 from .candidates import StoreDeltaReport
 
@@ -39,7 +40,7 @@ class DriftReport:
 
 
 @dataclass
-class DriftStats:
+class DriftStats(Counters):
     """Cumulative drift counters, registered as ``drift`` on the matcher.
 
     ``pairs_rescored``/``pairs_reused`` are engine-measured: the deltas of
@@ -80,21 +81,3 @@ class DriftStats:
         self.labels_preserved += report.store.labels_preserved
         self.labels_dropped += report.store.labels_dropped
         self.candidate_regenerations += len(report.regenerated_sources)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "deltas_applied": self.deltas_applied,
-            "columns_added": self.columns_added,
-            "columns_renamed": self.columns_renamed,
-            "columns_retyped": self.columns_retyped,
-            "columns_dropped": self.columns_dropped,
-            "pairs_dropped": self.pairs_dropped,
-            "pairs_added": self.pairs_added,
-            "views_invalidated": self.views_invalidated,
-            "featurizer_entries_dropped": self.featurizer_entries_dropped,
-            "labels_preserved": self.labels_preserved,
-            "labels_dropped": self.labels_dropped,
-            "candidate_regenerations": self.candidate_regenerations,
-            "pairs_rescored": self.pairs_rescored,
-            "pairs_reused": self.pairs_reused,
-        }

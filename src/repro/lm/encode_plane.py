@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from ..obs.counters import Counters
 from ..text.tokenize import name_and_description_tokens
 from .tokenizer import EncodedPair, WordPieceTokenizer
 
@@ -62,28 +61,25 @@ PERSIST_EVERY = 512
 
 
 @dataclass
-class EncodeStats:
+class EncodeStats(Counters):
     """Counters and stage timings of one :class:`EncodePlane`.
 
     Registered as the ``encode`` metrics source on the matcher's
     :class:`repro.obs.MetricsRegistry` and rendered by ``repro engine
-    stats``.
+    stats``.  Stages are ``tokenize``, ``assemble`` and ``persist``; LRU
+    evictions are read from the caches by :meth:`EncodePlane.stats_payload`.
     """
 
     #: Attribute token arrays served from the in-memory store.
     token_cache_hits: int = 0
     #: Attribute texts tokenised from scratch.
     token_cache_misses: int = 0
-    #: Token-store entries evicted by the LRU bound.
-    token_cache_evictions: int = 0
     #: Token arrays recovered from a persisted store block.
     tokens_persisted_hits: int = 0
     #: Pair-halves served from the bounded pair LRU.
     pair_cache_hits: int = 0
     #: Pair-halves built fresh (token-store lookups + truncation).
     pair_cache_misses: int = 0
-    #: Pair-LRU entries evicted by the bound.
-    pair_cache_evictions: int = 0
     #: Micro-batches assembled directly into pooled buffers.
     batches_assembled: int = 0
     #: Rows written across all assembled batches.
@@ -98,47 +94,6 @@ class EncodeStats:
     bytes_pooled: int = 0
     #: Pair fingerprints computed from halves (score-cache keys).
     fingerprints: int = 0
-    #: Wall-clock seconds per named stage (tokenize/assemble/persist).
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: Invocations per named stage.
-    stage_calls: dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def timer(self, stage: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + elapsed
-            self.stage_calls[stage] = self.stage_calls.get(stage, 0) + 1
-
-    def merge(self, other: "EncodeStats") -> "EncodeStats":
-        merged = EncodeStats()
-        for f in fields(EncodeStats):
-            if f.name in ("stage_seconds", "stage_calls"):
-                continue
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for source in (self, other):
-            for stage, seconds in source.stage_seconds.items():
-                merged.stage_seconds[stage] = (
-                    merged.stage_seconds.get(stage, 0.0) + seconds
-                )
-                merged.stage_calls[stage] = merged.stage_calls.get(
-                    stage, 0
-                ) + source.stage_calls.get(stage, 1)
-        return merged
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat snapshot, derived from the dataclass fields (see EngineStats)."""
-        payload: dict[str, object] = {
-            f.name: getattr(self, f.name)
-            for f in fields(EncodeStats)
-            if f.name not in ("stage_seconds", "stage_calls")
-        }
-        for stage in sorted(self.stage_seconds):
-            payload[f"time.{stage}"] = round(self.stage_seconds[stage], 6)
-        return payload
 
 
 # -- bounded LRU ---------------------------------------------------------------
@@ -709,6 +664,7 @@ class EncodePlane:
     def stats_payload(self) -> dict[str, object]:
         """EncodeStats plus cache/pool gauges (the ``encode`` metrics source)."""
         payload = self.stats.as_dict()
+        payload["token_cache_evictions"] = self.tokens.evictions
         payload["pair_cache_evictions"] = self.pair_cache.evictions
         payload["encode_cache_entries"] = len(self.pair_cache)
         payload["encode_cache_evictions"] = self.pair_cache.evictions

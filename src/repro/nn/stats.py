@@ -11,14 +11,13 @@ tests assert on them.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Iterator
+from dataclasses import dataclass
+
+from ..obs.counters import Counters
 
 
 @dataclass
-class TrainStats:
+class TrainStats(Counters):
     """Counters and stage timings accumulated across training passes."""
 
     #: Optimiser steps executed (mini-batches that reached ``step()``).
@@ -43,57 +42,3 @@ class TrainStats:
     warm_starts: int = 0
     #: Optimiser (re)initialisations from scratch.
     cold_starts: int = 0
-    #: Wall-clock seconds per named stage.
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: Invocations per named stage.
-    stage_calls: dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def timer(self, stage: str) -> Iterator[None]:
-        """Accumulate the wall-clock time of the enclosed block under ``stage``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + elapsed
-            self.stage_calls[stage] = self.stage_calls.get(stage, 0) + 1
-
-    def add_time(self, stage: str, seconds: float, calls: int = 1) -> None:
-        """Fold externally measured time into the stats."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-        self.stage_calls[stage] = self.stage_calls.get(stage, 0) + calls
-
-    def merge(self, other: "TrainStats") -> "TrainStats":
-        """Sum of two stat sets (counters added, stage dicts folded)."""
-        merged = TrainStats()
-        for f in fields(TrainStats):
-            if f.name in ("stage_seconds", "stage_calls"):
-                continue
-            setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for source in (self, other):
-            for stage, seconds in source.stage_seconds.items():
-                merged.add_time(stage, seconds, source.stage_calls.get(stage, 1))
-        return merged
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat snapshot: counters plus ``time.<stage>`` seconds."""
-        payload: dict[str, object] = {
-            name: getattr(self, name)
-            for name in (
-                "steps",
-                "epochs",
-                "samples",
-                "microbatches",
-                "buckets",
-                "mask_redraws",
-                "unmaskable_batches",
-                "encode_cache_hits",
-                "encode_cache_misses",
-                "warm_starts",
-                "cold_starts",
-            )
-        }
-        for stage in sorted(self.stage_seconds):
-            payload[f"time.{stage}"] = round(self.stage_seconds[stage], 6)
-        return payload

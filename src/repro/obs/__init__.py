@@ -7,8 +7,9 @@ Two pieces, both zero-dependency and off by default:
   invariant hook that turns silent correctness drift into loud failures
   while tracing is on;
 * a **metrics registry** (:mod:`repro.obs.registry`) -- one
-  ``as_dict()``/merge protocol over the pipeline's stats objects
-  (``EngineStats``, ``TrainStats``, ``CacheStats``, pipeline timings).
+  ``as_dict()``/merge protocol over the pipeline's stats objects, each a
+  :class:`Counters` dataclass (:mod:`repro.obs.counters`) that derives its
+  timer and flat snapshot from its fields.
 
 Instrumentation sites use the ambient helpers (``obs.span(...)``,
 ``obs.event(...)``, ``obs.check(...)``); a matcher activates its own tracer
@@ -17,6 +18,7 @@ matchers do not interleave.  ``repro trace summarize`` renders the NDJSON
 (:mod:`repro.obs.summarize`).
 """
 
+from .counters import Counters
 from .latency import LatencyReservoir
 from .registry import MetricsRegistry, merge_metrics
 from .summarize import (
@@ -44,6 +46,7 @@ from .tracer import (
 )
 
 __all__ = [
+    "Counters",
     "ITERATION_SPAN",
     "InvariantViolation",
     "LatencyReservoir",

@@ -1,20 +1,20 @@
 """The metrics registry: one roof over the pipeline's stats objects.
 
-The repo grew three disjoint observability surfaces -- the scoring engine's
-:class:`~repro.engine.stats.EngineStats`, the training fast path's
-:class:`~repro.nn.stats.TrainStats` and the artifact store's
-:class:`~repro.store.stats.CacheStats` -- each with its own ``as_dict()``
-and its own CLI.  :class:`MetricsRegistry` unifies them behind a single
-protocol: any *source* that either exposes ``as_dict() -> dict`` or is a
-zero-argument callable returning one (or returning an object exposing
-``as_dict``) registers under a name, and the registry produces namespaced
-flat snapshots (``engine.pairs_scored``, ``train.steps``,
-``store.corruption_events``, ...).
+Every subsystem keeps its counters on a :class:`~repro.obs.counters.Counters`
+dataclass -- the engine's ``EngineStats``, training's ``TrainStats``, the
+encode plane's ``EncodeStats``, retrieval's ``RetrievalStats``, serving's
+``ServeStats``, the artifact store's ``CacheStats`` and drift's
+``DriftStats`` -- and each renders through the same ``as_dict()``.
+:class:`MetricsRegistry` puts them behind a single protocol: any *source*
+that either exposes ``as_dict() -> dict`` or is a zero-argument callable
+returning one (or returning an object exposing ``as_dict``) registers under
+a name, and the registry produces namespaced flat snapshots
+(``engine.pairs_scored``, ``train.steps``, ``store.corruption_events``, ...).
 
 :func:`merge_metrics` is the cross-snapshot half of the protocol: numeric
-values sum, lists concatenate, nested dicts merge recursively -- the same
-semantics ``CacheStats.merge`` always had, generalised so snapshots from
-parallel sessions or repeated runs can be folded into fleet-level totals.
+values sum, lists concatenate, nested dicts merge recursively -- so
+snapshots from parallel sessions or repeated runs fold into fleet-level
+totals without a per-class ``merge``.
 """
 
 from __future__ import annotations

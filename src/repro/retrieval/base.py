@@ -26,13 +26,12 @@ CandidateStore` applies them.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Protocol, Sequence
 
 import numpy as np
 
+from ..obs.counters import Counters
 from ..schema.model import AttributeRef, Schema
 from ..text.tokenize import split_identifier, words
 
@@ -149,8 +148,12 @@ class RetrievalConfig:
 
 
 @dataclass
-class RetrievalStats:
-    """Counters/timings of the candidate-generation layer (obs surface)."""
+class RetrievalStats(Counters):
+    """Counters/timings of the candidate-generation layer (obs surface).
+
+    Stages are named ``build.dense``, ``fuse``, ... and render as
+    ``time.<stage>``.
+    """
 
     #: Dense/CLS indexes encoded from scratch.
     index_builds: int = 0
@@ -166,30 +169,6 @@ class RetrievalStats:
     pairs_after_pruning: int = 0
     #: Pairs re-added by hot-swap re-validation (``ensure``-style).
     pairs_restored: int = 0
-    #: Wall-clock seconds per named stage (``build.dense``, ``fuse``, ...).
-    stage_seconds: dict[str, float] = field(default_factory=dict)
-    stage_calls: dict[str, int] = field(default_factory=dict)
-
-    @contextmanager
-    def timer(self, stage: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + elapsed
-            self.stage_calls[stage] = self.stage_calls.get(stage, 0) + 1
-
-    def as_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("stage_seconds", "stage_calls")
-        }
-        for stage in sorted(self.stage_seconds):
-            payload[f"seconds_{stage}"] = round(self.stage_seconds[stage], 6)
-            payload[f"calls_{stage}"] = self.stage_calls.get(stage, 0)
-        return payload
 
 
 # ---------------------------------------------------------------------------

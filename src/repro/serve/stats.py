@@ -1,7 +1,7 @@
 """Serving-service counters: admission, coalescing, latency tails.
 
 One :class:`ServeStats` instance covers one :class:`~repro.serve.service.ServeService`
-lifetime.  It follows the repo-wide stats protocol (``as_dict()`` +
+lifetime.  It is a :class:`~repro.obs.Counters` dataclass (``as_dict()`` +
 :func:`repro.obs.registry.merge_metrics` compatibility) so it registers
 directly on a :class:`~repro.obs.MetricsRegistry` next to the engine,
 training and store counters.
@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs import LatencyReservoir
+from ..obs import Counters, LatencyReservoir
 
 
 @dataclass
-class ServeStats:
+class ServeStats(Counters):
     """Counters for the multi-tenant serving front end."""
+
+    DERIVED = ("coalesce_ratio",)
 
     # -- admission -------------------------------------------------------------
     sessions_opened: int = 0
@@ -70,29 +72,3 @@ class ServeStats:
         if not self.batches:
             return 0.0
         return self.coalesced_requests / self.batches
-
-    def as_dict(self) -> dict[str, object]:
-        payload: dict[str, object] = {
-            "sessions_opened": self.sessions_opened,
-            "sessions_closed": self.sessions_closed,
-            "sessions_rejected": self.sessions_rejected,
-            "requests_submitted": self.requests_submitted,
-            "requests_completed": self.requests_completed,
-            "requests_failed": self.requests_failed,
-            "requests_rejected": self.requests_rejected,
-            "drifts_applied": self.drifts_applied,
-            "pairs_submitted": self.pairs_submitted,
-            "pairs_scored": self.pairs_scored,
-            "batches": self.batches,
-            "cross_session_batches": self.cross_session_batches,
-            "coalesced_requests": self.coalesced_requests,
-            "coalesce_ratio": round(self.coalesce_ratio(), 3),
-            "microbatches": self.microbatches,
-            "deadline_flushes": self.deadline_flushes,
-            "forced_flushes": self.forced_flushes,
-            "queue_depth_peak": self.queue_depth_peak,
-            "pending_pairs_peak": self.pending_pairs_peak,
-        }
-        payload.update(self.latency.as_dict("latency_"))
-        payload.update(self.queue_wait.as_dict("queue_wait_"))
-        return payload

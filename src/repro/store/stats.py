@@ -11,11 +11,13 @@ guarded by the store lock, so concurrent sessions cannot interleave updates.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+
+from ..obs.counters import Counters
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters for one artifact store (a session's view or the ledger).
 
     ``hits`` and ``misses`` are disjoint: a corrupt entry is counted under
@@ -48,19 +50,6 @@ class CacheStats:
     def record_write_failure(self) -> None:
         self.write_failures += 1
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Sum of two stat sets (quarantine lists concatenated)."""
-        merged = CacheStats()
-        for f in fields(CacheStats):
-            if f.name == "quarantined":
-                merged.quarantined = list(self.quarantined) + list(other.quarantined)
-            else:
-                setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return merged
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, payload: object) -> "CacheStats":
         """Tolerant parse: anything malformed collapses to zeroed stats."""
@@ -72,7 +61,11 @@ class CacheStats:
             if f.name == "quarantined":
                 if isinstance(value, list):
                     stats.quarantined = [str(item) for item in value]
-            elif isinstance(value, int) and not isinstance(value, bool):
+            elif (
+                isinstance(f.default, int)
+                and isinstance(value, int)
+                and not isinstance(value, bool)
+            ):
                 setattr(stats, f.name, value)
         return stats
 

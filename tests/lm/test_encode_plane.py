@@ -390,6 +390,17 @@ class TestBatchBufferPool:
         assert plane.stats.pool_hits == 1
         np.testing.assert_array_equal(batch.input_ids, again.input_ids)
 
+    def test_stats_payload_reports_lru_evictions(self, tokenizer):
+        plane = make_plane(tokenizer, token_cache_capacity=2, pair_cache_capacity=1)
+        names = ["price", "amount", "brand", "status", "order", "line", "date", "name"]
+        for key, (name_a, name_b) in enumerate(zip(names[::2], names[1::2])):
+            plane.pair_cache.put(key, plane.halves(name_a, "", name_b, ""))
+        assert plane.tokens.evictions == 6
+        assert plane.pair_cache.evictions == 3
+        payload = plane.stats_payload()
+        assert payload["token_cache_evictions"] == 6
+        assert payload["pair_cache_evictions"] == 3
+
 
 class TestAttributeTokenStore:
     def test_hit_miss_counters(self, tokenizer):

@@ -145,8 +145,31 @@ class TestMatcherTracerLifecycle:
                 "train",
             ]
             flat = matcher.metrics.as_dict()
-            assert "engine.pairs_scored" in flat
-            assert "encode.token_cache_hits" in flat
-            assert "store.hits" in flat
+            # Every key the end-to-end benchmark reads: it falls back to 0
+            # for a missing key, so a renamed counter would go unnoticed.
+            for key in (
+                "engine.pairs_scored",
+                "engine.pairs_requested",
+                "engine.pairs_skipped",
+                "engine.microbatches",
+                "engine.inprocess_batches",
+                "engine.shm_batches",
+                "engine.worker_fallbacks",
+                "engine.shm_fallbacks",
+                "train.steps",
+                "train.samples",
+                "encode.token_cache_hits",
+                "encode.token_cache_misses",
+                "encode.rows_assembled",
+                "retrieval.pairs_after_pruning",
+                "retrieval.pairs_full_product",
+                "drift.pairs_rescored",
+                "drift.pairs_reused",
+                "store.hits",
+                "store.misses",
+                "store.corruption_events",
+                "store.writes",
+            ):
+                assert key in flat, key
         finally:
             matcher.close()

@@ -17,6 +17,7 @@ from repro.serve import (
     ResidencyError,
     ServeConfig,
     ServeService,
+    ServeStats,
     apply_swap,
 )
 
@@ -371,6 +372,22 @@ class TestLifecycle:
             assert key in snapshot, key
         assert snapshot["serve.requests_completed"] == 1
         assert snapshot["serve.pairs_scored"] == 3
+        assert "residency.published" in snapshot
+
+    def test_stats_render_every_key_the_benchmark_reads(self):
+        """The end-to-end benchmark reads these ``serve.*`` keys with a 0
+        default, so a renamed counter would silently read as 0."""
+        rendered = ServeStats().as_dict()
+        for key in (
+            "queue_wait_p50_ms",
+            "queue_wait_p99_ms",
+            "batches",
+            "pairs_scored",
+            "coalesce_ratio",
+            "requests_rejected",
+            "sessions_rejected",
+        ):
+            assert key in rendered, key
 
 
 class TestResidencyEviction:

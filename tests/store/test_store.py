@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.obs import merge_metrics
 from repro.store import (
     ArtifactStore,
     CacheStats,
@@ -231,10 +232,13 @@ class TestStatsAccounting:
     def test_merge(self):
         a = CacheStats(hits=1, quarantined=["x"])
         b = CacheStats(hits=2, corruption_events=1, quarantined=["y"])
-        merged = a.merge(b)
-        assert merged.hits == 3
-        assert merged.corruption_events == 1
-        assert merged.quarantined == ["x", "y"]
+        merged = merge_metrics(a.as_dict(), b.as_dict())
+        assert merged["hits"] == 3
+        assert merged["corruption_events"] == 1
+        assert merged["quarantined"] == ["x", "y"]
+        assert CacheStats.from_dict(merged) == CacheStats(
+            hits=3, corruption_events=1, quarantined=["x", "y"]
+        )
 
     def test_ledger_tolerates_corruption(self, store):
         saved_npz(store)
@@ -242,3 +246,10 @@ class TestStatsAccounting:
         # a damaged ledger must neither crash nor poison future accounting
         store.load_arrays("bert", "k1")
         assert store.persistent_stats().hits >= 1
+
+    def test_ledger_parse_reads_only_counters(self):
+        # stage timings are not ledger counters: a stray int there must not
+        # replace the timing dict and break rendering
+        parsed = CacheStats.from_dict({"hits": 2, "stage_seconds": 5, "writes": True})
+        assert parsed == CacheStats(hits=2)
+        assert parsed.as_dict()["hits"] == 2

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test parity test-serve-slow bench-engine bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
+.PHONY: verify test parity bench-engine bench-train bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity suite explicitly
 ## (it is part of tests/, the second run pins it even if testpaths change).
@@ -13,11 +13,6 @@ test:
 parity:
 	$(PYTHON) -m pytest -q tests/engine/test_parity.py
 
-## Slow serving tests (tier-2): EngineBackend parity across worker counts;
-## excluded from `make test` by the `slow` marker.
-test-serve-slow:
-	$(PYTHON) -m pytest -q tests/serve -m slow
-
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.
 bench-engine:
@@ -26,11 +21,6 @@ bench-engine:
 ## Training perf smoke (tier-2): emits BENCH_train.json at the repo root.
 bench-train:
 	$(PYTHON) -m pytest -q benchmarks/test_train_throughput.py
-
-## Serving-plane latency smoke (tier-2): post-update time-to-first-score,
-## hot-swap vs respawn at 4 workers; emits BENCH_serving.json at the root.
-bench-serving:
-	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_serving_latency.py
 
 ## Serving-service load replay (tier-2): 240 interleaved requests over 16
 ## mixed-tenant sessions with hot-swaps, coalesced vs sequential; gates

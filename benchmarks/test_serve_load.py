@@ -152,7 +152,6 @@ def test_coalesced_replay_beats_sequential():
             "cross_session_batches": metrics["serve.cross_session_batches"],
             "coalesce_ratio": metrics["serve.coalesce_ratio"],
             "forced_flushes": metrics["serve.forced_flushes"],
-            "shm_resident_versions": metrics["residency.shm_resident"],
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         },
     )

@@ -7,10 +7,8 @@ Public surface:
 * :func:`plan_microbatches` / :class:`MicroBatch` -- length-bucketed batch
   planning (usable standalone);
 * :class:`ShmServingPlane` / :class:`WeightArena` -- the persistent
-  shared-memory serving plane (zero-respawn weight hot-swap);
-* :class:`MicroBatchExecutor` -- the spawn-safe pickle-payload worker pool
-  (the serving ladder's middle rung);
-* :class:`RetryGate` -- bounded retry policy for best-effort pool creation.
+  shared-memory worker pool (zero-respawn weight hot-swap);
+* :class:`RetryGate` -- bounded retry policy for best-effort pool use.
 """
 
 from .batching import (
@@ -21,11 +19,11 @@ from .batching import (
     plan_num_buckets,
 )
 from .engine import FINGERPRINT_BYTES, EngineConfig, ScoringEngine, fingerprint_encoded
-from .executor import MicroBatchExecutor, RetryGate, make_worker_payload
 from .shm import (
     ArenaClient,
     ArenaError,
     ArenaManifest,
+    RetryGate,
     ScratchRegion,
     ShmServingPlane,
     WeightArena,
@@ -42,7 +40,6 @@ __all__ = [
     "EngineStats",
     "FINGERPRINT_BYTES",
     "MicroBatch",
-    "MicroBatchExecutor",
     "RetryGate",
     "ScoringEngine",
     "ScratchRegion",
@@ -51,7 +48,6 @@ __all__ = [
     "bucket_key",
     "fingerprint_encoded",
     "live_segment_names",
-    "make_worker_payload",
     "plan_bucket_chunks",
     "plan_microbatches",
     "plan_num_buckets",

@@ -10,21 +10,19 @@ encoded candidate pairs it
 2. plans the remaining pairs into **length-bucketed micro-batches**
    (:mod:`repro.engine.batching`) so short names stop paying the padding
    cost of long descriptions;
-3. executes the plan down a **serving ladder** -- the persistent
+3. executes the plan down a two-rung **serving ladder** -- the persistent
    shared-memory pool (:mod:`repro.engine.shm`: weights hot-swapped through
-   a versioned arena, workers spawned once per session), then the
-   pickle-payload pool (:mod:`repro.engine.executor`), then in-process --
-   falling one rung at a time whenever a rung is unavailable, fails, or the
-   batch is too small to amortise IPC;
+   a versioned arena, workers spawned once per session), then exact
+   in-process scoring whenever the pool is unavailable, fails, or the batch
+   is too small to amortise IPC;
 4. **persists score blocks** through :mod:`repro.store`, keyed by the exact
    model weights, so re-running an experiment skips straight to cached
    scores across processes.
 
 Model updates call :meth:`ScoringEngine.invalidate_model`; that bumps the
-version and drops stale scores.  With the serving plane live the new
-weights are hot-published into the shared-memory arena immediately -- the
-pool survives and workers re-bind views on their next task; only the
-fallback pickle pool still pays a teardown + respawn per version.
+version and drops stale scores.  With the pool live the new weights are
+hot-published into the shared-memory arena immediately -- the pool survives
+and workers re-bind views on their next task.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from .. import obs
 from ..lm.tokenizer import EncodedPair
 from . import shm
 from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
-from .executor import MicroBatchExecutor, make_worker_payload
 from .stats import EngineStats
 
 #: Bytes of one pair fingerprint (blake2b digest size).
@@ -59,7 +56,8 @@ class EngineConfig:
         exact length separately, larger values trade padding for fewer,
         fuller batches.
     n_workers:
-        Worker processes for parallel scoring; 0 scores in-process.
+        Worker processes of the shared-memory pool (:mod:`repro.engine.shm`);
+        0 scores in-process.
     min_pairs_for_workers:
         Below this many dirty pairs the pool is skipped -- IPC would cost
         more than the forward passes save.
@@ -68,20 +66,14 @@ class EngineConfig:
         exact model weights and pair contents.
     start_method:
         Multiprocessing start method; ``spawn`` is safe everywhere.
-    use_shm:
-        Serve from the persistent shared-memory plane when available
-        (:mod:`repro.engine.shm`): workers spawn once per session and weight
-        updates hot-swap through the arena instead of respawning the pool.
-        ``False`` (or ``REPRO_DISABLE_SHM=1``) drops straight to the
-        pickle-payload pool.
     shm_scratch_min_bytes:
         Plans whose input arrays total at least this many bytes travel
         through the reusable shared-memory scratch region instead of being
         pickled per task.
     pool_retry_cooldown / pool_max_failures:
-        Bounded-retry policy for pool creation (both rungs): after a
-        failure, skip this many eligible scoring calls before re-attempting,
-        giving up for good after ``pool_max_failures`` consecutive failures.
+        Bounded-retry policy for the pool: after a failure, skip this many
+        eligible scoring calls before re-attempting, giving up for good after
+        ``pool_max_failures`` consecutive failures.
     """
 
     microbatch_size: int = 64
@@ -90,7 +82,6 @@ class EngineConfig:
     min_pairs_for_workers: int = 64
     persist_scores: bool = True
     start_method: str = "spawn"
-    use_shm: bool = True
     shm_scratch_min_bytes: int = 1 << 18
     pool_retry_cooldown: int = 8
     pool_max_failures: int = 3
@@ -143,20 +134,10 @@ class ScoringEngine:
         self._scores: dict[bytes, float] = {}
         self._weights_key: str | None = None
         self._persisted_loaded = False
-        self._executor = MicroBatchExecutor(
-            self.config.n_workers,
-            self.config.start_method,
-            retry_cooldown=self.config.pool_retry_cooldown,
-            max_pool_failures=self.config.pool_max_failures,
-        )
-        #: Top rung of the serving ladder; ``None`` when shm is disabled or
-        #: unavailable, in which case scoring starts at the pickle pool.
+        #: The worker pool; ``None`` with ``n_workers=0``, disabled (every
+        #: eligible plan scores in-process) when shared memory is unavailable.
         self._plane: shm.ShmServingPlane | None = None
-        if (
-            self.config.use_shm
-            and self.config.n_workers > 0
-            and shm.shared_memory_available()
-        ):
+        if self.config.n_workers > 0:
             self._plane = shm.ShmServingPlane(
                 n_workers=self.config.n_workers,
                 start_method=self.config.start_method,
@@ -291,60 +272,23 @@ class ScoringEngine:
         """Execute a plan down the serving ladder.
 
         Rung 1 is the persistent shared-memory pool (weights hot-swapped,
-        never respawned), rung 2 the pickle-payload pool (respawned per
-        model version), rung 3 in-process scoring.  Each rung is
-        best-effort: any failure falls to the next, preserving parity.
+        never respawned), rung 2 exact in-process scoring.  The pool is
+        best-effort: it counts why it declined or failed, and the plan
+        falls to in-process scoring.
         """
         total_pairs = sum(len(microbatch.indices) for microbatch in plan)
-        eligible = (
-            self.config.n_workers > 0
+        if (
+            self._plane is not None
             and len(plan) > 1
             and total_pairs >= self.config.min_pairs_for_workers
-        )
-        if eligible:
-            results = self._score_plan_shm(plan)
+        ):
+            results = self._plane.score(
+                plan, self._version, self._weight_tensors, self.stats
+            )
             if results is not None:
-                self.stats.worker_batches += len(plan)
                 self.stats.shm_batches += len(plan)
                 return results
-            results = self._score_plan_pool(plan)
-            if results is not None:
-                self.stats.worker_batches += len(plan)
-                return results
-            self.stats.worker_fallbacks += 1
         return self._score_plan_inprocess(plan)
-
-    def _score_plan_shm(self, plan) -> list[np.ndarray] | None:
-        """Rung 1: the persistent shared-memory serving plane."""
-        if self._plane is None or not self._plane.usable:
-            return None
-        results = self._plane.score(
-            plan, self._version, self._weight_tensors, self.stats
-        )
-        if results is None:
-            self.stats.shm_fallbacks += 1
-        return results
-
-    def _score_plan_pool(self, plan) -> list[np.ndarray] | None:
-        """Rung 2: the pickle-payload pool (full respawn per model version).
-
-        The payload factory is only invoked when the pool actually has to be
-        (re)built -- steady-state calls at an unchanged version skip the
-        state-dict pickling entirely.
-        """
-        if not self._executor.available:
-            return None
-        with self.stats.timer("dispatch"):
-            ready = self._executor.ensure_pool(
-                lambda: make_worker_payload(
-                    self.model, self.classifier, self.special_ids
-                ),
-                self._version,
-            )
-        if not ready:
-            return None
-        with self.stats.timer("forward"):
-            return self._executor.map(plan)
 
     def score_plan(self, plan) -> list[np.ndarray]:
         """Score an externally formed micro-batch plan down the serving ladder.
@@ -488,7 +432,6 @@ class ScoringEngine:
     def serving_info(self) -> dict[str, object]:
         """Current serving-plane state (arena, pool, scratch), for the CLI."""
         payload: dict[str, object] = {
-            "serving.use_shm": self.config.use_shm,
             "serving.shm_available": shm.shared_memory_available(),
             "serving.n_workers": self.config.n_workers,
         }
@@ -499,8 +442,7 @@ class ScoringEngine:
         return payload
 
     def close(self) -> None:
-        """Release pools and unlink every shared-memory segment (idempotent)."""
-        self._executor.close()
+        """Release the pool and unlink every shared-memory segment (idempotent)."""
         if self._plane is not None:
             self._plane.close()
 

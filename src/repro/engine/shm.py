@@ -22,12 +22,13 @@ alive for the whole session instead:
 * :class:`ScratchRegion` ships large micro-batch input arrays through a
   reusable shared-memory scratch segment, so per-task IPC stops scaling
   with batch bytes.
-* :class:`ShmServingPlane` orchestrates all three as the top rung of the
-  engine's fallback ladder (shm-pool -> pickle-pool -> in-process).  Every
+* :class:`ShmServingPlane` orchestrates all three as the engine's only
+  worker pool; in-process scoring is the exact fallback beneath it.  Every
   failure mode -- shared memory unavailable, segment creation denied, pool
-  creation denied, torn publish, mid-flight worker error -- degrades to the
-  next rung without ever surfacing an error, and pool creation failures are
-  retried through a bounded :class:`repro.engine.executor.RetryGate`.
+  creation denied, torn publish, mid-flight worker error, a task that
+  reports an error -- degrades to in-process scoring without ever
+  surfacing an error, and pool failures are retried through a bounded
+  :class:`RetryGate`.
 
 Lifecycle discipline: the parent owns every segment and unlinks all of them
 in :meth:`close` (asserted via an ``obs.check`` invariant); workers only
@@ -35,9 +36,6 @@ ever attach, and because spawn children share the parent's
 ``resource_tracker`` a worker exit cannot unlink segments the parent still
 serves from.  Stale segments left over from a crashed previous run are
 reclaimed on name collision.
-
-Set ``REPRO_DISABLE_SHM=1`` (or ``EngineConfig.use_shm=False``) to disable
-the plane entirely and exercise the fallback ladder.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ import numpy as np
 from .. import obs
 from ..lm.tokenizer import EncodedPair
 from .batching import MicroBatch
-from .executor import RetryGate
 
 logger = logging.getLogger(__name__)
 
@@ -82,8 +79,6 @@ class ArenaError(RuntimeError):
 
 def shared_memory_available() -> bool:
     """Whether the shm serving plane may be used at all in this process."""
-    if os.environ.get("REPRO_DISABLE_SHM"):
-        return False
     try:
         from multiprocessing import shared_memory  # noqa: F401
     except Exception:
@@ -203,8 +198,8 @@ class WeightArena:
     after the first is an in-place overwrite of the same data segment.
     """
 
-    def __init__(self, token: str | None = None) -> None:
-        self.base = f"repro-{os.getpid()}-{token or uuid.uuid4().hex[:8]}"
+    def __init__(self) -> None:
+        self.base = f"repro-{os.getpid()}-{uuid.uuid4().hex[:8]}"
         self._ctrl = None
         self._data = None
         self._data_generation = 0
@@ -285,31 +280,11 @@ class WeightArena:
             )
         if self._ctrl.size < needed:
             # The control name is baked into worker bootstraps, so it cannot
-            # move mid-session; callers fall down the serving ladder instead.
+            # move mid-session; the caller scores the plan in-process instead.
             raise ArenaError(
                 f"manifest needs {needed} bytes, control segment holds {self._ctrl.size}"
             )
         return self._ctrl
-
-    def views(self) -> dict[str, np.ndarray]:
-        """Read-only zero-copy views of the last published tensors.
-
-        This is the *parent-side* counterpart of :meth:`ArenaClient.sync`:
-        the serving layer's model residency (:mod:`repro.serve.residency`)
-        binds in-process model skeletons to these views, so every session of
-        a tenant scores against the single shared copy of that tenant's
-        weights instead of a private deep copy per session.
-        """
-        if self.manifest is None or self._data is None:
-            raise ArenaError("no published version to view")
-        views: dict[str, np.ndarray] = {}
-        for spec in self.manifest.tensors:
-            view = np.ndarray(
-                spec.shape, dtype=spec.dtype, buffer=self._data.buf, offset=spec.offset
-            )
-            view.flags.writeable = False
-            views[spec.name] = view
-        return views
 
     def info(self) -> dict[str, object]:
         return {
@@ -407,7 +382,7 @@ class ArenaClient:
 
         Returns ``(swapped, seconds)``.  Raises :class:`ArenaError` on any
         integrity failure (torn publish, digest mismatch) -- the caller
-        reports the task as failed and the parent falls down the ladder.
+        reports the task as failed and the parent scores the plan in-process.
         """
         version = struct.unpack_from("<q", self._ctrl.buf, 0)[0]
         if version == self.version:
@@ -576,13 +551,57 @@ def _score_shm_task(task) -> tuple:
 # -- orchestration ---------------------------------------------------------------
 
 
+class RetryGate:
+    """Bounded retry policy for the best-effort worker pool.
+
+    One transient failure (a resource-limit blip, a full semaphore table)
+    must not disable parallel scoring for the plane's whole lifetime.
+    After a failure the gate holds the door shut for ``cooldown`` eligible
+    attempts, then lets one through; ``max_failures`` consecutive failures
+    exhaust the gate for good.  A success resets the failure count, so a
+    long-lived session survives occasional blips indefinitely.
+    """
+
+    def __init__(self, cooldown: int = 8, max_failures: int = 3) -> None:
+        if cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
+        if max_failures < 1:
+            raise ValueError("max_failures must be >= 1")
+        self.cooldown = cooldown
+        self.max_failures = max_failures
+        self.failures = 0
+        self._skips_remaining = 0
+
+    @property
+    def exhausted(self) -> bool:
+        """No further attempts will ever be allowed."""
+        return self.failures >= self.max_failures
+
+    def may_attempt(self) -> bool:
+        """Whether the caller may try (or retry) the guarded operation now."""
+        if self.exhausted:
+            return False
+        if self._skips_remaining > 0:
+            self._skips_remaining -= 1
+            return False
+        return True
+
+    def record_failure(self) -> None:
+        self.failures += 1
+        self._skips_remaining = self.cooldown
+
+    def record_success(self) -> None:
+        self.failures = 0
+        self._skips_remaining = 0
+
+
 class ShmServingPlane:
-    """Top rung of the serving ladder: arena + persistent pool + scratch.
+    """The engine's worker pool: arena + persistent pool + scratch.
 
     The pool is spawned once per session with a bootstrap payload (config +
     segment names); every subsequent weight update is an arena publish that
     workers hot-swap on their next task.  Any failure returns ``None`` from
-    :meth:`score` and the engine falls to the pickle-pool rung.
+    :meth:`score` and the engine scores the plan in-process.
     """
 
     def __init__(
@@ -642,16 +661,14 @@ class ShmServingPlane:
         stats.publishes += 1
         stats.publish_bytes += manifest.total_bytes
         if self._pool is not None:
-            # The old lifecycle would have torn down and respawned the pool
-            # for this version bump.
+            # The live pool absorbs this version bump by hot-swap.
             stats.respawns_avoided += 1
         return True
 
     def _ensure_pool(self) -> bool:
+        """Spawn the pool if none is live; the caller has consulted the gate."""
         if self._pool is not None:
             return True
-        if not self._gate.may_attempt():
-            return False
         try:
             import multiprocessing
 
@@ -675,7 +692,6 @@ class ShmServingPlane:
                 pool.join()
                 raise
             self._pool = pool
-            self._gate.record_success()
             return True
         except Exception:
             logger.warning(
@@ -714,38 +730,45 @@ class ShmServingPlane:
         tensors_factory: Callable[[], Sequence[tuple[str, np.ndarray]]],
         stats,
     ) -> list[np.ndarray] | None:
-        """Score ``plan`` on the persistent pool; ``None`` means fall back."""
-        if not self.usable:
+        """Score ``plan`` on the persistent pool; ``None`` means score in-process.
+
+        Each ``None`` is counted once: ``stats.worker_fallbacks`` when no
+        usable pool existed (shm unavailable, gate cooling down or
+        exhausted), ``stats.shm_fallbacks`` when the pool was attempted and
+        failed.
+        """
+        if not self.usable or (self._pool is None and not self._gate.may_attempt()):
+            stats.worker_fallbacks += 1
             return None
-        if not self.publish(tensors_factory, version, stats):
-            return None
-        if not self._ensure_pool():
-            return None
+        results = None
+        if self.publish(tensors_factory, version, stats) and self._ensure_pool():
+            results = self._map(plan, stats)
+        if results is None:
+            stats.shm_fallbacks += 1
+        return results
+
+    def _map(self, plan: Sequence[MicroBatch], stats) -> list[np.ndarray] | None:
+        """Run the plan on the live pool; any failure closes it through the gate."""
         tasks = self._build_tasks(plan, stats)
         try:
             with stats.timer("forward"):
                 raw = self._pool.map(_score_shm_task, tasks, chunksize=1)
+            failed = [item[1] for item in raw if item[0] != "ok"]
+            if failed:
+                raise ArenaError(f"{len(failed)} worker task(s) failed: {failed[0]}")
         except Exception:
-            logger.warning(
-                "shm worker pool failed mid-flight; falling back", exc_info=True
-            )
+            logger.warning("shm worker pool failed; scoring in-process", exc_info=True)
             self.close_pool()
             self._gate.record_failure()
             return None
-        results: list[np.ndarray] = []
-        swapped = 0
-        attach_seconds = 0.0
-        for item in raw:
-            if item[0] != "ok":
-                logger.warning("shm worker task failed (%s); falling back", item[1])
-                return None
-            results.append(item[1])
-            swapped += int(bool(item[2]))
-            attach_seconds += item[3]
+        # Success is recorded only once a plan has scored, so a pool that
+        # spawns fine but fails every task still exhausts the gate.
+        self._gate.record_success()
+        swapped = sum(int(bool(item[2])) for item in raw)
         if swapped:
             stats.hot_swaps += swapped
-            stats.add_time("attach", attach_seconds, calls=swapped)
-        return results
+            stats.add_time("attach", sum(item[3] for item in raw), calls=swapped)
+        return [item[1] for item in raw]
 
     def info(self) -> dict[str, object]:
         payload = {f"arena.{key}": value for key, value in self.arena.info().items()}

@@ -1,7 +1,7 @@
 """Per-stage timing counters of the scoring engine.
 
 Every expensive step of a scoring pass (encoding, fingerprinting, bucket
-planning, forward passes, worker dispatch, persistence) runs under a named
+planning, forward passes, weight publishes, persistence) runs under a named
 ``EngineStats.timer`` block (inherited from :class:`repro.obs.Counters`),
 and every skip/score decision increments a counter.  The counters are the
 engine's observability surface: the parity and incremental-rescoring tests
@@ -30,17 +30,18 @@ class EngineStats(Counters):
     pairs_persisted_hits: int = 0
     #: Distinct padded-length buckets across all scoring passes.
     buckets: int = 0
-    #: Micro-batches executed (in-process + workers).
+    #: Micro-batches executed (in-process + pool).
     microbatches: int = 0
-    #: Micro-batches executed by pool workers (shm or pickle pool).
-    worker_batches: int = 0
     #: Micro-batches executed on the persistent shared-memory pool.
     shm_batches: int = 0
     #: Micro-batches executed in-process (n_workers=0, small batches, fallback).
     inprocess_batches: int = 0
-    #: Times the worker pool failed and the engine fell back in-process.
+    #: Pool-eligible plans scored in-process because no usable pool existed
+    #: (shared memory unavailable, retry gate cooling down or exhausted).
     worker_fallbacks: int = 0
-    #: Times the shm serving plane failed and the engine fell down the ladder.
+    #: Pool-eligible plans scored in-process because the pool was attempted
+    #: and failed (publish, spawn, mid-flight or task failure).  Disjoint
+    #: from ``worker_fallbacks``: each degraded plan counts once.
     shm_fallbacks: int = 0
     #: Weight publishes into the shared-memory arena.
     publishes: int = 0
@@ -48,8 +49,7 @@ class EngineStats(Counters):
     publish_bytes: int = 0
     #: Worker-side weight (re)binds to a freshly published arena version.
     hot_swaps: int = 0
-    #: Weight updates absorbed by a live pool that the respawn lifecycle
-    #: would have paid a full teardown + N process spawns for.
+    #: Weight updates a live pool absorbed by hot-swap, without a restart.
     respawns_avoided: int = 0
     #: Model-version bumps (weight updates invalidating cached scores).
     invalidations: int = 0

@@ -121,9 +121,9 @@ def activate_channel_path(
 
 # -- pure scoring functions ------------------------------------------------------
 #
-# Module-level so the scoring engine's worker processes (repro.engine.executor)
-# can run the exact same code path as the in-process featurizer: workers
-# rebuild (model, classifier) from a state dict and call score_encoded_batch.
+# Module-level so the scoring engine's worker processes (repro.engine.shm)
+# run the exact same code path as the in-process featurizer: workers bind
+# (model, classifier) to shared weight views and call score_encoded_batch.
 
 
 def segment_content_masks(

@@ -4,10 +4,10 @@ The package splits into four layers, each independently testable:
 
 * :mod:`repro.serve.scheduler` -- the synchronous, clock-injected
   cross-session coalescing core (property-tested with hypothesis);
-* :mod:`repro.serve.residency` -- versioned side-by-side model residency in
-  shm weight arenas, with pinned LRU eviction;
+* :mod:`repro.serve.residency` -- versioned side-by-side read-only model
+  copies, with pinned LRU eviction;
 * :mod:`repro.serve.service` -- the asyncio front end: admission control,
-  the scheduler drain loop, pluggable scoring backends;
+  the scheduler drain loop, the in-process scoring backend;
 * :mod:`repro.serve.load` -- deterministic load scripts and the
   sequential/coalesced replayers behind the parity tests, the load bench
   and ``repro serve stats``.
@@ -34,7 +34,6 @@ from .scheduler import (
 from .service import (
     AdmissionController,
     AdmissionError,
-    EngineBackend,
     InProcessBackend,
     ServeConfig,
     ServeService,
@@ -47,7 +46,6 @@ __all__ = [
     "AdmissionError",
     "CoalescedBatch",
     "CoalescingScheduler",
-    "EngineBackend",
     "InProcessBackend",
     "LoadEvent",
     "LoadScript",

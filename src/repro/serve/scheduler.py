@@ -112,6 +112,12 @@ class CoalescingScheduler:
             raise ValueError("need 1 <= target_batch_pairs <= max_batch_pairs")
         if max_queue_per_session < 1:
             raise ValueError("max_queue_per_session must be >= 1")
+        # Checked here, not at the first drain: a bad value would otherwise
+        # raise inside the service's scheduler task and strand every future.
+        if microbatch_size < 1:
+            raise ValueError("microbatch_size must be >= 1")
+        if bucket_granularity < 1:
+            raise ValueError("bucket_granularity must be >= 1")
         self.max_wait_s = max_wait_s
         self.target_batch_pairs = target_batch_pairs
         self.max_batch_pairs = max_batch_pairs

@@ -21,26 +21,23 @@ the resident model plane:
   counters, both registered on a :class:`~repro.obs.MetricsRegistry`
   (surfaced by ``repro serve stats``).
 
-Scoring backends are pluggable: :class:`InProcessBackend` (default) runs
-the shared forward functions directly against the resident weights;
-:class:`EngineBackend` routes plans through a per-tenant
-:class:`~repro.engine.ScoringEngine`, inheriting the full serving ladder
-(persistent shm pool, hot-swap on version change, parity-preserving
-fallbacks) for worker-pool parallelism.
+Scoring runs through :class:`InProcessBackend`, which calls the shared
+forward function directly against the resident weights.  Coalesced serve
+batches are far below the engine's worker-pool threshold
+(``EngineConfig.min_pairs_for_workers``), so the service has no pool rung;
+the ``backend`` argument exists so tests can inject fakes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..engine import EngineConfig, ScoringEngine
 from ..engine.batching import MicroBatch
 from ..lm.tokenizer import EncodedPair
 from ..obs import MetricsRegistry
@@ -124,7 +121,7 @@ class AdmissionController:
             self._inflight[session_id] = depth - 1
 
 
-# -- scoring backends --------------------------------------------------------------
+# -- scoring backend ---------------------------------------------------------------
 
 
 class InProcessBackend:
@@ -144,59 +141,6 @@ class InProcessBackend:
 
     def close(self) -> None:
         pass
-
-
-class EngineBackend:
-    """Score plans through one persistent :class:`ScoringEngine` per tenant.
-
-    The engine is rebound (and its serving plane hot-swapped via
-    ``invalidate_model``) whenever the resident version it last scored with
-    changes -- per-tenant worker pools survive hot-swaps exactly as a
-    single-session engine's pool does.
-    """
-
-    def __init__(self, engine_config: EngineConfig) -> None:
-        self.engine_config = replace(engine_config, persist_scores=False)
-        self._registry_lock = threading.Lock()
-        self._engines: dict[str, ScoringEngine] = {}
-        self._tenant_locks: dict[str, threading.Lock] = {}
-
-    def _tenant_lock(self, tenant: str) -> threading.Lock:
-        with self._registry_lock:
-            return self._tenant_locks.setdefault(tenant, threading.Lock())
-
-    def score(
-        self, resident: ResidentModel, plan: Sequence[MicroBatch]
-    ) -> list[np.ndarray]:
-        # Batches for one tenant execute one at a time: score() runs on
-        # executor threads, and two in-flight batches pinned to *different*
-        # versions of the same tenant must not interleave the rebind below
-        # with each other's scoring, or one would score against the wrong
-        # version's weights.  Different tenants still score concurrently.
-        with self._tenant_lock(resident.tenant):
-            with self._registry_lock:
-                engine = self._engines.get(resident.tenant)
-            if engine is None:
-                engine = ScoringEngine(
-                    resident.model,
-                    resident.classifier,
-                    resident.special_ids,
-                    self.engine_config,
-                )
-                with self._registry_lock:
-                    self._engines[resident.tenant] = engine
-            elif engine.model is not resident.model:
-                engine.model = resident.model
-                engine.classifier = resident.classifier
-                engine.invalidate_model()
-            return engine.score_plan(list(plan))
-
-    def close(self) -> None:
-        with self._registry_lock:
-            engines = list(self._engines.values())
-            self._engines.clear()
-        for engine in engines:
-            engine.close()
 
 
 # -- the service -------------------------------------------------------------------
@@ -222,8 +166,6 @@ class ServeConfig:
     #: Resident (tenant, version) snapshots kept side-by-side (soft bound:
     #: pinned and latest versions are never evicted).
     residency_capacity: int = 4
-    #: Publish resident versions into per-version shm weight arenas.
-    use_shm: bool = True
 
     def __post_init__(self) -> None:
         if self.max_wait_s < 0:
@@ -244,16 +186,14 @@ class ServeService:
     def __init__(
         self,
         config: ServeConfig | None = None,
-        backend: InProcessBackend | EngineBackend | None = None,
+        backend: InProcessBackend | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.config = config or ServeConfig()
         self.clock = clock
         self.backend = backend or InProcessBackend()
         self.stats = ServeStats()
-        self.residency = ModelResidency(
-            capacity=self.config.residency_capacity, use_shm=self.config.use_shm
-        )
+        self.residency = ModelResidency(capacity=self.config.residency_capacity)
         self.scheduler = CoalescingScheduler(
             max_wait_s=self.config.max_wait_s,
             target_batch_pairs=self.config.target_batch_pairs,

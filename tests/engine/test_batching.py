@@ -1,4 +1,4 @@
-"""Unit tests: bucket planning, padding trim and executor fallback."""
+"""Unit tests: bucket planning, padding trim and worker-pool fallback."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    MicroBatchExecutor,
+    EngineStats,
     ScoringEngine,
+    ShmServingPlane,
     bucket_key,
     fingerprint_encoded,
+    live_segment_names,
     plan_microbatches,
 )
 from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
@@ -124,10 +126,15 @@ def tiny_stack():
 
 class TestExecutorFallback:
     def test_zero_workers_is_unavailable(self):
-        executor = MicroBatchExecutor(0)
-        assert not executor.available
-        assert not executor.ensure_pool(b"", 0)
-        assert executor.map([]) is None
+        plane = ShmServingPlane(
+            n_workers=0, start_method="spawn", bootstrap_extra={}, scratch_min_bytes=0
+        )
+        stats = EngineStats()
+        assert not plane.usable
+        assert plane.score([], 0, lambda: [], stats) is None
+        assert stats.worker_fallbacks == 1
+        assert stats.publishes == 0
+        plane.close()
 
     def test_broken_start_method_falls_back_in_process(self, tiny_stack):
         model, classifier, special_ids = tiny_stack
@@ -146,11 +153,14 @@ class TestExecutorFallback:
                 model, classifier, special_ids, stack_encoded(encoded)
             )
             np.testing.assert_allclose(scores, expected, atol=1e-8, rtol=0)
-            assert engine.stats.worker_fallbacks == 1
-            assert engine.stats.worker_batches == 0
+            # The pool was attempted and failed to spawn: one shm fallback.
+            assert engine.stats.shm_fallbacks == 1
+            assert engine.stats.worker_fallbacks == 0
+            assert engine.stats.shm_batches == 0
             assert engine.stats.inprocess_batches > 0
         finally:
             engine.close()
+        assert live_segment_names() == []
 
     def test_small_batches_stay_in_process(self, tiny_stack):
         model, classifier, special_ids = tiny_stack
@@ -160,7 +170,8 @@ class TestExecutorFallback:
         engine = ScoringEngine(model, classifier, special_ids, config)
         try:
             engine.score_encoded([encoded_of_length(4, fill=5)])
-            assert engine.stats.worker_batches == 0
+            assert engine.stats.shm_batches == 0
             assert engine.stats.inprocess_batches == 1
+            assert engine.stats.worker_fallbacks == engine.stats.shm_fallbacks == 0
         finally:
             engine.close()

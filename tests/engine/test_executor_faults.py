@@ -1,10 +1,12 @@
-"""Fault injection for the serving ladder: every rung degrades, none errors.
+"""Fault injection for the serving ladder: the shm pool degrades, never errors.
 
-Covers the :class:`RetryGate` policy, lazy payload construction, pool
-recovery after transient creation failures, worker death mid-map, shm
-segment-creation failure (falls to the pickle rung) and the fully disabled
-shm plane (``REPRO_DISABLE_SHM``) -- each case asserting bit-identical
-scores, the right fallback counters and no leaked ``/dev/shm`` segments.
+Covers the :class:`RetryGate` policy, lazy weight publishing, pool recovery
+after transient creation failures, gate exhaustion, worker death mid-map,
+tasks that report errors, segment-creation failure and shared memory being
+unavailable -- each case asserting bit-identical scores, the disjoint
+fallback counters (``shm_fallbacks``: the pool was attempted and failed;
+``worker_fallbacks``: no usable pool existed) and no leaked ``/dev/shm``
+segments.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    MicroBatchExecutor,
     RetryGate,
     ScoringEngine,
     live_segment_names,
 )
+from repro.engine import shm as shm_module
 from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
@@ -84,188 +86,252 @@ class TestRetryGate:
             RetryGate(max_failures=0)
 
 
-class _FailNTimesContext:
-    """A multiprocessing context whose Pool() fails the first ``n`` calls."""
+class _Ready:
+    def __init__(self, value) -> None:
+        self.value = value
 
-    def __init__(self, failures: int) -> None:
-        self.remaining_failures = failures
-        self.pools_created = 0
-
-    def Pool(self, processes, initializer, initargs):
-        if self.remaining_failures > 0:
-            self.remaining_failures -= 1
-            raise OSError("synthetic resource blip")
-        self.pools_created += 1
-        return _StubPool()
+    def get(self, timeout=None):
+        return self.value
 
 
-class _StubPool:
+class _InlinePool:
+    """A pool that runs the real worker initializer and tasks in this process."""
+
+    def __init__(self, initializer, initargs) -> None:
+        initializer(*initargs)
+        self.map_calls = 0
+
+    def map_async(self, fn, tasks):
+        return _Ready([fn(task) for task in tasks])
+
     def map(self, fn, tasks, chunksize=1):
+        self.map_calls += 1
         return [fn(task) for task in tasks]
 
     def terminate(self):
-        pass
+        client = shm_module._WORKER_CLIENT
+        if client is not None:
+            client.close()
+            shm_module._WORKER_CLIENT = None
 
     def join(self):
         pass
 
 
-class _ExplodingPool:
+class _ErrorPool(_InlinePool):
+    """Spawns healthy, but every task reports a worker-side error."""
+
+    def map(self, fn, tasks, chunksize=1):
+        self.map_calls += 1
+        return [("error", "RuntimeError: synthetic fault", False, 0.0) for _ in tasks]
+
+
+class _ExplodingPool(_InlinePool):
     """A pool whose map dies mid-flight (worker death / lost connection)."""
 
     def map(self, fn, tasks, chunksize=1):
+        self.map_calls += 1
         raise BrokenPipeError("worker died mid-map")
 
-    def terminate(self):
-        pass
 
-    def join(self):
-        pass
+class _Context:
+    """A multiprocessing context whose Pool() fails the first ``failures`` calls."""
+
+    def __init__(self, failures: int = 0, pool_type=_InlinePool) -> None:
+        self.remaining_failures = failures
+        self.pool_type = pool_type
+        self.pools: list[_InlinePool] = []
+        self.attempts = 0
+
+    def Pool(self, processes, initializer, initargs):
+        self.attempts += 1
+        if self.remaining_failures > 0:
+            self.remaining_failures -= 1
+            raise OSError("synthetic resource blip")
+        pool = self.pool_type(initializer, initargs)
+        self.pools.append(pool)
+        return pool
+
+    @property
+    def map_calls(self) -> int:
+        return sum(pool.map_calls for pool in self.pools)
+
+
+@pytest.fixture
+def pool_context(monkeypatch):
+    """Install a fake multiprocessing context; restores the worker globals."""
+    import multiprocessing
+
+    monkeypatch.setattr(shm_module, "_WORKER_CLIENT", None)
+    monkeypatch.setattr(shm_module, "_WORKER_SPECIAL_IDS", [])
+
+    def install(context: _Context) -> _Context:
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+        return context
+
+    return install
+
+
+def make_engine(tiny_stack, **overrides) -> ScoringEngine:
+    model, classifier, special_ids = tiny_stack
+    settings = dict(
+        n_workers=2, min_pairs_for_workers=1, microbatch_size=2, persist_scores=False
+    )
+    settings.update(overrides)
+    return ScoringEngine(model, classifier, special_ids, EngineConfig(**settings))
+
+
+def reference_scores(tiny_stack, encoded) -> np.ndarray:
+    model, classifier, special_ids = tiny_stack
+    return score_encoded_batch(model, classifier, special_ids, stack_encoded(encoded))
+
+
+def score_exactly(engine, tiny_stack, encoded, calls: int) -> None:
+    """Score ``calls`` cold passes; every one must equal the reference."""
+    expected = reference_scores(tiny_stack, encoded)
+    for _ in range(calls):
+        engine.clear_cached_scores()
+        np.testing.assert_allclose(
+            engine.score_encoded(encoded), expected, atol=1e-8, rtol=0
+        )
+
+
+def fallbacks(engine) -> tuple[int, int]:
+    return engine.stats.shm_fallbacks, engine.stats.worker_fallbacks
 
 
 class TestExecutorRetry:
-    def test_payload_factory_only_called_on_rebuild(self, monkeypatch):
-        import multiprocessing
+    def test_payload_factory_only_called_on_rebuild(
+        self, tiny_stack, encoded, pool_context
+    ):
+        """Weights are published once per model version, not per call."""
+        context = pool_context(_Context())
+        engine = make_engine(tiny_stack)
+        try:
+            score_exactly(engine, tiny_stack, encoded, calls=3)
+            assert engine.stats.publishes == 1
+            assert engine.stats.shm_batches > 0
+            # A version bump with a live pool publishes once, eagerly.
+            engine.invalidate_model()
+            assert engine.stats.publishes == 2
+            assert engine.stats.respawns_avoided == 1
+            score_exactly(engine, tiny_stack, encoded, calls=2)
+            assert engine.stats.publishes == 2
+            assert len(context.pools) == 1
+            assert fallbacks(engine) == (0, 0)
+        finally:
+            engine.close()
+        assert live_segment_names() == []
 
-        context = _FailNTimesContext(failures=0)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        executor = MicroBatchExecutor(2)
-        calls = {"count": 0}
+    def test_transient_creation_failure_recovers_after_cooldown(
+        self, tiny_stack, encoded, pool_context
+    ):
+        context = pool_context(_Context(failures=1))
+        engine = make_engine(tiny_stack, pool_retry_cooldown=2, pool_max_failures=3)
+        try:
+            # The first call's spawn fails; two calls ride out the cooldown
+            # with no usable pool; the fourth spawns and serves the plan.
+            score_exactly(engine, tiny_stack, encoded, calls=4)
+            assert context.attempts == 2
+            assert len(context.pools) == 1
+            assert fallbacks(engine) == (1, 2)
+            assert engine.stats.shm_batches > 0
+            assert engine._plane.usable
+        finally:
+            engine.close()
+        assert live_segment_names() == []
 
-        def factory() -> bytes:
-            calls["count"] += 1
-            return b"payload"
-
-        assert executor.ensure_pool(factory, version=0)
-        assert calls["count"] == 1
-        # Same version, pool alive: the factory must not run again.
-        assert executor.ensure_pool(factory, version=0)
-        assert calls["count"] == 1
-        # New version: rebuild, factory runs once more.
-        assert executor.ensure_pool(factory, version=1)
-        assert calls["count"] == 2
-        executor.close()
-
-    def test_transient_creation_failure_recovers_after_cooldown(self, monkeypatch):
-        import multiprocessing
-
-        context = _FailNTimesContext(failures=1)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        executor = MicroBatchExecutor(2, retry_cooldown=2, max_pool_failures=3)
-
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert executor.available  # not sticky-broken anymore
-        # Two eligible calls ride out the cooldown, the third rebuilds.
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert executor.ensure_pool(b"payload", version=0)
-        assert context.pools_created == 1
-        executor.close()
-
-    def test_repeated_failures_exhaust_the_gate(self, monkeypatch):
-        import multiprocessing
-
-        context = _FailNTimesContext(failures=99)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        executor = MicroBatchExecutor(2, retry_cooldown=0, max_pool_failures=2)
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert executor._gate.exhausted
-        assert not executor.available
+    def test_repeated_failures_exhaust_the_gate(self, tiny_stack, encoded, pool_context):
+        context = pool_context(_Context(failures=99))
+        engine = make_engine(tiny_stack, pool_retry_cooldown=0, pool_max_failures=2)
+        try:
+            score_exactly(engine, tiny_stack, encoded, calls=4)
+            assert context.attempts == 2
+            assert not engine._plane.usable
+            assert fallbacks(engine) == (2, 2)
+            assert engine.stats.shm_batches == 0
+        finally:
+            engine.close()
+        assert live_segment_names() == []
 
 
 class TestLadderFaults:
-    """End-to-end: induced faults fall down the ladder, scores stay exact."""
+    """End-to-end: induced faults fall to in-process scoring, scores stay exact."""
 
-    def _reference(self, tiny_stack, encoded) -> np.ndarray:
-        model, classifier, special_ids = tiny_stack
-        return score_encoded_batch(model, classifier, special_ids, stack_encoded(encoded))
-
-    def test_worker_death_mid_map_falls_back_with_parity(self, tiny_stack, encoded):
-        model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=2,
-            min_pairs_for_workers=1,
-            microbatch_size=2,
-            use_shm=False,
-            persist_scores=False,
-        )
-        engine = ScoringEngine(model, classifier, special_ids, config)
+    def test_worker_death_mid_map_falls_back_with_parity(
+        self, tiny_stack, encoded, pool_context
+    ):
+        context = pool_context(_Context(pool_type=_ExplodingPool))
+        engine = make_engine(tiny_stack, pool_retry_cooldown=8)
         try:
-            # Plant a live-looking pool that dies on first use.
-            engine._executor._pool = _ExplodingPool()
-            engine._executor._payload_version = engine.model_version
-            scores = engine.score_encoded(encoded)
-            np.testing.assert_allclose(
-                scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
-            )
-            assert engine.stats.worker_fallbacks == 1
+            score_exactly(engine, tiny_stack, encoded, calls=1)
+            assert context.map_calls == 1
+            assert fallbacks(engine) == (1, 0)
             assert engine.stats.inprocess_batches > 0
             # The dead pool was torn down, not left to poison later calls.
-            assert engine._executor._pool is None
+            assert not engine._plane.pool_active
         finally:
             engine.close()
+        assert live_segment_names() == []
 
-    def test_shm_segment_creation_failure_falls_to_pickle_pool(
+    def test_failed_tasks_close_the_pool_and_exhaust_the_gate(
+        self, tiny_stack, encoded, pool_context
+    ):
+        """A worker-side fault on every task costs a bounded number of maps."""
+        context = pool_context(_Context(pool_type=_ErrorPool))
+        engine = make_engine(tiny_stack, pool_retry_cooldown=0, pool_max_failures=3)
+        try:
+            score_exactly(engine, tiny_stack, encoded, calls=6)
+            assert context.map_calls == 3
+            assert not engine._plane.pool_active
+            assert not engine._plane.usable
+            assert fallbacks(engine) == (3, 3)
+            assert engine.stats.shm_batches == 0
+        finally:
+            engine.close()
+        assert live_segment_names() == []
+
+    def test_shm_segment_failure_falls_back_in_process(
         self, tiny_stack, encoded, monkeypatch
     ):
-        from repro.engine import shm as shm_module
-
         def refuse(name, size):
             raise OSError("no shared memory for you")
 
         monkeypatch.setattr(shm_module, "_new_segment", refuse)
-        model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=2, min_pairs_for_workers=1, microbatch_size=2,
-            persist_scores=False,
-        )
-        engine = ScoringEngine(model, classifier, special_ids, config)
+        engine = make_engine(tiny_stack)
         try:
-            scores = engine.score_encoded(encoded)
-            np.testing.assert_allclose(
-                scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
-            )
-            # The shm rung failed once, the pickle pool served the plan.
-            assert engine.stats.shm_fallbacks == 1
+            score_exactly(engine, tiny_stack, encoded, calls=2)
+            # The failed publish disables the plane: one attempt failed, the
+            # next eligible plan found no usable pool.
+            assert fallbacks(engine) == (1, 1)
             assert engine.stats.shm_batches == 0
-            assert engine.stats.worker_batches > 0
-            assert engine.stats.worker_fallbacks == 0
+            assert engine.stats.inprocess_batches > 0
         finally:
             engine.close()
-        assert not live_segment_names()
+        assert live_segment_names() == []
 
     def test_disabled_shm_serves_identically_via_fallback_ladder(
         self, tiny_stack, encoded, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=2, min_pairs_for_workers=1, microbatch_size=2,
-            persist_scores=False,
-        )
-        engine = ScoringEngine(model, classifier, special_ids, config)
+        monkeypatch.setattr(shm_module, "shared_memory_available", lambda: False)
+        engine = make_engine(tiny_stack)
         try:
-            assert engine._plane is None
-            scores = engine.score_encoded(encoded)
-            np.testing.assert_allclose(
-                scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
-            )
+            score_exactly(engine, tiny_stack, encoded, calls=2)
+            assert fallbacks(engine) == (0, 2)
             assert engine.stats.shm_batches == 0
-            assert engine.stats.worker_batches > 0
+            assert engine.stats.publishes == 0
             info = engine.serving_info()
             assert info["serving.shm_available"] is False
+            assert info["serving.pool.active"] is False
         finally:
             engine.close()
-        assert not live_segment_names()
+        assert live_segment_names() == []
 
     def test_stale_orphan_from_crashed_run_does_not_block_startup(
         self, tiny_stack, encoded, monkeypatch
     ):
         """A leftover segment colliding with the arena's name is reclaimed."""
         from multiprocessing import shared_memory
-
-        from repro.engine import shm as shm_module
 
         monkeypatch.setattr(
             shm_module.uuid, "uuid4", lambda: type("U", (), {"hex": "feedfeed" * 4})()
@@ -275,23 +341,15 @@ class TestLadderFaults:
         orphan_name = f"repro-{_os.getpid()}-feedfeed-ctrl"
         orphan = shared_memory.SharedMemory(name=orphan_name, create=True, size=64)
         orphan.buf[:8] = b"\xff" * 8  # garbage stamp from the "crashed" run
-        model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=2, min_pairs_for_workers=1, microbatch_size=2,
-            persist_scores=False,
-        )
-        engine = ScoringEngine(model, classifier, special_ids, config)
+        engine = make_engine(tiny_stack)
         try:
-            scores = engine.score_encoded(encoded)
-            np.testing.assert_allclose(
-                scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
-            )
+            score_exactly(engine, tiny_stack, encoded, calls=1)
             assert engine.stats.shm_batches > 0
-            assert engine.stats.worker_fallbacks == 0
+            assert fallbacks(engine) == (0, 0)
         finally:
             engine.close()
             try:
                 orphan.close()
             except BufferError:
                 pass
-        assert not live_segment_names()
+        assert live_segment_names() == []

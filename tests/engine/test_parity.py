@@ -155,8 +155,9 @@ def _assert_engine_matches_sequential(stack, n_workers: int, atol: float) -> Non
                 err_msg=f"n_workers={n_workers} batch_size={batch_size}",
             )
         if n_workers > 0:
-            # The pool really ran (no silent fallback to in-process).
-            assert engine.stats.worker_batches > 0
+            # The shm pool really ran (no silent fallback to in-process).
+            assert engine.stats.shm_batches > 0
+            assert engine.stats.shm_fallbacks == 0
             assert engine.stats.worker_fallbacks == 0
     finally:
         engine.close()

@@ -28,7 +28,7 @@ from repro.lm.config import BertConfig
 from repro.nn.serialize import flat_tensors
 
 pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="shared memory disabled or unavailable"
+    not shared_memory_available(), reason="shared memory unavailable"
 )
 
 CONFIG = BertConfig(
@@ -275,7 +275,3 @@ class TestManifest:
         with pytest.raises(ArenaError, match="decoded to"):
             ArenaManifest.from_payload(pickle.dumps("not a manifest"))
 
-
-def test_disable_env_kills_availability(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-    assert not shared_memory_available()

@@ -5,17 +5,14 @@ with whom* a request's pairs are scored, never *what* they score to.  These
 tests replay the same deterministic load script twice -- once per-request
 sequentially, once through the full async service -- and require the scores
 to agree to 1e-8 across mixed tenants, interleaved sessions and mid-run
-hot-swaps, for both scoring backends and worker counts {1, 4}.
+hot-swaps.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.engine import EngineConfig
 from repro.serve import (
-    EngineBackend,
     ServeConfig,
     make_script,
     replay_coalesced,
@@ -121,59 +118,8 @@ class TestInProcessParity:
             max_wait_s=5.0,
             target_batch_pairs=100_000,
             max_batch_pairs=100_000,
-            use_shm=False,
         )
         sequential = replay_sequential(script)
         coalesced = replay_coalesced(script, config=config)
         assert_parity(script, coalesced, sequential)
 
-
-@pytest.mark.slow
-class TestEngineBackendParity:
-    """The EngineBackend inherits the full serving ladder (worker pools,
-    shm hot-swap).  Parity must hold across worker counts and swaps."""
-
-    @pytest.mark.parametrize("n_workers", [1, 4])
-    def test_engine_backend_parity_across_workers(self, n_workers):
-        script = make_script(
-            seed=7,
-            n_tenants=2,
-            n_sessions=8,
-            n_requests=64,
-            min_pairs=1,
-            max_pairs=2,
-            max_length=22,
-            swap_every=16,
-        )
-        backend = EngineBackend(
-            EngineConfig(
-                n_workers=n_workers,
-                min_pairs_for_workers=1,
-                microbatch_size=16,
-            )
-        )
-        sequential = replay_sequential(script)
-        coalesced = replay_coalesced(script, config=PARITY_CONFIG, backend=backend)
-        assert_parity(script, coalesced, sequential)
-
-    def test_engine_backend_survives_hot_swaps(self):
-        from repro.engine import live_segment_names
-
-        script = make_script(
-            seed=5,
-            n_tenants=2,
-            n_sessions=4,
-            n_requests=40,
-            min_pairs=1,
-            max_pairs=2,
-            max_length=22,
-            swap_every=10,
-        )
-        backend = EngineBackend(
-            EngineConfig(n_workers=2, min_pairs_for_workers=1, microbatch_size=16)
-        )
-        sequential = replay_sequential(script)
-        coalesced = replay_coalesced(script, config=PARITY_CONFIG, backend=backend)
-        assert_parity(script, coalesced, sequential)
-        # Engines and arenas were torn down by service.stop().
-        assert not live_segment_names()

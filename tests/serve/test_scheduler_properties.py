@@ -246,7 +246,7 @@ class TestResidencyProperties:
     @given(ops=residency_ops)
     @settings(max_examples=100, deadline=None)
     def test_pinned_and_latest_versions_never_evicted(self, ops):
-        residency = ModelResidency(capacity=2, use_shm=False)
+        residency = ModelResidency(capacity=2)
         pinned: list[str] = []
         published: dict[str, list[str]] = {}
         for op, index in ops:

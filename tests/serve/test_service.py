@@ -337,6 +337,13 @@ class TestLifecycle:
         run(scenario())
         assert not live_segment_names()
 
+    @pytest.mark.parametrize("field", ["microbatch_size", "bucket_granularity"])
+    def test_invalid_plan_knob_rejected_at_construction(self, field):
+        # A 0 that reached the first drain would raise inside the scheduler
+        # task and leave every submit() waiting forever.
+        with pytest.raises(ValueError, match=field):
+            ServeService(small_config(**{field: 0}))
+
     def test_submit_before_start_raises(self, tenant_stack):
         service = ServeService(small_config())
         service.register_tenant("t0", *tenant_stack)
@@ -393,7 +400,7 @@ class TestLifecycle:
 class TestResidencyEviction:
     def test_lru_eviction_keeps_latest_and_pinned(self, tenant_stack):
         model, classifier, special_ids = tenant_stack
-        residency = ModelResidency(capacity=2, use_shm=False)
+        residency = ModelResidency(capacity=2)
         v1 = residency.publish("t0", model, classifier, special_ids)
         residency.acquire(v1)  # pin v1
         v2 = residency.publish("t0", model, classifier, special_ids)
@@ -409,7 +416,7 @@ class TestResidencyEviction:
         self, tenant_stack
     ):
         model, classifier, special_ids = tenant_stack
-        residency = ModelResidency(capacity=1, use_shm=False)
+        residency = ModelResidency(capacity=1)
         v1 = residency.publish("t0", model, classifier, special_ids)
         residency.acquire(v1)
         v2 = residency.publish("t0", model, classifier, special_ids)
@@ -423,9 +430,35 @@ class TestResidencyEviction:
         assert residency.is_resident(v2)
         residency.close()
 
+    def test_resident_copy_is_read_only_and_survives_live_hot_swap(
+        self, tenant_stack
+    ):
+        model, classifier, special_ids = tenant_stack
+        residency = ModelResidency(capacity=2)
+        key = residency.publish("t0", model, classifier, special_ids)
+        resident = residency.acquire(key)
+        pairs = make_pairs(3, 6)
+        before = direct_scores(resident, pairs)
+        for module in (resident.model, resident.classifier):
+            for parameter in module.parameters().values():
+                assert not parameter.value.flags.writeable
+        first = next(iter(resident.model.parameters().values())).value
+        with pytest.raises(ValueError, match="read-only"):
+            first[...] = 0.0
+        # Train the live model in place, then hot-swap it: the resident
+        # version shares no memory with either.
+        for module in (model, classifier):
+            for parameter in module.parameters().values():
+                parameter.value += 0.5
+        apply_swap(model, classifier, swap_seed=7)
+        residency.publish("t0", model, classifier, special_ids)
+        np.testing.assert_array_equal(direct_scores(resident, pairs), before)
+        residency.release(key)
+        residency.close()
+
     def test_release_without_acquire_raises(self, tenant_stack):
         model, classifier, special_ids = tenant_stack
-        residency = ModelResidency(capacity=2, use_shm=False)
+        residency = ModelResidency(capacity=2)
         key = residency.publish("t0", model, classifier, special_ids)
         with pytest.raises(ResidencyError, match="release without acquire"):
             residency.release(key)

@@ -3,15 +3,17 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: verify test parity bench-engine bench-train bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
 
-## Tier-1 gate: full test suite, then the engine parity suite explicitly
-## (it is part of tests/, the second run pins it even if testpaths change).
+## Tier-1 gate: full test suite, then the engine parity and reentrancy
+## suites explicitly (they are part of tests/, the second run pins them even
+## if testpaths change).  Under `taskset -c 0` the engine's default worker
+## count resolves to one, so the same suites cover the in-process path.
 verify: test parity
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 parity:
-	$(PYTHON) -m pytest -q tests/engine/test_parity.py
+	$(PYTHON) -m pytest -q tests/engine/test_parity.py tests/engine/test_reentrant.py
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

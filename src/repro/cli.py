@@ -17,10 +17,11 @@ Commands
 ``engine stats [--dataset D] [--workers N] [--microbatch B] [--fast]``
     Exercise the batched scoring engine on a dataset (two ``predict()``
     passes plus one label) and print its per-stage timings, incremental
-    re-scoring counters and -- when workers are enabled -- the serving-plane
-    state (``serving.*`` rows: shm arena version/bytes, pool liveness,
-    hot-swap and respawns-avoided counts).  ``--fast`` uses tiny artefacts
-    for a quick smoke run instead of the full per-vertical pre-training.
+    re-scoring counters and the ``serving.*`` rows (threads per plan,
+    whether OpenBLAS was pinned to one thread).  ``--workers`` defaults to
+    the engine's default, the CPUs this process may run on.  ``--fast``
+    uses tiny artefacts for a quick smoke run instead of the full
+    per-vertical pre-training.
 ``train stats [--dataset D] [--labels N] [--fast]``
     Exercise the training fast path: MLM pre-training (when artefacts are
     built fresh), classifier pre-training, and ``--labels`` incremental
@@ -272,12 +273,14 @@ def _cmd_engine(args: argparse.Namespace) -> None:
                 mlm_epochs=1,
             ),
         )
+    workers = {} if args.workers is None else {"n_workers": args.workers}
+    engine_config = EngineConfig(
+        microbatch_size=args.microbatch,
+        bucket_granularity=args.bucket_granularity,
+        **workers,
+    )
     config = LsmConfig(
-        engine=EngineConfig(
-            n_workers=args.workers,
-            microbatch_size=args.microbatch,
-            bucket_granularity=args.bucket_granularity,
-        ),
+        engine=engine_config,
         update_bert_every=10**9,  # isolate incremental re-scoring from retraining
     )
     matcher = LearnedSchemaMatcher(task.source, task.target, config=config, artifacts=artifacts)
@@ -296,7 +299,7 @@ def _cmd_engine(args: argparse.Namespace) -> None:
         rows,
         title=(
             f"Scoring engine on {args.dataset} "
-            f"(workers={args.workers}, microbatch={args.microbatch})"
+            f"(workers={engine_config.n_workers}, microbatch={args.microbatch})"
         ),
     ))
     skipped = stats.get("pairs_skipped", 0)
@@ -304,11 +307,6 @@ def _cmd_engine(args: argparse.Namespace) -> None:
     if isinstance(requested, int) and requested:
         print(f"Incremental re-scoring skipped {skipped}/{requested} pair scorings "
               f"({100.0 * int(skipped) / requested:.0f}%).")
-    hot_swaps = stats.get("hot_swaps", 0)
-    respawns_avoided = stats.get("respawns_avoided", 0)
-    if isinstance(hot_swaps, int) and (hot_swaps or respawns_avoided):
-        print(f"Serving plane absorbed {respawns_avoided} weight update(s) "
-              f"with {hot_swaps} worker hot-swap(s) and zero pool respawns.")
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
@@ -584,7 +582,12 @@ def build_parser() -> argparse.ArgumentParser:
     engine = subparsers.add_parser("engine", help="scoring-engine diagnostics")
     engine.add_argument("action", choices=["stats"])
     engine.add_argument("--dataset", choices=ALL_NAMES, default="rdb_star")
-    engine.add_argument("--workers", type=int, default=0)
+    engine.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="threads per scoring plan (default: the CPUs this process may use)",
+    )
     engine.add_argument("--microbatch", type=int, default=64)
     engine.add_argument("--bucket-granularity", type=int, default=8)
     engine.add_argument(

@@ -456,11 +456,11 @@ class LearnedSchemaMatcher:
     def engine_stats(self) -> dict[str, object]:
         """Scoring-engine counters plus per-featurizer pipeline timings.
 
-        The engine counters (``pairs_skipped``, stage times, worker batches)
-        come from the BERT featurizer's :class:`repro.engine.ScoringEngine`;
-        ``serving.*`` entries describe its serving plane (shm arena version,
-        pool liveness, scratch segment); ``pipeline.<name>`` entries are
-        cumulative seconds per featurizer.
+        The engine counters (``pairs_skipped``, stage times, threaded
+        batches) come from the BERT featurizer's
+        :class:`repro.engine.ScoringEngine`; ``serving.*`` entries give its
+        threads per plan and whether BLAS was pinned; ``pipeline.<name>``
+        entries are cumulative seconds per featurizer.
         """
         payload: dict[str, object] = {}
         if self.bert_featurizer is not None:
@@ -490,10 +490,9 @@ class LearnedSchemaMatcher:
     def close(self) -> None:
         """Release featurizer resources and finalise the trace (if any).
 
-        This tears down the scoring engine's serving plane -- the persistent
-        worker pool and every shared-memory segment it owns -- so it must be
-        called (or the matcher used as a context manager) to avoid leaking
-        ``/dev/shm`` segments past the process's lifetime.
+        This joins the scoring engine's helper threads and flushes the
+        encode plane; call it (or use the matcher as a context manager)
+        once the matcher is done.
         """
         self.pipeline.close()
         self.tracer.close()

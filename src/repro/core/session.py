@@ -97,12 +97,11 @@ class SessionResult:
 class MatchingSession:
     """Drives a matcher against an oracle until the schema is fully matched.
 
-    The matcher's scoring pool (when workers are enabled) persists across
-    iterations: weight updates between iterations are hot-published into the
-    shared-memory arena rather than respawning workers, so the per-iteration
-    response time measured here reflects steady-state serving latency.  Use
-    the session as a context manager (or call :meth:`close`) to tear the
-    pool and its shared-memory segments down deterministically.
+    The scoring engine's threads persist across iterations and read the
+    live weights, so a weight update between iterations costs no copy and
+    the per-iteration response time measured here reflects steady-state
+    serving latency.  Use the session as a context manager (or call
+    :meth:`close`) to join those threads deterministically.
 
     Sessions are safe to share across threads: a session-level re-entrant
     lock serialises :meth:`predict`, the label mutators and the iteration
@@ -142,11 +141,11 @@ class MatchingSession:
             raise RuntimeError("MatchingSession is closed")
 
     def close(self) -> None:
-        """Release the matcher's resources (worker pool, shm segments, trace).
+        """Release the matcher's resources (scoring threads, trace).
 
         Idempotent: the first call tears the matcher down, every later call
         is a no-op -- a serving front end and a ``with`` block may both
-        close the same session without double-releasing pools or segments.
+        close the same session without double-releasing its resources.
         """
         with self._lock:
             if self._closed:

@@ -10,37 +10,49 @@ encoded candidate pairs it
 2. plans the remaining pairs into **length-bucketed micro-batches**
    (:mod:`repro.engine.batching`) so short names stop paying the padding
    cost of long descriptions;
-3. executes the plan down a two-rung **serving ladder** -- the persistent
-   shared-memory pool (:mod:`repro.engine.shm`: weights hot-swapped through
-   a versioned arena, workers spawned once per session), then exact
-   in-process scoring whenever the pool is unavailable, fails, or the batch
-   is too small to amortise IPC;
+3. scores each plan of more than one micro-batch on **threads over the one
+   live model**: ``n_workers - 1`` helper threads and the calling thread
+   pull micro-batches from a shared cursor.  The forward runs inside
+   :func:`repro.nn.inference_scope`, which writes no layer cache, so the
+   threads need no weight replicas, and numpy releases the GIL inside every
+   GEMM.  For the plan's duration :mod:`repro.engine.blas` holds OpenBLAS
+   at one thread, so its threads do not contend with the scoring threads;
 4. **persists score blocks** through :mod:`repro.store`, keyed by the exact
    model weights, so re-running an experiment skips straight to cached
    scores across processes.
 
 Model updates call :meth:`ScoringEngine.invalidate_model`; that bumps the
-version and drops stale scores.  With the pool live the new weights are
-hot-published into the shared-memory arena immediately -- the pool survives
-and workers re-bind views on their next task.
+version and drops stale scores.  The threads read the live weights, so no
+copy or publish follows an update.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..lm.tokenizer import EncodedPair
-from . import shm
+from . import blas
 from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
 from .stats import EngineStats
 
 #: Bytes of one pair fingerprint (blake2b digest size).
 FINGERPRINT_BYTES = 16
+
+
+def default_workers() -> int:
+    """Threads per plan by default: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -56,35 +68,17 @@ class EngineConfig:
         exact length separately, larger values trade padding for fewer,
         fuller batches.
     n_workers:
-        Worker processes of the shared-memory pool (:mod:`repro.engine.shm`);
-        0 scores in-process.
-    min_pairs_for_workers:
-        Below this many dirty pairs the pool is skipped -- IPC would cost
-        more than the forward passes save.
+        Threads that score one plan, the calling thread included; defaults
+        to :func:`default_workers`.  0 and 1 score in-process.
     persist_scores:
         Persist/load score blocks through :mod:`repro.store`, keyed by the
         exact model weights and pair contents.
-    start_method:
-        Multiprocessing start method; ``spawn`` is safe everywhere.
-    shm_scratch_min_bytes:
-        Plans whose input arrays total at least this many bytes travel
-        through the reusable shared-memory scratch region instead of being
-        pickled per task.
-    pool_retry_cooldown / pool_max_failures:
-        Bounded-retry policy for the pool: after a failure, skip this many
-        eligible scoring calls before re-attempting, giving up for good after
-        ``pool_max_failures`` consecutive failures.
     """
 
     microbatch_size: int = 64
     bucket_granularity: int = 8
-    n_workers: int = 0
-    min_pairs_for_workers: int = 64
+    n_workers: int = field(default_factory=default_workers)
     persist_scores: bool = True
-    start_method: str = "spawn"
-    shm_scratch_min_bytes: int = 1 << 18
-    pool_retry_cooldown: int = 8
-    pool_max_failures: int = 3
 
     def __post_init__(self) -> None:
         if self.microbatch_size < 1:
@@ -93,12 +87,6 @@ class EngineConfig:
             raise ValueError("bucket_granularity must be >= 1")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
-        if self.shm_scratch_min_bytes < 0:
-            raise ValueError("shm_scratch_min_bytes must be >= 0")
-        if self.pool_retry_cooldown < 0:
-            raise ValueError("pool_retry_cooldown must be >= 0")
-        if self.pool_max_failures < 1:
-            raise ValueError("pool_max_failures must be >= 1")
 
 
 def fingerprint_encoded(pair: EncodedPair) -> bytes:
@@ -134,23 +122,10 @@ class ScoringEngine:
         self._scores: dict[bytes, float] = {}
         self._weights_key: str | None = None
         self._persisted_loaded = False
-        #: The worker pool; ``None`` with ``n_workers=0``, disabled (every
-        #: eligible plan scores in-process) when shared memory is unavailable.
-        self._plane: shm.ShmServingPlane | None = None
-        if self.config.n_workers > 0:
-            self._plane = shm.ShmServingPlane(
-                n_workers=self.config.n_workers,
-                start_method=self.config.start_method,
-                bootstrap_extra={
-                    "bert_config": self.model.config.to_dict(),
-                    "hidden_size": self.model.config.hidden_size,
-                    "classifier_size": self.classifier.output.weight.value.shape[0],
-                    "special_ids": self.special_ids,
-                },
-                scratch_min_bytes=self.config.shm_scratch_min_bytes,
-                retry_cooldown=self.config.pool_retry_cooldown,
-                max_pool_failures=self.config.pool_max_failures,
-            )
+        #: Helper threads for multi-micro-batch plans; created on first use.
+        self._pool: ThreadPoolExecutor | None = None
+        #: Whether the most recent threaded plan held OpenBLAS at one thread.
+        self._blas_pinned = False
 
     # -- model versioning --------------------------------------------------------
 
@@ -159,31 +134,12 @@ class ScoringEngine:
         return self._version
 
     def invalidate_model(self) -> None:
-        """Signal that model/classifier weights changed: cached scores are stale.
-
-        With a live serving plane the new weights are hot-published into the
-        shared-memory arena right here, so the persistent pool's workers
-        swap versions on their next task and the first post-update scoring
-        call pays no publish latency -- the pool is never torn down.
-        """
+        """Signal that model/classifier weights changed: cached scores are stale."""
         self._version += 1
         self._scores.clear()
         self._weights_key = None
         self._persisted_loaded = False
         self.stats.invalidations += 1
-        if self._plane is not None and self._plane.pool_active:
-            self._plane.publish(self._weight_tensors, self._version, self.stats)
-
-    def _weight_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Prefixed flat walk of the live weights, for arena publishes."""
-        from ..nn.serialize import flat_tensors
-
-        return [
-            (f"model.{name}", array) for name, array in flat_tensors(self.model)
-        ] + [
-            (f"classifier.{name}", array)
-            for name, array in flat_tensors(self.classifier)
-        ]
 
     def clear_cached_scores(self) -> None:
         """Drop cached scores without bumping the model version (testing aid)."""
@@ -254,44 +210,62 @@ class ScoringEngine:
 
     # -- scoring -----------------------------------------------------------------
 
-    def _score_plan_inprocess(self, plan) -> list[np.ndarray]:
+    def _score_plan(self, plan) -> list[np.ndarray]:
+        """Score a plan in-process, or on threads when it has several batches."""
         from ..featurizers.bert import score_encoded_batch
 
-        results = []
-        for microbatch in plan:
-            with self.stats.timer("forward"):
-                results.append(
-                    score_encoded_batch(
-                        self.model, self.classifier, self.special_ids, microbatch.batch
+        threads = min(self.config.n_workers, len(plan))
+        if threads < 2:
+            results = []
+            for microbatch in plan:
+                with self.stats.timer("forward"):
+                    results.append(
+                        score_encoded_batch(
+                            self.model, self.classifier, self.special_ids, microbatch.batch
+                        )
                     )
-                )
-            self.stats.inprocess_batches += 1
+                self.stats.inprocess_batches += 1
+            return results
+
+        results: list[np.ndarray | None] = [None] * len(plan)
+        cursor = iter(range(len(plan)))
+        cursor_lock = threading.Lock()
+        failed = threading.Event()
+
+        def drain() -> None:
+            try:
+                while not failed.is_set():
+                    with cursor_lock:
+                        index = next(cursor, None)
+                    if index is None:
+                        return
+                    results[index] = score_encoded_batch(
+                        self.model, self.classifier, self.special_ids, plan[index].batch
+                    )
+            except BaseException:
+                failed.set()  # the other threads stop at their next batch
+                raise
+
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(
+                self.config.n_workers - 1, thread_name_prefix="repro-engine"
+            )
+        with self.stats.timer("forward"), blas.single_threaded() as pinned:
+            self._blas_pinned = pinned
+            helpers = [self._pool.submit(drain) for _ in range(threads - 1)]
+            try:
+                drain()
+            finally:
+                # No helper may outlive the call: the plan's input buffers
+                # go back to a pool once it returns.
+                wait(helpers)
+            for helper in helpers:
+                helper.result()  # re-raise a helper's failure here
+        self.stats.threaded_batches += len(plan)
         return results
 
-    def _score_plan(self, plan) -> list[np.ndarray]:
-        """Execute a plan down the serving ladder.
-
-        Rung 1 is the persistent shared-memory pool (weights hot-swapped,
-        never respawned), rung 2 exact in-process scoring.  The pool is
-        best-effort: it counts why it declined or failed, and the plan
-        falls to in-process scoring.
-        """
-        total_pairs = sum(len(microbatch.indices) for microbatch in plan)
-        if (
-            self._plane is not None
-            and len(plan) > 1
-            and total_pairs >= self.config.min_pairs_for_workers
-        ):
-            results = self._plane.score(
-                plan, self._version, self._weight_tensors, self.stats
-            )
-            if results is not None:
-                self.stats.shm_batches += len(plan)
-                return results
-        return self._score_plan_inprocess(plan)
-
     def score_plan(self, plan) -> list[np.ndarray]:
-        """Score an externally formed micro-batch plan down the serving ladder.
+        """Score an externally formed micro-batch plan.
 
         The multi-tenant serving front end (:mod:`repro.serve`) coalesces
         pairs from *different* sessions into one plan before it reaches the
@@ -365,7 +339,7 @@ class ScoringEngine:
         in-memory and persisted score caches are shared with the sequential
         path), bucket planning reads the precomputed half lengths, and each
         dirty micro-batch is assembled directly into a pooled buffer --
-        released back to the pool once the serving ladder returns.
+        released back to the pool once the plan is scored.
         """
         self.stats.scoring_calls += 1
         count = len(halves)
@@ -430,24 +404,14 @@ class ScoringEngine:
         return scores
 
     def serving_info(self) -> dict[str, object]:
-        """Current serving-plane state (arena, pool, scratch), for the CLI."""
-        payload: dict[str, object] = {
-            "serving.shm_available": shm.shared_memory_available(),
-            "serving.n_workers": self.config.n_workers,
+        """Threads per plan and whether the last threaded plan pinned BLAS."""
+        return {
+            "serving.threads": self.config.n_workers,
+            "serving.blas_pinned": self._blas_pinned,
         }
-        if self._plane is not None:
-            payload.update(
-                {f"serving.{key}": value for key, value in self._plane.info().items()}
-            )
-        return payload
 
     def close(self) -> None:
-        """Release the pool and unlink every shared-memory segment (idempotent)."""
-        if self._plane is not None:
-            self._plane.close()
-
-    def __del__(self) -> None:  # best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Join the helper threads (idempotent); a later plan starts new ones."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)

@@ -26,7 +26,7 @@ from ..lm.bert import MiniBert
 from ..lm.encode_plane import EncodePlane, LruDict, token_key
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
-from ..nn.layers import Linear, Module
+from ..nn.layers import Linear, Module, inference_active, inference_scope
 from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.optim import Adam, clip_gradients
 from ..nn.stats import TrainStats
@@ -85,7 +85,9 @@ class MatchingClassifier(Module):
         scalars = features[:, : self.NUM_SCALARS]
         channels = features[:, self.NUM_SCALARS :]
         scalar_logits = self.scalar_path.forward(scalars)[:, 0]
-        activated, self._relu_cache = relu(self.hidden.forward(channels))
+        activated, relu_cache = relu(self.hidden.forward(channels))
+        if not inference_active():
+            self._relu_cache = relu_cache
         channel_logits = self.output.forward(activated)[:, 0]
         return scalar_logits + channel_logits
 
@@ -120,10 +122,6 @@ def activate_channel_path(
 
 
 # -- pure scoring functions ------------------------------------------------------
-#
-# Module-level so the scoring engine's worker processes (repro.engine.shm)
-# run the exact same code path as the in-process featurizer: workers bind
-# (model, classifier) to shared weight views and call score_encoded_batch.
 
 
 def segment_content_masks(
@@ -206,9 +204,15 @@ def score_encoded_batch(
     special_ids: Sequence[int],
     batch: EncodedPair,
 ) -> np.ndarray:
-    """Similarity probabilities in [0, 1] for one batched encoded input."""
-    features, _cache = compute_match_features(model, special_ids, batch)
-    logits = classifier.forward(features)
+    """Similarity probabilities in [0, 1] for one batched encoded input.
+
+    Runs inside :func:`repro.nn.inference_scope`: it writes no layer cache,
+    so threads may call it concurrently on one shared model, and it leaves
+    a pending training forward's caches intact for that forward's backward.
+    """
+    with inference_scope():
+        features, _cache = compute_match_features(model, special_ids, batch)
+        logits = classifier.forward(features)
     return sigmoid(logits.astype(np.float64))
 
 
@@ -794,9 +798,8 @@ class BertFeaturizer:
                 stats.samples += len(index)
         self.model.eval()
         self.classifier.eval()
-        # Bumps the engine's model version; when the shm serving plane has a
-        # live pool this also hot-publishes the new weights into the shared
-        # arena, so the pool absorbs the update without a respawn.
+        # Bumps the engine's model version.  Its scoring threads read the
+        # live weights, so no copy has to follow the update.
         self.engine.invalidate_model()
         return losses
 
@@ -950,7 +953,7 @@ class BertFeaturizer:
         }
 
     def close(self) -> None:
-        """Release engine resources (worker pool); idempotent."""
+        """Release engine resources (scoring threads); idempotent."""
         if self.encode_plane is not None:
             self.encode_plane.flush()
         self.engine.close()

@@ -85,7 +85,7 @@ class FeaturizerPipeline:
         return dict(self.stage_seconds)
 
     def close(self) -> None:
-        """Release any featurizer-held resources (worker pools)."""
+        """Release any featurizer-held resources (scoring threads)."""
         for featurizer in self.featurizers:
             closer = getattr(featurizer, "close", None)
             if callable(closer):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.activations import softmax, softmax_backward
-from ..nn.layers import Dropout, Linear, Module, xavier_uniform
+from ..nn.layers import Dropout, Linear, Module, inference_active, xavier_uniform
 from .config import BertConfig
 
 #: Additive bias applied to masked (padding) key positions before softmax.
@@ -82,14 +82,15 @@ class MultiHeadSelfAttention(Module):
 
         context = np.matmul(weights, values)
         merged = self._merge_heads(context)
-        self._cache = {
-            "queries": queries,
-            "keys": keys,
-            "values": values,
-            "probs": probs,
-            "weights": weights,
-            "scale": np.float32(scale),
-        }
+        if not inference_active():
+            self._cache = {
+                "queries": queries,
+                "keys": keys,
+                "values": values,
+                "probs": probs,
+                "weights": weights,
+                "scale": np.float32(scale),
+            }
         return self.output.forward(merged)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

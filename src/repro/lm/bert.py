@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.activations import tanh, tanh_backward
-from ..nn.layers import Dropout, Embedding, LayerNorm, Linear, Module
+from ..nn.layers import Dropout, Embedding, LayerNorm, Linear, Module, inference_active
 from .config import BertConfig
 from .encoder import TransformerBlock
 from .tokenizer import EncodedPair
@@ -51,10 +51,11 @@ class MiniBert(Module):
         )
         self._pooler_cache: np.ndarray | None = None
         self._seq_len: int | None = None
-        #: Embedding-layer output of the most recent forward pass (after the
-        #: embedding LayerNorm, before the transformer blocks).  Exposed for
-        #: consumers that want uncontextualised token features; treat it as
-        #: detached -- backward() does not accept gradients for it.
+        #: Embedding-layer output of the most recent forward pass outside
+        #: :func:`repro.nn.inference_scope` (after the embedding LayerNorm,
+        #: before the transformer blocks).  Exposed for consumers that want
+        #: uncontextualised token features; treat it as detached --
+        #: backward() does not accept gradients for it.
         self.last_embedding_output: np.ndarray | None = None
 
     # -- forward ---------------------------------------------------------------
@@ -76,7 +77,9 @@ class MiniBert(Module):
             raise ValueError(
                 f"sequence length {seq_len} exceeds max_position {self.config.max_position}"
             )
-        self._seq_len = seq_len
+        caching = not inference_active()
+        if caching:
+            self._seq_len = seq_len
         positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
 
         embedded = (
@@ -86,14 +89,17 @@ class MiniBert(Module):
         )
         hidden = self.embedding_norm.forward(embedded)
         hidden = self.embedding_dropout.forward(hidden)
-        self.last_embedding_output = hidden
+        if caching:
+            self.last_embedding_output = hidden
 
         mask = batch.attention_mask.astype(hidden.dtype)
         for block in self.blocks:
             hidden = block.forward(hidden, mask)
 
         pooled_raw = self.pooler.forward(hidden[:, 0, :])
-        pooled, self._pooler_cache = tanh(pooled_raw)
+        pooled, pooler_cache = tanh(pooled_raw)
+        if caching:
+            self._pooler_cache = pooler_cache
         return hidden, pooled
 
     # -- backward ----------------------------------------------------------------

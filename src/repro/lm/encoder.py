@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.activations import gelu, gelu_backward
-from ..nn.layers import Dropout, LayerNorm, Linear, Module
+from ..nn.layers import Dropout, LayerNorm, Linear, Module, inference_active
 from .attention import MultiHeadSelfAttention
 from .config import BertConfig
 
@@ -36,7 +36,9 @@ class TransformerBlock(Module):
         x = self.attention_norm.forward(x + attended)
 
         hidden = self.intermediate.forward(x)
-        activated, self._gelu_cache = gelu(hidden)
+        activated, gelu_cache = gelu(hidden)
+        if not inference_active():
+            self._gelu_cache = gelu_cache
         projected = self.ffn_output.forward(activated)
         projected = self.ffn_dropout.forward(projected)
         return self.ffn_norm.forward(x + projected)

@@ -8,6 +8,8 @@ from .layers import (
     Linear,
     Module,
     Parameter,
+    inference_active,
+    inference_scope,
     normal_init,
     xavier_uniform,
 )
@@ -43,6 +45,8 @@ __all__ = [
     "clip_gradients",
     "gelu",
     "gelu_backward",
+    "inference_active",
+    "inference_scope",
     "load_module",
     "load_state_dict",
     "log_softmax",

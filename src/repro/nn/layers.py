@@ -6,7 +6,9 @@ substrate.  Design decisions:
 
 * **Explicit forward/backward.** No autograd tape; each layer caches what its
   backward pass needs.  A layer instance therefore supports exactly one
-  in-flight forward at a time (the usage pattern of every model here).
+  in-flight *training* forward at a time.  Inside :func:`inference_scope`
+  no forward writes a cache, so any number of threads may run inference
+  forwards on one shared model while a training forward awaits backward.
 * **float32 throughout** for speed and memory.
 * **Named parameters.** ``Module.parameters()`` returns an ordered
   ``{name: Parameter}`` dict, which the optimisers and the npz serialiser
@@ -15,9 +17,43 @@ substrate.  Design decisions:
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+from typing import Iterator
+
 import numpy as np
 
 DTYPE = np.float32
+
+
+class _InferenceFlag(threading.local):
+    active = False
+
+
+_INFERENCE = _InferenceFlag()
+
+
+@contextmanager
+def inference_scope() -> Iterator[None]:
+    """Run this thread's forwards without writing any backward cache.
+
+    Every forward in the library reads only parameters inside the scope,
+    which makes it reentrant: threads can share one live model with no
+    replicas, and a scoring call cannot clobber the caches a pending
+    training forward left for its backward.  The scope belongs to the
+    calling thread and nests; it is independent of ``Module.training``.
+    """
+    previous = _INFERENCE.active
+    _INFERENCE.active = True
+    try:
+        yield
+    finally:
+        _INFERENCE.active = previous
+
+
+def inference_active() -> bool:
+    """True inside :func:`inference_scope` on the calling thread."""
+    return _INFERENCE.active
 
 
 class Parameter:
@@ -144,7 +180,8 @@ class Linear(Module):
         self._grad_weight_buffer: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._input = x
+        if not _INFERENCE.active:
+            self._input = x
         return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -176,8 +213,10 @@ class Embedding(Module):
         self._ids: np.ndarray | None = None
 
     def forward(self, ids: np.ndarray) -> np.ndarray:
-        self._ids = np.asarray(ids)
-        return self.table.value[self._ids]
+        ids = np.asarray(ids)
+        if not _INFERENCE.active:
+            self._ids = ids
+        return self.table.value[ids]
 
     def backward(self, grad_output: np.ndarray) -> None:
         _require_forward(self._ids, "Embedding")
@@ -203,7 +242,8 @@ class LayerNorm(Module):
         var = x.var(axis=-1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + self.eps)
         normalised = (x - mean) * inv_std
-        self._cache = (normalised, inv_std, x)
+        if not _INFERENCE.active:
+            self._cache = (normalised, inv_std, x)
         return normalised * self.gamma.value + self.beta.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -233,12 +273,13 @@ class Dropout(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep).astype(DTYPE) / keep
-        return x * self._mask
+        mask = None
+        if self.training and self.rate != 0.0:
+            keep = 1.0 - self.rate
+            mask = (self.rng.random(x.shape) < keep).astype(DTYPE) / keep
+        if not _INFERENCE.active:
+            self._mask = mask
+        return x if mask is None else x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -14,48 +14,6 @@ def state_dict(module: Module) -> dict[str, np.ndarray]:
     return {name: parameter.value.copy() for name, parameter in module.parameters().items()}
 
 
-def flat_tensors(module: Module) -> list[tuple[str, np.ndarray]]:
-    """Deterministically ordered (name, live value) walk of all parameters.
-
-    Unlike :func:`state_dict` this does **not** copy: the arrays are the
-    module's own parameter storage.  The shared-memory weight arena
-    (:mod:`repro.engine.shm`) uses this walk both to publish (parent side,
-    copying *out of* these arrays) and to lay out the attach manifest.
-    """
-    return [
-        (name, parameter.value)
-        for name, parameter in sorted(module.parameters().items())
-    ]
-
-
-def bind_state_views(module: Module, views: dict[str, np.ndarray]) -> None:
-    """Rebind every parameter's storage to an externally owned array.
-
-    This is the worker-side half of the shared-memory hot-swap: ``views``
-    are zero-copy numpy views into a shared segment, and after binding the
-    module computes forward passes directly on the shared weights.  Names,
-    shapes and dtypes must match the module exactly -- a partial bind would
-    silently mix weight versions.
-    """
-    parameters = module.parameters()
-    missing = set(parameters) - set(views)
-    unexpected = set(views) - set(parameters)
-    if missing or unexpected:
-        raise KeyError(
-            f"view mismatch: missing={sorted(missing)} unexpected={sorted(unexpected)}"
-        )
-    for name, parameter in parameters.items():
-        view = views[name]
-        if parameter.value.shape != view.shape or parameter.value.dtype != view.dtype:
-            raise ValueError(
-                f"layout mismatch for {name!r}: model "
-                f"{parameter.value.shape}/{parameter.value.dtype}, view "
-                f"{view.shape}/{view.dtype}"
-            )
-    for name, parameter in parameters.items():
-        parameter.value = views[name]
-
-
 def load_state_dict(module: Module, state: dict[str, np.ndarray], strict: bool = True) -> None:
     """Write ``state`` into the module's parameters, validating names/shapes.
 

@@ -22,10 +22,10 @@ the resident model plane:
   (surfaced by ``repro serve stats``).
 
 Scoring runs through :class:`InProcessBackend`, which calls the shared
-forward function directly against the resident weights.  Coalesced serve
-batches are far below the engine's worker-pool threshold
-(``EngineConfig.min_pairs_for_workers``), so the service has no pool rung;
-the ``backend`` argument exists so tests can inject fakes.
+forward function directly against the resident weights.  Coalesced
+batches already run on executor threads and average a handful of pairs,
+so the service does not use the engine's scoring threads; the ``backend``
+argument exists so tests can inject fakes.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Unit tests: bucket planning, padding trim and worker-pool fallback."""
+"""Unit tests: bucket planning, padding trim and when plans stay in-process."""
 
 from __future__ import annotations
 
@@ -7,12 +7,9 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    EngineStats,
     ScoringEngine,
-    ShmServingPlane,
     bucket_key,
     fingerprint_encoded,
-    live_segment_names,
     plan_microbatches,
 )
 from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
@@ -125,26 +122,10 @@ def tiny_stack():
 
 
 class TestExecutorFallback:
-    def test_zero_workers_is_unavailable(self):
-        plane = ShmServingPlane(
-            n_workers=0, start_method="spawn", bootstrap_extra={}, scratch_min_bytes=0
-        )
-        stats = EngineStats()
-        assert not plane.usable
-        assert plane.score([], 0, lambda: [], stats) is None
-        assert stats.worker_fallbacks == 1
-        assert stats.publishes == 0
-        plane.close()
-
-    def test_broken_start_method_falls_back_in_process(self, tiny_stack):
+    def test_zero_workers_is_unavailable(self, tiny_stack):
+        """n_workers=0 scores a many-batch plan in-process, with no threads."""
         model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=2,
-            min_pairs_for_workers=1,
-            microbatch_size=2,
-            start_method="bogus-start-method",
-            persist_scores=False,
-        )
+        config = EngineConfig(n_workers=0, microbatch_size=2, persist_scores=False)
         engine = ScoringEngine(model, classifier, special_ids, config)
         try:
             encoded = [encoded_of_length(length, fill=5) for length in (4, 9, 14, 20)]
@@ -153,25 +134,22 @@ class TestExecutorFallback:
                 model, classifier, special_ids, stack_encoded(encoded)
             )
             np.testing.assert_allclose(scores, expected, atol=1e-8, rtol=0)
-            # The pool was attempted and failed to spawn: one shm fallback.
-            assert engine.stats.shm_fallbacks == 1
-            assert engine.stats.worker_fallbacks == 0
-            assert engine.stats.shm_batches == 0
-            assert engine.stats.inprocess_batches > 0
+            assert engine.stats.microbatches > 1
+            assert engine.stats.inprocess_batches == engine.stats.microbatches
+            assert engine.stats.threaded_batches == 0
+            assert engine._pool is None
         finally:
             engine.close()
-        assert live_segment_names() == []
 
     def test_small_batches_stay_in_process(self, tiny_stack):
+        """A one-batch plan never leaves the calling thread."""
         model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=4, min_pairs_for_workers=1000, persist_scores=False
-        )
+        config = EngineConfig(n_workers=4, persist_scores=False)
         engine = ScoringEngine(model, classifier, special_ids, config)
         try:
             engine.score_encoded([encoded_of_length(4, fill=5)])
-            assert engine.stats.shm_batches == 0
+            assert engine.stats.threaded_batches == 0
             assert engine.stats.inprocess_batches == 1
-            assert engine.stats.worker_fallbacks == engine.stats.shm_fallbacks == 0
+            assert engine._pool is None
         finally:
             engine.close()

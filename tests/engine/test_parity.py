@@ -1,9 +1,10 @@
 """Golden parity suite: engine scoring == sequential scoring, bit-for-bit-ish.
 
-The batched/bucketed/parallel scoring engine must be a pure optimisation:
+The batched/bucketed/threaded scoring engine must be a pure optimisation:
 for every public dataset pairing, its scores match the sequential one-pair-
-at-a-time reference across worker counts {0, 1, 4} and odd micro-batch
-sizes (1, a prime, larger than the pair count).
+at-a-time reference across worker counts {0, 1, 2, 4} and odd micro-batch
+sizes (1, a prime, larger than the pair count).  Threads only change who
+runs each micro-batch, so across worker counts the scores are bit-equal.
 
 Two classifiers are checked.  A fresh :class:`MatchingClassifier` starts
 with a silent channel path, so its scores read only the raw embeddings and
@@ -39,7 +40,7 @@ from repro.text.corpus import build_corpus
 MAX_PAIRS = 600
 MAX_LENGTH = 32
 
-WORKER_COUNTS = (0, 1, 4)
+WORKER_COUNTS = (0, 1, 2, 4)
 
 #: Engine-vs-sequential tolerance once the channel path is live.  Bucketing
 #: pads a pair to its micro-batch's length and BLAS picks its summation
@@ -136,10 +137,7 @@ def test_monolithic_batch_matches_sequential(scoring_stack):
 def _assert_engine_matches_sequential(stack, n_workers: int, atol: float) -> None:
     model, classifier, special_ids, encoded, sequential = stack
     config = EngineConfig(
-        n_workers=n_workers,
-        min_pairs_for_workers=1,
-        bucket_granularity=4,
-        persist_scores=False,
+        n_workers=n_workers, bucket_granularity=4, persist_scores=False
     )
     engine = ScoringEngine(model, classifier, special_ids, config)
     try:
@@ -154,11 +152,11 @@ def _assert_engine_matches_sequential(stack, n_workers: int, atol: float) -> Non
                 rtol=0,
                 err_msg=f"n_workers={n_workers} batch_size={batch_size}",
             )
-        if n_workers > 0:
-            # The shm pool really ran (no silent fallback to in-process).
-            assert engine.stats.shm_batches > 0
-            assert engine.stats.shm_fallbacks == 0
-            assert engine.stats.worker_fallbacks == 0
+        if n_workers > 1:
+            # The threads really ran.
+            assert engine.stats.threaded_batches > 0
+        else:
+            assert engine.stats.threaded_batches == 0
     finally:
         engine.close()
 
@@ -173,6 +171,33 @@ def test_engine_matches_sequential(scoring_stack, n_workers):
 def test_engine_matches_sequential_live_channel(live_scoring_stack, n_workers):
     """The same parity with every transformer block driving the scores."""
     _assert_engine_matches_sequential(live_scoring_stack, n_workers, atol=LIVE_ATOL)
+
+
+def _engine_scores(stack, n_workers: int) -> list[np.ndarray]:
+    model, classifier, special_ids, encoded, _ = stack
+    config = EngineConfig(
+        n_workers=n_workers, bucket_granularity=4, persist_scores=False
+    )
+    engine = ScoringEngine(model, classifier, special_ids, config)
+    try:
+        scores = []
+        for batch_size in _batch_sizes(len(encoded)):
+            engine.config.microbatch_size = batch_size
+            engine.clear_cached_scores()
+            scores.append(engine.score_encoded(encoded))
+        return scores
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("n_workers", (2, 4))
+def test_worker_counts_score_bit_identically(live_scoring_stack, n_workers):
+    """Threaded scores equal in-process scores bit for bit, not within atol."""
+    for got, expected in zip(
+        _engine_scores(live_scoring_stack, n_workers),
+        _engine_scores(live_scoring_stack, 1),
+    ):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_block_weight_moves_live_scores(live_scoring_stack):

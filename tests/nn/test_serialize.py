@@ -11,7 +11,6 @@ from repro.nn import (
     save_module,
     state_dict,
 )
-from repro.nn.serialize import bind_state_views, flat_tensors
 
 
 def build_model(rng) -> Module:
@@ -60,28 +59,3 @@ class TestStateDict:
         load_module(other, path)
         for name, parameter in model.parameters().items():
             assert np.array_equal(parameter.value, other.parameters()[name].value)
-
-    def test_bind_state_views_rebinds_fresh_storage(self, rng):
-        model = build_model(rng)
-        replacement = {
-            name: array.copy()  # fresh storage, same layout
-            for name, array in flat_tensors(model)
-        }
-        bind_state_views(model, replacement)
-        assert model.parameters()["first.weight"].value is replacement["first.weight"]
-
-
-class TestNonFloat32Dtypes:
-    """Parameters are float32; a view of any other dtype is a layout error."""
-
-    def test_bind_state_views_rejects_dtype_mismatch(self, rng):
-        model = build_model(rng)
-        views = {
-            name: array.astype(np.float64) for name, array in flat_tensors(model)
-        }
-        with pytest.raises(ValueError, match="layout mismatch"):
-            bind_state_views(model, views)
-        # A rejected bind leaves every parameter on its original storage.
-        for name, parameter in model.parameters().items():
-            assert parameter.value is not views[name]
-            assert parameter.value.dtype == np.float32

@@ -153,9 +153,7 @@ class TestMatcherTracerLifecycle:
                 "engine.pairs_skipped",
                 "engine.microbatches",
                 "engine.inprocess_batches",
-                "engine.shm_batches",
-                "engine.worker_fallbacks",
-                "engine.shm_fallbacks",
+                "engine.threaded_batches",
                 "train.steps",
                 "train.samples",
                 "encode.token_cache_hits",

@@ -323,8 +323,6 @@ class TestLifecycle:
         run(scenario())
 
     def test_stop_is_idempotent_and_releases_arenas(self, tenant_stack):
-        from repro.engine import live_segment_names
-
         async def scenario():
             service = ServeService(small_config())
             await service.start()
@@ -333,9 +331,12 @@ class TestLifecycle:
             await service.submit(handle, make_pairs(5, 2))
             await service.stop()
             await service.stop()
+            return service
 
-        run(scenario())
-        assert not live_segment_names()
+        service = run(scenario())
+        # Every resident weight copy was dropped.
+        assert service.residency.resident_keys() == []
+        assert service.residency.resident_bytes() == 0
 
     @pytest.mark.parametrize("field", ["microbatch_size", "bucket_granularity"])
     def test_invalid_plan_knob_rejected_at_construction(self, field):

@@ -44,7 +44,7 @@ Commands
     columns) against the dataset's source schema and replay it through the
     incremental re-matching path, printing per-delta accounting: pairs
     dropped/added, candidate-set regenerations, and BERT pairs re-scored
-    vs. served from the fingerprint score cache.  ``--trace`` streams the
+    vs. served from the feature column.  ``--trace`` streams the
     drift spans (``lsm.drift``, ``drift.rescore``) as NDJSON.
 ``trace summarize TRACE``
     Render an NDJSON trace (``repro session --trace`` or

@@ -18,6 +18,13 @@ every pruning operation:
 * labels record their provenance: ``label_explicit`` distinguishes labels
   the user actively produced from the sibling negatives ``set_positive``
   mass-implies, so training can select the informative subset.
+
+The store also carries the featurizers' per-row scores: one float64 column
+per featurizer, the featurizer version each column was computed under, and
+a ``dirty`` mask.  A row is dirty when it is new, re-added, or its view was
+invalidated (a renamed source); every reshaping path carries the columns
+along, so a re-predict scores only the dirty rows (see DESIGN.md,
+"Per-row feature columns").
 """
 
 from __future__ import annotations
@@ -90,10 +97,21 @@ class CandidateStore:
         #: True where the label came from a direct user action (accept/reject)
         #: rather than the sibling negatives ``set_positive`` mass-implies.
         self.label_explicit = np.zeros(self.pair_source.shape[0], dtype=bool)
-        self._pair_index: dict[tuple[int, int], int] = {
-            (int(s), int(t)): i
-            for i, (s, t) in enumerate(zip(self.pair_source, self.pair_target))
-        }
+        #: Dense ``(source, target) -> pair id`` lookup, -1 where the pair is
+        #: absent (pruned).  The full product is laid out row-major.
+        self._pair_lookup = np.arange(self.num_pairs, dtype=np.int32).reshape(
+            num_sources, num_targets
+        )
+        #: Featurizer names of the ``features`` columns (see
+        #: :meth:`set_feature_names`).
+        self.feature_names: tuple[str, ...] = ()
+        #: Per-row feature scores, shape ``(num_pairs, len(feature_names))``.
+        self.features = np.empty((self.num_pairs, 0), dtype=np.float64)
+        #: The featurizer version each column was computed under (None:
+        #: never computed); a column whose featurizer moved on is stale.
+        self.feature_versions: list[int | None] = []
+        #: Rows whose feature columns must be recomputed.
+        self.dirty = np.ones(self.num_pairs, dtype=bool)
         self._views: list[AttributePairView | None] = [None] * self.num_pairs
         #: Lazily built per-source pair-id lists; invalidated whenever the
         #: pair arrays change shape (prune / ensure_pair).
@@ -127,9 +145,10 @@ class CandidateStore:
 
     def pair_id(self, source: AttributeRef, target: AttributeRef) -> int | None:
         """Flat index of the pair, or None if it was pruned away."""
-        return self._pair_index.get(
-            (self._source_index[source], self._target_index[target])
+        pair_id = int(
+            self._pair_lookup[self._source_index[source], self._target_index[target]]
         )
+        return None if pair_id < 0 else pair_id
 
     def view(self, pair_id: int) -> AttributePairView:
         cached = self._views[pair_id]
@@ -148,15 +167,18 @@ class CandidateStore:
         return [self.view(int(pair_id)) for pair_id in pair_ids]
 
     def invalidate_views(self, pair_ids: Iterable[int]) -> int:
-        """Drop the cached views of ``pair_ids`` so they rebuild lazily.
+        """Drop the cached views of ``pair_ids`` and mark the rows dirty.
 
         The view cache has no implicit invalidation: a pair's view embeds the
         attribute's name and description at build time, so any metadata
         mutation (a renamed or re-described column) must explicitly drop the
-        affected entries or the pair keeps scoring its stale encoding.
-        :meth:`apply_delta` routes through here; so must any future mutator.
-        Returns the number of entries actually dropped.
+        affected entries or the pair keeps scoring its stale encoding.  The
+        rows' feature columns were scored from the old view, so they turn
+        dirty too.  :meth:`apply_delta` routes through here; so must any
+        future mutator.  Returns the number of views actually dropped.
         """
+        pair_ids = np.fromiter(pair_ids, dtype=np.intp)
+        self.dirty[pair_ids] = True
         dropped = 0
         for pair_id in pair_ids:
             if self._views[int(pair_id)] is not None:
@@ -167,6 +189,14 @@ class CandidateStore:
     def invalidate_views_of_source(self, source_index: int) -> int:
         """Drop the cached views of every pair of one source attribute."""
         return self.invalidate_views(self.pairs_of_source_index(source_index))
+
+    # -- feature columns ---------------------------------------------------------
+
+    def set_feature_names(self, names: Sequence[str]) -> None:
+        """Lay out one unscored feature column per name."""
+        self.feature_names = tuple(names)
+        self.features = np.full((self.num_pairs, len(names)), np.nan)
+        self.feature_versions = [None] * len(names)
 
     def _source_groups(self) -> list[np.ndarray]:
         """Per-source pair-id lists, built once per pair-array shape.
@@ -282,11 +312,19 @@ class CandidateStore:
         self.pair_target = self.pair_target[keep_ids]
         self.labels = self.labels[keep_ids]
         self.label_explicit = self.label_explicit[keep_ids]
+        self.features = self.features[keep_ids]
+        self.dirty = self.dirty[keep_ids]
         self._views = [self._views[int(i)] for i in keep_ids]
-        self._pair_index = {
-            (int(s), int(t)): i
-            for i, (s, t) in enumerate(zip(self.pair_source, self.pair_target))
-        }
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Rebuild the dense pair lookup after rows moved or sources changed."""
+        self._pair_lookup = np.full(
+            (self.num_sources, self.num_targets), -1, dtype=np.int32
+        )
+        self._pair_lookup[self.pair_source, self.pair_target] = np.arange(
+            self.num_pairs, dtype=np.int32
+        )
         self._groups = None
 
     def _append_pairs(self, sources: np.ndarray, targets: np.ndarray) -> int:
@@ -312,9 +350,14 @@ class CandidateStore:
         self.label_explicit = np.concatenate(
             [self.label_explicit, np.zeros(added, dtype=bool)]
         )
+        self.features = np.concatenate(
+            [self.features, np.full((added, self.features.shape[1]), np.nan)]
+        )
+        self.dirty = np.concatenate([self.dirty, np.ones(added, dtype=bool)])
         self._views.extend([None] * added)
-        for offset, (s, t) in enumerate(zip(sources, targets)):
-            self._pair_index[(int(s), int(t))] = start + offset
+        self._pair_lookup[sources, targets] = np.arange(
+            start, start + added, dtype=np.int32
+        )
         self._groups = None
         assert self.pair_source.dtype == np.intp and self.pair_target.dtype == np.intp
         assert self.labels.dtype == np.int8
@@ -333,17 +376,24 @@ class CandidateStore:
         self, pairs: Sequence[tuple[AttributeRef, AttributeRef]]
     ) -> list[int]:
         """Batched :meth:`ensure_pair`: one array growth for all new pairs."""
-        keys = [
-            (self._source_index[source], self._target_index[target])
-            for source, target in pairs
-        ]
-        missing = [key for key in dict.fromkeys(keys) if key not in self._pair_index]
-        if missing:
-            self._append_pairs(
-                np.asarray([s for s, _ in missing], dtype=np.intp),
-                np.asarray([t for _, t in missing], dtype=np.intp),
-            )
-        return [self._pair_index[key] for key in keys]
+        sources = np.fromiter(
+            (self._source_index[source] for source, _ in pairs),
+            dtype=np.intp,
+            count=len(pairs),
+        )
+        targets = np.fromiter(
+            (self._target_index[target] for _, target in pairs),
+            dtype=np.intp,
+            count=len(pairs),
+        )
+        absent = self._pair_lookup[sources, targets] < 0
+        if absent.any():
+            # First occurrence of each absent pair, in request order.
+            flat = sources[absent] * self.num_targets + targets[absent]
+            _, first = np.unique(flat, return_index=True)
+            first.sort()
+            self._append_pairs(sources[absent][first], targets[absent][first])
+        return self._pair_lookup[sources, targets].tolist()
 
     # -- schema drift ----------------------------------------------------------
 
@@ -402,11 +452,7 @@ class CandidateStore:
         self.source_schema = new_source_schema
         self.source_refs = new_refs
         self._source_index = new_index
-        self._pair_index = {
-            (int(s), int(t)): i
-            for i, (s, t) in enumerate(zip(self.pair_source, self.pair_target))
-        }
-        self._groups = None
+        self._reindex()
 
         for old_ref, new_ref in effect.renamed.items():
             report.renamed_sources.append(new_index[new_ref])
@@ -417,7 +463,7 @@ class CandidateStore:
             report.added_sources.append(new_index[ref])
 
         # Renamed columns' views embed the old name -- drop them so they
-        # rebuild against the evolved schema.
+        # rebuild against the evolved schema, and mark their rows dirty.
         for source_index in report.renamed_sources:
             report.views_invalidated += self.invalidate_views_of_source(source_index)
 

@@ -3,7 +3,7 @@
 When a :class:`~repro.schema.drift.SchemaDelta` lands on a live matcher
 (:meth:`repro.core.matcher.LearnedSchemaMatcher.apply_delta`), only the
 pairs the delta touched should ever reach BERT again; everything else is
-served from the engine's content-addressed score cache.  The counters here
+served from the candidate store's feature columns.  The counters here
 make that contract observable: ``pairs_rescored`` / ``pairs_reused`` are
 measured around the first featurization pass after each delta, and the
 drift benchmark (``benchmarks/test_drift.py``) gates on their ratio.
@@ -27,8 +27,9 @@ class DriftReport:
     store: StoreDeltaReport
     #: Source indices whose candidate sets were regenerated via retrieval.
     regenerated_sources: list[int] = field(default_factory=list)
-    #: Featurizer cache entries dropped, by featurizer name.
-    featurizer_entries_dropped: dict[str, int] = field(default_factory=dict)
+    #: Candidate rows the delta marked dirty (renamed sources' rows and new
+    #: pairs); the next ``predict()`` rescores them.
+    rows_dirtied: int = 0
 
     def describe(self) -> str:
         return (
@@ -46,7 +47,8 @@ class DriftStats(Counters):
     ``pairs_rescored``/``pairs_reused`` are engine-measured: the deltas of
     the scoring engine's ``pairs_scored``/``pairs_skipped`` counters across
     the first featurization pass after a drift, i.e. actual BERT forward
-    work vs. fingerprint-cache hits -- not an estimate from the pair sets.
+    work vs. pairs served from the feature column or the fingerprint cache
+    -- not an estimate from the pair sets.
     """
 
     deltas_applied: int = 0
@@ -57,13 +59,14 @@ class DriftStats(Counters):
     pairs_dropped: int = 0
     pairs_added: int = 0
     views_invalidated: int = 0
-    featurizer_entries_dropped: int = 0
+    rows_dirtied: int = 0
     labels_preserved: int = 0
     labels_dropped: int = 0
     candidate_regenerations: int = 0
     #: BERT pairs actually re-scored on the first pass after a drift.
     pairs_rescored: int = 0
-    #: Pairs served from the engine's fingerprint score cache on that pass.
+    #: Pairs served from the BERT column or the engine's fingerprint score
+    #: cache on that pass.
     pairs_reused: int = 0
 
     def record(self, report: DriftReport) -> None:
@@ -75,9 +78,7 @@ class DriftStats(Counters):
         self.pairs_dropped += report.store.pairs_dropped
         self.pairs_added += report.store.pairs_added
         self.views_invalidated += report.store.views_invalidated
-        self.featurizer_entries_dropped += sum(
-            report.featurizer_entries_dropped.values()
-        )
+        self.rows_dirtied += report.rows_dirtied
         self.labels_preserved += report.store.labels_preserved
         self.labels_dropped += report.store.labels_dropped
         self.candidate_regenerations += len(report.regenerated_sources)

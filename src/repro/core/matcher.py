@@ -36,7 +36,7 @@ from ..retrieval import (
     build_generator,
     docs_from_refs,
 )
-from ..schema.drift import SchemaDelta, apply_delta as apply_schema_delta
+from ..schema.drift import DeltaEffect, SchemaDelta, apply_delta as apply_schema_delta
 from ..schema.model import AttributeRef, Correspondence, MatchResult, Schema
 from .artifacts import ArtifactConfig, DomainArtifacts, build_artifacts
 from .candidates import CandidateStore
@@ -136,6 +136,9 @@ class LearnedSchemaMatcher:
                 ):
                     self.generator = self._build_candidate_generator()
                     self._apply_generator_pruning()
+            # Laid out after pruning, so the columns never span the full
+            # product when retrieval keeps a fraction of it.
+            self.store.set_feature_names(self.pipeline.feature_names)
 
             self.adjuster = ScoreAdjuster(
                 self.store,
@@ -236,27 +239,28 @@ class LearnedSchemaMatcher:
     def apply_delta(self, delta: SchemaDelta) -> DriftReport:
         """Evolve the *source* schema in place and re-match incrementally.
 
-        Only what the delta touched is redone; every cache layer has an
-        explicit invalidation here (see DESIGN.md, "Schema drift"):
+        Only what the delta touched is redone (see DESIGN.md, "Schema
+        drift"):
 
         * the store drops/remaps the affected pairs, keeping surviving
-          labels and invalidating renamed sources' views;
-        * featurizer ref-keyed caches (lexical/embedding scores, BERT
-          encodings) shed entries of retired refs;
+          labels, invalidating renamed sources' views and marking their
+          rows dirty in the feature columns;
         * the adjuster's dtype mask is invalidated when a column retyped;
         * affected sources' candidate sets are regenerated through the
-          retrieval layer -- unaffected sources keep their pair sets, so
-          their unchanged encodings hit the engine's fingerprint score
-          cache and never reach BERT again.
+          retrieval layer; the pairs this adds are new, hence dirty rows.
+          Unaffected sources keep their rows and columns, so the next
+          :meth:`predict` scores none of them again.
 
         The next :meth:`predict` measures that contract: engine
-        scored/skipped deltas across its featurization pass accumulate into
-        ``drift_stats.pairs_rescored`` / ``pairs_reused``.
+        scored/skipped deltas across its featurization pass (clean rows
+        count as skipped) accumulate into ``drift_stats.pairs_rescored`` /
+        ``pairs_reused``.
         """
         with obs.activated(self.tracer), obs.span(
             "lsm.drift", ops=len(delta), delta=delta.describe()
         ) as drift_span:
             new_schema, effect = apply_schema_delta(self.source_schema, delta)
+            pending = self._dirty_pairs()
             use_retrieval = (
                 self.generator is not None
                 and self.config.max_candidates_per_source is not None
@@ -266,8 +270,6 @@ class LearnedSchemaMatcher:
             )
             self.source_schema = new_schema
 
-            stale = effect.stale_refs | effect.text_changed
-            featurizer_dropped = self.pipeline.invalidate_refs(stale)
             if effect.retyped:
                 self.adjuster.invalidate_dtype_mask()
             remap = getattr(self.strategy, "apply_renames", None)
@@ -301,7 +303,10 @@ class LearnedSchemaMatcher:
                 effect=effect,
                 store=store_report,
                 regenerated_sources=regenerated,
-                featurizer_entries_dropped=featurizer_dropped,
+                # Read off the mask: rows a regenerated candidate set
+                # dropped again do not count, nor do rows dirty before.
+                rows_dirtied=int(np.count_nonzero(self.store.dirty))
+                - self._still_present(pending, effect),
             )
             self.drift_stats.record(report)
             self._drift_pending = True
@@ -316,8 +321,32 @@ class LearnedSchemaMatcher:
                 level="info",
                 delta=delta.describe(),
                 regenerated_sources=len(regenerated),
+                rows_dirtied=report.rows_dirtied,
             )
         return report
+
+    def _dirty_pairs(self) -> list[tuple[AttributeRef, AttributeRef]]:
+        """The (source, target) refs of rows already dirty (e.g. re-added by
+        a rejection) -- not the next delta's doing."""
+        store = self.store
+        return [
+            (store.source_ref(int(source)), store.target_ref(int(target)))
+            for source, target in zip(
+                store.pair_source[store.dirty], store.pair_target[store.dirty]
+            )
+        ]
+
+    def _still_present(
+        self, pairs: list[tuple[AttributeRef, AttributeRef]], effect: DeltaEffect
+    ) -> int:
+        """How many of ``pairs`` survived the delta (still dirty rows)."""
+        dropped = set(effect.dropped)
+        live = [
+            (effect.renamed.get(source, source), target)
+            for source, target in pairs
+            if source not in dropped
+        ]
+        return sum(self.store.pair_id(*pair) is not None for pair in live)
 
     # -- user feedback ---------------------------------------------------------
 
@@ -362,6 +391,41 @@ class LearnedSchemaMatcher:
             self._labels_at_last_bert_update = positives
             self._refresh_candidates()
 
+    def _featurize(self, span) -> np.ndarray:
+        """Bring the store's feature columns up to date; return the block.
+
+        Each featurizer scores only its dirty rows, in store order: the
+        store's dirty rows, or every row when the featurizer's version moved
+        past its column's (a BERT update).  So the engine sees the pairs
+        the full pass would have missed its cache on, in the same order, and
+        forms the same micro-batch plans.
+        """
+        store = self.store
+        dirty_rows = np.flatnonzero(store.dirty)
+        all_rows = np.arange(store.num_pairs)
+        rows_dirty: dict[str, int] = {}
+        for column, featurizer in enumerate(self.pipeline.featurizers):
+            version = getattr(featurizer, "model_version", 0)
+            rows = (
+                dirty_rows if store.feature_versions[column] == version else all_rows
+            )
+            if rows.size:
+                store.features[rows, column] = self.pipeline.score(
+                    featurizer, store.views(rows)
+                )
+            store.feature_versions[column] = version
+            rows_dirty[featurizer.name] = int(rows.size)
+        store.dirty[:] = False
+        if self.bert_featurizer is not None:
+            self.bert_featurizer.engine.count_reused(
+                store.num_pairs - rows_dirty[self.bert_featurizer.name]
+            )
+        span.set(
+            rows_clean=store.num_pairs - max(rows_dirty.values()),
+            rows_dirty=rows_dirty,
+        )
+        return store.features
+
     def predict(self) -> Predictions:
         """One full train-and-predict pass over the current label state."""
         self._iteration += 1
@@ -371,7 +435,6 @@ class LearnedSchemaMatcher:
             with obs.span("lsm.update_bert"):
                 self._maybe_update_bert()
 
-            all_ids = np.arange(self.store.num_pairs)
             engine_stats = (
                 self.bert_featurizer.engine.stats
                 if self.bert_featurizer is not None
@@ -381,8 +444,10 @@ class LearnedSchemaMatcher:
             if measure_drift:
                 scored_before = engine_stats.pairs_scored
                 skipped_before = engine_stats.pairs_skipped
-            with obs.span("lsm.featurize", pairs=int(self.store.num_pairs)):
-                features = self.pipeline.featurize(self.store.views(all_ids))
+            with obs.span(
+                "lsm.featurize", pairs=int(self.store.num_pairs)
+            ) as featurize_span:
+                features = self._featurize(featurize_span)
             if measure_drift:
                 rescored = engine_stats.pairs_scored - scored_before
                 reused = engine_stats.pairs_skipped - skipped_before

@@ -19,11 +19,19 @@ encoded candidate pairs it
    at one thread, so its threads do not contend with the scoring threads;
 4. **persists score blocks** through :mod:`repro.store`, keyed by the exact
    model weights, so re-running an experiment skips straight to cached
-   scores across processes.
+   scores across processes.  A block is written the first time a weights
+   key has scores, then once :data:`PERSIST_EVERY` new scores have built
+   up, and on :meth:`ScoringEngine.close` and
+   :meth:`ScoringEngine.invalidate_model`.
 
 Model updates call :meth:`ScoringEngine.invalidate_model`; that bumps the
 version and drops stale scores.  The threads read the live weights, so no
 copy or publish follows an update.
+
+The matcher keeps each pair's score in the candidate store's BERT column
+and hands the engine only new, re-added or invalidated rows; the rows it
+serves from its column are counted here through
+:meth:`ScoringEngine.count_reused`.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ from .stats import EngineStats
 
 #: Bytes of one pair fingerprint (blake2b digest size).
 FINGERPRINT_BYTES = 16
+
+#: Write the score block at most once per this many new scores (after the
+#: first write of a weights key); close() and invalidate_model() flush the
+#: rest.
+PERSIST_EVERY = 512
 
 
 def default_workers() -> int:
@@ -122,6 +135,10 @@ class ScoringEngine:
         self._scores: dict[bytes, float] = {}
         self._weights_key: str | None = None
         self._persisted_loaded = False
+        #: Scores added since the last block write, and whether this weights
+        #: key has a block yet.
+        self._unsaved = 0
+        self._block_written = False
         #: Helper threads for multi-micro-batch plans; created on first use.
         self._pool: ThreadPoolExecutor | None = None
         #: Whether the most recent threaded plan held OpenBLAS at one thread.
@@ -134,12 +151,30 @@ class ScoringEngine:
         return self._version
 
     def invalidate_model(self) -> None:
-        """Signal that model/classifier weights changed: cached scores are stale."""
+        """Signal that model/classifier weights changed: cached scores are stale.
+
+        Unsaved scores are first written under the cached pre-update weights
+        key, so a later engine on those weights still finds them.
+        """
+        if self._weights_key is not None:
+            self._flush_persisted()
         self._version += 1
         self._scores.clear()
         self._weights_key = None
         self._persisted_loaded = False
+        self._unsaved = 0
+        self._block_written = False
         self.stats.invalidations += 1
+
+    def count_reused(self, count: int) -> None:
+        """Count pairs a caller served from scores this engine produced.
+
+        The matcher keeps every scored pair in the candidate store's BERT
+        column and passes only dirty rows; its clean rows still count as
+        requested and skipped, as if they had hit the fingerprint cache.
+        """
+        self.stats.pairs_requested += count
+        self.stats.pairs_skipped += count
 
     def clear_cached_scores(self) -> None:
         """Drop cached scores without bumping the model version (testing aid)."""
@@ -190,6 +225,23 @@ class ScoringEngine:
             self._scores.setdefault(bytes(fingerprint), float(score))
         self.stats.pairs_persisted_hits += len(scores)
 
+    def _record_scores(self, fingerprints, dirty: list[int], plan, results, scores) -> None:
+        """Scatter a scored plan into ``scores`` and the score cache."""
+        for microbatch, probabilities in zip(plan, results):
+            for position, probability in zip(microbatch.indices, probabilities):
+                index = dirty[position]
+                value = float(probability)
+                scores[index] = value
+                self._scores[fingerprints[index]] = value
+        self._unsaved += len(dirty)
+        if not self._block_written or self._unsaved >= PERSIST_EVERY:
+            self._save_persisted()
+
+    def _flush_persisted(self) -> None:
+        """Write the block if it holds scores the store has not seen."""
+        if self._unsaved:
+            self._save_persisted()
+
     def _save_persisted(self) -> None:
         if not self.config.persist_scores or not self._scores:
             return
@@ -207,6 +259,8 @@ class ScoringEngine:
                 self._store_key(),
                 {"fingerprints": fingerprints, "scores": scores},
             )
+        self._unsaved = 0
+        self._block_written = True
 
     # -- scoring -----------------------------------------------------------------
 
@@ -280,6 +334,22 @@ class ScoringEngine:
         self.stats.pairs_scored += sum(len(mb.indices) for mb in plan)
         return self._score_plan(plan)
 
+    def _split_cached(self, fingerprints: list[bytes], scores: np.ndarray, span) -> list[int]:
+        """Fill cached scores in; return the indices that need a forward."""
+        self._load_persisted()
+        dirty: list[int] = []
+        for index, fingerprint in enumerate(fingerprints):
+            cached = self._scores.get(fingerprint)
+            if cached is None:
+                dirty.append(index)
+            else:
+                scores[index] = cached
+        count = len(fingerprints)
+        self.stats.pairs_skipped += count - len(dirty)
+        self.stats.pairs_scored += len(dirty)
+        span.set(dirty=len(dirty), skipped=count - len(dirty))
+        return dirty
+
     def score_encoded(self, encoded: list[EncodedPair]) -> np.ndarray:
         """Scores in [0, 1] for ``encoded``, reusing everything reusable."""
         self.stats.scoring_calls += 1
@@ -295,20 +365,8 @@ class ScoringEngine:
 
             with self.stats.timer("fingerprint"):
                 fingerprints = [fingerprint_encoded(pair) for pair in encoded]
-            self._load_persisted()
-
             scores = np.empty(count, dtype=np.float64)
-            dirty: list[int] = []
-            for index, fingerprint in enumerate(fingerprints):
-                cached = self._scores.get(fingerprint)
-                if cached is None:
-                    dirty.append(index)
-                else:
-                    scores[index] = cached
-            self.stats.pairs_skipped += count - len(dirty)
-            self.stats.pairs_scored += len(dirty)
-            score_span.set(dirty=len(dirty), skipped=count - len(dirty))
-
+            dirty = self._split_cached(fingerprints, scores, score_span)
             if dirty:
                 with self.stats.timer("bucket"):
                     plan = plan_microbatches(
@@ -320,13 +378,7 @@ class ScoringEngine:
                 self.stats.microbatches += len(plan)
                 score_span.set(microbatches=len(plan))
                 results = self._score_plan(plan)
-                for microbatch, probabilities in zip(plan, results):
-                    for position, probability in zip(microbatch.indices, probabilities):
-                        index = dirty[position]
-                        value = float(probability)
-                        scores[index] = value
-                        self._scores[fingerprints[index]] = value
-                self._save_persisted()
+                self._record_scores(fingerprints, dirty, plan, results, scores)
         return scores
 
     def score_halves(self, halves, plane) -> np.ndarray:
@@ -335,11 +387,12 @@ class ScoringEngine:
         The encode-plane fast path of :meth:`score_encoded`: ``halves`` is a
         list of :class:`repro.lm.encode_plane.PairHalves` and ``plane`` the
         :class:`~repro.lm.encode_plane.EncodePlane` that produced them.
-        Fingerprints are computed digest-parity from the halves (so the
-        in-memory and persisted score caches are shared with the sequential
-        path), bucket planning reads the precomputed half lengths, and each
-        dirty micro-batch is assembled directly into a pooled buffer --
-        released back to the pool once the plan is scored.
+        Each pair carries the digest-parity fingerprint computed when its
+        halves were built (so the in-memory and persisted score caches are
+        shared with the sequential path), bucket planning reads the
+        precomputed half lengths, and each dirty micro-batch is assembled
+        directly into a pooled buffer -- released back to the pool once the
+        plan is scored.
         """
         self.stats.scoring_calls += 1
         count = len(halves)
@@ -352,22 +405,9 @@ class ScoringEngine:
             self.model.eval()
             self.classifier.eval()
 
-            with self.stats.timer("fingerprint"):
-                fingerprints = [plane.fingerprint(pair) for pair in halves]
-            self._load_persisted()
-
+            fingerprints = [pair.fingerprint for pair in halves]
             scores = np.empty(count, dtype=np.float64)
-            dirty: list[int] = []
-            for index, fingerprint in enumerate(fingerprints):
-                cached = self._scores.get(fingerprint)
-                if cached is None:
-                    dirty.append(index)
-                else:
-                    scores[index] = cached
-            self.stats.pairs_skipped += count - len(dirty)
-            self.stats.pairs_scored += len(dirty)
-            score_span.set(dirty=len(dirty), skipped=count - len(dirty))
-
+            dirty = self._split_cached(fingerprints, scores, score_span)
             if dirty:
                 with self.stats.timer("bucket"):
                     chunks = plan_bucket_chunks(
@@ -389,18 +429,10 @@ class ScoringEngine:
                 score_span.set(microbatches=len(plan))
                 try:
                     results = self._score_plan(plan)
-                    for microbatch, probabilities in zip(plan, results):
-                        for position, probability in zip(
-                            microbatch.indices, probabilities
-                        ):
-                            index = dirty[position]
-                            value = float(probability)
-                            scores[index] = value
-                            self._scores[fingerprints[index]] = value
                 finally:
                     for microbatch in plan:
                         plane.release(microbatch.batch)
-                self._save_persisted()
+                self._record_scores(fingerprints, dirty, plan, results, scores)
         return scores
 
     def serving_info(self) -> dict[str, object]:
@@ -411,7 +443,9 @@ class ScoringEngine:
         }
 
     def close(self) -> None:
-        """Join the helper threads (idempotent); a later plan starts new ones."""
+        """Write unsaved scores and join the helper threads (idempotent);
+        a later plan starts new threads."""
+        self._flush_persisted()
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)

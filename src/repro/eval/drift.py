@@ -5,7 +5,7 @@ a deterministic :class:`~repro.schema.drift.SchemaDelta` sequence, apply
 each delta to a live :class:`~repro.core.matcher.LearnedSchemaMatcher`
 through the incremental path, re-predict, and record -- per delta -- how
 much work the incremental path actually did (pairs re-scored by BERT vs.
-served from the fingerprint score cache, candidate regenerations, label
+served from the BERT feature column, candidate regenerations, label
 survival).  Both ``repro drift replay`` and ``benchmarks/test_drift.py``
 are thin wrappers over :func:`run_drift_replay`.
 """

@@ -12,7 +12,7 @@ tying them to schema internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -89,13 +89,10 @@ class Featurizer(Protocol):
 class StaticFeaturizer:
     """Convenience base for stateless featurizers (update is a no-op).
 
-    Tracks cache hits/misses so ``repro engine stats`` can report how much
-    of each featurization pass was served without recomputation.
+    ``score_pairs`` is pure: it keeps no cache.  Reuse across re-predicts
+    lives in the candidate store's per-row feature columns, which score only
+    new or invalidated rows.
     """
-
-    cache: dict[tuple[AttributeRef, AttributeRef], float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     def update(
         self,
@@ -105,33 +102,9 @@ class StaticFeaturizer:
         """Stateless featurizers ignore labels."""
 
     def score_pairs(self, pairs: Sequence[AttributePairView]) -> np.ndarray:
-        scores = np.empty(len(pairs), dtype=np.float64)
-        for index, pair in enumerate(pairs):
-            cached = self.cache.get(pair.key)
-            if cached is None:
-                cached = float(self._score(pair))
-                self.cache[pair.key] = cached
-                self.cache_misses += 1
-            else:
-                self.cache_hits += 1
-            scores[index] = cached
-        return scores
+        return np.fromiter(
+            (self._score(pair) for pair in pairs), dtype=np.float64, count=len(pairs)
+        )
 
     def _score(self, pair: AttributePairView) -> float:
         raise NotImplementedError
-
-    def invalidate_refs(self, refs: set[AttributeRef]) -> int:
-        """Drop cached scores of pairs touching any of ``refs``.
-
-        The score cache keys on ``(source_ref, target_ref)``; when schema
-        drift changes an attribute's textual identity behind an unchanged
-        ref -- impossible for renames (the ref changes too) but not for
-        description edits -- or retires a ref, its entries must go.  Returns
-        the number of entries dropped.
-        """
-        stale = [
-            key for key in self.cache if key[0] in refs or key[1] in refs
-        ]
-        for key in stale:
-            del self.cache[key]
-        return len(stale)

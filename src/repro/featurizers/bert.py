@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import obs
 from ..lm.bert import MiniBert
-from ..lm.encode_plane import EncodePlane, LruDict, token_key
+from ..lm.encode_plane import EncodePlane, LruDict
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
 from ..nn.layers import Linear, Module, inference_active, inference_scope
@@ -424,6 +424,17 @@ class BertFeaturizerConfig:
     seed: int = 0
 
 
+def _text_key(pair: AttributePairView) -> tuple[str, str, str, str]:
+    """The pair's text, ``(name_a, desc_a, name_b, desc_b)``: the key of the
+    per-pair encode caches, so a renamed or re-described column misses."""
+    return (
+        pair.source_name,
+        pair.source_description,
+        pair.target_name,
+        pair.target_description,
+    )
+
+
 class BertFeaturizer:
     """Cross-encoder similarity scorer with per-ISS pre-training."""
 
@@ -465,10 +476,6 @@ class BertFeaturizer:
                 pair_cache_capacity=self.config.encode_cache_capacity,
                 persist_tokens=self.config.persist_tokens,
             )
-        #: ref -> token-store content key of the last text seen for that
-        #: ref; lets ``invalidate_refs`` free retired token entries (content
-        #: addressing already guarantees evolved text misses).
-        self._ref_token_keys: dict = {}
         #: Encoded training samples, persisted across ``update()`` calls --
         #: incremental updates re-train on overlapping sample sets, so most
         #: encodings are already known.  TrainingSample is frozen/hashable.
@@ -528,65 +535,28 @@ class BertFeaturizer:
     def _pair_halves(self, pair: AttributePairView):
         """Cached :class:`~repro.lm.encode_plane.PairHalves` of one view."""
         plane = self.encode_plane
-        key = pair.key
+        key = _text_key(pair)
         halves = plane.pair_cache.get(key)
         if halves is None:
             plane.stats.pair_cache_misses += 1
-            halves = plane.halves(
-                pair.source_name,
-                pair.source_description,
-                pair.target_name,
-                pair.target_description,
-            )
+            halves = plane.halves(*key)
             plane.pair_cache.put(key, halves)
-            self._ref_token_keys[key[0]] = token_key(
-                pair.source_name, pair.source_description
-            )
-            self._ref_token_keys[key[1]] = token_key(
-                pair.target_name, pair.target_description
-            )
         else:
             plane.stats.pair_cache_hits += 1
         return halves
 
     def _encode_view(self, pair: AttributePairView) -> EncodedPair:
-        key = pair.key
+        key = _text_key(pair)
         cached = self._encoded_cache.get(key)
         if cached is None:
             if self.encode_plane is not None:
                 cached = self.encode_plane.assemble_one(self._pair_halves(pair))
             else:
                 cached = self.tokenizer.encode_attribute_pair(
-                    pair.source_name,
-                    pair.source_description,
-                    pair.target_name,
-                    pair.target_description,
-                    max_length=self.config.max_length,
+                    *key, max_length=self.config.max_length
                 )
             self._encoded_cache.put(key, cached)
         return cached
-
-    def invalidate_refs(self, refs: set) -> int:
-        """Drop encoded pairs touching any of ``refs`` (schema drift).
-
-        The encode caches key on the pair's ref tuple; a renamed or dropped
-        column retires its ref, and the cached token ids embed the old name.
-        With the encode plane on, its pair-halves LRU and attribute token
-        store are swept too (token entries are content-addressed, so evolved
-        text would miss anyway -- the sweep frees the retired entries).
-        Returns the number of entries dropped.  The engine's persistent
-        score cache needs no sweep: scores are content-addressed by encoding
-        fingerprint, so a changed encoding simply misses.
-        """
-        stale = [
-            key for key in self._encoded_cache.keys() if key[0] in refs or key[1] in refs
-        ]
-        for key in stale:
-            self._encoded_cache.pop(key)
-        dropped = len(stale)
-        if self.encode_plane is not None:
-            dropped += self.encode_plane.invalidate_refs(refs, self._ref_token_keys)
-        return dropped
 
     def encode_cls(
         self, token_lists: Sequence[Sequence[str]], batch_size: int = 64

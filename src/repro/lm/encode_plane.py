@@ -19,8 +19,8 @@ module removes the remaining hot-path cost, the pure-Python encode half:
   directly into pooled, preallocated buffers by slice-copying the cached
   halves, so per-pair Python list building, ``np.asarray`` and
   ``stack_encoded`` disappear from the hot path;
-* **fingerprint parity** -- :meth:`EncodePlane.fingerprint` produces the
-  *same* blake2b digest as :func:`repro.engine.engine.fingerprint_encoded`
+* **fingerprint parity** -- each scored :class:`PairHalves` carries the *same*
+  blake2b digest as :func:`repro.engine.engine.fingerprint_encoded`
   over the assembled row, without materialising it, so the engine's
   in-memory and persisted score caches are shared bit-for-bit between the
   sequential and the batched encode paths.
@@ -298,11 +298,6 @@ class AttributeTokenStore:
         self._unsaved += 1
         return ids
 
-    def invalidate_key(self, key: bytes) -> bool:
-        """Drop one content key (drift bookkeeping; content-keying already
-        guarantees evolved text misses -- this frees the stale entry)."""
-        return self._entries.pop(key)
-
 
 # -- pair halves + truncation --------------------------------------------------
 
@@ -342,6 +337,10 @@ class PairHalves:
     #: Post-truncation token counts of each half.
     len_a: int
     len_b: int
+    #: The assembled row's score-cache key, computed once when the halves
+    #: are built (see :meth:`EncodePlane._fingerprint`); None for training
+    #: halves, which never reach the score cache.
+    fingerprint: bytes | None = None
 
     @property
     def length(self) -> int:
@@ -433,8 +432,9 @@ class EncodePlane:
             cache_token=cache_token if persist_tokens else None,
             stats=self.stats,
         )
-        #: Bounded LRU of :class:`PairHalves` keyed by the caller's pair key
-        #: (ref tuples) -- the in-flight working set of interactive sessions.
+        #: Bounded LRU of :class:`PairHalves` keyed by the pair's text
+        #: ``(name_a, desc_a, name_b, desc_b)``, like the token store keys on
+        #: content: evolved text misses by construction.
         self.pair_cache = LruDict(pair_cache_capacity)
         self.pool = BatchBufferPool(pool_max_bytes, stats=self.stats)
         vocab = tokenizer.vocab
@@ -461,13 +461,12 @@ class EncodePlane:
         max_length: int | None = None,
     ) -> PairHalves:
         """The pair's cached token halves with truncation applied on lengths."""
-        max_length = self.max_length if max_length is None else max_length
-        ids_a = self.tokens.ids_for(name_a, desc_a)
-        ids_b = self.tokens.ids_for(name_b, desc_b)
-        len_a, len_b = truncate_pair_lengths(
-            int(ids_a.size), int(ids_b.size), max_length - 3
+        return self._halves(
+            self.tokens.ids_for(name_a, desc_a),
+            self.tokens.ids_for(name_b, desc_b),
+            max_length,
+            fingerprint=True,
         )
-        return PairHalves(ids_a=ids_a, ids_b=ids_b, len_a=len_a, len_b=len_b)
 
     def halves_for_words(
         self,
@@ -475,14 +474,34 @@ class EncodePlane:
         words_b: Sequence[str],
         max_length: int | None = None,
     ) -> PairHalves:
-        """Halves of a pre-tokenised pair (training samples)."""
+        """Halves of a pre-tokenised pair (training samples, unfingerprinted)."""
+        return self._halves(
+            self.tokens.ids_for_words(words_a),
+            self.tokens.ids_for_words(words_b),
+            max_length,
+            fingerprint=False,
+        )
+
+    def _halves(
+        self,
+        ids_a: np.ndarray,
+        ids_b: np.ndarray,
+        max_length: int | None,
+        fingerprint: bool,
+    ) -> PairHalves:
         max_length = self.max_length if max_length is None else max_length
-        ids_a = self.tokens.ids_for_words(words_a)
-        ids_b = self.tokens.ids_for_words(words_b)
         len_a, len_b = truncate_pair_lengths(
             int(ids_a.size), int(ids_b.size), max_length - 3
         )
-        return PairHalves(ids_a=ids_a, ids_b=ids_b, len_a=len_a, len_b=len_b)
+        return PairHalves(
+            ids_a=ids_a,
+            ids_b=ids_b,
+            len_a=len_a,
+            len_b=len_b,
+            fingerprint=(
+                self._fingerprint(ids_a[:len_a], ids_b[:len_b]) if fingerprint else None
+            ),
+        )
 
     # -- assembly --------------------------------------------------------------
 
@@ -612,22 +631,22 @@ class EncodePlane:
 
     # -- fingerprinting --------------------------------------------------------
 
-    def fingerprint(self, pair: PairHalves, digest_size: int = 16) -> bytes:
+    def _fingerprint(self, ids_a: np.ndarray, ids_b: np.ndarray) -> bytes:
         """Digest-parity fingerprint of the assembled row, without assembly.
 
-        Bit-identical to ``fingerprint_encoded(assemble_one(pair))`` -- the
-        engine's in-memory and persisted score caches therefore hit across
-        both encode paths.
+        Bit-identical to ``fingerprint_encoded`` over the row
+        ``[CLS] a [SEP] b [SEP] PAD..`` padded to ``max_length``, so the
+        engine's in-memory and persisted score caches hit across both
+        encode paths.
         """
         self.stats.fingerprints += 1
-        len_a, len_b = pair.len_a, pair.len_b
-        used = len_a + len_b + 3
-        pad = self.max_length - used
-        digest = hashlib.blake2b(digest_size=digest_size)
+        len_a, len_b = int(ids_a.size), int(ids_b.size)
+        pad = self.max_length - (len_a + len_b + 3)
+        digest = hashlib.blake2b(digest_size=16)
         digest.update(self._cls_bytes)
-        digest.update(np.ascontiguousarray(pair.ids_a[:len_a]).tobytes())
+        digest.update(np.ascontiguousarray(ids_a).tobytes())
         digest.update(self._sep_bytes)
-        digest.update(np.ascontiguousarray(pair.ids_b[:len_b]).tobytes())
+        digest.update(np.ascontiguousarray(ids_b).tobytes())
         digest.update(self._sep_bytes)
         digest.update(self._pad_bytes[: 8 * pad])
         digest.update(b"\x00")
@@ -637,25 +656,6 @@ class EncodePlane:
         return digest.digest()
 
     # -- lifecycle -------------------------------------------------------------
-
-    def invalidate_refs(self, refs: set, ref_keys: dict) -> int:
-        """Drift hook: drop pair-cache entries and token-store keys touching
-        ``refs``.
-
-        ``ref_keys`` maps each seen ref to its token-store content key (the
-        featurizer maintains it).  Content addressing already guarantees the
-        evolved text misses; this sweep frees the retired entries and keeps
-        the invalidation contract observable.  Returns entries dropped.
-        """
-        dropped = 0
-        for key in self.pair_cache.keys():
-            if key[0] in refs or key[1] in refs:
-                dropped += int(self.pair_cache.pop(key))
-        for ref in refs:
-            content_key = ref_keys.pop(ref, None)
-            if content_key is not None:
-                dropped += int(self.tokens.invalidate_key(content_key))
-        return dropped
 
     def flush(self) -> None:
         """Persist any unsaved token-store entries (close/checkpoint hook)."""

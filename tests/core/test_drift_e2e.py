@@ -67,8 +67,12 @@ class TestRenameDrift:
         assert matcher.store.matched_target_of(new_ref) == target
         assert report.store.labels_preserved > 0
         assert report.store.labels_dropped == 0
-        # The renamed column's stale encodings were dropped for re-encoding.
-        assert sum(report.featurizer_entries_dropped.values()) > 0
+        # The renamed column's rows were marked dirty for re-encoding, and
+        # no other row was.
+        renamed_rows = matcher.store.pairs_of_source(new_ref)
+        assert report.rows_dirtied == len(renamed_rows) > 0
+        assert matcher.store.dirty[renamed_rows].all()
+        assert int(matcher.store.dirty.sum()) == len(renamed_rows)
         assert report.store.views_invalidated > 0
 
         predictions = matcher.predict()

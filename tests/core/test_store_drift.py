@@ -139,9 +139,8 @@ class TestStoreApplyDelta:
         assert report.dropped_sources == [source]
         assert source not in store.source_refs
         # Remaining pair indices are consistent after the renumbering.
-        for (s, t), i in store._pair_index.items():
-            assert int(store.pair_source[i]) == s
-            assert int(store.pair_target[i]) == t
+        for i, (s, t) in enumerate(zip(store.pair_source, store.pair_target)):
+            assert store.pair_id(store.source_ref(s), store.target_ref(t)) == i
 
     def test_retype_reports_source_without_touching_pairs(self, store):
         from repro.schema import DataType

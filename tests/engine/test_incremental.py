@@ -252,3 +252,67 @@ class TestEngineLevelIncrementalRescoring:
             assert upgraded.stats.pairs_scored == len(encoded)
         finally:
             upgraded.close()
+
+
+class TestScoreBlockPersistence:
+    """When the engine writes its cross-process score block."""
+
+    def _engine(self, engine_stack) -> ScoringEngine:
+        model, classifier, special_ids = engine_stack
+        return ScoringEngine(
+            model, classifier, special_ids, EngineConfig(persist_scores=True),
+            cache_token="test-vertical",
+        )
+
+    def _block_size(self, engine: ScoringEngine) -> int:
+        block = store.load_arrays("engine-scores", engine._store_key())
+        return 0 if block is None else len(block["scores"])
+
+    def test_first_scored_call_writes_block(self, engine_stack, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        engine = self._engine(engine_stack)
+        try:
+            engine.score_encoded([encoded_of_length(n, fill=5) for n in (4, 8, 12)])
+            assert self._block_size(engine) == 3
+        finally:
+            engine.close()
+
+    def test_later_scores_wait_for_close(self, engine_stack, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        engine = self._engine(engine_stack)
+        try:
+            engine.score_encoded([encoded_of_length(n, fill=5) for n in (4, 8, 12)])
+            engine.score_encoded([encoded_of_length(n, fill=6) for n in (4, 8)])
+            # Fewer than PERSIST_EVERY new scores: the block is not rewritten.
+            assert self._block_size(engine) == 3
+        finally:
+            engine.close()
+        assert self._block_size(engine) == 5
+
+    def test_invalidate_model_flushes_under_old_key(
+        self, engine_stack, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        _model, classifier, _special_ids = engine_stack
+        first = [encoded_of_length(n, fill=5) for n in (4, 8, 12)]
+        second = [encoded_of_length(n, fill=6) for n in (4, 8)]
+        engine = self._engine(engine_stack)
+        try:
+            expected = np.concatenate(
+                [engine.score_encoded(first), engine.score_encoded(second)]
+            )
+            old_key = engine._store_key()
+            classifier.scalar_path.bias.value[:] += 0.5
+            engine.invalidate_model()
+            assert len(store.load_arrays("engine-scores", old_key)["scores"]) == 5
+        finally:
+            classifier.scalar_path.bias.value[:] -= 0.5
+            engine.close()
+
+        fresh = self._engine(engine_stack)
+        try:
+            scores = fresh.score_encoded(first + second)
+            np.testing.assert_array_equal(scores, expected)
+            assert fresh.stats.pairs_scored == 0
+        finally:
+            fresh.close()

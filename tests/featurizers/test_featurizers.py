@@ -59,13 +59,18 @@ class TestLexicalFeaturizer:
         a = view(source_schema, target_schema, "Item.brand_name", "Brand.brand_name")
         assert featurizer.score_pairs([a])[0] == pytest.approx(1.0)
 
-    def test_caching_returns_same_scores(self, source_schema, target_schema):
+    def test_scores_are_pure(self, source_schema, target_schema):
+        """No cache: a pair scores the same alone, repeated or in a batch,
+        and the featurizer keeps no per-pair state."""
         featurizer = LexicalFeaturizer()
         v = view(source_schema, target_schema, "Orders.qty", "Transaction.quantity")
+        w = view(source_schema, target_schema, "Item.ean", "Brand.brand_name")
+        state = dict(vars(featurizer))
         first = featurizer.score_pairs([v])
-        second = featurizer.score_pairs([v])
-        assert np.array_equal(first, second)
-        assert len(featurizer.cache) == 1
+        batch = featurizer.score_pairs([w, v, v])
+        assert np.array_equal(batch[1:], np.repeat(first, 2))
+        assert batch[0] == featurizer.score_pairs([w])[0]
+        assert vars(featurizer) == state
 
     def test_update_is_noop(self, source_schema, target_schema):
         featurizer = LexicalFeaturizer()
@@ -119,13 +124,18 @@ class TestPipeline:
             view(source_schema, target_schema, "Orders.qty", "Transaction.quantity"),
             view(source_schema, target_schema, "Orders.qty", "Brand.brand_name"),
         ]
-        matrix = pipeline.featurize(views)
+        matrix = np.column_stack(
+            [pipeline.score(featurizer, views) for featurizer in pipeline.featurizers]
+        )
         assert matrix.shape == (2, 2)
         assert pipeline.feature_names == ["lexical", "embedding"]
+        assert pipeline.stage_calls == {"lexical": 1, "embedding": 1}
+        for column, featurizer in enumerate(pipeline.featurizers):
+            np.testing.assert_array_equal(matrix[:, column], featurizer.score_pairs(views))
 
     def test_empty_views(self, tiny_artifacts):
         pipeline = FeaturizerPipeline([LexicalFeaturizer()])
-        assert pipeline.featurize([]).shape == (0, 1)
+        assert pipeline.score(pipeline.featurizers[0], []).shape == (0,)
 
     def test_rejects_empty_pipeline(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ digest-parity fingerprints -- is held bit-identical to the per-pair
 reference (`encode_pair`/`encode_single`/`fingerprint_encoded`) under
 property-based randomisation, including random vocabularies, truncation
 overflow and max_length edges.  Plus unit coverage of the LRU bound, the
-buffer pool, token-store persistence, and the drift invalidation contract
-(the stale-token bug class from the schema-drift work).
+buffer pool, token-store persistence, and the content-keyed pair cache
+under schema drift (renamed or re-added text never meets stale halves).
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class TestAssemblyParity:
             np.testing.assert_array_equal(one.attention_mask, encoded.attention_mask)
             assert encoded_length(one) == encoded_length(encoded)
             # Digest parity: halves fingerprints key the same score cache.
-            assert plane.fingerprint(pair_halves) == fingerprint_encoded(encoded)
+            assert pair_halves.fingerprint == fingerprint_encoded(encoded)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -498,10 +498,19 @@ class TestScoreHalvesParity:
             planed.close()
 
 
-# -- drift invalidation contract -----------------------------------------------
+# -- drift: content-keyed caches ---------------------------------------------
+
+
+def _evolve(schema, *ops):
+    from repro.schema import SchemaDelta, apply_delta
+
+    return apply_delta(schema, SchemaDelta(tuple(ops)))[0]
 
 
 class TestDriftInvalidation:
+    """The pair-halves LRU keys on the pair's text, so evolved text misses
+    by construction and no drift sweep is needed."""
+
     def _featurizer(self, tiny_artifacts):
         return BertFeaturizer(
             tiny_artifacts.tokenizer,
@@ -509,29 +518,56 @@ class TestDriftInvalidation:
             BertFeaturizerConfig(max_length=24, seed=0, persist_tokens=False),
         )
 
-    def test_rename_drops_pair_and_token_entries(
+    def _expected_fingerprint(self, featurizer, view):
+        encoded = featurizer.tokenizer.encode_attribute_pair(
+            view.source_name,
+            view.source_description,
+            view.target_name,
+            view.target_description,
+            max_length=featurizer.config.max_length,
+        )
+        return fingerprint_encoded(encoded)
+
+    def test_rename_never_serves_stale_halves(
         self, tiny_artifacts, source_schema, target_schema
     ):
+        from repro.schema import AddColumn, Attribute, DataType, DropColumn, RenameColumn
+
         featurizer = self._featurizer(tiny_artifacts)
         try:
             source_ref = AttributeRef("Orders", "qty")
             target_ref = AttributeRef("Transaction", "quantity")
-            pair = make_pair_view(source_schema, target_schema, source_ref, target_ref)
-            featurizer.score_pairs([pair])
-            assert len(featurizer.encode_plane.pair_cache) == 1
-
-            dropped = featurizer.invalidate_refs({source_ref})
-            assert dropped >= 1
-            assert len(featurizer.encode_plane.pair_cache) == 0
-            # The retired ref's token entry is gone from the store...
-            assert source_ref not in featurizer._ref_token_keys
-            # ...and re-scoring under the renamed text derives fresh tokens.
+            original = make_pair_view(source_schema, target_schema, source_ref, target_ref)
+            renamed_schema = _evolve(source_schema, RenameColumn(source_ref, "quantity_sold"))
             renamed = make_pair_view(
-                source_schema, target_schema, source_ref, target_ref
+                renamed_schema, target_schema, AttributeRef("Orders", "quantity_sold"), target_ref
             )
-            misses_before = featurizer.encode_plane.stats.token_cache_misses
-            featurizer.score_pairs([renamed])
-            assert featurizer.encode_plane.stats.token_cache_misses > misses_before
+            # Dropped, then re-added under the same name with new text.
+            readded_schema = _evolve(
+                _evolve(source_schema, DropColumn(source_ref)),
+                AddColumn("Orders", Attribute("qty", DataType.DECIMAL, "units shipped")),
+            )
+            readded = make_pair_view(readded_schema, target_schema, source_ref, target_ref)
+            assert readded.key == original.key and readded != original
+
+            plane = featurizer.encode_plane
+            for view in (original, renamed, readded):
+                misses = plane.stats.pair_cache_misses
+                featurizer.score_pairs([view])
+                assert plane.stats.pair_cache_misses == misses + 1
+                halves = featurizer._pair_halves(view)
+                assert halves.fingerprint == self._expected_fingerprint(featurizer, view)
+            fingerprints = {featurizer._pair_halves(v).fingerprint for v in (original, renamed, readded)}
+            assert len(fingerprints) == 3
+
+            # Renaming back restores the original text: its halves hit.
+            back_schema = _evolve(
+                renamed_schema, RenameColumn(AttributeRef("Orders", "quantity_sold"), "qty")
+            )
+            back = make_pair_view(back_schema, target_schema, source_ref, target_ref)
+            hits = plane.stats.pair_cache_hits
+            assert featurizer._pair_halves(back) is featurizer._pair_halves(original)
+            assert plane.stats.pair_cache_hits == hits + 2
         finally:
             featurizer.close()
 
@@ -550,18 +586,28 @@ class TestDriftInvalidation:
             featurizer.close()
 
     def test_untouched_refs_survive(self, tiny_artifacts, source_schema, target_schema):
+        from repro.schema import RenameColumn
+
         featurizer = self._featurizer(tiny_artifacts)
         try:
-            refs = [
-                (AttributeRef("Orders", "qty"), AttributeRef("Transaction", "quantity")),
-                (AttributeRef("Item", "ean"), AttributeRef("Transaction", "quantity")),
-            ]
+            target_ref = AttributeRef("Transaction", "quantity")
+            touched = AttributeRef("Orders", "qty")
+            untouched = AttributeRef("Item", "ean")
             pairs = [
-                make_pair_view(source_schema, target_schema, s, t) for s, t in refs
+                make_pair_view(source_schema, target_schema, s, target_ref)
+                for s in (touched, untouched)
             ]
             featurizer.score_pairs(pairs)
-            featurizer.invalidate_refs({AttributeRef("Orders", "qty")})
-            assert len(featurizer.encode_plane.pair_cache) == 1
-            assert pairs[1].key in featurizer.encode_plane.pair_cache
+            evolved = _evolve(source_schema, RenameColumn(touched, "quantity_sold"))
+            drifted = [
+                make_pair_view(evolved, target_schema, s, target_ref)
+                for s in (AttributeRef("Orders", "quantity_sold"), untouched)
+            ]
+            plane = featurizer.encode_plane
+            hits, misses = plane.stats.pair_cache_hits, plane.stats.pair_cache_misses
+            featurizer.score_pairs(drifted)
+            assert plane.stats.pair_cache_hits == hits + 1  # the untouched pair
+            assert plane.stats.pair_cache_misses == misses + 1  # the renamed one
+            assert len(plane.pair_cache) == 3
         finally:
             featurizer.close()

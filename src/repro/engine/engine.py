@@ -204,7 +204,7 @@ class ScoringEngine:
         # bump the namespace whenever a kernel change moves float32 rounding,
         # or a store would mix old- and new-rounding scores for one model.
         return store.content_key(
-            "engine-scores-v2", self.cache_token or "", self._current_weights_key()
+            "engine-scores-v3", self.cache_token or "", self._current_weights_key()
         )
 
     def _load_persisted(self) -> None:

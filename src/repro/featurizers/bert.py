@@ -162,10 +162,15 @@ def compute_match_features(
     mask_a, mask_b = segment_content_masks(special_ids, batch)
     count_a = np.maximum(mask_a.sum(axis=1, keepdims=True), 1.0)
     count_b = np.maximum(mask_b.sum(axis=1, keepdims=True), 1.0)
-    u = (hidden * mask_a[..., None]).sum(axis=1) / count_a
-    v = (hidden * mask_b[..., None]).sum(axis=1) / count_b
-    u0 = (embedded * mask_a[..., None]).sum(axis=1) / count_a
-    v0 = (embedded * mask_b[..., None]).sum(axis=1) / count_b
+    # Segment sums as one batched (2 x T) @ (T x H) matmul per row, not a
+    # masked copy of the hidden states reduced over the token axis.
+    masks = np.stack([mask_a, mask_b], axis=1)
+    sums = masks @ hidden
+    sums0 = masks @ embedded
+    u = sums[:, 0] / count_a
+    v = sums[:, 1] / count_b
+    u0 = sums0[:, 0] / count_a
+    v0 = sums0[:, 1] / count_b
 
     def batched_cosine(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
@@ -452,6 +457,7 @@ class BertFeaturizer:
         # Fine-tuning mutates the encoder; work on a private copy so shared
         # per-vertical artefacts stay pristine across matchers and trials.
         self.model = copy.deepcopy(model)
+        self.model.zero_grad()  # drop whatever grads the source model's last step left
         self.config = config or BertFeaturizerConfig()
         rng = np.random.default_rng(self.config.seed)
         self.classifier = MatchingClassifier(
@@ -641,7 +647,11 @@ class BertFeaturizer:
             cache["mask_a"][..., None] * (grad_u / cache["count_a"])[:, None, :]
             + cache["mask_b"][..., None] * (grad_v / cache["count_b"])[:, None, :]
         )
-        self.model.backward(grad_hidden=grad_hidden, grad_pooled=grad_pooled)
+        self.model.backward(
+            grad_hidden=grad_hidden,
+            grad_pooled=grad_pooled,
+            train_token_embedding=not self.config.freeze_token_embeddings,
+        )
 
     # -- training ---------------------------------------------------------------
 

@@ -5,9 +5,11 @@ The projection onto queries/keys/values is **fused**: one packed
 GEMMs of the original layout, in forward and backward.  Checkpoints written
 under the old ``query``/``key``/``value`` layout keep loading through
 :meth:`MultiHeadSelfAttention.migrate_state`, which packs them into the
-fused parameter on the fly.  :class:`UnfusedAttentionReference` preserves
-the pre-fusion arithmetic as the parity oracle for tests and the training
-benchmark.
+fused parameter on the fly.  Attention scores are laid out key-major so
+the softmax reduces over keys without a short-axis numpy reduction
+(:func:`attention_softmax`).  :class:`UnfusedAttentionReference` preserves
+the pre-fusion arithmetic, numpy-reduction softmax included, as the parity
+oracle for tests and the training benchmark.
 """
 
 from __future__ import annotations
@@ -24,6 +26,62 @@ MASK_BIAS = -1e9
 #: Order of the packed projections inside the fused ``qkv`` parameter; also
 #: the legacy child-module names the migration consumes.
 _QKV_NAMES = ("query", "key", "value")
+
+
+def key_major_scores(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left @ right^T`` per (batch, head), laid out key-major.
+
+    ``left`` is ``(B, H, T, dh)`` and indexes keys, ``right`` the same shape
+    and indexes queries; the result is ``(T_key, B, H, T_query)``, written by
+    the GEMM straight into that layout.  Every reduction over keys is then a
+    reduction over the outer axis: a sequence of contiguous elementwise
+    passes over all ``B * H * T`` (batch, head, query) rows at once, instead
+    of a numpy reduction along a last axis of 16-64 entries, which costs
+    several times the elementwise pass.
+    """
+    batch, heads, seq, _ = left.shape
+    product = np.empty(
+        (seq, batch, heads, right.shape[2]), dtype=np.result_type(left, right)
+    )
+    np.matmul(left, right.transpose(0, 1, 3, 2), out=product.transpose(1, 2, 0, 3))
+    return product
+
+
+def attention_softmax(
+    scores: np.ndarray, attention_mask: np.ndarray, scale: float
+) -> np.ndarray:
+    """Masked, scaled softmax over the keys of key-major ``scores``, in place.
+
+    ``scores`` is a fresh ``(T_key, B, H, T_query)`` product (see
+    :func:`key_major_scores`) that nothing else holds.  It is scaled,
+    biased at padding keys, shifted by its max over keys, exponentiated and
+    normalised without a temporary.  The max is exact (a max does not depend
+    on order).  The sum runs over keys in order, so padded keys, exact zeros
+    after the shift, leave it bit for bit unchanged: a pair scores the same
+    at every padded length.
+    """
+    scores *= scale
+    scores += ((1.0 - attention_mask) * MASK_BIAS).T[:, :, None, None]
+    scores -= scores.max(axis=0)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=0)
+    return scores
+
+
+def attention_softmax_backward(
+    grad_probs: np.ndarray, probs: np.ndarray, scale: float
+) -> np.ndarray:
+    """Gradient of :func:`attention_softmax` w.r.t. the unscaled scores.
+
+    ``probs * (g - sum(g * probs)) * scale``, both key-major, with the sum
+    over keys on the outer axis, written into ``grad_probs`` (a fresh
+    backward product).  The mask bias is constant w.r.t. inputs; it adds
+    no term.
+    """
+    grad_probs -= (grad_probs * probs).sum(axis=0)
+    grad_probs *= probs
+    grad_probs *= scale
+    return grad_probs
 
 
 class MultiHeadSelfAttention(Module):
@@ -75,10 +133,10 @@ class MultiHeadSelfAttention(Module):
         keys = self._split_heads(projected_k)
         values = self._split_heads(projected_v)
 
-        scores = np.matmul(queries, keys.transpose(0, 1, 3, 2)) * scale
-        key_bias = (1.0 - attention_mask[:, None, None, :]) * MASK_BIAS
-        probs = softmax(scores + key_bias, axis=-1)
-        weights = self.attention_dropout.forward(probs)
+        # Key-major (T_key, B, H, T_query); ``probs.transpose(1, 2, 3, 0)``
+        # is the usual (B, H, T_query, T_key) view the GEMMs take as is.
+        probs = attention_softmax(key_major_scores(keys, queries), attention_mask, scale)
+        weights = self.attention_dropout.forward(probs.transpose(1, 2, 3, 0))
 
         context = np.matmul(weights, values)
         merged = self._merge_heads(context)
@@ -104,15 +162,14 @@ class MultiHeadSelfAttention(Module):
         grad_merged = self.output.backward(grad_output)
         grad_context = self._split_heads(grad_merged)
 
-        grad_weights = np.matmul(grad_context, values.transpose(0, 1, 3, 2))
+        grad_weights = key_major_scores(values, grad_context).transpose(1, 2, 3, 0)
         grad_values = np.matmul(weights.transpose(0, 1, 3, 2), grad_context)
 
         grad_probs = self.attention_dropout.backward(grad_weights)
-        grad_scores = softmax_backward(grad_probs, probs, axis=-1) * scale
-        # The mask bias is constant w.r.t. inputs; no extra gradient term.
+        grad_scores = attention_softmax_backward(grad_probs.transpose(3, 0, 1, 2), probs, scale)
 
-        grad_queries = np.matmul(grad_scores, keys)
-        grad_keys = np.matmul(grad_scores.transpose(0, 1, 3, 2), queries)
+        grad_queries = np.matmul(grad_scores.transpose(1, 2, 3, 0), keys)
+        grad_keys = np.matmul(grad_scores.transpose(1, 2, 0, 3), queries)
 
         grad_packed = np.concatenate(
             [

@@ -82,11 +82,10 @@ class MiniBert(Module):
             self._seq_len = seq_len
         positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
 
-        embedded = (
-            self.token_embedding.forward(input_ids)
-            + self.position_embedding.forward(positions)
-            + self.segment_embedding.forward(batch.segment_ids)
-        )
+        # The gathers are fresh copies no cache holds: sum them in place.
+        embedded = self.token_embedding.forward(input_ids)
+        embedded += self.position_embedding.forward(positions)
+        embedded += self.segment_embedding.forward(batch.segment_ids)
         hidden = self.embedding_norm.forward(embedded)
         hidden = self.embedding_dropout.forward(hidden)
         if caching:
@@ -108,11 +107,15 @@ class MiniBert(Module):
         self,
         grad_hidden: np.ndarray | None = None,
         grad_pooled: np.ndarray | None = None,
+        train_token_embedding: bool = True,
     ) -> None:
         """Backpropagate gradients from either or both heads.
 
         ``grad_hidden`` matches the per-token hidden states (MLM head);
         ``grad_pooled`` matches the pooled [CLS] output (matching classifier).
+        ``train_token_embedding=False`` skips the token table's scatter-add
+        for callers whose optimiser leaves the table frozen: nothing would
+        clear or read that gradient.
         """
         if self._seq_len is None:
             raise RuntimeError("MiniBert: backward before forward")
@@ -139,7 +142,8 @@ class MiniBert(Module):
 
         grad_embedded = self.embedding_dropout.backward(grad_hidden)
         grad_embedded = self.embedding_norm.backward(grad_embedded)
-        self.token_embedding.backward(grad_embedded)
+        if train_token_embedding:
+            self.token_embedding.backward(grad_embedded)
         self.position_embedding.backward(grad_embedded)
         self.segment_embedding.backward(grad_embedded)
         self._seq_len = None

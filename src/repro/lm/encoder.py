@@ -31,9 +31,12 @@ class TransformerBlock(Module):
         self._gelu_cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, attention_mask: np.ndarray) -> np.ndarray:
+        # Residuals are added into the branch output, a fresh array no cache
+        # holds; ``x`` itself is the cached input of the branch's first GEMM.
         attended = self.attention.forward(x, attention_mask)
         attended = self.attention_out_dropout.forward(attended)
-        x = self.attention_norm.forward(x + attended)
+        attended += x
+        x = self.attention_norm.forward(attended)
 
         hidden = self.intermediate.forward(x)
         activated, gelu_cache = gelu(hidden)
@@ -41,7 +44,8 @@ class TransformerBlock(Module):
             self._gelu_cache = gelu_cache
         projected = self.ffn_output.forward(activated)
         projected = self.ffn_dropout.forward(projected)
-        return self.ffn_norm.forward(x + projected)
+        projected += x
+        return self.ffn_norm.forward(projected)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._gelu_cache is None:

@@ -15,25 +15,50 @@ _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi).astype(np.float32)
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU with the tanh approximation used by BERT.
 
-    Returns ``(output, x)``; the input is the backward cache.  The cube is
-    spelled ``x * x * x``: NumPy sends a float32 ``x**3`` to libm ``powf``,
-    tens of times slower than two multiplies, and that one call was about
-    two-thirds of a float32 MiniBERT pass.
+    Returns ``(output, x)``; the input is the backward cache and is never
+    written.  The whole pass runs in place on one temporary, in the same
+    operation order as ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x**3)))``
+    (scaling by 0.5 is exact, so where it happens does not move a bit).
+    The cube is two multiplies: NumPy sends a float32 ``x**3`` to libm
+    ``powf``, tens of times slower.
     """
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x))
-    output = 0.5 * x * (1.0 + np.tanh(inner))
+    output = x * x
+    output *= x
+    output *= 0.044715
+    output += x
+    output *= _SQRT_2_OVER_PI
+    np.tanh(output, out=output)
+    output += 1.0
+    output *= x
+    output *= 0.5
     return output, x
 
 
 def gelu_backward(grad_output: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Derivative of the tanh-approximated GELU."""
-    x_squared = x * x
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * (x_squared * x))
-    tanh_inner = np.tanh(inner)
-    sech2 = 1.0 - tanh_inner**2
-    d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x_squared)
-    derivative = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-    return grad_output * derivative
+    """Derivative of the tanh-approximated GELU, in place on three temporaries.
+
+    Same operation order as ``0.5 * (1 + t) + 0.5 * x * (1 - t**2) * c *
+    (1 + 3 * 0.044715 * x**2)`` with ``t = tanh(c * (x + 0.044715 * x**3))``.
+    """
+    d_inner = x * x
+    tanh_inner = d_inner * x
+    tanh_inner *= 0.044715
+    tanh_inner += x
+    tanh_inner *= _SQRT_2_OVER_PI
+    np.tanh(tanh_inner, out=tanh_inner)
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _SQRT_2_OVER_PI
+    slope = np.square(tanh_inner)
+    np.subtract(1.0, slope, out=slope)
+    slope *= x
+    slope *= 0.5
+    slope *= d_inner
+    tanh_inner += 1.0
+    tanh_inner *= 0.5
+    tanh_inner += slope
+    tanh_inner *= grad_output
+    return tanh_inner
 
 
 def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -227,7 +227,13 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
+    """Layer normalisation over the last axis.
+
+    Every row reduction is a GEMV on the ``(rows, dim)`` view: the mean and
+    variance against a ``1/dim`` column, and in backward the ``gamma``/
+    ``beta`` gradients as ``(1 x rows) @ (rows x dim)`` products.  NumPy's
+    own reductions along a last axis of 64 cost ten times the GEMV.
+    """
 
     def __init__(self, dim: int, eps: float = 1e-5) -> None:
         super().__init__()
@@ -235,30 +241,40 @@ class LayerNorm(Module):
         self.eps = eps
         self.gamma = self.register("gamma", np.ones(dim, dtype=DTYPE))
         self.beta = self.register("beta", np.zeros(dim, dtype=DTYPE))
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._mean_column = np.full(dim, 1.0 / dim, dtype=DTYPE)
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalised = (x - mean) * inv_std
-        if not _INFERENCE.active:
-            self._cache = (normalised, inv_std, x)
-        return normalised * self.gamma.value + self.beta.value
+        rows = x.reshape(-1, self.dim)
+        # Centred once; the variance is the mean square of the same array.
+        normalised = rows - (rows @ self._mean_column)[:, None]
+        inv_std = (1.0 / np.sqrt(np.square(normalised) @ self._mean_column + self.eps))[:, None]
+        normalised *= inv_std
+        if _INFERENCE.active:
+            output = normalised  # uncached: scale and shift in place
+            output *= self.gamma.value
+        else:
+            self._cache = (normalised, inv_std)
+            output = normalised * self.gamma.value
+        output += self.beta.value
+        return output.reshape(x.shape)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         _require_forward(self._cache, "LayerNorm")
-        normalised, inv_std, _ = self._cache
-        axes = tuple(range(grad_output.ndim - 1))
-        self.gamma.grad += (grad_output * normalised).sum(axis=axes)
-        self.beta.grad += grad_output.sum(axis=axes)
-        grad_norm = grad_output * self.gamma.value
+        normalised, inv_std = self._cache
+        grad = grad_output.reshape(-1, self.dim)
+        row_ones = np.ones(len(grad), dtype=grad.dtype)
+        product = grad * normalised
+        self.gamma.grad += row_ones @ product
+        self.beta.grad += row_ones @ grad
         # d/dx of (x - mean) * inv_std, standard layer-norm backward:
-        mean_grad = grad_norm.mean(axis=-1, keepdims=True)
-        mean_grad_norm = (grad_norm * normalised).mean(axis=-1, keepdims=True)
-        grad_input = (grad_norm - mean_grad - normalised * mean_grad_norm) * inv_std
+        grad_norm = grad * self.gamma.value
+        product *= self.gamma.value  # grad_norm * normalised
+        grad_norm -= (grad_norm @ self._mean_column)[:, None]
+        grad_norm -= normalised * (product @ self._mean_column)[:, None]
+        grad_norm *= inv_std
         self._cache = None
-        return grad_input
+        return grad_norm.reshape(grad_output.shape)
 
 
 class Dropout(Module):

@@ -199,8 +199,9 @@ class TestEngineLevelIncrementalRescoring:
         self, engine_stack, tmp_path, monkeypatch
     ):
         """Score blocks are keyed by weights, not by the forward's rounding:
-        a block persisted under the previous namespace (older GELU
-        arithmetic) must be recomputed, never mixed into today's scores."""
+        a block persisted under an earlier namespace must be recomputed,
+        never mixed into today's scores.  ``-v1`` held the ``powf`` GELU's
+        rounding, ``-v2`` the numpy-reduction LayerNorm and softmax."""
         model, classifier, special_ids = engine_stack
         encoded = [encoded_of_length(length, fill=7) for length in (4, 8, 12)]
 
@@ -235,23 +236,24 @@ class TestEngineLevelIncrementalRescoring:
         finally:
             reloaded.close()
 
-        # The same fingerprints with poisoned scores, under the old key only.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "old"))
-        store.save_arrays(
-            "engine-scores",
-            store.content_key("engine-scores-v1", "test-vertical", weights_key),
-            {"fingerprints": block["fingerprints"], "scores": block["scores"] + 1.0},
-        )
-        upgraded = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=True),
-            cache_token="test-vertical",
-        )
-        try:
-            np.testing.assert_array_equal(upgraded.score_encoded(encoded), expected)
-            assert upgraded.stats.pairs_persisted_hits == 0
-            assert upgraded.stats.pairs_scored == len(encoded)
-        finally:
-            upgraded.close()
+        # The same fingerprints with poisoned scores, under an old key only.
+        for namespace in ("engine-scores-v1", "engine-scores-v2"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / namespace))
+            store.save_arrays(
+                "engine-scores",
+                store.content_key(namespace, "test-vertical", weights_key),
+                {"fingerprints": block["fingerprints"], "scores": block["scores"] + 1.0},
+            )
+            upgraded = ScoringEngine(
+                model, classifier, special_ids, EngineConfig(persist_scores=True),
+                cache_token="test-vertical",
+            )
+            try:
+                np.testing.assert_array_equal(upgraded.score_encoded(encoded), expected)
+                assert upgraded.stats.pairs_persisted_hits == 0
+                assert upgraded.stats.pairs_scored == len(encoded)
+            finally:
+                upgraded.close()
 
 
 class TestScoreBlockPersistence:

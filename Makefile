@@ -4,10 +4,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: verify test parity bench-engine bench-train bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity and reentrancy
-## suites, the feature-column differential test and the MiniBERT kernel
-## tests explicitly (they are part of tests/, the second run pins them even
-## if testpaths change).  Under `taskset -c 0` the engine's default worker
-## count resolves to one, so the same suites cover the in-process path.
+## suites, the encode-plane suite (plane == sequential encode, bit-exact,
+## and plane scores == score_encoded within 1e-8), the feature-column
+## differential test and the MiniBERT kernel tests explicitly (they are
+## part of tests/, the second run pins them even if testpaths change).
+## Under `taskset -c 0` the engine's default worker count resolves to one,
+## so the same suites cover the in-process path.
 verify: test parity
 
 test:
@@ -15,7 +17,8 @@ test:
 
 parity:
 	$(PYTHON) -m pytest -q tests/engine/test_parity.py tests/engine/test_reentrant.py \
-		tests/core/test_feature_columns.py tests/nn/test_kernels.py
+		tests/lm/test_encode_plane.py tests/core/test_feature_columns.py \
+		tests/nn/test_kernels.py
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

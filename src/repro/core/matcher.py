@@ -125,9 +125,9 @@ class LearnedSchemaMatcher:
                 featurizers.append(self.bert_featurizer)
             self.pipeline = FeaturizerPipeline(featurizers)
 
-            #: Retrieve-then-rerank candidate generation.  The generator is
-            #: built after the featurizers because the optional CLS retriever
-            #: encodes with the (pretrained) BERT featurizer.
+            #: Retrieve-then-rerank candidate generation.  Its retrievers
+            #: (BM25, subword phrase vectors) are frozen, so a BERT update
+            #: never changes the candidate sets.
             self.retrieval_stats = RetrievalStats()
             self.generator: CandidateGenerator | None = None
             if self.config.max_candidates_per_source is not None:
@@ -195,7 +195,6 @@ class LearnedSchemaMatcher:
             target_docs,
             retrieval,
             embeddings=self.artifacts.embeddings if retrieval.use_dense else None,
-            cls_encoder=self.bert_featurizer if retrieval.use_cls else None,
             cache_token=self.artifacts.cache_key,
             stats=self.retrieval_stats,
         )
@@ -211,28 +210,6 @@ class LearnedSchemaMatcher:
         sets = self.generator.generate(k)
         self.store.apply_candidate_sets(sets.per_source)
         self.retrieval_stats.pairs_after_pruning = self.store.num_pairs
-
-    def _refresh_candidates(self) -> None:
-        """Re-validate candidate sets after a model hot-swap.
-
-        Model-sensitive retrievers (the CLS index) rank differently under new
-        BERT weights, so after every fine-tuning pass the generator refreshes
-        its indexes; when one actually rebuilt, the candidate sets are
-        regenerated and re-applied (labeled pairs always survive).
-        """
-        if (
-            self.generator is None
-            or not self.generator.model_sensitive
-            or self.config.max_candidates_per_source is None
-        ):
-            return
-        if not self.generator.refresh():
-            return
-        with obs.span("lsm.candidates_refresh"):
-            sets = self.generator.generate(self.config.max_candidates_per_source)
-            added, _removed = self.store.apply_candidate_sets(sets.per_source)
-            self.retrieval_stats.pairs_restored += added
-            self.retrieval_stats.pairs_after_pruning = self.store.num_pairs
 
     # -- schema drift ----------------------------------------------------------
 
@@ -389,7 +366,6 @@ class LearnedSchemaMatcher:
             views, labels = self._informative_views_and_labels()
             self.bert_featurizer.update(views, labels)
             self._labels_at_last_bert_update = positives
-            self._refresh_candidates()
 
     def _featurize(self, span) -> np.ndarray:
         """Bring the store's feature columns up to date; return the block.

@@ -16,14 +16,14 @@ This is the key innovation of LSM (Section IV-C1).  The featurizer
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..lm.bert import MiniBert
-from ..lm.encode_plane import EncodePlane, LruDict
+from ..lm.encode_plane import EncodePlane, PairHalves
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
 from ..nn.layers import Linear, Module, inference_active, inference_scope
@@ -412,14 +412,8 @@ class BertFeaturizerConfig:
     #: batches then continue the existing optimisation trajectory instead of
     #: re-estimating the moments from zero every round.
     warm_updates: bool = True
-    #: Route all inference encoding through the vectorized encode plane
-    #: (:mod:`repro.lm.encode_plane`): attribute-level token caching, pair
-    #: halves, zero-copy pooled batch assembly.  Off falls back to per-pair
-    #: ``encode_attribute_pair`` + ``stack_encoded`` (the sequential
-    #: reference the plane is held bit-exact to).
-    use_encode_plane: bool = True
-    #: Bound on the per-pair encode cache (pair halves when the plane is on,
-    #: full :class:`EncodedPair` rows when off); LRU eviction beyond it.
+    #: Bound on the encode plane's pair-halves LRU
+    #: (:attr:`repro.lm.encode_plane.EncodePlane.pair_cache`).
     encode_cache_capacity: int = 8192
     #: Bound on cached attribute token arrays in the plane's token store.
     token_cache_capacity: int = 65536
@@ -431,7 +425,7 @@ class BertFeaturizerConfig:
 
 def _text_key(pair: AttributePairView) -> tuple[str, str, str, str]:
     """The pair's text, ``(name_a, desc_a, name_b, desc_b)``: the key of the
-    per-pair encode caches, so a renamed or re-described column misses."""
+    pair-halves LRU, so a renamed or re-described column misses."""
     return (
         pair.source_name,
         pair.source_description,
@@ -466,22 +460,17 @@ class BertFeaturizer:
         self._rng = np.random.default_rng(self.config.seed + 1)
         self._iss_samples: list[TrainingSample] = []
         self._human_samples: list[TrainingSample] = []
-        #: Bounded per-pair encode cache (was an unbounded dict -- ~150MB at
-        #: the 10x-scaled ISS full product).  With the encode plane on, full
-        #: rows are no longer cached here at all: pairs live as halves in
-        #: ``encode_plane.pair_cache`` and batches are assembled on demand.
-        self._encoded_cache: LruDict = LruDict(self.config.encode_cache_capacity)
-        #: The vectorized encode path; ``None`` when disabled by config.
-        self.encode_plane: EncodePlane | None = None
-        if self.config.use_encode_plane:
-            self.encode_plane = EncodePlane(
-                tokenizer,
-                max_length=self.config.max_length,
-                cache_token=engine_cache_token,
-                token_cache_capacity=self.config.token_cache_capacity,
-                pair_cache_capacity=self.config.encode_cache_capacity,
-                persist_tokens=self.config.persist_tokens,
-            )
+        #: All encoding goes through the vectorized encode plane: attribute
+        #: token caching, pair halves in a bounded LRU, and zero-copy pooled
+        #: batch assembly (see :mod:`repro.lm.encode_plane`).
+        self.encode_plane = EncodePlane(
+            tokenizer,
+            max_length=self.config.max_length,
+            cache_token=engine_cache_token,
+            token_cache_capacity=self.config.token_cache_capacity,
+            pair_cache_capacity=self.config.encode_cache_capacity,
+            persist_tokens=self.config.persist_tokens,
+        )
         #: Encoded training samples, persisted across ``update()`` calls --
         #: incremental updates re-train on overlapping sample sets, so most
         #: encodings are already known.  TrainingSample is frozen/hashable.
@@ -511,9 +500,8 @@ class BertFeaturizer:
     def model_version(self) -> int:
         """Monotonic weight version (bumps on every training pass).
 
-        Model-sensitive retrieval indexes (``repro.retrieval.dense.
-        ClsDenseRetriever``) key their encodings on this so candidate sets
-        can be re-validated after every hot-swap.
+        The matcher's BERT feature column records it, so a training pass
+        marks every row of that column dirty.
         """
         return self.engine.model_version
 
@@ -525,20 +513,13 @@ class BertFeaturizer:
             self.train_stats.encode_cache_hits += 1
             return cached
         self.train_stats.encode_cache_misses += 1
-        if self.encode_plane is not None:
-            encoded = self.encode_plane.assemble_one(
-                self.encode_plane.halves_for_words(sample.words_a, sample.words_b)
-            )
-        else:
-            encoded = self.tokenizer.encode_pair(
-                list(sample.words_a),
-                list(sample.words_b),
-                max_length=self.config.max_length,
-            )
+        encoded = self.encode_plane.assemble_one(
+            self.encode_plane.halves_for_words(sample.words_a, sample.words_b)
+        )
         self._sample_encodings[sample] = encoded
         return encoded
 
-    def _pair_halves(self, pair: AttributePairView):
+    def _pair_halves(self, pair: AttributePairView) -> PairHalves:
         """Cached :class:`~repro.lm.encode_plane.PairHalves` of one view."""
         plane = self.encode_plane
         key = _text_key(pair)
@@ -550,58 +531,6 @@ class BertFeaturizer:
         else:
             plane.stats.pair_cache_hits += 1
         return halves
-
-    def _encode_view(self, pair: AttributePairView) -> EncodedPair:
-        key = _text_key(pair)
-        cached = self._encoded_cache.get(key)
-        if cached is None:
-            if self.encode_plane is not None:
-                cached = self.encode_plane.assemble_one(self._pair_halves(pair))
-            else:
-                cached = self.tokenizer.encode_attribute_pair(
-                    *key, max_length=self.config.max_length
-                )
-            self._encoded_cache.put(key, cached)
-        return cached
-
-    def encode_cls(
-        self, token_lists: Sequence[Sequence[str]], batch_size: int = 64
-    ) -> np.ndarray:
-        """Pooled-[CLS] states of single-segment token spans.
-
-        The bi-encoder view of MiniBERT: each span is encoded alone as
-        ``[CLS] A [SEP]`` and represented by the pooled [CLS] state, giving
-        the retrieval layer a model-version-sensitive dense encoder without
-        touching the cross-encoder scoring path.  With the encode plane on,
-        token ids come from the attribute token store and each batch is
-        assembled in one pass (no per-row ``encode_single`` + ``stack``).
-        """
-        from ..lm.tokenizer import stack_encoded, trim_encoded
-
-        if not token_lists:
-            return np.zeros((0, self.model.config.hidden_size), dtype=np.float32)
-        outputs = []
-        if self.encode_plane is not None:
-            id_rows = [
-                self.encode_plane.tokens.ids_for_words(tuple(tokens))
-                for tokens in token_lists
-            ]
-            for start in range(0, len(id_rows), batch_size):
-                batch = self.encode_plane.assemble_singles(
-                    id_rows[start : start + batch_size]
-                )
-                _hidden, pooled = self.model.forward(batch)
-                outputs.append(pooled)
-            return np.concatenate(outputs, axis=0)
-        encoded = [
-            self.tokenizer.encode_single(list(tokens), max_length=self.config.max_length)
-            for tokens in token_lists
-        ]
-        for start in range(0, len(encoded), batch_size):
-            batch = trim_encoded(stack_encoded(encoded[start : start + batch_size]))
-            _hidden, pooled = self.model.forward(batch)
-            outputs.append(pooled)
-        return np.concatenate(outputs, axis=0)
 
     # -- encoder match features --------------------------------------------------
 
@@ -898,42 +827,24 @@ class BertFeaturizer:
 
         All inference is delegated to the scoring engine, which serves
         already-scored pairs from its fingerprint cache and pushes the rest
-        through length-bucketed (optionally parallel) micro-batches.  With
-        the encode plane on, pairs travel as cached halves and dirty
-        micro-batches are assembled zero-copy inside the engine
-        (:meth:`repro.engine.ScoringEngine.score_halves`); fingerprints are
-        digest-parity with the sequential path, so both share score caches.
+        through length-bucketed (optionally threaded) micro-batches.  Pairs
+        travel as cached halves and dirty micro-batches are assembled
+        zero-copy inside the engine
+        (:meth:`repro.engine.ScoringEngine.score_halves`).
         """
         if not pairs:
             return np.zeros(0, dtype=np.float64)
-        if self.encode_plane is not None:
-            with self.engine.stats.timer("encode"):
-                halves = [self._pair_halves(pair) for pair in pairs]
-            return self.engine.score_halves(halves, self.encode_plane)
         with self.engine.stats.timer("encode"):
-            encoded = [self._encode_view(pair) for pair in pairs]
-        return self.engine.score_encoded(encoded)
+            halves = [self._pair_halves(pair) for pair in pairs]
+        return self.engine.score_halves(halves, self.encode_plane)
 
     # -- observability -----------------------------------------------------------
 
     def encode_stats_payload(self) -> dict[str, object]:
-        """Encode-plane counters for the matcher's ``encode`` metrics source.
-
-        With the plane off, still reports the bounded per-pair cache gauges
-        (``encode_cache_entries``/``encode_cache_evictions``) so the
-        unbounded-memory regression stays visible either way.
-        """
-        if self.encode_plane is not None:
-            return self.encode_plane.stats_payload()
-        return {
-            "encode_cache_entries": len(self._encoded_cache),
-            "encode_cache_evictions": self._encoded_cache.evictions,
-            "word_cache_hits": self.tokenizer.word_cache_hits,
-            "word_cache_misses": self.tokenizer.word_cache_misses,
-        }
+        """Encode-plane counters for the matcher's ``encode`` metrics source."""
+        return self.encode_plane.stats_payload()
 
     def close(self) -> None:
         """Release engine resources (scoring threads); idempotent."""
-        if self.encode_plane is not None:
-            self.encode_plane.flush()
+        self.encode_plane.flush()
         self.engine.close()

@@ -84,7 +84,8 @@ class EncodeStats(Counters):
     batches_assembled: int = 0
     #: Rows written across all assembled batches.
     rows_assembled: int = 0
-    #: Single-segment rows assembled (CLS index builds, MLM encoding).
+    #: Single-segment rows assembled by :meth:`EncodePlane.assemble_singles`
+    #: (MLM batches come from ``WordPieceTokenizer.encode_singles`` instead).
     singles_assembled: int = 0
     #: Assembly buffer requests served by pool reuse.
     pool_hits: int = 0
@@ -284,7 +285,7 @@ class AttributeTokenStore:
         return ids
 
     def ids_for_words(self, words: Sequence[str]) -> np.ndarray:
-        """Id array of a pre-tokenised word sequence (CLS docs, samples)."""
+        """Id array of a pre-tokenised word sequence (training samples)."""
         key = words_key(words)
         cached = self._entries.get(key)
         if cached is not None:
@@ -406,8 +407,9 @@ class EncodePlane:
 
     One plane per :class:`repro.featurizers.bert.BertFeaturizer`; the
     scoring engine's :meth:`repro.engine.ScoringEngine.score_halves` drives
-    it for inference, ``encode_cls`` for retrieval index builds, and the
-    training paths for sample encoding.
+    it for inference and the featurizer's training path for sample
+    encoding.  Pairs live here as halves in :attr:`pair_cache`; no full
+    encoded row is cached.
     """
 
     def __init__(
@@ -588,11 +590,10 @@ class EncodePlane:
     ) -> EncodedPair:
         """Batched single-segment assembly (``[CLS] A [SEP]`` rows).
 
-        The CLS retrieval index build path: equivalent to stacking
-        ``encode_single`` rows and trimming to the longest.  Rows longer
-        than ``max_length - 2`` ids are truncated exactly like
-        ``encode_single``.  Always freshly allocated (the forward pass for
-        index builds is not in the pooled hot loop).
+        Equivalent to stacking ``encode_single`` rows and trimming to the
+        longest.  Rows longer than ``max_length - 2`` ids are truncated
+        exactly like ``encode_single``.  Always freshly allocated, not
+        pooled.
         """
         rows = len(id_rows)
         if rows == 0:
@@ -666,8 +667,7 @@ class EncodePlane:
         payload = self.stats.as_dict()
         payload["token_cache_evictions"] = self.tokens.evictions
         payload["pair_cache_evictions"] = self.pair_cache.evictions
-        payload["encode_cache_entries"] = len(self.pair_cache)
-        payload["encode_cache_evictions"] = self.pair_cache.evictions
+        payload["pair_cache_entries"] = len(self.pair_cache)
         payload["token_cache_entries"] = len(self.tokens)
         payload["pool_bytes_held"] = self.pool.pooled_bytes
         payload["word_cache_hits"] = self.tokenizer.word_cache_hits

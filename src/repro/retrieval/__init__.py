@@ -15,9 +15,8 @@ from .base import (
     Retriever,
     docs_from_refs,
     rrf_fuse,
-    score_fuse,
 )
-from .dense import ClsDenseRetriever, DenseRetriever
+from .dense import DenseRetriever
 from .gate import (
     RecallGateError,
     RecallReport,
@@ -32,7 +31,6 @@ __all__ = [
     "AttributeDoc",
     "CandidateGenerator",
     "CandidateSets",
-    "ClsDenseRetriever",
     "DenseRetriever",
     "FullProductGenerator",
     "FusedCandidateGenerator",
@@ -49,7 +47,6 @@ __all__ = [
     "minimal_full_recall_k",
     "recall_curve",
     "rrf_fuse",
-    "score_fuse",
 ]
 
 
@@ -58,17 +55,14 @@ def build_generator(
     target_docs,
     config: RetrievalConfig,
     embeddings=None,
-    cls_encoder=None,
     cache_token: str | None = None,
     stats: RetrievalStats | None = None,
 ) -> CandidateGenerator:
     """Assemble the generator the config describes.
 
-    ``embeddings`` feeds the dense retriever, ``cls_encoder`` (an object with
-    ``model_version`` + ``encode_cls``) the model-sensitive CLS retriever;
-    either may be None, and a retriever whose dependency is missing is
-    silently skipped.  ``generator="full"`` (or no usable retriever) falls
-    back to the full Cartesian product.
+    ``embeddings`` feeds the dense retriever; when it is None the dense
+    retriever is skipped.  ``generator="full"`` (or no usable retriever)
+    falls back to the full Cartesian product.
     """
     stats = stats if stats is not None else RetrievalStats()
     if config.generator == "full":
@@ -85,16 +79,6 @@ def build_generator(
         retrievers.append(
             DenseRetriever(
                 embeddings,
-                target_docs,
-                cache_token=cache_token,
-                stats=stats,
-                persist=config.persist,
-            )
-        )
-    if config.use_cls and cls_encoder is not None:
-        retrievers.append(
-            ClsDenseRetriever(
-                cls_encoder,
                 target_docs,
                 cache_token=cache_token,
                 stats=stats,

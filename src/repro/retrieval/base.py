@@ -15,8 +15,8 @@ Three layers live here:
   ``(num_queries, num_targets)`` score matrix (``repro.retrieval.dense``
   and ``repro.retrieval.sparse`` provide the implementations);
 * :class:`CandidateGenerator` -- the pluggable interface the matcher holds:
-  :class:`FusedCandidateGenerator` (reciprocal-rank or score fusion over
-  the configured retrievers) and :class:`FullProductGenerator` (the escape
+  :class:`FusedCandidateGenerator` (reciprocal-rank fusion over the
+  configured retrievers) and :class:`FullProductGenerator` (the escape
   hatch back to the paper's full Cartesian product).
 
 Nothing in this package imports ``repro.core``: generators consume docs and
@@ -115,17 +115,11 @@ class RetrievalConfig:
     use_dense: bool = True
     #: Sparse BM25 over identifier/description tokens + character n-grams.
     use_sparse: bool = True
-    #: Dense index over MiniBERT pooled-[CLS] states.  Model-sensitive: the
-    #: index is re-encoded (and candidate sets re-validated) on every BERT
-    #: hot-swap, so it is off by default.
-    use_cls: bool = False
-    #: "rrf" (reciprocal-rank fusion) or "score" (weighted min-max fusion).
-    fusion: str = "rrf"
     #: RRF smoothing constant; 60 is the canonical value.
     rrf_k: int = 60
-    #: Per-retriever weights for both fusion modes, by retriever name.
+    #: Per-retriever reciprocal-rank-fusion weights, by retriever name.
     weights: dict[str, float] = field(
-        default_factory=lambda: {"dense": 1.0, "sparse": 1.0, "cls": 1.0}
+        default_factory=lambda: {"dense": 1.0, "sparse": 1.0}
     )
     #: Character n-gram order of the sparse index.
     ngram_n: int = 3
@@ -139,8 +133,6 @@ class RetrievalConfig:
     def __post_init__(self) -> None:
         if self.generator not in {"fused", "full"}:
             raise ValueError(f"unknown candidate generator: {self.generator!r}")
-        if self.fusion not in {"rrf", "score"}:
-            raise ValueError(f"unknown fusion mode: {self.fusion!r}")
         if self.rrf_k < 1:
             raise ValueError("rrf_k must be >= 1")
         if self.ngram_n < 2:
@@ -155,20 +147,17 @@ class RetrievalStats(Counters):
     ``time.<stage>``.
     """
 
-    #: Dense/CLS indexes encoded from scratch.
+    #: Dense indexes encoded from scratch.
     index_builds: int = 0
-    #: Dense/CLS indexes loaded from the artifact store.
+    #: Dense indexes loaded from the artifact store.
     index_cache_hits: int = 0
-    #: ``generate()`` calls (initial build + hot-swap re-validations).
+    #: ``generate()``/``generate_for_sources()`` calls (initial build +
+    #: post-drift regenerations).
     generations: int = 0
-    #: Model-sensitive refreshes that actually rebuilt an index.
-    refreshes: int = 0
     #: Size of the full Cartesian product the generator replaced.
     pairs_full_product: int = 0
     #: Candidate pairs surviving the latest pruning pass.
     pairs_after_pruning: int = 0
-    #: Pairs re-added by hot-swap re-validation (``ensure``-style).
-    pairs_restored: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +170,8 @@ class Retriever(Protocol):
     @property
     def name(self) -> str: ...
 
-    @property
-    def model_sensitive(self) -> bool:
-        """True when the index depends on mutable model weights."""
-        ...
-
     def score_matrix(self, queries: Sequence[AttributeDoc]) -> np.ndarray:
         """Dense ``(len(queries), num_targets)`` relevance scores."""
-        ...
-
-    def refresh(self) -> bool:
-        """Re-validate the index against its model; True if it was rebuilt."""
         ...
 
     def update_docs(
@@ -221,20 +201,6 @@ def rrf_fuse(
             ranks, order, np.broadcast_to(np.arange(matrix.shape[1]), order.shape), axis=1
         )
         fused += weight / (rrf_k + 1.0 + ranks)
-    return fused
-
-
-def score_fuse(
-    matrices: Sequence[np.ndarray],
-    weights: Sequence[float],
-) -> np.ndarray:
-    """Weighted sum of per-query min-max-normalised score matrices."""
-    fused = np.zeros_like(matrices[0], dtype=np.float64)
-    for matrix, weight in zip(matrices, weights):
-        lo = matrix.min(axis=1, keepdims=True)
-        hi = matrix.max(axis=1, keepdims=True)
-        span = np.where(hi - lo > 0, hi - lo, 1.0)
-        fused += weight * (matrix - lo) / span
     return fused
 
 
@@ -274,27 +240,21 @@ class CandidateSets:
 
 
 class CandidateGenerator(Protocol):
-    """What the matcher holds: produces candidate sets, tracks model drift."""
+    """What the matcher holds: produces per-source candidate sets."""
 
     @property
     def name(self) -> str: ...
-
-    @property
-    def model_sensitive(self) -> bool: ...
 
     @property
     def num_targets(self) -> int: ...
 
     def generate(self, k: int) -> CandidateSets: ...
 
-    def refresh(self) -> bool: ...
-
 
 class FullProductGenerator:
     """Escape hatch: every target is a candidate for every source."""
 
     name = "full"
-    model_sensitive = False
 
     def __init__(self, num_sources: int, num_targets: int) -> None:
         self._num_sources = num_sources
@@ -311,9 +271,6 @@ class FullProductGenerator:
             k=self._num_targets,
             retriever_names=("full",),
         )
-
-    def refresh(self) -> bool:
-        return False
 
     def replace_source_docs(self, source_docs: Sequence[AttributeDoc]) -> None:
         self._num_sources = len(source_docs)
@@ -351,10 +308,6 @@ class FusedCandidateGenerator:
         self.stats = stats or RetrievalStats()
 
     @property
-    def model_sensitive(self) -> bool:
-        return any(retriever.model_sensitive for retriever in self.retrievers)
-
-    @property
     def num_targets(self) -> int:
         return len(self.target_docs)
 
@@ -371,9 +324,7 @@ class FusedCandidateGenerator:
         with self.stats.timer("fuse"):
             if len(matrices) == 1:
                 return matrices[0].astype(np.float64)
-            if self.config.fusion == "rrf":
-                return rrf_fuse(matrices, weights, rrf_k=self.config.rrf_k)
-            return score_fuse(matrices, weights)
+            return rrf_fuse(matrices, weights, rrf_k=self.config.rrf_k)
 
     def _rank(self, fused: np.ndarray, k: int) -> list[np.ndarray]:
         with self.stats.timer("rank"):
@@ -398,7 +349,7 @@ class FusedCandidateGenerator:
         """Swap the query-side docs after source-schema drift.
 
         Source docs are queries, not index content, so no retriever state
-        needs rebuilding -- both fusion modes rank each query row
+        needs rebuilding -- reciprocal-rank fusion ranks each query row
         independently, which is what makes :meth:`generate_for_sources`
         equivalent to slicing a full :meth:`generate`.
         """
@@ -448,11 +399,7 @@ class FusedCandidateGenerator:
                 retriever.update_docs(added_docs, removed)
 
     def refresh(self) -> bool:
-        """Re-validate model-sensitive indexes; True when any was rebuilt."""
-        changed = False
-        for retriever in self.retrievers:
-            if retriever.refresh():
-                changed = True
-        if changed:
-            self.stats.refreshes += 1
-        return changed
+        """No-op kept for the end-to-end benchmark's span table, which
+        patches it by name: every retriever is frozen, so candidate sets
+        never go stale on a model update."""
+        return False

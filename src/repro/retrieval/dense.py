@@ -1,24 +1,15 @@
-"""Dense retrievers: bi-encoder indexes over the target attributes.
+"""Dense retrieval: a bi-encoder index over the target attributes.
 
-Two encoders are available:
-
-* :class:`DenseRetriever` -- phrase vectors from the ``repro.embeddings``
-  subword tables.  The embeddings are frozen after pre-training, so the
-  target index is encoded once and persisted through ``repro.store`` keyed
-  by artefact provenance + document contents.
-* :class:`ClsDenseRetriever` -- MiniBERT pooled-[CLS] states.  The BERT
-  weights mutate on every fine-tuning pass, so this index is *model
-  sensitive*: :meth:`ClsDenseRetriever.refresh` re-encodes it whenever the
-  encoder's ``model_version`` moved, and each version's index is persisted
-  separately.
-
-Both produce a ``(num_queries, num_targets)`` cosine matrix: rows are
-L2-normalised at build time, so scoring is a single matmul.
+:class:`DenseRetriever` embeds each attribute as a phrase vector from the
+``repro.embeddings`` subword tables.  The embeddings are frozen after
+pre-training, so the target index is encoded once and persisted through
+``repro.store`` keyed by artefact provenance + document contents.  Rows
+are L2-normalised, so scoring a batch of queries is one matmul of cosines.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,34 +21,21 @@ from .base import AttributeDoc, RetrievalStats
 STORE_KIND = "retrieval"
 
 
-def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    return (matrix / np.where(norms > 0, norms, 1.0)).astype(np.float32)
-
-
-def _doc_texts(docs: Sequence[AttributeDoc]) -> list[str]:
-    return [doc.text for doc in docs]
-
-
-class _PersistedIndex:
-    """Load-or-encode helper shared by both dense retrievers."""
-
-    def __init__(self, stats: RetrievalStats, persist: bool) -> None:
-        self.stats = stats
-        self.persist = persist
-
-    def load_or_encode(self, name: str, key: str | None, encode) -> np.ndarray:
-        if self.persist and key is not None:
-            cached = store.load_arrays(STORE_KIND, key)
-            if cached is not None and "index" in cached:
-                self.stats.index_cache_hits += 1
-                return cached["index"].astype(np.float32)
-        with self.stats.timer(f"build.{name}"):
-            index = encode()
-        self.stats.index_builds += 1
-        if self.persist and key is not None:
-            store.save_arrays(STORE_KIND, key, {"index": index})
-        return index
+def _load_or_encode(
+    stats: RetrievalStats, persist: bool, name: str, key: str | None, encode
+) -> np.ndarray:
+    """The persisted index under ``key``, else ``encode()`` (then saved)."""
+    if persist and key is not None:
+        cached = store.load_arrays(STORE_KIND, key)
+        if cached is not None and "index" in cached:
+            stats.index_cache_hits += 1
+            return cached["index"].astype(np.float32)
+    with stats.timer(f"build.{name}"):
+        index = encode()
+    stats.index_builds += 1
+    if persist and key is not None:
+        store.save_arrays(STORE_KIND, key, {"index": index})
+    return index
 
 
 class DenseRetriever:
@@ -69,7 +47,6 @@ class DenseRetriever:
     """
 
     name = "dense"
-    model_sensitive = False
 
     def __init__(
         self,
@@ -83,12 +60,14 @@ class DenseRetriever:
         self.target_docs = list(target_docs)
         self.stats = stats or RetrievalStats()
         key = (
-            store.content_key("retrieval-dense-v1", cache_token, _doc_texts(self.target_docs))
+            store.content_key(
+                "retrieval-dense-v1", cache_token, [doc.text for doc in self.target_docs]
+            )
             if cache_token is not None
             else None
         )
-        self._index = _PersistedIndex(self.stats, persist).load_or_encode(
-            self.name, key, self._encode_targets
+        self._index = _load_or_encode(
+            self.stats, persist, self.name, key, self._encode_targets
         )
 
     def _encode_targets(self) -> np.ndarray:
@@ -99,9 +78,6 @@ class DenseRetriever:
     def score_matrix(self, queries: Sequence[AttributeDoc]) -> np.ndarray:
         query_matrix = self.embeddings.phrase_matrix([list(doc.tokens) for doc in queries])
         return query_matrix @ self._index.T
-
-    def refresh(self) -> bool:
-        return False
 
     def update_docs(
         self,
@@ -126,97 +102,3 @@ class DenseRetriever:
                 [list(doc.tokens) for doc in added_docs]
             )
             self._index = np.concatenate([self._index, added.astype(self._index.dtype)])
-
-
-class ClsEncoder(Protocol):
-    """What :class:`ClsDenseRetriever` needs from a MiniBERT wrapper."""
-
-    @property
-    def model_version(self) -> int: ...
-
-    def encode_cls(self, token_lists: Sequence[Sequence[str]]) -> np.ndarray: ...
-
-
-class ClsDenseRetriever:
-    """Cosine retrieval over MiniBERT pooled-[CLS] states.
-
-    The encoder (in practice :class:`repro.featurizers.bert.BertFeaturizer`)
-    exposes a monotonically increasing ``model_version``; the index carries
-    the version it was encoded under and :meth:`refresh` rebuilds it when
-    the two diverge -- the hook the matcher uses to re-validate candidate
-    sets after every BERT hot-swap.
-    """
-
-    name = "cls"
-    model_sensitive = True
-
-    def __init__(
-        self,
-        encoder: ClsEncoder,
-        target_docs: Sequence[AttributeDoc],
-        cache_token: str | None = None,
-        stats: RetrievalStats | None = None,
-        persist: bool = True,
-    ) -> None:
-        self.encoder = encoder
-        self.target_docs = list(target_docs)
-        self.stats = stats or RetrievalStats()
-        self._cache_token = cache_token
-        self._loader = _PersistedIndex(self.stats, persist)
-        self._indexed_version: int | None = None
-        self._index: np.ndarray | None = None
-        self.refresh()
-
-    def _key_for(self, version: int) -> str | None:
-        if self._cache_token is None:
-            return None
-        return store.content_key(
-            "retrieval-cls-v1", self._cache_token, version, _doc_texts(self.target_docs)
-        )
-
-    def _encode_targets(self) -> np.ndarray:
-        return _normalize_rows(
-            self.encoder.encode_cls([list(doc.tokens) for doc in self.target_docs])
-        )
-
-    def score_matrix(self, queries: Sequence[AttributeDoc]) -> np.ndarray:
-        assert self._index is not None
-        query_matrix = _normalize_rows(
-            self.encoder.encode_cls([list(doc.tokens) for doc in queries])
-        )
-        return query_matrix @ self._index.T
-
-    def refresh(self) -> bool:
-        version = self.encoder.model_version
-        if version == self._indexed_version:
-            return False
-        self._index = self._loader.load_or_encode(
-            self.name, self._key_for(version), self._encode_targets
-        )
-        self._indexed_version = version
-        return True
-
-    def update_docs(
-        self,
-        added_docs: Sequence[AttributeDoc],
-        removed_refs: set,
-    ) -> None:
-        """In-place doc update (see :meth:`DenseRetriever.update_docs`).
-
-        Encodes only the added docs, under the *current* model version; if
-        the model has also moved, :meth:`refresh` still detects and rebuilds.
-        """
-        assert self._index is not None
-        if removed_refs:
-            keep = [
-                i for i, doc in enumerate(self.target_docs)
-                if doc.ref not in removed_refs
-            ]
-            self.target_docs = [self.target_docs[i] for i in keep]
-            self._index = self._index[keep]
-        if added_docs:
-            self.target_docs.extend(added_docs)
-            added = _normalize_rows(
-                self.encoder.encode_cls([list(doc.tokens) for doc in added_docs])
-            )
-            self._index = np.concatenate([self._index, added])

@@ -52,7 +52,6 @@ class SparseRetriever:
     """BM25 over an inverted index of the target attribute docs."""
 
     name = "sparse"
-    model_sensitive = False
 
     def __init__(
         self,
@@ -166,6 +165,3 @@ class SparseRetriever:
 
     def score_matrix(self, queries: Sequence[AttributeDoc]) -> np.ndarray:
         return np.stack([self.score_query(query) for query in queries])
-
-    def refresh(self) -> bool:
-        return False

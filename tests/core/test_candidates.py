@@ -151,7 +151,7 @@ class TestPruning:
         scores[store.pair_id(source, target)] = -10.0
         store.prune(2, scores)
         store.set_negative(source, target)
-        # A later pruning pass (e.g. hot-swap re-validation) must keep it.
+        # A later pruning pass (e.g. post-drift regeneration) must keep it.
         store.apply_candidate_sets(
             [np.array([0, 1]) for _ in range(store.num_sources)]
         )

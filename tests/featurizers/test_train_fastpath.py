@@ -102,7 +102,8 @@ class TestDtypeStability:
 
         from repro.lm.tokenizer import stack_encoded
 
-        batch = stack_encoded([featurizer._encode_view(view)])  # noqa: SLF001
+        halves = featurizer._pair_halves(view)  # noqa: SLF001
+        batch = stack_encoded([featurizer.encode_plane.assemble_one(halves)])
         features, _ = featurizer._forward_features(batch)  # noqa: SLF001
         assert features.dtype == np.float32
 

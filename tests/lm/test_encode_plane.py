@@ -400,6 +400,9 @@ class TestBatchBufferPool:
         payload = plane.stats_payload()
         assert payload["token_cache_evictions"] == 6
         assert payload["pair_cache_evictions"] == 3
+        assert payload["pair_cache_entries"] == len(plane.pair_cache) == 1
+        assert "encode_cache_entries" not in payload
+        assert "encode_cache_evictions" not in payload
 
 
 class TestAttributeTokenStore:
@@ -460,23 +463,25 @@ class TestAttributeTokenStore:
 
 class TestScoreHalvesParity:
     def test_matches_score_encoded(self, tiny_artifacts, source_schema, target_schema):
-        from repro.engine import EngineConfig
+        from repro.engine import EngineConfig, ScoringEngine
 
-        # persist_scores off: otherwise the second featurizer would serve
-        # the first's persisted block (same weights + digest-parity
-        # fingerprints) and never exercise assembly at all.
+        # persist_scores off: otherwise one engine would serve the other's
+        # persisted block (same weights + digest-parity fingerprints) and
+        # never exercise assembly at all.
         engine_config = EngineConfig(persist_scores=False)
-        plain = BertFeaturizer(
-            tiny_artifacts.tokenizer,
-            tiny_artifacts.bert,
-            BertFeaturizerConfig(max_length=24, seed=0, use_encode_plane=False),
-            engine_config=engine_config,
-        )
         planed = BertFeaturizer(
             tiny_artifacts.tokenizer,
             tiny_artifacts.bert,
             BertFeaturizerConfig(max_length=24, seed=0, persist_tokens=False),
             engine_config=engine_config,
+        )
+        # The sequential reference: a second engine over the same weights,
+        # scoring per-pair encode_attribute_pair rows through score_encoded.
+        reference = ScoringEngine(
+            planed.model,
+            planed.classifier,
+            sorted(planed.tokenizer.vocab.special_ids()),
+            config=engine_config,
         )
         try:
             pairs = [
@@ -484,17 +489,31 @@ class TestScoreHalvesParity:
                 for source_ref, _ in source_schema.iter_attributes()
                 for target_ref, _ in target_schema.iter_attributes()
             ]
-            baseline = plain.score_pairs(pairs)
+            rows = [
+                planed.tokenizer.encode_attribute_pair(
+                    pair.source_name,
+                    pair.source_description,
+                    pair.target_name,
+                    pair.target_description,
+                    max_length=planed.config.max_length,
+                )
+                for pair in pairs
+            ]
+            baseline = reference.score_encoded(rows)
             fast = planed.score_pairs(pairs)
             np.testing.assert_allclose(fast, baseline, atol=1e-8)
-            # Identical fingerprints: the plane path must hit the score
-            # cache the sequential path populated, and vice versa.
             rescored = planed.score_pairs(pairs)
             np.testing.assert_array_equal(rescored, fast)
             assert planed.engine.stats.pairs_skipped >= len(pairs)
             assert planed.encode_plane.stats.batches_assembled > 0
+            # Identical fingerprints: the plane path must hit the score
+            # cache the sequential path populated.
+            halves = [planed._pair_halves(pair) for pair in pairs]  # noqa: SLF001
+            crossed = reference.score_halves(halves, planed.encode_plane)
+            np.testing.assert_array_equal(crossed, baseline)
+            assert reference.stats.pairs_skipped >= len(pairs)
         finally:
-            plain.close()
+            reference.close()
             planed.close()
 
 

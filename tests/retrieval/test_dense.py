@@ -1,10 +1,9 @@
-"""Tests for the dense retrievers and their persisted indexes."""
+"""Tests for the dense retriever and its persisted index."""
 
 import numpy as np
 import pytest
 
 from repro.retrieval import (
-    ClsDenseRetriever,
     DenseRetriever,
     RetrievalStats,
     docs_from_refs,
@@ -65,59 +64,3 @@ class TestDenseRetriever:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         DenseRetriever(tiny_artifacts.embeddings, target_docs, cache_token=None)
         assert not any(tmp_path.rglob("*.npz"))
-
-
-class _FakeClsEncoder:
-    """Deterministic CLS encoder whose output depends on model_version."""
-
-    def __init__(self, dim: int = 8) -> None:
-        self.dim = dim
-        self.model_version = 0
-        self.encode_calls = 0
-
-    def encode_cls(self, token_lists):
-        self.encode_calls += 1
-        rows = []
-        for tokens in token_lists:
-            seed = (hash(tuple(tokens)) % (2**32 - 1)) ^ self.model_version
-            rows.append(np.random.default_rng(seed).normal(size=self.dim))
-        return np.asarray(rows, dtype=np.float32)
-
-
-class TestClsDenseRetriever:
-    def test_refresh_follows_model_version(self, target_docs):
-        encoder = _FakeClsEncoder()
-        stats = RetrievalStats()
-        retriever = ClsDenseRetriever(encoder, target_docs, stats=stats, persist=False)
-        assert retriever.model_sensitive is True
-        assert stats.index_builds == 1
-        # Same version: refresh is a no-op.
-        assert retriever.refresh() is False
-        assert stats.index_builds == 1
-        # Version bump: refresh rebuilds the index.
-        encoder.model_version = 1
-        assert retriever.refresh() is True
-        assert stats.index_builds == 2
-
-    def test_scores_change_after_refresh(self, target_docs):
-        encoder = _FakeClsEncoder()
-        retriever = ClsDenseRetriever(encoder, target_docs, persist=False)
-        before = retriever.score_matrix(target_docs[:2])
-        encoder.model_version = 7
-        retriever.refresh()
-        after = retriever.score_matrix(target_docs[:2])
-        assert not np.allclose(before, after)
-
-    def test_per_version_persistence(self, target_docs, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        encoder = _FakeClsEncoder()
-        stats = RetrievalStats()
-        ClsDenseRetriever(encoder, target_docs, cache_token="tok", stats=stats)
-        # A second retriever at the same version loads from the store.
-        ClsDenseRetriever(encoder, target_docs, cache_token="tok", stats=stats)
-        assert stats.index_cache_hits == 1
-        assert stats.index_builds == 1
-        # A new version gets its own key and must re-encode.
-        encoder.model_version = 3
-        ClsDenseRetriever(encoder, target_docs, cache_token="tok", stats=stats)
-        assert stats.index_builds == 2

@@ -12,23 +12,17 @@ from repro.retrieval import (
     build_generator,
     docs_from_refs,
     rrf_fuse,
-    score_fuse,
 )
 from repro.schema import AttributeRef
 
 
 class _StubRetriever:
-    model_sensitive = False
-
     def __init__(self, name, matrix):
         self.name = name
         self.matrix = np.asarray(matrix, dtype=np.float64)
 
     def score_matrix(self, queries):
         return self.matrix
-
-    def refresh(self):
-        return False
 
 
 def _docs(n, prefix):
@@ -70,13 +64,6 @@ class TestFusion:
         fused = rrf_fuse([a], [1.0])
         assert list(np.argsort(-fused[0], kind="stable")) == [0, 1, 2]
 
-    def test_score_fuse_normalises_per_query(self):
-        a = np.array([[0.0, 10.0], [3.0, 3.0]])
-        fused = score_fuse([a], [1.0])
-        np.testing.assert_allclose(fused[0], [0.0, 1.0])
-        # Constant rows normalise to zero rather than dividing by zero.
-        np.testing.assert_allclose(fused[1], [0.0, 0.0])
-
 
 class TestFullProductGenerator:
     def test_every_target_is_a_candidate(self):
@@ -84,8 +71,6 @@ class TestFullProductGenerator:
         sets = generator.generate(k=2)  # k is ignored by the escape hatch
         assert sets.num_sources == 3
         assert sets.total_candidates() == 15
-        assert generator.refresh() is False
-        assert generator.model_sensitive is False
 
 
 class TestFusedCandidateGenerator:
@@ -153,8 +138,9 @@ class TestRetrievalConfig:
             RetrievalConfig(generator="magic")
 
     def test_rejects_unknown_fusion(self):
-        with pytest.raises(ValueError):
-            RetrievalConfig(fusion="max")
+        # Reciprocal-rank fusion is the only fusion; there is no mode knob.
+        with pytest.raises(TypeError):
+            RetrievalConfig(fusion="score")
 
 
 class TestBuildGenerator:

@@ -88,8 +88,3 @@ class TestSparseRetriever:
         query = _doc("users", ["user", "id"], is_key=True)
         scores = retriever.score_query(query)
         assert scores[0] > scores[1]
-
-    def test_refresh_is_noop(self, target_docs):
-        retriever = SparseRetriever(target_docs)
-        assert retriever.refresh() is False
-        assert retriever.model_sensitive is False

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.retrieval import (
-    ClsDenseRetriever,
     DenseRetriever,
     FusedCandidateGenerator,
     RetrievalStats,
@@ -122,44 +121,6 @@ class TestDenseUpdateDocs:
         assert again._index.shape[0] == len(target_docs)
 
 
-class _FakeClsEncoder:
-    def __init__(self, dim: int = 8) -> None:
-        self.dim = dim
-        self.model_version = 0
-
-    def encode_cls(self, token_lists):
-        rows = []
-        for tokens in token_lists:
-            seed = (hash(tuple(tokens)) % (2**32 - 1)) ^ self.model_version
-            rows.append(np.random.default_rng(seed).normal(size=self.dim))
-        return np.asarray(rows, dtype=np.float32)
-
-
-class TestClsUpdateDocs:
-    def test_update_matches_rebuild(self, source_docs, target_docs):
-        encoder = _FakeClsEncoder()
-        added = [_extra_doc()]
-        removed = {target_docs[3].ref}
-        evolved_docs = [d for d in target_docs if d.ref not in removed] + added
-
-        updated = ClsDenseRetriever(encoder, target_docs, persist=False)
-        updated.update_docs(added, removed)
-        rebuilt = ClsDenseRetriever(encoder, evolved_docs, persist=False)
-        np.testing.assert_allclose(
-            updated.score_matrix(source_docs),
-            rebuilt.score_matrix(source_docs),
-            atol=1e-6,
-        )
-
-    def test_refresh_still_detects_model_moves(self, target_docs):
-        encoder = _FakeClsEncoder()
-        retriever = ClsDenseRetriever(encoder, target_docs, persist=False)
-        retriever.update_docs([_extra_doc()], set())
-        encoder.model_version = 1
-        assert retriever.refresh() is True
-        assert retriever._index.shape[0] == len(target_docs) + 1
-
-
 class TestGeneratorUpdate:
     def test_generate_for_sources_matches_full_generate(
         self, tiny_artifacts, source_docs, target_docs
@@ -258,21 +219,3 @@ class TestStoreKeyStaleness:
             tiny_artifacts.embeddings, mutated, cache_token="tok", stats=stats
         )
         assert stats.index_builds == 2
-
-    def test_cls_key_covers_docs_and_version(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        encoder = _FakeClsEncoder()
-        schema = make_target_schema()
-        docs = docs_from_refs(schema, schema.attribute_refs())
-        stats = RetrievalStats()
-        ClsDenseRetriever(encoder, docs, cache_token="tok", stats=stats)
-        evolved, _ = apply_delta(
-            schema,
-            SchemaDelta(
-                (RenameColumn(AttributeRef("Brand", "brand_name"), "label"),)
-            ),
-        )
-        evolved_docs = docs_from_refs(evolved, evolved.attribute_refs())
-        ClsDenseRetriever(encoder, evolved_docs, cache_token="tok", stats=stats)
-        assert stats.index_builds == 2
-        assert stats.index_cache_hits == 0

@@ -47,7 +47,7 @@ bench-retrieval:
 bench-drift:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_drift.py
 
-## Encode-plane smoke (tier-2): per-pair encode vs pooled batch assembly
+## Encode-plane smoke (tier-2): per-pair encode vs batch assembly
 ## from cached attribute halves on an encode-dominated 10x-ISS workload;
 ## gates bit-exact chunk parity and >= 3x speedup; emits BENCH_encode.json.
 bench-encode:

@@ -14,7 +14,7 @@ is prepared for scoring two ways:
   content-addressed :class:`~repro.lm.AttributeTokenStore`, truncation on
   lengths (``truncate_pair_lengths``), bucket planning on those lengths
   (``plan_bucket_chunks``), and whole micro-batches slice-written into
-  pooled buffers (``EncodePlane.assemble``).
+  one block each (``EncodePlane.assemble``).
 
 Both layouts must agree bit-exactly chunk for chunk (same indices, same
 ``input_ids``/``segment_ids``/``attention_mask``) -- the parity the engine
@@ -42,7 +42,7 @@ MAX_LENGTH = 64
 TARGET_SAMPLE = 300
 VOCAB_SIZE = 600
 REPEATS = 3
-#: Satellite acceptance bar: pooled batch assembly over per-pair encode.
+#: Acceptance bar: batch assembly from cached halves over per-pair encode.
 MIN_SPEEDUP = 3.0
 
 
@@ -75,7 +75,7 @@ def best_of(run) -> float:
 def test_batch_assembly_beats_per_pair_encode():
     pairs, vocab = bench_attributes()
     tokenizer = WordPieceTokenizer(vocab)
-    plane = EncodePlane(tokenizer, max_length=MAX_LENGTH, persist_tokens=False)
+    plane = EncodePlane(tokenizer, max_length=MAX_LENGTH)
 
     def run_baseline():
         encoded = [
@@ -88,7 +88,7 @@ def test_batch_assembly_beats_per_pair_encode():
         ]
         return plan_microbatches(encoded, microbatch_size=64, bucket_granularity=8)
 
-    def run_fast(keep: bool = False):
+    def run_fast():
         halves = [
             plane.halves(source.name, source.description, target.name, target.description)
             for source, target in pairs
@@ -96,26 +96,21 @@ def test_batch_assembly_beats_per_pair_encode():
         chunks = plan_bucket_chunks(
             [pair.length for pair in halves], microbatch_size=64, bucket_granularity=8
         )
-        batches = [
+        return [
             (indices, plane.assemble([halves[i] for i in indices], pad_to=padded))
             for padded, indices in chunks
         ]
-        if keep:
-            return batches
-        for _, batch in batches:
-            plane.release(batch)
 
     # Warm both paths (tokenise every attribute once, populate the word
     # memo), then prove bit-exact layout parity chunk for chunk.
     baseline_plan = run_baseline()
-    fast_batches = run_fast(keep=True)
+    fast_batches = run_fast()
     assert len(fast_batches) == len(baseline_plan)
     for microbatch, (indices, batch) in zip(baseline_plan, fast_batches):
         assert microbatch.indices == tuple(indices)
         np.testing.assert_array_equal(batch.input_ids, microbatch.batch.input_ids)
         np.testing.assert_array_equal(batch.segment_ids, microbatch.batch.segment_ids)
         np.testing.assert_array_equal(batch.attention_mask, microbatch.batch.attention_mask)
-        plane.release(batch)
 
     baseline_seconds = best_of(run_baseline)
     fast_seconds = best_of(run_fast)
@@ -127,7 +122,7 @@ def test_batch_assembly_beats_per_pair_encode():
             ["path", "wall-clock (s)", "speedup"],
             [
                 ["per-pair encode + plan_microbatches", f"{baseline_seconds:.4f}", "1.00x"],
-                ["cached halves + pooled assembly", f"{fast_seconds:.4f}", f"{speedup:.2f}x"],
+                ["cached halves + batch assembly", f"{fast_seconds:.4f}", f"{speedup:.2f}x"],
             ],
             title=(
                 f"Encode plane -- {len(pairs)} candidate pairs, "
@@ -152,9 +147,8 @@ def test_batch_assembly_beats_per_pair_encode():
         gate={"min_speedup": MIN_SPEEDUP, "bit_exact_chunks": len(baseline_plan)},
         extra={
             "baseline": "encode_attribute_pair per pair + plan_microbatches",
-            "fast": "token-store halves + plan_bucket_chunks + pooled assemble",
+            "fast": "token-store halves + plan_bucket_chunks + assemble",
             "token_cache_entries": stats["token_cache_entries"],
-            "pool_hits": stats["pool_hits"],
             "batches_assembled": stats["batches_assembled"],
         },
     )

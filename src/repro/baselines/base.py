@@ -66,12 +66,6 @@ class ScoredMatrix:
         order = np.argsort(-self.scores[row], kind="stable")[:k]
         return [self.target_refs[int(i)] for i in order]
 
-    def top_k_matrix(self, k: int = 3) -> list[list[AttributeRef]]:
-        order = np.argsort(-self.scores, axis=1, kind="stable")[:, :k]
-        return [
-            [self.target_refs[int(j)] for j in row] for row in order
-        ]
-
     def top_k_accuracy(
         self,
         truth: Mapping[AttributeRef, AttributeRef],

@@ -57,7 +57,6 @@ class LsmConfig:
     use_descriptions: bool = True
     apply_dtype_filter: bool = True
     apply_entity_penalty: bool = True
-    entity_penalty_on_labeled_only: bool = True
     max_candidates_per_source: int | None = None
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     self_training_rounds: int = 2

@@ -531,9 +531,9 @@ class LearnedSchemaMatcher:
     def close(self) -> None:
         """Release featurizer resources and finalise the trace (if any).
 
-        This joins the scoring engine's helper threads and flushes the
-        encode plane; call it (or use the matcher as a context manager)
-        once the matcher is done.
+        This joins the scoring engine's helper threads and writes unsaved
+        scores; call it (or use the matcher as a context manager) once the
+        matcher is done.
         """
         self.pipeline.close()
         self.tracer.close()

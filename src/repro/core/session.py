@@ -88,11 +88,6 @@ class SessionResult:
                 return 100.0 * record.labels_provided / self.num_source_attributes
         return None
 
-    def mean_response_seconds(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(record.response_seconds for record in self.records) / len(self.records)
-
 
 class MatchingSession:
     """Drives a matcher against an oracle until the schema is fully matched.

@@ -57,7 +57,7 @@ def plan_bucket_chunks(
     This is the planning half of :func:`plan_microbatches`, decoupled from
     the encoded arrays so the encode plane (:mod:`repro.lm.encode_plane`)
     can plan from its cached half lengths and assemble each chunk directly
-    into pooled buffers -- no per-pair ``attention_mask.sum()``, no
+    into one block -- no per-pair ``attention_mask.sum()``, no
     ``stack_encoded``.  Shorter buckets come first; within a bucket the
     caller's order is preserved; every index appears in exactly one chunk.
     """

@@ -310,8 +310,8 @@ class ScoringEngine:
             try:
                 drain()
             finally:
-                # No helper may outlive the call: the plan's input buffers
-                # go back to a pool once it returns.
+                # No helper may outlive the call: each writes into the
+                # plan's results, and its failure is re-raised below.
                 wait(helpers)
             for helper in helpers:
                 helper.result()  # re-raise a helper's failure here
@@ -382,7 +382,7 @@ class ScoringEngine:
         return scores
 
     def score_halves(self, halves, plane) -> np.ndarray:
-        """Scores for pairs given as cached halves, assembled zero-copy.
+        """Scores for pairs given as cached halves, assembled per micro-batch.
 
         The encode-plane fast path of :meth:`score_encoded`: ``halves`` is a
         list of :class:`repro.lm.encode_plane.PairHalves` and ``plane`` the
@@ -391,8 +391,7 @@ class ScoringEngine:
         halves were built (so the in-memory and persisted score caches are
         shared with the sequential path), bucket planning reads the
         precomputed half lengths, and each dirty micro-batch is assembled
-        directly into a pooled buffer -- released back to the pool once the
-        plan is scored.
+        into a fresh block straight from the cached halves.
         """
         self.stats.scoring_calls += 1
         count = len(halves)
@@ -427,11 +426,7 @@ class ScoringEngine:
                 self.stats.buckets += plan_num_buckets(plan)
                 self.stats.microbatches += len(plan)
                 score_span.set(microbatches=len(plan))
-                try:
-                    results = self._score_plan(plan)
-                finally:
-                    for microbatch in plan:
-                        plane.release(microbatch.batch)
+                results = self._score_plan(plan)
                 self._record_scores(fingerprints, dirty, plan, results, scores)
         return scores
 

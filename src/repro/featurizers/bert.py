@@ -26,7 +26,7 @@ from ..lm.bert import MiniBert
 from ..lm.encode_plane import EncodePlane, PairHalves
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
-from ..nn.layers import Linear, Module, inference_active, inference_scope
+from ..nn.layers import Dropout, Linear, Module, inference_active, inference_scope
 from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.optim import Adam, clip_gradients
 from ..nn.stats import TrainStats
@@ -417,10 +417,23 @@ class BertFeaturizerConfig:
     encode_cache_capacity: int = 8192
     #: Bound on cached attribute token arrays in the plane's token store.
     token_cache_capacity: int = 65536
-    #: Persist the attribute token store through :mod:`repro.store` (keyed
-    #: on the engine cache token + vocabulary fingerprint).
-    persist_tokens: bool = True
     seed: int = 0
+
+
+#: The :class:`BertFeaturizerConfig` fields :meth:`BertFeaturizer.pretrain`
+#: reads (sample generation, the scalar-path-only training pass and the
+#: classifier's shape and seed); the pretrained-block key hashes only these.
+PRETRAIN_KEY_FIELDS = (
+    "max_length",
+    "classifier_size",
+    "pretrain_epochs",
+    "batch_size",
+    "lr",
+    "max_grad_norm",
+    "negatives_per_positive",
+    "bucket_granularity",
+    "seed",
+)
 
 
 def _text_key(pair: AttributePairView) -> tuple[str, str, str, str]:
@@ -461,15 +474,13 @@ class BertFeaturizer:
         self._iss_samples: list[TrainingSample] = []
         self._human_samples: list[TrainingSample] = []
         #: All encoding goes through the vectorized encode plane: attribute
-        #: token caching, pair halves in a bounded LRU, and zero-copy pooled
-        #: batch assembly (see :mod:`repro.lm.encode_plane`).
+        #: token caching, pair halves in a bounded LRU, and batch assembly
+        #: from the cached halves (see :mod:`repro.lm.encode_plane`).
         self.encode_plane = EncodePlane(
             tokenizer,
             max_length=self.config.max_length,
-            cache_token=engine_cache_token,
             token_cache_capacity=self.config.token_cache_capacity,
             pair_cache_capacity=self.config.encode_cache_capacity,
-            persist_tokens=self.config.persist_tokens,
         )
         #: Encoded training samples, persisted across ``update()`` calls --
         #: incremental updates re-train on overlapping sample sets, so most
@@ -712,6 +723,18 @@ class BertFeaturizer:
         self.engine.invalidate_model()
         return losses
 
+    def _training_generators(self) -> list[np.random.Generator]:
+        """The featurizer's shuffle generator and every dropout generator of
+        its private encoder copy (the layers may share one)."""
+        generators = {id(self._rng): self._rng}
+        modules = [self.model]
+        while modules:
+            module = modules.pop()
+            if isinstance(module, Dropout):
+                generators.setdefault(id(module.rng), module.rng)
+            modules.extend(module._children.values())
+        return list(generators.values())
+
     def pretrain(
         self,
         target_schema: Schema,
@@ -734,6 +757,11 @@ class BertFeaturizer:
                 self.config.negatives_per_positive,
                 lexicon=lexicon,
             )
+            # A cached block skips the training pass; a cold pass puts its
+            # generators (shuffles, encoder dropout) back here afterwards,
+            # so later updates draw the same on a cold and a warm store.
+            generators = self._training_generators()
+            states = [generator.bit_generator.state for generator in generators]
             span.set(samples=len(self._iss_samples))
             full_key = None
             if cache_key is not None:
@@ -741,11 +769,7 @@ class BertFeaturizer:
                     "bert-featurizer-pretrain-v1",
                     cache_key,
                     target_schema.name,
-                    {
-                        k: v
-                        for k, v in self.config.__dict__.items()
-                        if isinstance(v, (int, float, bool, str))
-                    },
+                    {name: getattr(self.config, name) for name in PRETRAIN_KEY_FIELDS},
                 )
                 stored = disk_cache.load_arrays("bert-pretrain", full_key)
                 if stored is not None:
@@ -773,6 +797,8 @@ class BertFeaturizer:
                 train_channels=False,
                 train_encoder=False,
             )
+            for generator, state in zip(generators, states):
+                generator.bit_generator.state = state
             if full_key is not None:
                 combined = {
                     **{f"model.{k}": v for k, v in state_dict(self.model).items()},
@@ -829,7 +855,7 @@ class BertFeaturizer:
         already-scored pairs from its fingerprint cache and pushes the rest
         through length-bucketed (optionally threaded) micro-batches.  Pairs
         travel as cached halves and dirty micro-batches are assembled
-        zero-copy inside the engine
+        from them inside the engine
         (:meth:`repro.engine.ScoringEngine.score_halves`).
         """
         if not pairs:
@@ -846,5 +872,4 @@ class BertFeaturizer:
 
     def close(self) -> None:
         """Release engine resources (scoring threads); idempotent."""
-        self.encode_plane.flush()
         self.engine.close()

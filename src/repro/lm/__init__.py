@@ -13,12 +13,10 @@ from .vocab import (
 from .tokenizer import EncodedPair, WordPieceTokenizer, encoded_length, stack_encoded
 from .encode_plane import (
     AttributeTokenStore,
-    BatchBufferPool,
     EncodePlane,
     EncodeStats,
     LruDict,
     PairHalves,
-    token_key,
     truncate_pair_lengths,
 )
 from .config import BertConfig
@@ -36,7 +34,6 @@ from .mlm import (
 
 __all__ = [
     "AttributeTokenStore",
-    "BatchBufferPool",
     "BertConfig",
     "CLS_TOKEN",
     "EncodePlane",
@@ -64,6 +61,5 @@ __all__ = [
     "mask_tokens_with_redraw",
     "pretrain_mlm",
     "stack_encoded",
-    "token_key",
     "truncate_pair_lengths",
 ]

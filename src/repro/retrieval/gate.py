@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ..schema.model import AttributeRef
 from .base import CandidateGenerator, CandidateSets
 
@@ -153,23 +151,3 @@ def recall_curve(
             candidate_recall(truncated, ground_truth, source_refs, target_refs, dataset)
         )
     return reports
-
-
-def cumulative_ranks(
-    sets: CandidateSets,
-    ground_truth: Mapping[AttributeRef, AttributeRef],
-    source_refs: Sequence[AttributeRef],
-    target_refs: Sequence[AttributeRef],
-) -> np.ndarray:
-    """Ranks of every resolvable ground-truth target (diagnostics)."""
-    source_index = {ref: i for i, ref in enumerate(source_refs)}
-    target_index = {ref: i for i, ref in enumerate(target_refs)}
-    ranks = []
-    for source, target in ground_truth.items():
-        s = source_index.get(source)
-        t = target_index.get(target)
-        if s is None or t is None:
-            continue
-        rank = sets.rank_of(s, t)
-        ranks.append(len(target_refs) if rank is None else rank)
-    return np.asarray(ranks, dtype=np.int64)

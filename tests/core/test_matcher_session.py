@@ -13,6 +13,7 @@ from repro.core import (
 )
 from repro.featurizers.bert import BertFeaturizerConfig
 from repro.schema import AttributeRef
+from repro.store import ArtifactStore
 
 
 @pytest.fixture()
@@ -75,6 +76,35 @@ class TestMatcherPredict:
         assert result.accuracy_against(
             {s: t for s, t in list(ground_truth.items())[:4]}
         ) == pytest.approx(1.0)
+
+
+class TestTokenStoreInMemory:
+    def test_matchers_share_no_token_entry(
+        self, source_schema, target_schema, config, tiny_artifacts, tmp_path, monkeypatch
+    ):
+        """Token arrays never reach the artifact store: two matchers built and
+        closed in turn on one store neither read nor write one, and agree."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        kinds = []
+        for method in ("load_arrays", "save_arrays"):
+            original = getattr(ArtifactStore, method)
+
+            def spy(store, kind, *args, _original=original, **kwargs):
+                kinds.append(kind)
+                return _original(store, kind, *args, **kwargs)
+
+            monkeypatch.setattr(ArtifactStore, method, spy)
+        predictions = []
+        for _ in range(2):
+            with LearnedSchemaMatcher(
+                source_schema, target_schema, config=config, artifacts=tiny_artifacts
+            ) as matcher:
+                predictions.append(matcher.predict())
+        assert "bert-pretrain" in kinds  # the spy sees the featurizer's traffic
+        assert not [kind for kind in kinds if "token" in kind]
+        assert not list(tmp_path.rglob("*token*"))
+        assert predictions[0].suggestions == predictions[1].suggestions
+        assert predictions[0].confidences == predictions[1].confidences
 
 
 class TestSelection:

@@ -1,5 +1,7 @@
 """Tests for the BERT featurizer: pre-training samples, training, scoring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.featurizers import (
     generate_pretraining_samples,
     make_pair_view,
 )
+from repro.nn.serialize import state_dict
 from repro.schema import AttributeRef
 
 
@@ -161,6 +164,72 @@ class TestBertFeaturizerTraining:
 
     def test_update_without_labels_is_noop(self, featurizer):
         featurizer.update([], [])  # must not raise
+
+
+class TestPretrainCache:
+    """The pretrained block is keyed on what pretraining reads, and a warm
+    load leaves the featurizer exactly where a cold pass does."""
+
+    BASE = BertFeaturizerConfig(
+        max_length=24, pretrain_epochs=1, update_epochs=1, batch_size=16, seed=0
+    )
+
+    def pretrained(self, tiny_artifacts, target_schema, config=BASE):
+        featurizer = BertFeaturizer(tiny_artifacts.tokenizer, tiny_artifacts.bert, config)
+        featurizer.pretrain(target_schema, cache_key=tiny_artifacts.cache_key)
+        return featurizer
+
+    def parameters(self, featurizer):
+        return {
+            **{f"model.{k}": v for k, v in state_dict(featurizer.model).items()},
+            **{f"classifier.{k}": v for k, v in state_dict(featurizer.classifier).items()},
+        }
+
+    def test_cold_and_warm_agree_after_an_update(
+        self, tiny_artifacts, source_schema, target_schema, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        view = make_pair_view(
+            source_schema,
+            target_schema,
+            AttributeRef("Orders", "qty"),
+            AttributeRef("Transaction", "quantity"),
+        )
+        cold = self.pretrained(tiny_artifacts, target_schema)
+        warm = self.pretrained(tiny_artifacts, target_schema)
+        try:
+            assert cold.train_stats.steps > 0
+            assert warm.train_stats.steps == 0
+            for featurizer in (cold, warm):
+                featurizer.update([view], [1])
+            cold_parameters = self.parameters(cold)
+            warm_parameters = self.parameters(warm)
+            assert cold_parameters.keys() == warm_parameters.keys()
+            for name, value in cold_parameters.items():
+                np.testing.assert_array_equal(warm_parameters[name], value, err_msg=name)
+        finally:
+            cold.close()
+            warm.close()
+
+    @pytest.mark.parametrize(
+        "change, reused",
+        [
+            ({"update_epochs": 3}, True),
+            ({"human_sample_weight": 2.0}, True),
+            ({"pretrain_epochs": 2}, False),
+            ({"lr": 5e-4}, False),
+        ],
+    )
+    def test_key_covers_only_pretraining_fields(
+        self, tiny_artifacts, target_schema, tmp_path, monkeypatch, change, reused
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        self.pretrained(tiny_artifacts, target_schema).close()
+        changed = self.pretrained(
+            tiny_artifacts, target_schema, dataclasses.replace(self.BASE, **change)
+        )
+        changed.close()
+        assert (changed.train_stats.steps == 0) == reused
 
 
 class TestEncodePathsAreBatched:

@@ -1,13 +1,13 @@
 """The encode plane's contract: bit-exact with the sequential reference.
 
 Every fast path introduced by :mod:`repro.lm.encode_plane` -- the trie
-WordPiece walk, the closed-form pair truncation, zero-copy batch assembly,
-digest-parity fingerprints -- is held bit-identical to the per-pair
-reference (`encode_pair`/`encode_single`/`fingerprint_encoded`) under
-property-based randomisation, including random vocabularies, truncation
-overflow and max_length edges.  Plus unit coverage of the LRU bound, the
-buffer pool, token-store persistence, and the content-keyed pair cache
-under schema drift (renamed or re-added text never meets stale halves).
+WordPiece walk, the closed-form pair truncation, batch assembly from
+cached halves, digest-parity fingerprints -- is held bit-identical to the
+per-pair reference (`encode_pair`/`encode_single`/`fingerprint_encoded`)
+under property-based randomisation, including random vocabularies,
+truncation overflow and max_length edges.  Plus unit coverage of the LRU
+bound, the text-keyed token store, and the content-keyed pair cache under
+schema drift (renamed or re-added text never meets stale halves).
 """
 
 from __future__ import annotations
@@ -23,11 +23,8 @@ from repro.featurizers.bert import BertFeaturizer, BertFeaturizerConfig
 from repro.featurizers.base import make_pair_view
 from repro.lm.encode_plane import (
     AttributeTokenStore,
-    BatchBufferPool,
     EncodePlane,
-    EncodeStats,
     LruDict,
-    token_key,
     truncate_pair_lengths,
 )
 from repro.lm.tokenizer import (
@@ -54,7 +51,6 @@ def tokenizer() -> WordPieceTokenizer:
 
 
 def make_plane(tokenizer: WordPieceTokenizer, max_length: int = 24, **kwargs) -> EncodePlane:
-    kwargs.setdefault("persist_tokens", False)
     return EncodePlane(tokenizer, max_length=max_length, **kwargs)
 
 
@@ -352,44 +348,7 @@ class TestLruDict:
             LruDict(0)
 
 
-class TestBatchBufferPool:
-    def test_reuses_released_buffer(self):
-        pool = BatchBufferPool()
-        first = pool.acquire(4, 16)
-        pool.release(first)
-        second = pool.acquire(4, 16)
-        assert second is first
-        assert pool.stats.pool_hits == 1
-        assert pool.stats.pool_misses == 1
-
-    def test_shape_mismatch_allocates(self):
-        pool = BatchBufferPool()
-        pool.release(pool.acquire(4, 16))
-        other = pool.acquire(4, 24)
-        assert other.shape == (3, 4, 24)
-        assert pool.stats.pool_misses == 2
-
-    def test_byte_bound_drops_excess(self):
-        pool = BatchBufferPool(max_bytes=0)
-        buffer = pool.acquire(4, 16)
-        pool.release(buffer)
-        assert pool.pooled_bytes == 0
-
-    def test_release_ignores_foreign_arrays(self, tokenizer):
-        plane = make_plane(tokenizer)
-        encoded = tokenizer.encode_pair(["price"], ["amount"], max_length=16)
-        plane.release(stack_encoded([encoded]))  # not pool-backed; no-op
-        plane.release(encoded)  # 1-D; no-op
-
-    def test_pooled_assembly_roundtrip(self, tokenizer):
-        plane = make_plane(tokenizer)
-        halves = [plane.halves("product_name", "", "brand_name", "")]
-        batch = plane.assemble(halves)
-        plane.release(batch)
-        again = plane.assemble(halves)
-        assert plane.stats.pool_hits == 1
-        np.testing.assert_array_equal(batch.input_ids, again.input_ids)
-
+class TestPlaneStats:
     def test_stats_payload_reports_lru_evictions(self, tokenizer):
         plane = make_plane(tokenizer, token_cache_capacity=2, pair_cache_capacity=1)
         names = ["price", "amount", "brand", "status", "order", "line", "date", "name"]
@@ -415,8 +374,18 @@ class TestAttributeTokenStore:
         assert store.stats.token_cache_hits == 1
 
     def test_content_addressing_differs_on_text(self, tokenizer):
-        assert token_key("a", "b") != token_key("a", "c")
-        assert token_key("ab", "") != token_key("a", "b")
+        store = AttributeTokenStore(tokenizer, capacity=8)
+        store.ids_for("a", "b")
+        store.ids_for("a", "c")
+        store.ids_for("ab", "")
+        # Training samples tokenise like the attribute with the same words
+        # but never share its entry, not even a one-word sample and a name
+        # without a description.
+        np.testing.assert_array_equal(store.ids_for_words(("a", "b")), store.ids_for("a", "b"))
+        np.testing.assert_array_equal(store.ids_for_words(("ab",)), store.ids_for("ab", ""))
+        assert store.stats.token_cache_misses == 5
+        assert store.stats.token_cache_hits == 2
+        assert len(store) == 5
 
     def test_lru_bound(self, tokenizer):
         store = AttributeTokenStore(tokenizer, capacity=2)
@@ -430,32 +399,6 @@ class TestAttributeTokenStore:
         ids = store.ids_for("product_name", "")
         with pytest.raises(ValueError):
             ids[0] = 0
-
-    def test_persistence_roundtrip(self, tokenizer, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        stats = EncodeStats()
-        writer = AttributeTokenStore(
-            tokenizer, capacity=64, cache_token="tok-test", stats=stats
-        )
-        expected = writer.ids_for("product_name", "the name of the product")
-        assert writer.save_persisted(force=True)
-
-        reader = AttributeTokenStore(tokenizer, capacity=64, cache_token="tok-test")
-        assert reader.load_persisted() == 1
-        recovered = reader.ids_for("product_name", "the name of the product")
-        np.testing.assert_array_equal(recovered, expected)
-        assert reader.stats.token_cache_misses == 0  # served from disk block
-
-    def test_persistence_keyed_on_vocab(self, tokenizer, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        writer = AttributeTokenStore(tokenizer, capacity=64, cache_token="tok-test")
-        writer.ids_for("product_name", "")
-        writer.save_persisted(force=True)
-        other_vocab = build_vocab(CORPUS + [["extra", "tokens"]], target_size=140)
-        reader = AttributeTokenStore(
-            WordPieceTokenizer(other_vocab), capacity=64, cache_token="tok-test"
-        )
-        assert reader.load_persisted() == 0  # different vocab, different key
 
 
 # -- engine fast path ----------------------------------------------------------
@@ -472,7 +415,7 @@ class TestScoreHalvesParity:
         planed = BertFeaturizer(
             tiny_artifacts.tokenizer,
             tiny_artifacts.bert,
-            BertFeaturizerConfig(max_length=24, seed=0, persist_tokens=False),
+            BertFeaturizerConfig(max_length=24, seed=0),
             engine_config=engine_config,
         )
         # The sequential reference: a second engine over the same weights,
@@ -534,7 +477,7 @@ class TestDriftInvalidation:
         return BertFeaturizer(
             tiny_artifacts.tokenizer,
             tiny_artifacts.bert,
-            BertFeaturizerConfig(max_length=24, seed=0, persist_tokens=False),
+            BertFeaturizerConfig(max_length=24, seed=0),
         )
 
     def _expected_fingerprint(self, featurizer, view):
@@ -600,7 +543,10 @@ class TestDriftInvalidation:
             assert not np.array_equal(before, after)
             # Even WITHOUT any invalidation sweep, the renamed text keys a
             # different entry -- the stale-token bug class cannot occur.
-            assert token_key("quantity", "x") != token_key("quantity_sold", "x")
+            misses = plane.stats.token_cache_misses
+            plane.tokens.ids_for("quantity", "x")
+            plane.tokens.ids_for("quantity_sold", "x")
+            assert plane.stats.token_cache_misses == misses + 2
         finally:
             featurizer.close()
 

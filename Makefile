@@ -6,8 +6,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## Tier-1 gate: full test suite, then the engine parity and reentrancy
 ## suites, the encode-plane suite (plane == sequential encode, bit-exact,
 ## and plane scores == score_encoded within 1e-8), the feature-column
-## differential test and the MiniBERT kernel tests explicitly (they are
-## part of tests/, the second run pins them even if testpaths change).
+## differential test, the pair-batch suite (BERT row keys and columns ==
+## the per-pair reference, bit-exact), the BM25 per-posting reference test
+## and the MiniBERT kernel tests explicitly (they are part of tests/, the
+## second run pins them even if testpaths change).
 ## Under `taskset -c 0` the engine's default worker count resolves to one,
 ## so the same suites cover the in-process path.
 verify: test parity
@@ -18,6 +20,7 @@ test:
 parity:
 	$(PYTHON) -m pytest -q tests/engine/test_parity.py tests/engine/test_reentrant.py \
 		tests/lm/test_encode_plane.py tests/core/test_feature_columns.py \
+		tests/featurizers/test_pair_batch.py tests/retrieval/test_bm25_reference.py \
 		tests/nn/test_kernels.py
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
@@ -47,9 +50,10 @@ bench-retrieval:
 bench-drift:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_drift.py
 
-## Encode-plane smoke (tier-2): per-pair encode vs batch assembly
-## from cached attribute halves on an encode-dominated 10x-ISS workload;
-## gates bit-exact chunk parity and >= 3x speedup; emits BENCH_encode.json.
+## Encode-plane smoke (tier-2): per-pair encode vs per-attribute id tables,
+## row fingerprints and gather assembly on an encode-dominated 10x-ISS
+## workload; gates bit-exact chunk and fingerprint parity and >= 3x speedup
+## (best of 3 per path); emits BENCH_encode.json.
 bench-encode:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_encode.py
 

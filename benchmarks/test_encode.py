@@ -1,4 +1,4 @@
-"""Encode-plane throughput: batch assembly from cached halves beats per-pair encode.
+"""Encode-plane throughput: table-gather assembly beats per-pair encode.
 
 An encode-dominated workload -- the full customer-A source attribute set
 against a sample of the 10x-scaled retail ISS (no model forward at all) --
@@ -10,17 +10,19 @@ is prepared for scoring two ways:
   pair's real length.  This baseline already benefits from the trie
   WordPiece and the per-word memo, so the gate below measures assembly,
   not tokenisation.
-* **fast** -- the encode plane: per-attribute token arrays served from the
-  content-addressed :class:`~repro.lm.AttributeTokenStore`, truncation on
-  lengths (``truncate_pair_lengths``), bucket planning on those lengths
-  (``plan_bucket_chunks``), and whole micro-batches slice-written into
-  one block each (``EncodePlane.assemble``).
+* **fast** -- the encode plane as the BERT featurizer drives it: one
+  token-store lookup per distinct attribute into per-side id tables
+  (``EncodePlane.batch_halves``, truncation on length arrays), every row's
+  score-cache fingerprint (``EncodePlane.fingerprint_rows``), bucket
+  planning on the truncated lengths (``plan_bucket_chunks``), and each
+  micro-batch gathered from the tables (``EncodePlane.assemble``).
 
 Both layouts must agree bit-exactly chunk for chunk (same indices, same
-``input_ids``/``segment_ids``/``attention_mask``) -- the parity the engine
-relies on when ``score_halves`` shares the fingerprint score cache with
-``score_encoded``.  Emits ``BENCH_encode.json`` at the repo root (uploaded
-by CI).
+``input_ids``/``segment_ids``/``attention_mask``), and every fingerprint
+must equal ``fingerprint_encoded`` of its sequential row -- the parity the
+engine relies on when ``score_halves`` shares the fingerprint score cache
+with ``score_encoded``.  Emits ``BENCH_encode.json`` at the repo root
+(uploaded by CI).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from _emit import emit_benchmark
 from conftest import register_report
 
 from repro.datasets import load_dataset, scale_schema
-from repro.engine import plan_bucket_chunks, plan_microbatches
+from repro.engine import fingerprint_encoded, plan_bucket_chunks, plan_microbatches
 from repro.eval.reporting import render_table
 from repro.lm import EncodePlane, WordPieceTokenizer, build_vocab
 from repro.text.tokenize import name_and_description_tokens
@@ -42,7 +44,7 @@ MAX_LENGTH = 64
 TARGET_SAMPLE = 300
 VOCAB_SIZE = 600
 REPEATS = 3
-#: Acceptance bar: batch assembly from cached halves over per-pair encode.
+#: Acceptance bar: table-gather assembly over per-pair encode.
 MIN_SPEEDUP = 3.0
 
 
@@ -55,12 +57,11 @@ def bench_attributes():
     targets = [attribute for _, attribute in scaled.iter_attributes()]
     rng = np.random.default_rng(0)
     sampled = [targets[i] for i in rng.choice(len(targets), TARGET_SAMPLE, replace=False)]
-    pairs = [(source, target) for source in sources for target in sampled]
     corpus = [
         name_and_description_tokens(attribute.name, attribute.description)
         for attribute in sources + targets
     ]
-    return pairs, build_vocab(corpus, target_size=VOCAB_SIZE)
+    return sources, sampled, build_vocab(corpus, target_size=VOCAB_SIZE)
 
 
 def best_of(run) -> float:
@@ -73,7 +74,12 @@ def best_of(run) -> float:
 
 
 def test_batch_assembly_beats_per_pair_encode():
-    pairs, vocab = bench_attributes()
+    sources, targets, vocab = bench_attributes()
+    pairs = [(source, target) for source in sources for target in targets]
+    texts_a = [(a.name, a.description) for a in sources]
+    texts_b = [(a.name, a.description) for a in targets]
+    index_a = np.repeat(np.arange(len(sources)), len(targets))
+    index_b = np.tile(np.arange(len(targets)), len(sources))
     tokenizer = WordPieceTokenizer(vocab)
     plane = EncodePlane(tokenizer, max_length=MAX_LENGTH)
 
@@ -89,28 +95,33 @@ def test_batch_assembly_beats_per_pair_encode():
         return plan_microbatches(encoded, microbatch_size=64, bucket_granularity=8)
 
     def run_fast():
-        halves = [
-            plane.halves(source.name, source.description, target.name, target.description)
-            for source, target in pairs
-        ]
+        halves = plane.batch_halves(texts_a, texts_b, index_a, index_b)
+        fingerprints = plane.fingerprint_rows(halves)
         chunks = plan_bucket_chunks(
-            [pair.length for pair in halves], microbatch_size=64, bucket_granularity=8
+            halves.lengths.tolist(), microbatch_size=64, bucket_granularity=8
         )
-        return [
-            (indices, plane.assemble([halves[i] for i in indices], pad_to=padded))
+        batches = [
+            (indices, plane.assemble(halves.take(indices), pad_to=padded))
             for padded, indices in chunks
         ]
+        return fingerprints, batches
 
     # Warm both paths (tokenise every attribute once, populate the word
-    # memo), then prove bit-exact layout parity chunk for chunk.
+    # memo), then prove bit-exact layout and fingerprint parity.
     baseline_plan = run_baseline()
-    fast_batches = run_fast()
+    fingerprints, fast_batches = run_fast()
     assert len(fast_batches) == len(baseline_plan)
     for microbatch, (indices, batch) in zip(baseline_plan, fast_batches):
         assert microbatch.indices == tuple(indices)
         np.testing.assert_array_equal(batch.input_ids, microbatch.batch.input_ids)
         np.testing.assert_array_equal(batch.segment_ids, microbatch.batch.segment_ids)
         np.testing.assert_array_equal(batch.attention_mask, microbatch.batch.attention_mask)
+    for row, (source, target) in enumerate(pairs):
+        encoded = tokenizer.encode_attribute_pair(
+            source.name, source.description, target.name, target.description,
+            max_length=MAX_LENGTH,
+        )
+        assert fingerprints[row].tobytes() == fingerprint_encoded(encoded)
 
     baseline_seconds = best_of(run_baseline)
     fast_seconds = best_of(run_fast)
@@ -122,7 +133,7 @@ def test_batch_assembly_beats_per_pair_encode():
             ["path", "wall-clock (s)", "speedup"],
             [
                 ["per-pair encode + plan_microbatches", f"{baseline_seconds:.4f}", "1.00x"],
-                ["cached halves + batch assembly", f"{fast_seconds:.4f}", f"{speedup:.2f}x"],
+                ["id tables + fingerprints + gather", f"{fast_seconds:.4f}", f"{speedup:.2f}x"],
             ],
             title=(
                 f"Encode plane -- {len(pairs)} candidate pairs, "
@@ -144,10 +155,14 @@ def test_batch_assembly_beats_per_pair_encode():
         },
         baseline_seconds=baseline_seconds,
         fast_seconds=fast_seconds,
-        gate={"min_speedup": MIN_SPEEDUP, "bit_exact_chunks": len(baseline_plan)},
+        gate={
+            "min_speedup": MIN_SPEEDUP,
+            "bit_exact_chunks": len(baseline_plan),
+            "fingerprints_checked": len(pairs),
+        },
         extra={
             "baseline": "encode_attribute_pair per pair + plan_microbatches",
-            "fast": "token-store halves + plan_bucket_chunks + assemble",
+            "fast": "batch_halves + fingerprint_rows + plan_bucket_chunks + gather assemble",
             "token_cache_entries": stats["token_cache_entries"],
             "batches_assembled": stats["batches_assembled"],
         },

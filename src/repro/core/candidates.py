@@ -4,8 +4,10 @@ The preparation phase of the pipeline (Section IV-B) generates every
 ``(a_s, a_t)`` pair and initialises its label to -1 (unlabeled).  Labels move
 to 1 (correct match) or 0 (incorrect) through user feedback.  The store keeps
 flat numpy index arrays so the training/prediction phases can slice by label
-state without Python loops, plus the :class:`AttributePairView` for each pair
-for the featurizers.
+state without Python loops.  Featurizers score a :class:`PairBatch` built
+for the rows being scored (:meth:`CandidateStore.pair_batch`): per-side
+tables of the attributes those rows touch plus index arrays into them.  The
+label path still reads one :class:`AttributePairView` per labeled pair.
 
 Pruning (blocking) shrinks the pair set to the most promising targets per
 source attribute -- either score-based (:meth:`CandidateStore.prune`) or
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..featurizers.base import AttributePairView, make_pair_view
+from ..featurizers.base import AttributePairView, AttributeTable, PairBatch, make_pair_view
 from ..schema.drift import DeltaEffect
 from ..schema.model import AttributeRef, Schema
 
@@ -57,6 +59,7 @@ class StoreDeltaReport:
     dropped_sources: list[AttributeRef] = field(default_factory=list)
     pairs_dropped: int = 0
     pairs_added: int = 0
+    #: Renamed sources' rows that held a cached view or scored features.
     views_invalidated: int = 0
     #: Labels that survived the delta / were lost with dropped columns.
     labels_preserved: int = 0
@@ -166,6 +169,27 @@ class CandidateStore:
     def views(self, pair_ids: Iterable[int]) -> list[AttributePairView]:
         return [self.view(int(pair_id)) for pair_id in pair_ids]
 
+    def _table(self, schema: Schema, refs: Sequence[AttributeRef], entries) -> AttributeTable:
+        attributes = [schema.attribute(refs[entry]) for entry in entries.tolist()]
+        return AttributeTable.from_text(
+            [attribute.name for attribute in attributes],
+            [a.description if self.use_descriptions else "" for a in attributes],
+        )
+
+    def pair_batch(self, rows) -> PairBatch:
+        """The featurizers' input for ``rows``: tables cover only the
+        attributes those rows touch, so a few dirty rows cost O(their
+        attributes), not O(schema)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        sources, source_index = np.unique(self.pair_source[rows], return_inverse=True)
+        targets, target_index = np.unique(self.pair_target[rows], return_inverse=True)
+        return PairBatch(
+            sources=self._table(self.source_schema, self.source_refs, sources),
+            targets=self._table(self.target_schema, self.target_refs, targets),
+            source_index=source_index.reshape(-1),
+            target_index=target_index.reshape(-1),
+        )
+
     def invalidate_views(self, pair_ids: Iterable[int]) -> int:
         """Drop the cached views of ``pair_ids`` and mark the rows dirty.
 
@@ -173,18 +197,19 @@ class CandidateStore:
         attribute's name and description at build time, so any metadata
         mutation (a renamed or re-described column) must explicitly drop the
         affected entries or the pair keeps scoring its stale encoding.  The
-        rows' feature columns were scored from the old view, so they turn
+        rows' feature columns were scored from the old text, so they turn
         dirty too.  :meth:`apply_delta` routes through here; so must any
-        future mutator.  Returns the number of views actually dropped.
+        future mutator.  Returns the number of rows that actually held a
+        cached view or scored features.
         """
-        pair_ids = np.fromiter(pair_ids, dtype=np.intp)
+        pair_ids = np.unique(np.fromiter(pair_ids, dtype=np.intp))
+        cached = ~self.dirty[pair_ids]
         self.dirty[pair_ids] = True
-        dropped = 0
-        for pair_id in pair_ids:
-            if self._views[int(pair_id)] is not None:
-                self._views[int(pair_id)] = None
-                dropped += 1
-        return dropped
+        for position, pair_id in enumerate(pair_ids.tolist()):
+            if self._views[pair_id] is not None:
+                self._views[pair_id] = None
+                cached[position] = True
+        return int(np.count_nonzero(cached))
 
     def invalidate_views_of_source(self, source_index: int) -> int:
         """Drop the cached views of every pair of one source attribute."""

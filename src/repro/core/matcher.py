@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import obs
-from ..featurizers.base import AttributePairView
+from ..featurizers.base import AttributePairView, PairBatch
 from ..featurizers.bert import BertFeaturizer
 from ..featurizers.embedding import EmbeddingFeaturizer
 from ..featurizers.lexical import LexicalFeaturizer
@@ -374,20 +374,23 @@ class LearnedSchemaMatcher:
         store's dirty rows, or every row when the featurizer's version moved
         past its column's (a BERT update).  So the engine sees the pairs
         the full pass would have missed its cache on, in the same order, and
-        forms the same micro-batch plans.
+        forms the same micro-batch plans.  Featurizers scoring the same rows
+        share one :class:`~repro.featurizers.base.PairBatch`.
         """
         store = self.store
         dirty_rows = np.flatnonzero(store.dirty)
         all_rows = np.arange(store.num_pairs)
+        batches: dict[bool, PairBatch] = {}
         rows_dirty: dict[str, int] = {}
         for column, featurizer in enumerate(self.pipeline.featurizers):
             version = getattr(featurizer, "model_version", 0)
-            rows = (
-                dirty_rows if store.feature_versions[column] == version else all_rows
-            )
+            full = store.feature_versions[column] != version
+            rows = all_rows if full else dirty_rows
             if rows.size:
+                if full not in batches:
+                    batches[full] = store.pair_batch(rows)
                 store.features[rows, column] = self.pipeline.score(
-                    featurizer, store.views(rows)
+                    featurizer, batches[full]
                 )
             store.feature_versions[column] = version
             rows_dirty[featurizer.name] = int(rows.size)

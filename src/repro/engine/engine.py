@@ -46,13 +46,11 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs
+from ..lm.encode_plane import FINGERPRINT_BYTES
 from ..lm.tokenizer import EncodedPair
 from . import blas
 from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
 from .stats import EngineStats
-
-#: Bytes of one pair fingerprint (blake2b digest size).
-FINGERPRINT_BYTES = 16
 
 #: Write the score block at most once per this many new scores (after the
 #: first write of a weights key); close() and invalidate_model() flush the
@@ -382,16 +380,16 @@ class ScoringEngine:
         return scores
 
     def score_halves(self, halves, plane) -> np.ndarray:
-        """Scores for pairs given as cached halves, assembled per micro-batch.
+        """Scores for fingerprinted pairs, assembled per dirty micro-batch.
 
         The encode-plane fast path of :meth:`score_encoded`: ``halves`` is a
-        list of :class:`repro.lm.encode_plane.PairHalves` and ``plane`` the
-        :class:`~repro.lm.encode_plane.EncodePlane` that produced them.
-        Each pair carries the digest-parity fingerprint computed when its
-        halves were built (so the in-memory and persisted score caches are
-        shared with the sequential path), bucket planning reads the
-        precomputed half lengths, and each dirty micro-batch is assembled
-        into a fresh block straight from the cached halves.
+        fingerprinted :class:`repro.lm.encode_plane.BatchHalves` and
+        ``plane`` the :class:`~repro.lm.encode_plane.EncodePlane` that
+        produced it.  The
+        digest-parity fingerprints share the in-memory and persisted score
+        caches with the sequential path, bucket planning reads the rows'
+        truncated lengths, and each dirty micro-batch is gathered from the
+        per-attribute id tables into fresh arrays.
         """
         self.stats.scoring_calls += 1
         count = len(halves)
@@ -404,22 +402,21 @@ class ScoringEngine:
             self.model.eval()
             self.classifier.eval()
 
-            fingerprints = [pair.fingerprint for pair in halves]
+            fingerprints = halves.fingerprint_keys()
             scores = np.empty(count, dtype=np.float64)
             dirty = self._split_cached(fingerprints, scores, score_span)
             if dirty:
                 with self.stats.timer("bucket"):
+                    rows = np.asarray(dirty, dtype=np.intp)
                     chunks = plan_bucket_chunks(
-                        [halves[i].length for i in dirty],
+                        halves.lengths[rows].tolist(),
                         microbatch_size=self.config.microbatch_size,
                         bucket_granularity=self.config.bucket_granularity,
                     )
                     plan = [
                         MicroBatch(
                             tuple(chunk),
-                            plane.assemble(
-                                [halves[dirty[i]] for i in chunk], pad_to=padded
-                            ),
+                            plane.assemble(halves.take(rows[chunk]), pad_to=padded),
                         )
                         for padded, chunk in chunks
                     ]

@@ -1,6 +1,13 @@
 """LSM featurizers: lexical, word-embedding and fine-tuned BERT."""
 
-from .base import AttributePairView, Featurizer, StaticFeaturizer, make_pair_view
+from .base import (
+    AttributePairView,
+    AttributeTable,
+    Featurizer,
+    PairBatch,
+    StaticFeaturizer,
+    make_pair_view,
+)
 from .lexical import LexicalFeaturizer
 from .embedding import EmbeddingFeaturizer
 from .bert import (
@@ -17,6 +24,7 @@ from .pipeline import FeaturizerPipeline
 
 __all__ = [
     "AttributePairView",
+    "AttributeTable",
     "BertFeaturizer",
     "BertFeaturizerConfig",
     "EmbeddingFeaturizer",
@@ -24,6 +32,7 @@ __all__ = [
     "FeaturizerPipeline",
     "LexicalFeaturizer",
     "MatchingClassifier",
+    "PairBatch",
     "StaticFeaturizer",
     "TrainingSample",
     "compute_match_features",

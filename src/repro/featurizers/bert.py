@@ -16,14 +16,14 @@ This is the key innovation of LSM (Section IV-C1).  The featurizer
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from ..lm.bert import MiniBert
-from ..lm.encode_plane import EncodePlane, PairHalves
+from ..lm.encode_plane import BatchHalves, EncodePlane
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
 from ..nn.layers import Dropout, Linear, Module, inference_active, inference_scope
@@ -34,7 +34,7 @@ from ..schema.model import Schema
 from ..text.abbrev import expand_tokens
 from ..text.lexicon import SynonymLexicon, default_lexicon
 from ..text.tokenize import name_and_description_tokens, split_identifier, words
-from .base import AttributePairView
+from .base import AttributePairView, PairBatch
 
 
 class MatchingClassifier(Module):
@@ -412,9 +412,6 @@ class BertFeaturizerConfig:
     #: batches then continue the existing optimisation trajectory instead of
     #: re-estimating the moments from zero every round.
     warm_updates: bool = True
-    #: Bound on the encode plane's pair-halves LRU
-    #: (:attr:`repro.lm.encode_plane.EncodePlane.pair_cache`).
-    encode_cache_capacity: int = 8192
     #: Bound on cached attribute token arrays in the plane's token store.
     token_cache_capacity: int = 65536
     seed: int = 0
@@ -434,17 +431,6 @@ PRETRAIN_KEY_FIELDS = (
     "bucket_granularity",
     "seed",
 )
-
-
-def _text_key(pair: AttributePairView) -> tuple[str, str, str, str]:
-    """The pair's text, ``(name_a, desc_a, name_b, desc_b)``: the key of the
-    pair-halves LRU, so a renamed or re-described column misses."""
-    return (
-        pair.source_name,
-        pair.source_description,
-        pair.target_name,
-        pair.target_description,
-    )
 
 
 class BertFeaturizer:
@@ -474,13 +460,12 @@ class BertFeaturizer:
         self._iss_samples: list[TrainingSample] = []
         self._human_samples: list[TrainingSample] = []
         #: All encoding goes through the vectorized encode plane: attribute
-        #: token caching, pair halves in a bounded LRU, and batch assembly
-        #: from the cached halves (see :mod:`repro.lm.encode_plane`).
+        #: token caching, per-attribute id tables, and batch assembly
+        #: gathered from them (see :mod:`repro.lm.encode_plane`).
         self.encode_plane = EncodePlane(
             tokenizer,
             max_length=self.config.max_length,
             token_cache_capacity=self.config.token_cache_capacity,
-            pair_cache_capacity=self.config.encode_cache_capacity,
         )
         #: Encoded training samples, persisted across ``update()`` calls --
         #: incremental updates re-train on overlapping sample sets, so most
@@ -530,18 +515,16 @@ class BertFeaturizer:
         self._sample_encodings[sample] = encoded
         return encoded
 
-    def _pair_halves(self, pair: AttributePairView) -> PairHalves:
-        """Cached :class:`~repro.lm.encode_plane.PairHalves` of one view."""
+    def _batch_halves(self, batch: PairBatch) -> BatchHalves:
+        """The batch as per-attribute id tables, truncated and fingerprinted."""
         plane = self.encode_plane
-        key = _text_key(pair)
-        halves = plane.pair_cache.get(key)
-        if halves is None:
-            plane.stats.pair_cache_misses += 1
-            halves = plane.halves(*key)
-            plane.pair_cache.put(key, halves)
-        else:
-            plane.stats.pair_cache_hits += 1
-        return halves
+        halves = plane.batch_halves(
+            list(zip(batch.sources.names, batch.sources.descriptions)),
+            list(zip(batch.targets.names, batch.targets.descriptions)),
+            batch.source_index,
+            batch.target_index,
+        )
+        return replace(halves, fingerprints=plane.fingerprint_rows(halves))
 
     # -- encoder match features --------------------------------------------------
 
@@ -848,20 +831,20 @@ class BertFeaturizer:
 
     # -- scoring ---------------------------------------------------------------
 
-    def score_pairs(self, pairs: Sequence[AttributePairView]) -> np.ndarray:
+    def score_pairs(self, batch: PairBatch) -> np.ndarray:
         """Similarity scores in [0, 1]: sigmoid of the classifier logits.
 
         All inference is delegated to the scoring engine, which serves
         already-scored pairs from its fingerprint cache and pushes the rest
-        through length-bucketed (optionally threaded) micro-batches.  Pairs
-        travel as cached halves and dirty micro-batches are assembled
-        from them inside the engine
+        through length-bucketed (optionally threaded) micro-batches.  The
+        batch travels as per-attribute id tables and dirty micro-batches
+        are gathered from them inside the engine
         (:meth:`repro.engine.ScoringEngine.score_halves`).
         """
-        if not pairs:
+        if not len(batch):
             return np.zeros(0, dtype=np.float64)
         with self.engine.stats.timer("encode"):
-            halves = [self._pair_halves(pair) for pair in pairs]
+            halves = self._batch_halves(batch)
         return self.engine.score_halves(halves, self.encode_plane)
 
     # -- observability -----------------------------------------------------------

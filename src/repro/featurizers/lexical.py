@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..text.metrics import lcs_ratio
-from .base import AttributePairView, StaticFeaturizer
-
-
-def _canonical(name: str, tokens: tuple[str, ...]) -> str:
-    """Separator-free lower-case form of an identifier."""
-    return "".join(tokens) if tokens else name.lower()
+from .base import PairBatch, StaticFeaturizer
 
 
 @dataclass
@@ -33,7 +30,18 @@ class LexicalFeaturizer(StaticFeaturizer):
     def name(self) -> str:
         return "lexical"
 
-    def _score(self, pair: AttributePairView) -> float:
-        source = _canonical(pair.source_name, pair.source_tokens)
-        target = _canonical(pair.target_name, pair.target_tokens)
-        return lcs_ratio(source, target)
+    def score_pairs(self, batch: PairBatch) -> np.ndarray:
+        """LCS once per distinct ``(canonical source, canonical target)``."""
+        if not len(batch):
+            return np.zeros(0, dtype=np.float64)
+        sources, targets = batch.sources.canonical, batch.targets.canonical
+        source_rows, target_rows, inverse = batch.distinct_pairs(sources, targets)
+        values = np.fromiter(
+            (
+                lcs_ratio(sources[source], targets[target])
+                for source, target in zip(source_rows.tolist(), target_rows.tolist())
+            ),
+            dtype=np.float64,
+            count=source_rows.size,
+        )
+        return values[inverse]

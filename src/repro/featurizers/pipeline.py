@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import AttributePairView, Featurizer
+from .base import AttributePairView, Featurizer, PairBatch
 
 
 class FeaturizerPipeline:
@@ -41,10 +41,10 @@ class FeaturizerPipeline:
     def feature_names(self) -> list[str]:
         return [featurizer.name for featurizer in self.featurizers]
 
-    def score(self, featurizer: Featurizer, pairs: Sequence[AttributePairView]) -> np.ndarray:
-        """One featurizer's column over ``pairs``, timed into its stage."""
+    def score(self, featurizer: Featurizer, batch: PairBatch) -> np.ndarray:
+        """One featurizer's column over ``batch``, timed into its stage."""
         start = time.perf_counter()
-        column = featurizer.score_pairs(pairs)
+        column = featurizer.score_pairs(batch)
         self.stage_seconds[featurizer.name] += time.perf_counter() - start
         self.stage_calls[featurizer.name] += 1
         return column

@@ -13,6 +13,7 @@ from .vocab import (
 from .tokenizer import EncodedPair, WordPieceTokenizer, encoded_length, stack_encoded
 from .encode_plane import (
     AttributeTokenStore,
+    BatchHalves,
     EncodePlane,
     EncodeStats,
     LruDict,
@@ -34,6 +35,7 @@ from .mlm import (
 
 __all__ = [
     "AttributeTokenStore",
+    "BatchHalves",
     "BertConfig",
     "CLS_TOKEN",
     "EncodePlane",

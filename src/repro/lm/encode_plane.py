@@ -11,20 +11,22 @@ module removes the remaining hot-path cost, the pure-Python encode half:
   used to be re-tokenised for every one of them.  Nothing is persisted:
   re-tokenising a whole vertical's attributes takes tens of
   milliseconds, less than reading a saved copy back;
-* **pair halves** -- a candidate pair is represented as two cached token
-  arrays plus the pair-truncation lengths (computed in closed form on the
-  lengths, not by ``list.pop``), so forming a pair is two dict hits and a
-  little arithmetic;
-* **direct batch assembly** -- :meth:`EncodePlane.assemble` writes
+* **columnar pair batches** -- a batch of candidate pairs is a
+  :class:`BatchHalves`: one padded id table per side holding each
+  attribute's cached ids once, per-row index arrays into the tables and
+  the pair-truncation lengths, computed in closed form on length arrays
+  (not by ``list.pop``).  Forming a batch is one token-store lookup per
+  distinct attribute, not two per pair;
+* **gather assembly** -- :meth:`EncodePlane.assemble` gathers
   ``input_ids``/``segment_ids``/``attention_mask`` for a whole micro-batch
-  into one fresh block by slice-copying the cached halves, so per-pair
-  Python list building, ``np.asarray`` and ``stack_encoded`` disappear
-  from the hot path;
-* **fingerprint parity** -- each scored :class:`PairHalves` carries the *same*
-  blake2b digest as :func:`repro.engine.engine.fingerprint_encoded`
-  over the assembled row, without materialising it, so the engine's
-  in-memory and persisted score caches are shared bit-for-bit between the
-  sequential and the batched encode paths.
+  from the id tables in whole-array operations, so per-pair Python list
+  building, ``np.asarray`` and ``stack_encoded`` disappear from the hot
+  path;
+* **fingerprint parity** -- :meth:`EncodePlane.fingerprint_rows` hashes
+  each row assembled at full width, in bounded chunks, with the *same*
+  blake2b digest as :func:`repro.engine.engine.fingerprint_encoded`, so
+  the engine's in-memory and persisted score caches are shared
+  bit-for-bit between the sequential and the batched encode paths.
 
 Everything is held bit-exact to the sequential reference
 (:meth:`repro.lm.tokenizer.WordPieceTokenizer.encode_pair`); the hypothesis
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +48,10 @@ from .tokenizer import EncodedPair, WordPieceTokenizer
 
 #: Default bound on cached attribute token arrays.
 TOKEN_CACHE_CAPACITY = 65536
+
+#: Bytes of one pair fingerprint (blake2b digest size); the scoring engine
+#: keys its score cache on these.
+FINGERPRINT_BYTES = 16
 
 
 # -- stats ---------------------------------------------------------------------
@@ -65,10 +71,6 @@ class EncodeStats(Counters):
     token_cache_hits: int = 0
     #: Attribute texts tokenised from scratch.
     token_cache_misses: int = 0
-    #: Pair-halves served from the bounded pair LRU.
-    pair_cache_hits: int = 0
-    #: Pair-halves built fresh (token-store lookups + truncation).
-    pair_cache_misses: int = 0
     #: Micro-batches assembled from cached halves.
     batches_assembled: int = 0
     #: Rows written across all assembled batches.
@@ -76,7 +78,7 @@ class EncodeStats(Counters):
     #: Single-segment rows assembled by :meth:`EncodePlane.assemble_singles`
     #: (MLM batches come from ``WordPieceTokenizer.encode_singles`` instead).
     singles_assembled: int = 0
-    #: Pair fingerprints computed from halves (score-cache keys).
+    #: Rows fingerprinted (score-cache keys).
     fingerprints: int = 0
 
 
@@ -193,7 +195,7 @@ class AttributeTokenStore:
 # -- pair halves + truncation --------------------------------------------------
 
 
-def truncate_pair_lengths(len_a: int, len_b: int, budget: int) -> tuple[int, int]:
+def truncate_pair_lengths(len_a, len_b, budget: int):
     """Closed form of the BERT pair-truncation loop, on lengths.
 
     Reference semantics (``WordPieceTokenizer.encode_pair``)::
@@ -205,18 +207,23 @@ def truncate_pair_lengths(len_a: int, len_b: int, budget: int) -> tuple[int, int
     i.e. repeatedly shorten the longer span (ties shorten A).  The fixpoint
     is reachable without iterating: either one span already fits under half
     the budget and keeps everything, or both converge to the balanced split
-    with B keeping the odd token (ties pop A first).
+    with B keeping the odd token (ties pop A first).  ``len_a``/``len_b``
+    may be ints or integer arrays (one pair per element).
     """
     budget = max(0, budget)
-    if len_a + len_b <= budget:
-        return len_a, len_b
+    len_a, len_b = np.asarray(len_a), np.asarray(len_b)
     half_lo = budget // 2
     half_hi = budget - half_lo
-    if len_a <= half_lo:
-        return len_a, budget - len_a
-    if len_b <= half_hi:
-        return budget - len_b, len_b
-    return half_lo, half_hi
+    fits = len_a + len_b <= budget
+    a_short = len_a <= half_lo
+    b_short = len_b <= half_hi
+    out_a = np.where(fits | a_short, len_a, np.where(b_short, budget - len_b, half_lo))
+    out_b = np.where(
+        fits, len_b, np.where(a_short, budget - len_a, np.where(b_short, len_b, half_hi))
+    )
+    if out_a.ndim == 0:
+        return int(out_a), int(out_b)
+    return out_a, out_b
 
 
 @dataclass(frozen=True)
@@ -228,9 +235,9 @@ class PairHalves:
     #: Post-truncation token counts of each half.
     len_a: int
     len_b: int
-    #: The assembled row's score-cache key, computed once when the halves
-    #: are built (see :meth:`EncodePlane._fingerprint`); None for training
-    #: halves, which never reach the score cache.
+    #: The assembled row's score-cache key (see
+    #: :meth:`EncodePlane.fingerprint_rows`); None for training halves,
+    #: which never reach the score cache.
     fingerprint: bytes | None = None
 
     @property
@@ -239,25 +246,107 @@ class PairHalves:
         return self.len_a + self.len_b + 3
 
 
+def _id_table(rows: Sequence[np.ndarray], budget: int) -> np.ndarray:
+    """Id arrays cut to ``budget`` and zero-padded into one ``(len(rows), w)`` table."""
+    width = max(1, min(budget, max((row.size for row in rows), default=0)))
+    table = np.zeros((len(rows), width), dtype=np.int64)
+    for entry, ids in enumerate(rows):
+        kept = ids[:width]
+        table[entry, : kept.size] = kept
+    return table
+
+
+@dataclass(frozen=True)
+class BatchHalves:
+    """Many candidate pairs as per-attribute id tables plus per-row indices.
+
+    Row ``i`` is ``[CLS] ids_a[index_a[i], :len_a[i]] [SEP]
+    ids_b[index_b[i], :len_b[i]] [SEP]``: each attribute's ids sit in its
+    side's table once, however many rows it takes part in.
+    """
+
+    #: ``(entries, width)`` int64 id tables, each row cut to the pair budget.
+    ids_a: np.ndarray
+    ids_b: np.ndarray
+    index_a: np.ndarray
+    index_b: np.ndarray
+    #: Post-truncation token counts of each half, per row.
+    len_a: np.ndarray
+    len_b: np.ndarray
+    #: ``(rows, 16)`` uint8 score-cache keys, or None before fingerprinting.
+    fingerprints: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return int(self.index_a.size)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Real tokens of each assembled row: halves + [CLS] + 2x[SEP]."""
+        return self.len_a + self.len_b + 3
+
+    def take(self, rows) -> "BatchHalves":
+        """The listed rows, sharing this batch's id tables."""
+        return replace(
+            self,
+            index_a=self.index_a[rows],
+            index_b=self.index_b[rows],
+            len_a=self.len_a[rows],
+            len_b=self.len_b[rows],
+            fingerprints=None if self.fingerprints is None else self.fingerprints[rows],
+        )
+
+    def fingerprint_keys(self) -> list[bytes]:
+        """Each row's fingerprint as ``bytes`` (the engine's cache keys)."""
+        assert self.fingerprints is not None, "batch was not fingerprinted"
+        raw = np.ascontiguousarray(self.fingerprints).tobytes()
+        size = self.fingerprints.shape[1]
+        return [raw[start : start + size] for start in range(0, len(raw), size)]
+
+    @classmethod
+    def of_pairs(cls, pairs: Sequence[PairHalves]) -> "BatchHalves":
+        """One table entry per pair and side (ad-hoc pairs, tests)."""
+        rows = np.arange(len(pairs), dtype=np.intp)
+        len_a = np.fromiter((p.len_a for p in pairs), dtype=np.intp, count=len(pairs))
+        len_b = np.fromiter((p.len_b for p in pairs), dtype=np.intp, count=len(pairs))
+        budget = int(max(len_a.max(initial=0), len_b.max(initial=0)))
+        fingerprints = None
+        if pairs and all(p.fingerprint is not None for p in pairs):
+            fingerprints = np.frombuffer(
+                b"".join(p.fingerprint for p in pairs), dtype=np.uint8
+            ).reshape(len(pairs), -1)
+        return cls(
+            ids_a=_id_table([p.ids_a for p in pairs], budget),
+            ids_b=_id_table([p.ids_b for p in pairs], budget),
+            index_a=rows,
+            index_b=rows,
+            len_a=len_a,
+            len_b=len_b,
+            fingerprints=fingerprints,
+        )
+
+
 # -- the plane -----------------------------------------------------------------
 
 
 class EncodePlane:
-    """Attribute-token caching + batched pair assembly from cached halves.
+    """Attribute-token caching + batched pair assembly from id tables.
 
     One plane per :class:`repro.featurizers.bert.BertFeaturizer`; the
     scoring engine's :meth:`repro.engine.ScoringEngine.score_halves` drives
     it for inference and the featurizer's training path for sample
-    encoding.  Pairs live here as halves in :attr:`pair_cache`; no full
+    encoding.  Candidate pairs travel as :class:`BatchHalves`; no full
     encoded row is cached.
     """
+
+    #: Rows fingerprinted per assembled block, bounding the transient
+    #: ``(rows, max_length)`` arrays however many rows are keyed at once.
+    FINGERPRINT_CHUNK = 256
 
     def __init__(
         self,
         tokenizer: WordPieceTokenizer,
         max_length: int,
         token_cache_capacity: int = TOKEN_CACHE_CAPACITY,
-        pair_cache_capacity: int = 8192,
         stats: EncodeStats | None = None,
     ) -> None:
         if max_length < 3:
@@ -268,21 +357,10 @@ class EncodePlane:
         self.tokens = AttributeTokenStore(
             tokenizer, capacity=token_cache_capacity, stats=self.stats
         )
-        #: Bounded LRU of :class:`PairHalves` keyed by the pair's text
-        #: ``(name_a, desc_a, name_b, desc_b)``, like the token store keys on
-        #: content: evolved text misses by construction.
-        self.pair_cache = LruDict(pair_cache_capacity)
         vocab = tokenizer.vocab
         self._cls_id = vocab.cls_id
         self._sep_id = vocab.sep_id
         self._pad_id = vocab.pad_id
-        #: Precomputed byte strips for digest-parity fingerprinting: slices
-        #: of these are fed to blake2b in place of materialised rows.
-        self._cls_bytes = np.int64(self._cls_id).tobytes()
-        self._sep_bytes = np.int64(self._sep_id).tobytes()
-        self._pad_bytes = np.full(self.max_length, self._pad_id, dtype=np.int64).tobytes()
-        self._zero_bytes = bytes(8 * self.max_length)
-        self._one_bytes = np.ones(self.max_length, dtype=np.int64).tobytes()
 
     # -- halves ----------------------------------------------------------------
 
@@ -292,59 +370,83 @@ class EncodePlane:
         desc_a: str,
         name_b: str,
         desc_b: str,
-        max_length: int | None = None,
     ) -> PairHalves:
-        """The pair's cached token halves with truncation applied on lengths."""
-        return self._halves(
-            self.tokens.ids_for(name_a, desc_a),
-            self.tokens.ids_for(name_b, desc_b),
-            max_length,
-            fingerprint=True,
+        """One pair's cached token halves, truncated and fingerprinted."""
+        halves = self._halves(
+            self.tokens.ids_for(name_a, desc_a), self.tokens.ids_for(name_b, desc_b)
         )
+        fingerprint = self.fingerprint_rows(BatchHalves.of_pairs([halves]))
+        return replace(halves, fingerprint=fingerprint.tobytes())
 
     def halves_for_words(
-        self,
-        words_a: Sequence[str],
-        words_b: Sequence[str],
-        max_length: int | None = None,
+        self, words_a: Sequence[str], words_b: Sequence[str]
     ) -> PairHalves:
         """Halves of a pre-tokenised pair (training samples, unfingerprinted)."""
         return self._halves(
-            self.tokens.ids_for_words(words_a),
-            self.tokens.ids_for_words(words_b),
-            max_length,
-            fingerprint=False,
+            self.tokens.ids_for_words(words_a), self.tokens.ids_for_words(words_b)
         )
 
-    def _halves(
-        self,
-        ids_a: np.ndarray,
-        ids_b: np.ndarray,
-        max_length: int | None,
-        fingerprint: bool,
-    ) -> PairHalves:
-        max_length = self.max_length if max_length is None else max_length
+    def _halves(self, ids_a: np.ndarray, ids_b: np.ndarray) -> PairHalves:
         len_a, len_b = truncate_pair_lengths(
-            int(ids_a.size), int(ids_b.size), max_length - 3
+            int(ids_a.size), int(ids_b.size), self.max_length - 3
         )
-        return PairHalves(
-            ids_a=ids_a,
-            ids_b=ids_b,
-            len_a=len_a,
-            len_b=len_b,
-            fingerprint=(
-                self._fingerprint(ids_a[:len_a], ids_b[:len_b]) if fingerprint else None
-            ),
+        return PairHalves(ids_a=ids_a, ids_b=ids_b, len_a=len_a, len_b=len_b)
+
+    def batch_halves(
+        self,
+        texts_a: Sequence[tuple[str, str]],
+        texts_b: Sequence[tuple[str, str]],
+        index_a: np.ndarray,
+        index_b: np.ndarray,
+    ) -> BatchHalves:
+        """Rows pairing ``texts_a[index_a[i]]`` with ``texts_b[index_b[i]]``.
+
+        Each ``(name, description)`` entry is looked up in the token store
+        once, and the closed-form truncation runs on length arrays.
+        """
+        budget = self.max_length - 3
+        rows_a = [self.tokens.ids_for(name, desc) for name, desc in texts_a]
+        rows_b = [self.tokens.ids_for(name, desc) for name, desc in texts_b]
+        sizes_a = np.fromiter((r.size for r in rows_a), dtype=np.intp, count=len(rows_a))
+        sizes_b = np.fromiter((r.size for r in rows_b), dtype=np.intp, count=len(rows_b))
+        len_a, len_b = truncate_pair_lengths(sizes_a[index_a], sizes_b[index_b], budget)
+        return BatchHalves(
+            ids_a=_id_table(rows_a, budget),
+            ids_b=_id_table(rows_b, budget),
+            index_a=np.asarray(index_a, dtype=np.intp),
+            index_b=np.asarray(index_b, dtype=np.intp),
+            len_a=np.asarray(len_a, dtype=np.intp),
+            len_b=np.asarray(len_b, dtype=np.intp),
         )
 
     # -- assembly --------------------------------------------------------------
 
-    def assemble(
-        self,
-        halves: Sequence[PairHalves],
-        pad_to: int | None = None,
-    ) -> EncodedPair:
-        """Write a whole micro-batch into one fresh block from cached halves.
+    def _gather(
+        self, halves: BatchHalves, width: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``input_ids``/``segment_ids``/``attention_mask`` of every row at
+        ``width``, gathered from the id tables in whole-array operations."""
+        cols = np.arange(width)
+        len_a = halves.len_a[:, None]
+        sep = 1 + len_a  # the first [SEP]
+        stop = 2 + len_a + halves.len_b[:, None]  # the final [SEP]
+        from_a = halves.ids_a[
+            halves.index_a[:, None], np.clip(cols - 1, 0, halves.ids_a.shape[1] - 1)
+        ]
+        from_b = halves.ids_b[
+            halves.index_b[:, None], np.clip(cols - 1 - sep, 0, halves.ids_b.shape[1] - 1)
+        ]
+        input_ids = np.where(
+            cols < sep, from_a, np.where(cols < stop, from_b, self._pad_id)
+        )
+        input_ids[:, 0] = self._cls_id
+        input_ids[(cols == sep) | (cols == stop)] = self._sep_id
+        segment_ids = ((cols > sep) & (cols <= stop)).astype(np.int64)
+        attention = (cols <= stop).astype(np.int64)
+        return input_ids.astype(np.int64, copy=False), segment_ids, attention
+
+    def assemble(self, halves: BatchHalves, pad_to: int | None = None) -> EncodedPair:
+        """Gather a whole micro-batch from the id tables into fresh arrays.
 
         Bit-exact with ``trim_encoded(stack_encoded([encode_pair(...)]),
         pad_to)``: row ``i`` is ``[CLS] a_i [SEP] b_i [SEP] PAD...`` with the
@@ -354,7 +456,7 @@ class EncodePlane:
         rows = len(halves)
         if rows == 0:
             raise ValueError("cannot assemble an empty batch")
-        longest = max(pair.length for pair in halves)
+        longest = int(halves.lengths.max())
         width = longest if pad_to is None else int(pad_to)
         if width < longest:
             raise ValueError(
@@ -362,33 +464,17 @@ class EncodePlane:
             )
         width = min(width, self.max_length)
         with self.stats.timer("assemble"):
-            buffer = np.empty((3, rows, width), dtype=np.int64)
-            input_ids, segment_ids, attention = buffer[0], buffer[1], buffer[2]
-            input_ids.fill(self._pad_id)
-            segment_ids.fill(0)
-            attention.fill(0)
-            cls_id, sep_id = self._cls_id, self._sep_id
-            for row, pair in enumerate(halves):
-                len_a, len_b = pair.len_a, pair.len_b
-                row_ids = input_ids[row]
-                row_ids[0] = cls_id
-                row_ids[1 : 1 + len_a] = pair.ids_a[:len_a]
-                row_ids[1 + len_a] = sep_id
-                stop = 2 + len_a + len_b
-                row_ids[2 + len_a : stop] = pair.ids_b[:len_b]
-                row_ids[stop] = sep_id
-                segment_ids[row, 2 + len_a : stop + 1] = 1
-                attention[row, : stop + 1] = 1
+            input_ids, segment_ids, attention = self._gather(halves, width)
             self.stats.batches_assembled += 1
             self.stats.rows_assembled += rows
         return EncodedPair(
             input_ids=input_ids, segment_ids=segment_ids, attention_mask=attention
         )
 
-    def assemble_one(self, pair: PairHalves, max_length: int | None = None) -> EncodedPair:
+    def assemble_one(self, pair: PairHalves) -> EncodedPair:
         """One full-width row -- the drop-in replacement
         for ``encode_pair`` where the result is retained (training caches)."""
-        width = self.max_length if max_length is None else int(max_length)
+        width = self.max_length
         buffer = np.zeros((3, 1, width), dtype=np.int64)
         input_ids, segment_ids, attention = buffer[0], buffer[1], buffer[2]
         if self._pad_id != 0:
@@ -448,29 +534,33 @@ class EncodePlane:
 
     # -- fingerprinting --------------------------------------------------------
 
-    def _fingerprint(self, ids_a: np.ndarray, ids_b: np.ndarray) -> bytes:
-        """Digest-parity fingerprint of the assembled row, without assembly.
+    def fingerprint_rows(self, halves: BatchHalves) -> np.ndarray:
+        """Each row's score-cache key, ``(rows, 16)`` uint8.
 
-        Bit-identical to ``fingerprint_encoded`` over the row
-        ``[CLS] a [SEP] b [SEP] PAD..`` padded to ``max_length``, so the
-        engine's in-memory and persisted score caches hit across both
-        encode paths.
+        One blake2b per row over the row assembled at full ``max_length``
+        width, ``input_ids ‖ 0x00 ‖ segment_ids`` -- digest-identical to
+        ``fingerprint_encoded(encode_attribute_pair(...))``, so persisted
+        score blocks keep hitting.  Rows are assembled
+        :attr:`FINGERPRINT_CHUNK` at a time.
         """
-        self.stats.fingerprints += 1
-        len_a, len_b = int(ids_a.size), int(ids_b.size)
-        pad = self.max_length - (len_a + len_b + 3)
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(self._cls_bytes)
-        digest.update(np.ascontiguousarray(ids_a).tobytes())
-        digest.update(self._sep_bytes)
-        digest.update(np.ascontiguousarray(ids_b).tobytes())
-        digest.update(self._sep_bytes)
-        digest.update(self._pad_bytes[: 8 * pad])
-        digest.update(b"\x00")
-        digest.update(self._zero_bytes[: 8 * (len_a + 2)])
-        digest.update(self._one_bytes[: 8 * (len_b + 1)])
-        digest.update(self._zero_bytes[: 8 * pad])
-        return digest.digest()
+        rows = len(halves)
+        out = np.empty((rows, FINGERPRINT_BYTES), dtype=np.uint8)
+        ids_bytes = 8 * self.max_length
+        for start in range(0, rows, self.FINGERPRINT_CHUNK):
+            chunk = halves.take(slice(start, start + self.FINGERPRINT_CHUNK))
+            input_ids, segment_ids, _ = self._gather(chunk, self.max_length)
+            block = np.zeros((len(chunk), 2 * ids_bytes + 1), dtype=np.uint8)
+            block[:, :ids_bytes] = input_ids.view(np.uint8)
+            block[:, ids_bytes + 1 :] = segment_ids.view(np.uint8)
+            digests = b"".join(
+                hashlib.blake2b(row, digest_size=FINGERPRINT_BYTES).digest()
+                for row in block
+            )
+            out[start : start + len(chunk)] = np.frombuffer(digests, dtype=np.uint8).reshape(
+                len(chunk), FINGERPRINT_BYTES
+            )
+        self.stats.fingerprints += rows
+        return out
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -478,8 +568,6 @@ class EncodePlane:
         """EncodeStats plus cache gauges (the ``encode`` metrics source)."""
         payload = self.stats.as_dict()
         payload["token_cache_evictions"] = self.tokens.evictions
-        payload["pair_cache_evictions"] = self.pair_cache.evictions
-        payload["pair_cache_entries"] = len(self.pair_cache)
         payload["token_cache_entries"] = len(self.tokens)
         payload["word_cache_hits"] = self.tokenizer.word_cache_hits
         payload["word_cache_misses"] = self.tokenizer.word_cache_misses

@@ -9,7 +9,13 @@ higher within-document frequency and sharper idf.
 
 Scoring is standard Okapi BM25 (k1/b) accumulated into a dense
 ``(num_queries, num_targets)`` matrix; schema-side vocabularies are small
-enough that sparse output would cost more than it saves.
+enough that sparse output would cost more than it saves.  The index is
+flat: one array entry per posting (term id, doc index, term frequency,
+precomputed BM25 saturation), grouped by term with one span per term, and
+the saturations refresh whenever the collection statistics move.  A query
+adds one ``qf * idf * saturation`` slice per term instead of walking
+postings in Python; every doc still gets at most one add per term, in the
+query's term order, so the scores are bit-identical to the per-posting sum.
 """
 
 from __future__ import annotations
@@ -65,27 +71,46 @@ class SparseRetriever:
         self.k1 = k1
         self.b = b
 
-        #: term -> list of (doc_index, term_frequency)
-        self._postings: dict[str, list[tuple[int, int]]] = {}
-        self._doc_lengths = np.zeros(len(self.target_docs), dtype=np.float64)
-        for doc_index, doc in enumerate(self.target_docs):
-            self._post_doc(doc_index, doc)
+        #: term -> term id, in first-seen order.
+        self._term_ids: dict[str, int] = {}
+        #: One entry per posting: term id, doc index, term frequency.
+        #: :meth:`_refresh_statistics` groups them by term.
+        self._post_term = np.zeros(0, dtype=np.intp)
+        self._post_doc = np.zeros(0, dtype=np.intp)
+        self._post_tf = np.zeros(0, dtype=np.float64)
+        self._doc_lengths = np.zeros(0, dtype=np.float64)
+        self._add_docs(self.target_docs, 0)
         self._refresh_statistics()
 
-    def _post_doc(self, doc_index: int, doc: AttributeDoc) -> None:
-        """Add one doc's term postings (collection statistics not updated)."""
-        terms = doc_terms(doc, self.ngram_n)
-        self._doc_lengths[doc_index] = sum(terms.values())
-        for term, frequency in terms.items():
-            self._postings.setdefault(term, []).append((doc_index, frequency))
+    def _add_docs(self, docs: Sequence[AttributeDoc], start: int) -> None:
+        """Append the postings of ``docs``, numbered from ``start``
+        (collection statistics not updated)."""
+        terms: list[int] = []
+        doc_index: list[int] = []
+        frequency: list[int] = []
+        lengths: list[int] = []
+        for offset, doc in enumerate(docs):
+            counts = doc_terms(doc, self.ngram_n)
+            lengths.append(sum(counts.values()))
+            for term, term_frequency in counts.items():
+                terms.append(self._term_ids.setdefault(term, len(self._term_ids)))
+                doc_index.append(start + offset)
+                frequency.append(term_frequency)
+        self._post_term = np.concatenate([self._post_term, np.array(terms, dtype=np.intp)])
+        self._post_doc = np.concatenate([self._post_doc, np.array(doc_index, dtype=np.intp)])
+        self._post_tf = np.concatenate([self._post_tf, np.array(frequency, dtype=np.float64)])
+        self._doc_lengths = np.concatenate(
+            [self._doc_lengths, np.array(lengths, dtype=np.float64)]
+        )
 
     def _refresh_statistics(self) -> None:
         """Recompute the collection-level BM25 statistics from the postings.
 
-        Length norms and idf depend on collection aggregates (average length,
-        document frequency), so in-place doc changes refresh them wholesale
-        -- O(vocabulary), which is the cheap part; the expensive part
-        (re-tokenising unchanged docs into n-gram postings) never reruns.
+        Length norms, idf and the per-posting saturations depend on
+        collection aggregates (average length, document frequency), so
+        in-place doc changes refresh them wholesale -- whole-array work plus
+        one idf per term; the expensive part (re-tokenising unchanged docs
+        into n-gram postings) never reruns.
         """
         num_docs = len(self.target_docs)
         average_length = self._doc_lengths.mean() if num_docs else 1.0
@@ -95,12 +120,28 @@ class SparseRetriever:
         self._length_norm = self.k1 * (
             1.0 - self.b + self.b * self._doc_lengths / average_length
         )
+        # Group the postings by term; ``_spans[term] = (start, stop)``.
+        order = np.argsort(self._post_term, kind="stable")
+        self._post_term = self._post_term[order]
+        self._post_doc = self._post_doc[order]
+        self._post_tf = self._post_tf[order]
+        counts = np.bincount(self._post_term, minlength=len(self._term_ids)).tolist()
+        self._spans: dict[str, tuple[int, int]] = {}
         #: term -> idf, the BM25+ variant ``ln(1 + (N - df + 0.5)/(df + 0.5))``
         #: which never goes negative on tiny collections.
-        self._idf = {
-            term: float(np.log1p((num_docs - len(postings) + 0.5) / (len(postings) + 0.5)))
-            for term, postings in self._postings.items()
-        }
+        self._idf: dict[str, float] = {}
+        stop = 0
+        for term, term_id in self._term_ids.items():
+            df = counts[term_id]
+            if df:
+                self._spans[term] = (stop, stop + df)
+                self._idf[term] = float(np.log1p((num_docs - df + 0.5) / (df + 0.5)))
+                stop += df
+        #: Per posting, ``tf * (k1 + 1) / (tf + length_norm)``.
+        denominator = self._length_norm[self._post_doc]
+        denominator += self._post_tf
+        self._saturation = self._post_tf * (self.k1 + 1.0)
+        self._saturation /= denominator
 
     def update_docs(
         self,
@@ -115,31 +156,21 @@ class SparseRetriever:
         rebuilt -- then the collection statistics refresh once.
         """
         if removed_refs:
-            keep = [
-                i for i, doc in enumerate(self.target_docs)
-                if doc.ref not in removed_refs
-            ]
-            index_map = {old: new for new, old in enumerate(keep)}
-            self.target_docs = [self.target_docs[i] for i in keep]
+            keep = np.fromiter(
+                (doc.ref not in removed_refs for doc in self.target_docs),
+                dtype=bool,
+                count=len(self.target_docs),
+            )
+            self.target_docs = [doc for doc, kept in zip(self.target_docs, keep) if kept]
             self._doc_lengths = self._doc_lengths[keep]
-            for term in list(self._postings):
-                postings = [
-                    (index_map[doc_index], frequency)
-                    for doc_index, frequency in self._postings[term]
-                    if doc_index in index_map
-                ]
-                if postings:
-                    self._postings[term] = postings
-                else:
-                    del self._postings[term]
+            surviving = keep[self._post_doc]
+            self._post_term = self._post_term[surviving]
+            self._post_tf = self._post_tf[surviving]
+            self._post_doc = (np.cumsum(keep) - 1)[self._post_doc[surviving]]
         if added_docs:
             start = len(self.target_docs)
             self.target_docs.extend(added_docs)
-            self._doc_lengths = np.concatenate(
-                [self._doc_lengths, np.zeros(len(added_docs))]
-            )
-            for offset, doc in enumerate(added_docs):
-                self._post_doc(start + offset, doc)
+            self._add_docs(added_docs, start)
         self._refresh_statistics()
 
     @property
@@ -150,17 +181,13 @@ class SparseRetriever:
         """BM25 scores of one query against every target doc."""
         scores = np.zeros(self.num_targets, dtype=np.float64)
         for term, query_frequency in doc_terms(query, self.ngram_n).items():
-            postings = self._postings.get(term)
-            if not postings:
+            span = self._spans.get(term)
+            if span is None:
                 continue
-            idf = self._idf[term]
-            for doc_index, frequency in postings:
-                saturation = (
-                    frequency
-                    * (self.k1 + 1.0)
-                    / (frequency + self._length_norm[doc_index])
-                )
-                scores[doc_index] += query_frequency * idf * saturation
+            start, stop = span
+            scores[self._post_doc[start:stop]] += (
+                query_frequency * self._idf[term] * self._saturation[start:stop]
+            )
         return scores
 
     def score_matrix(self, queries: Sequence[AttributeDoc]) -> np.ndarray:

@@ -6,9 +6,11 @@ Random scripts interleave every drift kind (including a column dropped and
 re-added under the same name with new text, and a rename followed by a
 rename back), accepted matches, rejections of pruned targets (which re-add
 rows) and BERT updates.  After every ``predict()`` the column block must
-equal a full ``score_pairs`` over every row's current view, bit for bit,
-and that BERT reference pass must score no new pair: every clean row's
-value then came from the live engine cache, so a stale column cannot hide.
+equal the per-pair reference (``tests/featurizers/pair_reference.py``) over
+every row's current view, bit for bit, and that BERT reference pass must
+score no new pair: every clean row's value then came from the live engine
+cache under the reference's own fingerprint, so a stale column or key
+cannot hide.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from repro.core import LearnedSchemaMatcher, LsmConfig
 from repro.engine import EngineConfig
 from repro.featurizers.bert import BertFeaturizerConfig
+
+from ..featurizers.pair_reference import reference_column
 from repro.schema import (
     AddColumn,
     Attribute,
@@ -70,7 +74,7 @@ def assert_columns_match_full_rescore(matcher: LearnedSchemaMatcher) -> None:
     stats = matcher.bert_featurizer.engine.stats
     for column, featurizer in enumerate(matcher.pipeline.featurizers):
         scored_before = stats.pairs_scored
-        reference = featurizer.score_pairs(views)
+        reference = reference_column(featurizer, views)
         if featurizer is matcher.bert_featurizer:
             assert stats.pairs_scored == scored_before, "a clean BERT row was stale"
         np.testing.assert_array_equal(store.features[:, column], reference)
@@ -324,5 +328,53 @@ def test_delta_before_first_predict(tiny_artifacts, source_schema, target_schema
         assert report.rows_dirtied == len(targets_of(matcher.store, renamed) - before)
         matcher.predict()
         assert_columns_match_full_rescore(matcher)
+    finally:
+        matcher.close()
+
+
+def test_bert_rescore_after_update_on_a_large_store(tiny_artifacts):
+    """More rows than the old 8,192-entry pair-halves LRU: a rescore after a
+    BERT update used to scan an LRU smaller than the scan and hit nothing.
+    Halves are built from per-attribute tables now, so the update's full
+    rescore hashes each row exactly once, and the column still equals a
+    cold rescore."""
+    from repro.schema import Entity, Schema
+
+    def schema(name: str, count: int) -> Schema:
+        attributes = [
+            Attribute(f"{WORDS[i % 8]}_{WORDS[(i // 8) % 8]}_{i}", DTYPES[i % 4], WORDS[i % 5])
+            for i in range(count)
+        ]
+        return Schema(name, [Entity(f"{name}_entity", attributes)])
+
+    source, target = schema("wide_source", 91), schema("wide_target", 91)
+    config = LsmConfig(
+        bert=BertFeaturizerConfig(
+            max_length=12, pretrain_epochs=1, update_epochs=1, batch_size=16, seed=0
+        ),
+        update_bert_every=1,
+        engine=EngineConfig(persist_scores=False, microbatch_size=256),
+        seed=0,
+    )
+    matcher = LearnedSchemaMatcher(source, target, config=config, artifacts=tiny_artifacts)
+    try:
+        store = matcher.store
+        assert store.num_pairs > 8192
+        matcher.predict()
+        bert = matcher.bert_featurizer
+        stats = bert.encode_plane.stats
+        fingerprints = stats.fingerprints
+        version = bert.model_version
+        refs = source.attribute_refs(), target.attribute_refs()
+        matcher.record_match(refs[0][0], refs[1][0])
+        matcher.predict()
+        assert bert.model_version > version, "the label must trigger a BERT update"
+        assert stats.fingerprints - fingerprints == store.num_pairs
+        column = matcher.pipeline.feature_names.index("bert")
+        bert.engine.clear_cached_scores()
+        scored = bert.engine.stats.pairs_scored
+        cold = reference_column(bert, store.views(range(store.num_pairs)))
+        assert bert.engine.stats.pairs_scored - scored == store.num_pairs
+        np.testing.assert_array_equal(store.features[:, column], cold)
     finally:
         matcher.close()

@@ -22,7 +22,7 @@ from repro.featurizers import bert as bert_module
 from repro.featurizers.bert import MatchingClassifier, activate_channel_path
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
-from repro.lm.encode_plane import EncodePlane
+from repro.lm.encode_plane import BatchHalves, EncodePlane
 from repro.lm.tokenizer import WordPieceTokenizer
 from repro.lm.vocab import build_vocab
 
@@ -58,10 +58,12 @@ def stack():
     def text(count: int) -> str:
         return " ".join(rng.choice(WORDS, size=count))
 
-    halves = [
-        plane.halves(text(1 + i % 3), text(i % 5), text(1 + i % 2), text(i % 7))
-        for i in range(40)
-    ]
+    halves = BatchHalves.of_pairs(
+        [
+            plane.halves(text(1 + i % 3), text(i % 5), text(1 + i % 2), text(i % 7))
+            for i in range(40)
+        ]
+    )
     return model, classifier, sorted(tokenizer.vocab.special_ids()), plane, halves
 
 

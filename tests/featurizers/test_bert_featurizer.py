@@ -9,6 +9,7 @@ from repro.featurizers import (
     BertFeaturizer,
     BertFeaturizerConfig,
     MatchingClassifier,
+    PairBatch,
     compute_match_features,
     generate_pretraining_samples,
     make_pair_view,
@@ -111,7 +112,7 @@ class TestBertFeaturizerTraining:
             )
             for target in target_schema.attribute_refs()
         ]
-        scores = featurizer.score_pairs(views)
+        scores = featurizer.score_pairs(PairBatch.from_views(views))
         assert ((0.0 <= scores) & (scores <= 1.0)).all()
 
     def test_score_cache_hit_is_stable(self, featurizer, source_schema, target_schema):
@@ -121,8 +122,8 @@ class TestBertFeaturizerTraining:
             AttributeRef("Orders", "qty"),
             AttributeRef("Transaction", "quantity"),
         )
-        first = featurizer.score_pairs([view])[0]
-        second = featurizer.score_pairs([view])[0]
+        first = featurizer.score_pairs(PairBatch.from_views([view]))[0]
+        second = featurizer.score_pairs(PairBatch.from_views([view]))[0]
         assert first == second
 
     def test_update_invalidates_score_cache(
@@ -135,9 +136,9 @@ class TestBertFeaturizerTraining:
             AttributeRef("Orders", "qty"),
             AttributeRef("Transaction", "quantity"),
         )
-        before = featurizer.score_pairs([view])[0]
+        before = featurizer.score_pairs(PairBatch.from_views([view]))[0]
         featurizer.update([view], [1])
-        after = featurizer.score_pairs([view])[0]
+        after = featurizer.score_pairs(PairBatch.from_views([view]))[0]
         assert before != after  # training moved the score
 
     def test_update_label_direction(self, tiny_artifacts, source_schema, target_schema):
@@ -159,7 +160,7 @@ class TestBertFeaturizerTraining:
             featurizer.pretrain(target_schema)
             for _ in range(3):
                 featurizer.update([view], [label])
-            scores[label] = featurizer.score_pairs([view])[0]
+            scores[label] = featurizer.score_pairs(PairBatch.from_views([view]))[0]
         assert scores[1] > scores[0]
 
     def test_update_without_labels_is_noop(self, featurizer):
@@ -254,6 +255,6 @@ class TestEncodePathsAreBatched:
             AttributeRef("Orders", "order_id"),
             AttributeRef("Transaction", "transaction_id"),
         )
-        scores = featurizer.score_pairs([view])
+        scores = featurizer.score_pairs(PairBatch.from_views([view]))
         assert scores.shape == (1,)
         assert 0.0 <= scores[0] <= 1.0

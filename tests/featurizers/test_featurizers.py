@@ -8,6 +8,7 @@ from repro.featurizers import (
     EmbeddingFeaturizer,
     FeaturizerPipeline,
     LexicalFeaturizer,
+    PairBatch,
     make_pair_view,
 )
 from repro.schema import AttributeRef
@@ -47,17 +48,17 @@ class TestLexicalFeaturizer:
     def test_abbreviation_scores_one(self, source_schema, target_schema):
         featurizer = LexicalFeaturizer()
         v = view(source_schema, target_schema, "Orders.qty", "Transaction.quantity")
-        assert featurizer.score_pairs([v])[0] == pytest.approx(1.0)
+        assert featurizer.score_pairs(PairBatch.from_views([v]))[0] == pytest.approx(1.0)
 
     def test_unrelated_scores_low(self, source_schema, target_schema):
         featurizer = LexicalFeaturizer()
         v = view(source_schema, target_schema, "Orders.qty", "Brand.brand_name")
-        assert featurizer.score_pairs([v])[0] < 0.5
+        assert featurizer.score_pairs(PairBatch.from_views([v]))[0] < 0.5
 
     def test_separator_insensitive(self, source_schema, target_schema):
         featurizer = LexicalFeaturizer()
         a = view(source_schema, target_schema, "Item.brand_name", "Brand.brand_name")
-        assert featurizer.score_pairs([a])[0] == pytest.approx(1.0)
+        assert featurizer.score_pairs(PairBatch.from_views([a]))[0] == pytest.approx(1.0)
 
     def test_scores_are_pure(self, source_schema, target_schema):
         """No cache: a pair scores the same alone, repeated or in a batch,
@@ -66,10 +67,10 @@ class TestLexicalFeaturizer:
         v = view(source_schema, target_schema, "Orders.qty", "Transaction.quantity")
         w = view(source_schema, target_schema, "Item.ean", "Brand.brand_name")
         state = dict(vars(featurizer))
-        first = featurizer.score_pairs([v])
-        batch = featurizer.score_pairs([w, v, v])
+        first = featurizer.score_pairs(PairBatch.from_views([v]))
+        batch = featurizer.score_pairs(PairBatch.from_views([w, v, v]))
         assert np.array_equal(batch[1:], np.repeat(first, 2))
-        assert batch[0] == featurizer.score_pairs([w])[0]
+        assert batch[0] == featurizer.score_pairs(PairBatch.from_views([w]))[0]
         assert vars(featurizer) == state
 
     def test_update_is_noop(self, source_schema, target_schema):
@@ -85,7 +86,7 @@ class TestEmbeddingFeaturizer:
             view(source_schema, target_schema, "Orders.qty", "Transaction.quantity"),
             view(source_schema, target_schema, "Orders.qty", "Brand.brand_name"),
         ]
-        scores = featurizer.score_pairs(views)
+        scores = featurizer.score_pairs(PairBatch.from_views(views))
         assert ((0.0 <= scores) & (scores <= 1.0)).all()
 
     def test_synonym_beats_unrelated(self, source_schema, target_schema, tiny_artifacts):
@@ -104,7 +105,7 @@ class TestEmbeddingFeaturizer:
             "Transaction.transaction_date",
             use_descriptions=False,
         )
-        scores = featurizer.score_pairs([synonym, unrelated])
+        scores = featurizer.score_pairs(PairBatch.from_views([synonym, unrelated]))
         assert scores[0] > scores[1]
 
     def test_requires_embeddings(self):
@@ -125,17 +126,23 @@ class TestPipeline:
             view(source_schema, target_schema, "Orders.qty", "Brand.brand_name"),
         ]
         matrix = np.column_stack(
-            [pipeline.score(featurizer, views) for featurizer in pipeline.featurizers]
+            [
+                pipeline.score(featurizer, PairBatch.from_views(views))
+                for featurizer in pipeline.featurizers
+            ]
         )
         assert matrix.shape == (2, 2)
         assert pipeline.feature_names == ["lexical", "embedding"]
         assert pipeline.stage_calls == {"lexical": 1, "embedding": 1}
         for column, featurizer in enumerate(pipeline.featurizers):
-            np.testing.assert_array_equal(matrix[:, column], featurizer.score_pairs(views))
+            np.testing.assert_array_equal(
+                matrix[:, column], featurizer.score_pairs(PairBatch.from_views(views))
+            )
 
     def test_empty_views(self, tiny_artifacts):
         pipeline = FeaturizerPipeline([LexicalFeaturizer()])
-        assert pipeline.score(pipeline.featurizers[0], []).shape == (0,)
+        empty = PairBatch.from_views([])
+        assert pipeline.score(pipeline.featurizers[0], empty).shape == (0,)
 
     def test_rejects_empty_pipeline(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,12 @@ import numpy as np
 import pytest
 
 from repro.datasets import PUBLIC_NAMES, load_dataset
-from repro.featurizers import BertFeaturizer, BertFeaturizerConfig, make_pair_view
+from repro.featurizers import (
+    BertFeaturizer,
+    BertFeaturizerConfig,
+    PairBatch,
+    make_pair_view,
+)
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
 from repro.lm.tokenizer import WordPieceTokenizer
@@ -102,7 +107,10 @@ class TestDtypeStability:
 
         from repro.lm.tokenizer import stack_encoded
 
-        halves = featurizer._pair_halves(view)  # noqa: SLF001
+        halves = featurizer.encode_plane.halves(
+            view.source_name, view.source_description,
+            view.target_name, view.target_description,
+        )
         batch = stack_encoded([featurizer.encode_plane.assemble_one(halves)])
         features, _ = featurizer._forward_features(batch)  # noqa: SLF001
         assert features.dtype == np.float32
@@ -124,7 +132,7 @@ class TestWarmUpdates:
             featurizer = _make_featurizer(public_task, warm=warm)
             featurizer.pretrain(public_task.target)
             featurizer.update(views, labels)
-            scores[warm] = featurizer.score_pairs(probe)
+            scores[warm] = featurizer.score_pairs(PairBatch.from_views(probe))
             featurizer.close()
         np.testing.assert_array_equal(scores[True], scores[False])
 
@@ -147,7 +155,7 @@ class TestWarmUpdates:
                     for t in target_refs
                 ]
                 ranking[source_ref] = int(
-                    np.argmax(featurizer.score_pairs(candidates))
+                    np.argmax(featurizer.score_pairs(PairBatch.from_views(candidates)))
                 )
             top1[warm] = ranking
             featurizer.close()

@@ -1,13 +1,13 @@
 """The encode plane's contract: bit-exact with the sequential reference.
 
 Every fast path introduced by :mod:`repro.lm.encode_plane` -- the trie
-WordPiece walk, the closed-form pair truncation, batch assembly from
-cached halves, digest-parity fingerprints -- is held bit-identical to the
+WordPiece walk, the closed-form pair truncation, gather assembly from id
+tables, digest-parity fingerprints -- is held bit-identical to the
 per-pair reference (`encode_pair`/`encode_single`/`fingerprint_encoded`)
 under property-based randomisation, including random vocabularies,
 truncation overflow and max_length edges.  Plus unit coverage of the LRU
-bound, the text-keyed token store, and the content-keyed pair cache under
-schema drift (renamed or re-added text never meets stale halves).
+bound and the text-keyed token store, and of tokens and fingerprints under
+schema drift (renamed or re-added text never meets a stale entry).
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 from repro.engine.batching import plan_bucket_chunks, plan_microbatches
 from repro.engine.engine import fingerprint_encoded
 from repro.featurizers.bert import BertFeaturizer, BertFeaturizerConfig
-from repro.featurizers.base import make_pair_view
+from repro.featurizers.base import PairBatch, make_pair_view
 from repro.lm.encode_plane import (
     AttributeTokenStore,
+    BatchHalves,
     EncodePlane,
     LruDict,
     truncate_pair_lengths,
@@ -195,7 +196,7 @@ class TestAssemblyParity:
             )
             for a, b in pairs
         ]
-        batch = plane.assemble(halves)
+        batch = plane.assemble(BatchHalves.of_pairs(halves))
         reference = trim_encoded(stack_encoded(sequential))
         np.testing.assert_array_equal(batch.input_ids, reference.input_ids)
         np.testing.assert_array_equal(batch.segment_ids, reference.segment_ids)
@@ -209,6 +210,43 @@ class TestAssemblyParity:
             assert encoded_length(one) == encoded_length(encoded)
             # Digest parity: halves fingerprints key the same score cache.
             assert pair_halves.fingerprint == fingerprint_encoded(encoded)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(attr_st, min_size=1, max_size=5),
+        st.lists(attr_st, min_size=1, max_size=5),
+        st.integers(min_value=4, max_value=48),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_table_gather_bit_exact(self, tokenizer, attrs_a, attrs_b, max_length, granularity):
+        """Rows sharing per-attribute id tables: every bucketed micro-batch
+        gathered from a ``take`` of the batch, and every row fingerprint,
+        equal the sequential rows."""
+        plane = make_plane(tokenizer, max_length=max_length)
+        index_a = np.repeat(np.arange(len(attrs_a)), len(attrs_b))
+        index_b = np.tile(np.arange(len(attrs_b)), len(attrs_a))
+        halves = plane.batch_halves(attrs_a, attrs_b, index_a, index_b)
+        sequential = [
+            tokenizer.encode_attribute_pair(
+                *attrs_a[a], *attrs_b[b], max_length=max_length
+            )
+            for a, b in zip(index_a, index_b)
+        ]
+        fingerprints = plane.fingerprint_rows(halves)
+        for row, encoded in enumerate(sequential):
+            assert fingerprints[row].tobytes() == fingerprint_encoded(encoded)
+        chunks = plan_bucket_chunks(
+            halves.lengths.tolist(), microbatch_size=3, bucket_granularity=granularity
+        )
+        plan = plan_microbatches(sequential, microbatch_size=3, bucket_granularity=granularity)
+        assert [chunk for _, chunk in chunks] == [list(mb.indices) for mb in plan]
+        for (padded, chunk), microbatch in zip(chunks, plan):
+            assembled = plane.assemble(halves.take(np.asarray(chunk)), pad_to=padded)
+            np.testing.assert_array_equal(assembled.input_ids, microbatch.batch.input_ids)
+            np.testing.assert_array_equal(assembled.segment_ids, microbatch.batch.segment_ids)
+            np.testing.assert_array_equal(
+                assembled.attention_mask, microbatch.batch.attention_mask
+            )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -236,7 +274,9 @@ class TestAssemblyParity:
         )
         assert [chunk for _, chunk in chunks] == [list(mb.indices) for mb in plan]
         for (padded, chunk), microbatch in zip(chunks, plan):
-            assembled = plane.assemble([halves[i] for i in chunk], pad_to=padded)
+            assembled = plane.assemble(
+                BatchHalves.of_pairs([halves[i] for i in chunk]), pad_to=padded
+            )
             np.testing.assert_array_equal(
                 assembled.input_ids, microbatch.batch.input_ids
             )
@@ -286,12 +326,12 @@ class TestAssemblyParity:
         plane = make_plane(tokenizer)
         halves = plane.halves("product_name", "the name", "brand_name", "")
         with pytest.raises(ValueError, match="drops real tokens"):
-            plane.assemble([halves], pad_to=4)
+            plane.assemble(BatchHalves.of_pairs([halves]), pad_to=4)
 
     def test_assemble_rejects_empty(self, tokenizer):
         plane = make_plane(tokenizer)
         with pytest.raises(ValueError, match="empty"):
-            plane.assemble([])
+            plane.assemble(BatchHalves.of_pairs([]))
 
 
 # -- encoded_length / REPRO_CHECKS ---------------------------------------------
@@ -350,18 +390,16 @@ class TestLruDict:
 
 class TestPlaneStats:
     def test_stats_payload_reports_lru_evictions(self, tokenizer):
-        plane = make_plane(tokenizer, token_cache_capacity=2, pair_cache_capacity=1)
+        plane = make_plane(tokenizer, token_cache_capacity=2)
         names = ["price", "amount", "brand", "status", "order", "line", "date", "name"]
-        for key, (name_a, name_b) in enumerate(zip(names[::2], names[1::2])):
-            plane.pair_cache.put(key, plane.halves(name_a, "", name_b, ""))
+        for name_a, name_b in zip(names[::2], names[1::2]):
+            plane.halves(name_a, "", name_b, "")
         assert plane.tokens.evictions == 6
-        assert plane.pair_cache.evictions == 3
         payload = plane.stats_payload()
         assert payload["token_cache_evictions"] == 6
-        assert payload["pair_cache_evictions"] == 3
-        assert payload["pair_cache_entries"] == len(plane.pair_cache) == 1
-        assert "encode_cache_entries" not in payload
-        assert "encode_cache_evictions" not in payload
+        assert payload["token_cache_entries"] == len(plane.tokens) == 2
+        assert payload["fingerprints"] == 4
+        assert not [key for key in payload if key.startswith(("pair_cache", "encode_cache"))]
 
 
 class TestAttributeTokenStore:
@@ -443,16 +481,24 @@ class TestScoreHalvesParity:
                 for pair in pairs
             ]
             baseline = reference.score_encoded(rows)
-            fast = planed.score_pairs(pairs)
+            fast = planed.score_pairs(PairBatch.from_views(pairs))
             np.testing.assert_allclose(fast, baseline, atol=1e-8)
-            rescored = planed.score_pairs(pairs)
+            rescored = planed.score_pairs(PairBatch.from_views(pairs))
             np.testing.assert_array_equal(rescored, fast)
             assert planed.engine.stats.pairs_skipped >= len(pairs)
             assert planed.encode_plane.stats.batches_assembled > 0
             # Identical fingerprints: the plane path must hit the score
             # cache the sequential path populated.
-            halves = [planed._pair_halves(pair) for pair in pairs]  # noqa: SLF001
-            crossed = reference.score_halves(halves, planed.encode_plane)
+            halves = [
+                planed.encode_plane.halves(
+                    pair.source_name, pair.source_description,
+                    pair.target_name, pair.target_description,
+                )
+                for pair in pairs
+            ]
+            crossed = reference.score_halves(
+                BatchHalves.of_pairs(halves), planed.encode_plane
+            )
             np.testing.assert_array_equal(crossed, baseline)
             assert reference.stats.pairs_skipped >= len(pairs)
         finally:
@@ -470,14 +516,17 @@ def _evolve(schema, *ops):
 
 
 class TestDriftInvalidation:
-    """The pair-halves LRU keys on the pair's text, so evolved text misses
-    by construction and no drift sweep is needed."""
+    """Token arrays and fingerprints follow the pair's text, so evolved text
+    never meets a stale entry and no drift sweep is needed."""
 
     def _featurizer(self, tiny_artifacts):
+        from repro.engine import EngineConfig
+
         return BertFeaturizer(
             tiny_artifacts.tokenizer,
             tiny_artifacts.bert,
             BertFeaturizerConfig(max_length=24, seed=0),
+            engine_config=EngineConfig(persist_scores=False),
         )
 
     def _expected_fingerprint(self, featurizer, view):
@@ -489,6 +538,10 @@ class TestDriftInvalidation:
             max_length=featurizer.config.max_length,
         )
         return fingerprint_encoded(encoded)
+
+    def _fingerprint(self, featurizer, view) -> bytes:
+        halves = featurizer._batch_halves(PairBatch.from_views([view]))
+        return halves.fingerprints[0].tobytes()
 
     def test_rename_never_serves_stale_halves(
         self, tiny_artifacts, source_schema, target_schema
@@ -514,22 +567,25 @@ class TestDriftInvalidation:
 
             plane = featurizer.encode_plane
             for view in (original, renamed, readded):
-                misses = plane.stats.pair_cache_misses
-                featurizer.score_pairs([view])
-                assert plane.stats.pair_cache_misses == misses + 1
-                halves = featurizer._pair_halves(view)
-                assert halves.fingerprint == self._expected_fingerprint(featurizer, view)
-            fingerprints = {featurizer._pair_halves(v).fingerprint for v in (original, renamed, readded)}
+                misses = plane.stats.token_cache_misses
+                featurizer.score_pairs(PairBatch.from_views([view]))
+                # Only the evolved source text is new; the target's hits.
+                assert plane.stats.token_cache_misses == misses + (1 if view is not original else 2)
+                assert self._fingerprint(featurizer, view) == self._expected_fingerprint(
+                    featurizer, view
+                )
+            fingerprints = {self._fingerprint(featurizer, v) for v in (original, renamed, readded)}
             assert len(fingerprints) == 3
 
-            # Renaming back restores the original text: its halves hit.
+            # Renaming back restores the original text, hence its tokens
+            # and its fingerprint.
             back_schema = _evolve(
                 renamed_schema, RenameColumn(AttributeRef("Orders", "quantity_sold"), "qty")
             )
             back = make_pair_view(back_schema, target_schema, source_ref, target_ref)
-            hits = plane.stats.pair_cache_hits
-            assert featurizer._pair_halves(back) is featurizer._pair_halves(original)
-            assert plane.stats.pair_cache_hits == hits + 2
+            misses = plane.stats.token_cache_misses
+            assert self._fingerprint(featurizer, back) == self._fingerprint(featurizer, original)
+            assert plane.stats.token_cache_misses == misses
         finally:
             featurizer.close()
 
@@ -562,17 +618,17 @@ class TestDriftInvalidation:
                 make_pair_view(source_schema, target_schema, s, target_ref)
                 for s in (touched, untouched)
             ]
-            featurizer.score_pairs(pairs)
+            featurizer.score_pairs(PairBatch.from_views(pairs))
             evolved = _evolve(source_schema, RenameColumn(touched, "quantity_sold"))
             drifted = [
                 make_pair_view(evolved, target_schema, s, target_ref)
                 for s in (AttributeRef("Orders", "quantity_sold"), untouched)
             ]
             plane = featurizer.encode_plane
-            hits, misses = plane.stats.pair_cache_hits, plane.stats.pair_cache_misses
-            featurizer.score_pairs(drifted)
-            assert plane.stats.pair_cache_hits == hits + 1  # the untouched pair
-            assert plane.stats.pair_cache_misses == misses + 1  # the renamed one
-            assert len(plane.pair_cache) == 3
+            stats = featurizer.engine.stats
+            misses, scored = plane.stats.token_cache_misses, stats.pairs_scored
+            featurizer.score_pairs(PairBatch.from_views(drifted))
+            assert plane.stats.token_cache_misses == misses + 1  # the renamed text
+            assert stats.pairs_scored == scored + 1  # the untouched pair hits
         finally:
             featurizer.close()

@@ -2,7 +2,8 @@
 
 The drift path mutates retrieval indexes in place (`update_docs`) instead
 of rebuilding them; these tests pin the contract that an updated index is
-*indistinguishable* from one rebuilt from scratch over the same doc set.
+*indistinguishable* from one rebuilt from scratch over the same doc set --
+bit for bit for BM25, whose candidate sets rank exact scores.
 
 `TestStoreKeyStaleness` is the regression suite for the persisted-index
 key: the key must hash the indexed document *contents*, so an index built
@@ -61,7 +62,7 @@ class TestSparseUpdateDocs:
         assert [d.ref for d in updated.target_docs] == [
             d.ref for d in rebuilt.target_docs
         ]
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             updated.score_matrix(source_docs), rebuilt.score_matrix(source_docs)
         )
 
@@ -69,7 +70,7 @@ class TestSparseUpdateDocs:
         remove_only = SparseRetriever(target_docs)
         remove_only.update_docs([], {target_docs[0].ref})
         assert remove_only.num_targets == len(target_docs) - 1
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             remove_only.score_matrix(source_docs),
             SparseRetriever(target_docs[1:]).score_matrix(source_docs),
         )
@@ -77,12 +78,29 @@ class TestSparseUpdateDocs:
         add_only = SparseRetriever(target_docs)
         add_only.update_docs([_extra_doc()], set())
         assert add_only.num_targets == len(target_docs) + 1
+        np.testing.assert_array_equal(
+            add_only.score_matrix(source_docs),
+            SparseRetriever(target_docs + [_extra_doc()]).score_matrix(source_docs),
+        )
+
+    def test_saturations_follow_the_average_length(self, source_docs, target_docs):
+        """A long added doc moves the average length, so every surviving
+        doc's saturation changes; stale ones would miss the rebuild."""
+        long_doc = _extra_doc("lifetime_value_estimate_adjusted_for_returns")
+        retriever = SparseRetriever(target_docs)
+        before = retriever._length_norm.copy()
+        retriever.update_docs([long_doc], set())
+        assert not np.array_equal(retriever._length_norm[: len(before)], before)
+        np.testing.assert_array_equal(
+            retriever.score_matrix(source_docs),
+            SparseRetriever(target_docs + [long_doc]).score_matrix(source_docs),
+        )
 
     def test_noop_update(self, source_docs, target_docs):
         retriever = SparseRetriever(target_docs)
         before = retriever.score_matrix(source_docs)
         retriever.update_docs([], set())
-        np.testing.assert_allclose(retriever.score_matrix(source_docs), before)
+        np.testing.assert_array_equal(retriever.score_matrix(source_docs), before)
 
 
 class TestDenseUpdateDocs:

@@ -7,9 +7,10 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## suites, the encode-plane suite (plane == sequential encode, bit-exact,
 ## and plane scores == score_encoded within 1e-8), the feature-column
 ## differential test, the pair-batch suite (BERT row keys and columns ==
-## the per-pair reference, bit-exact), the BM25 per-posting reference test
-## and the MiniBERT kernel tests explicitly (they are part of tests/, the
-## second run pins them even if testpaths change).
+## the per-pair reference, bit-exact), the BM25 per-posting reference test,
+## the MiniBERT kernel tests and the frozen-trunk suite (a label update's
+## steps == a full-forward reference, bit-exact) explicitly (they are part
+## of tests/, the second run pins them even if testpaths change).
 ## Under `taskset -c 0` the engine's default worker count resolves to one,
 ## so the same suites cover the in-process path.
 verify: test parity
@@ -21,7 +22,7 @@ parity:
 	$(PYTHON) -m pytest -q tests/engine/test_parity.py tests/engine/test_reentrant.py \
 		tests/lm/test_encode_plane.py tests/core/test_feature_columns.py \
 		tests/featurizers/test_pair_batch.py tests/retrieval/test_bm25_reference.py \
-		tests/nn/test_kernels.py
+		tests/nn/test_kernels.py tests/featurizers/test_frozen_trunk.py
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

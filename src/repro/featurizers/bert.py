@@ -141,7 +141,10 @@ def segment_content_masks(
 
 
 def compute_match_features(
-    model: MiniBert, special_ids: Sequence[int], batch: EncodedPair
+    model: MiniBert,
+    special_ids: Sequence[int],
+    batch: EncodedPair,
+    trunk_hidden: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Encoder forward producing the matching classifier's input features.
 
@@ -150,6 +153,8 @@ def compute_match_features(
     embeddings -- the latter carry the distributional word geometry
     directly, without positional/segment additions.  The returned cache
     feeds :meth:`BertFeaturizer._backward_features` during training.
+    ``trunk_hidden``, the trunk's output for ``batch`` computed beforehand,
+    makes the forward run only the top block and the pooler.
     """
     if batch.input_ids.ndim != 2:
         raise ValueError(
@@ -157,7 +162,10 @@ def compute_match_features(
             f"input_ids, got shape {batch.input_ids.shape}; wrap single pairs "
             f"with stack_encoded"
         )
-    hidden, pooled = model.forward(batch)
+    if trunk_hidden is None:
+        hidden, pooled = model.forward(batch)
+    else:
+        hidden, pooled = model.forward_top(trunk_hidden, batch.attention_mask)
     embedded = model.token_embedding.table.value[batch.input_ids]
     mask_a, mask_b = segment_content_masks(special_ids, batch)
     count_a = np.maximum(mask_a.sum(axis=1, keepdims=True), 1.0)
@@ -395,13 +403,13 @@ class BertFeaturizerConfig:
     #: instead of being drowned by the ISS regulariser samples.
     human_oversample: int = 4
     iss_subsample_per_update: int = 192
+    #: Human-label updates also train the encoder's top block and pooler.
+    #: The trunk below (embeddings and the lower blocks) stays frozen: the
+    #: token table carries the distributional (synonym) geometry from MLM
+    #: pre-training -- the reproduction's stand-in for BERT's world
+    #: knowledge -- that the detached cos(u0, v0) channel reads, and a
+    #: frozen trunk runs inference-only (see DESIGN.md, "BERT updates").
     finetune_encoder: bool = True
-    #: Keep the token-embedding table fixed during matching-classifier
-    #: training.  The table carries the distributional (synonym) geometry
-    #: from MLM pre-training -- the reproduction's stand-in for BERT's world
-    #: knowledge -- and letting the small schema-only training sets move it
-    #: erodes the detached cos(u0, v0) channel that anchors the ranking.
-    freeze_token_embeddings: bool = True
     max_grad_norm: float = 1.0
     negatives_per_positive: int = 1
     #: Length-bucket granularity of the training micro-batch planner (same
@@ -528,14 +536,16 @@ class BertFeaturizer:
 
     # -- encoder match features --------------------------------------------------
 
-    def _forward_features(self, batch: EncodedPair) -> tuple[np.ndarray, dict]:
+    def _forward_features(
+        self, batch: EncodedPair, trunk_hidden: np.ndarray | None = None
+    ) -> tuple[np.ndarray, dict]:
         """Classifier input features for ``batch`` (see :func:`compute_match_features`)."""
         return compute_match_features(
-            self.model, sorted(self.tokenizer.vocab.special_ids()), batch
+            self.model, sorted(self.tokenizer.vocab.special_ids()), batch, trunk_hidden
         )
 
     def _backward_features(self, grad_features: np.ndarray, cache: dict) -> None:
-        """Backpropagate match-feature gradients into the encoder."""
+        """Backpropagate match-feature gradients into the top block and pooler."""
         size = self.model.config.hidden_size
         offset = MatchingClassifier.NUM_SCALARS
         grad_pooled = grad_features[:, offset : offset + size]
@@ -570,11 +580,7 @@ class BertFeaturizer:
             cache["mask_a"][..., None] * (grad_u / cache["count_a"])[:, None, :]
             + cache["mask_b"][..., None] * (grad_v / cache["count_b"])[:, None, :]
         )
-        self.model.backward(
-            grad_hidden=grad_hidden,
-            grad_pooled=grad_pooled,
-            train_token_embedding=not self.config.freeze_token_embeddings,
-        )
+        self.model.backward_top(grad_hidden=grad_hidden, grad_pooled=grad_pooled)
 
     # -- training ---------------------------------------------------------------
 
@@ -586,12 +592,15 @@ class BertFeaturizer:
         train_encoder: bool | None = None,
         warm: bool = False,
     ) -> list[float]:
-        """Train the classifier (and optionally the encoder) on ``samples``.
+        """Train the classifier (and optionally the encoder's top) on ``samples``.
 
         ``train_channels``/``train_encoder`` gate the high-capacity paths:
         schema-only pre-training calibrates just the scalar path (a monotone
         reweighting of the cosine features that cannot corrupt rankings),
-        while human-label updates adapt everything.
+        while human-label updates adapt the whole classifier plus the
+        encoder's top block and pooler.  With ``train_encoder`` the trunk
+        below runs once per distinct sample, in eval mode and inference-only
+        (:meth:`_trunk_outputs`); each micro-batch slices its rows.
 
         With ``warm=True`` the Adam optimisers (moment estimates and step
         counts) persist across calls training the same parameter set, so
@@ -636,10 +645,7 @@ class BertFeaturizer:
             self.classifier.scalar_path.parameters("classifier.scalar_path.")
         )
         if train_encoder:
-            encoder_parameters = self.model.parameters("bert.")
-            if self.config.freeze_token_embeddings:
-                encoder_parameters.pop("bert.token_embedding.table", None)
-            fast_parameters.update(encoder_parameters)
+            fast_parameters.update(self.model.top_parameters("bert."))
         parameters = {**fast_parameters, **channel_parameters}
 
         signature = (frozenset(fast_parameters), frozenset(channel_parameters))
@@ -663,7 +669,13 @@ class BertFeaturizer:
         # __init__ to keep featurizers importable without the engine package.
         from ..engine.batching import plan_num_buckets, plan_training_microbatches
 
-        self.model.train()
+        trunk: np.ndarray | None = None
+        if train_encoder:
+            self.model.train_top()
+            with stats.timer("trunk"):
+                trunk, trunk_rows = self._trunk_outputs(encoded)
+        else:
+            self.model.train()
         self.classifier.train()
         losses: list[float] = []
         for _ in range(max(1, epochs)):
@@ -680,7 +692,10 @@ class BertFeaturizer:
             for microbatch in plan:
                 index = order[list(microbatch.indices)]
                 with stats.timer("forward"):
-                    features, cache = self._forward_features(microbatch.batch)
+                    trunk_hidden = None
+                    if trunk is not None:
+                        trunk_hidden = trunk[trunk_rows[index], : microbatch.padded_length]
+                    features, cache = self._forward_features(microbatch.batch, trunk_hidden)
                     logits = self.classifier.forward(features)
                 loss, grad_logits = binary_cross_entropy_with_logits(
                     logits, labels[index], weights=weights[index]
@@ -706,17 +721,52 @@ class BertFeaturizer:
         self.engine.invalidate_model()
         return losses
 
-    def _training_generators(self) -> list[np.random.Generator]:
-        """The featurizer's shuffle generator and every dropout generator of
-        its private encoder copy (the layers may share one)."""
-        generators = {id(self._rng): self._rng}
-        modules = [self.model]
+    def _trunk_outputs(
+        self, encoded: Sequence[EncodedPair]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The frozen trunk's output for every distinct sample of a call.
+
+        Returns ``(table, rows)``: ``table[rows[i], :T]`` is the trunk's
+        output for ``encoded[i]`` at the padded length ``T`` of its training
+        micro-batch, and the table is zero beyond each row's length bucket.
+        Equal samples share one cached encoding, so the trunk runs once per
+        distinct object (human samples repeat ``human_oversample`` times).
+        It runs in the training planner's length buckets, so each row
+        equals, bit for bit, what the trunk gives it inside its
+        micro-batch.  The table lives for one call only.
+        """
+        from ..engine.batching import plan_microbatches
+
+        by_id = {id(pair): pair for pair in encoded}
+        row_of = {key: row for row, key in enumerate(by_id)}
+        rows = np.array([row_of[id(pair)] for pair in encoded], dtype=np.intp)
+        distinct = list(by_id.values())
+        table = np.zeros(
+            (len(distinct), len(distinct[0].input_ids), self.model.config.hidden_size),
+            dtype=np.float32,
+        )
+        with inference_scope():
+            for microbatch in plan_microbatches(
+                distinct,
+                microbatch_size=self.config.batch_size,
+                bucket_granularity=self.config.bucket_granularity,
+            ):
+                table[list(microbatch.indices), : microbatch.padded_length] = (
+                    self.model.forward_trunk(microbatch.batch)
+                )
+        return table, rows
+
+    def _reseed_dropout(self) -> None:
+        """Give every dropout layer of the encoder copy one fresh generator
+        seeded from the config, whatever the artefacts' generator went
+        through before the copy (MLM training in this process or none)."""
+        generator = np.random.default_rng(self.config.seed + 2)
+        modules: list[Module] = [self.model]
         while modules:
             module = modules.pop()
             if isinstance(module, Dropout):
-                generators.setdefault(id(module.rng), module.rng)
+                module.rng = generator
             modules.extend(module._children.values())
-        return list(generators.values())
 
     def pretrain(
         self,
@@ -740,11 +790,11 @@ class BertFeaturizer:
                 self.config.negatives_per_positive,
                 lexicon=lexicon,
             )
-            # A cached block skips the training pass; a cold pass puts its
-            # generators (shuffles, encoder dropout) back here afterwards,
-            # so later updates draw the same on a cold and a warm store.
-            generators = self._training_generators()
-            states = [generator.bit_generator.state for generator in generators]
+            # A cached block skips the training pass; a cold pass puts the
+            # shuffle generator back here afterwards and both paths reseed
+            # the encoder's dropout, so later updates draw the same on a
+            # cold and a warm store.
+            shuffle_state = self._rng.bit_generator.state
             span.set(samples=len(self._iss_samples))
             full_key = None
             if cache_key is not None:
@@ -770,6 +820,7 @@ class BertFeaturizer:
                     load_state_dict(self.classifier, classifier_state)
                     self.model.eval()
                     self.classifier.eval()
+                    self._reseed_dropout()
                     self.engine.invalidate_model()
                     span.set(cached=True)
                     return []
@@ -780,8 +831,8 @@ class BertFeaturizer:
                 train_channels=False,
                 train_encoder=False,
             )
-            for generator, state in zip(generators, states):
-                generator.bit_generator.state = state
+            self._rng.bit_generator.state = shuffle_state
+            self._reseed_dropout()
             if full_key is not None:
                 combined = {
                     **{f"model.{k}": v for k, v in state_dict(self.model).items()},

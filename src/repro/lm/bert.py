@@ -8,6 +8,11 @@ with numpy.  Two heads attach to it in this repository:
 * an MLM head during domain pre-training (:mod:`repro.lm.mlm`), and
 * the paper's ``matching classifier`` for the BERT featurizer
   (:mod:`repro.featurizers.bert`).
+
+The forward splits into a *trunk* (embeddings and every block below the
+top) and a *top* (the last block and the pooler).  MLM pre-training runs and
+backpropagates through both; a featurizer update runs the trunk
+inference-only and trains the top (:meth:`MiniBert.backward_top`).
 """
 
 from __future__ import annotations
@@ -15,7 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn.activations import tanh, tanh_backward
-from ..nn.layers import Dropout, Embedding, LayerNorm, Linear, Module, inference_active
+from ..nn.layers import (
+    Dropout,
+    Embedding,
+    LayerNorm,
+    Linear,
+    Module,
+    Parameter,
+    inference_active,
+)
 from .config import BertConfig
 from .encoder import TransformerBlock
 from .tokenizer import EncodedPair
@@ -51,12 +64,6 @@ class MiniBert(Module):
         )
         self._pooler_cache: np.ndarray | None = None
         self._seq_len: int | None = None
-        #: Embedding-layer output of the most recent forward pass outside
-        #: :func:`repro.nn.inference_scope` (after the embedding LayerNorm,
-        #: before the transformer blocks).  Exposed for consumers that want
-        #: uncontextualised token features; treat it as detached --
-        #: backward() does not accept gradients for it.
-        self.last_embedding_output: np.ndarray | None = None
 
     # -- forward ---------------------------------------------------------------
 
@@ -64,8 +71,14 @@ class MiniBert(Module):
         """Encode a batch; returns ``(hidden_states, pooled_cls)``.
 
         ``hidden_states`` has shape (batch, seq, hidden); ``pooled_cls`` is
-        ``tanh(W * h_[CLS] + b)`` with shape (batch, hidden).
+        ``tanh(W * h_[CLS] + b)`` with shape (batch, hidden).  The same
+        arithmetic as :meth:`forward_trunk` followed by :meth:`forward_top`.
         """
+        return self.forward_top(self.forward_trunk(batch), batch.attention_mask)
+
+    def forward_trunk(self, batch: EncodedPair) -> np.ndarray:
+        """The trunk: embeddings, their LayerNorm and dropout, and every
+        block below the top.  Returns the top block's input (batch, seq, hidden)."""
         input_ids = batch.input_ids
         if input_ids.ndim != 2:
             raise ValueError(
@@ -77,9 +90,6 @@ class MiniBert(Module):
             raise ValueError(
                 f"sequence length {seq_len} exceeds max_position {self.config.max_position}"
             )
-        caching = not inference_active()
-        if caching:
-            self._seq_len = seq_len
         positions = np.broadcast_to(np.arange(seq_len), (batch_size, seq_len))
 
         # The gathers are fresh copies no cache holds: sum them in place.
@@ -88,18 +98,40 @@ class MiniBert(Module):
         embedded += self.segment_embedding.forward(batch.segment_ids)
         hidden = self.embedding_norm.forward(embedded)
         hidden = self.embedding_dropout.forward(hidden)
-        if caching:
-            self.last_embedding_output = hidden
 
         mask = batch.attention_mask.astype(hidden.dtype)
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             hidden = block.forward(hidden, mask)
+        return hidden
 
+    def forward_top(
+        self, trunk_hidden: np.ndarray, attention_mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The top block and the pooler over the trunk's output."""
+        hidden = self.blocks[-1].forward(
+            trunk_hidden, attention_mask.astype(trunk_hidden.dtype)
+        )
         pooled_raw = self.pooler.forward(hidden[:, 0, :])
         pooled, pooler_cache = tanh(pooled_raw)
-        if caching:
+        if not inference_active():
+            self._seq_len = hidden.shape[1]
             self._pooler_cache = pooler_cache
         return hidden, pooled
+
+    def top_parameters(self, prefix: str = "") -> dict[str, Parameter]:
+        """Parameters of the top block and the pooler, named as in :meth:`parameters`."""
+        top = len(self.blocks) - 1
+        return {
+            **self.blocks[top].parameters(f"{prefix}block{top}."),
+            **self.pooler.parameters(f"{prefix}pooler."),
+        }
+
+    def train_top(self) -> None:
+        """Train mode for the top block and the pooler; the trunk stays in
+        eval mode, so its forward draws no dropout."""
+        self.eval()
+        self.blocks[-1].train()
+        self.pooler.train()
 
     # -- backward ----------------------------------------------------------------
 
@@ -107,15 +139,32 @@ class MiniBert(Module):
         self,
         grad_hidden: np.ndarray | None = None,
         grad_pooled: np.ndarray | None = None,
-        train_token_embedding: bool = True,
     ) -> None:
         """Backpropagate gradients from either or both heads.
 
         ``grad_hidden`` matches the per-token hidden states (MLM head);
         ``grad_pooled`` matches the pooled [CLS] output (matching classifier).
-        ``train_token_embedding=False`` skips the token table's scatter-add
-        for callers whose optimiser leaves the table frozen: nothing would
-        clear or read that gradient.
+        """
+        grad_hidden = self.backward_top(grad_hidden, grad_pooled)
+        for block in reversed(self.blocks[:-1]):
+            grad_hidden = block.backward(grad_hidden)
+
+        grad_embedded = self.embedding_dropout.backward(grad_hidden)
+        grad_embedded = self.embedding_norm.backward(grad_embedded)
+        self.token_embedding.backward(grad_embedded)
+        self.position_embedding.backward(grad_embedded)
+        self.segment_embedding.backward(grad_embedded)
+
+    def backward_top(
+        self,
+        grad_hidden: np.ndarray | None = None,
+        grad_pooled: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Backpropagate through the pooler and the top block only.
+
+        Needs a :meth:`forward_top` outside :func:`repro.nn.inference_scope`;
+        returns the gradient at the top block's input, which a frozen trunk
+        discards.
         """
         if self._seq_len is None:
             raise RuntimeError("MiniBert: backward before forward")
@@ -136,14 +185,5 @@ class MiniBert(Module):
                 grad_hidden = grad_hidden.copy()
             grad_hidden[:, 0, :] += grad_cls
         self._pooler_cache = None
-
-        for block in reversed(self.blocks):
-            grad_hidden = block.backward(grad_hidden)
-
-        grad_embedded = self.embedding_dropout.backward(grad_hidden)
-        grad_embedded = self.embedding_norm.backward(grad_embedded)
-        if train_token_embedding:
-            self.token_embedding.backward(grad_embedded)
-        self.position_embedding.backward(grad_embedded)
-        self.segment_embedding.backward(grad_embedded)
         self._seq_len = None
+        return self.blocks[-1].backward(grad_hidden)

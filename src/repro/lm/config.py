@@ -29,6 +29,8 @@ class BertConfig:
             raise ValueError(
                 f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}"
             )
+        if self.num_layers < 1:
+            raise ValueError("num_layers must be >= 1: the top block is the one updates train")
         if self.vocab_size < 5:
             raise ValueError("vocab_size must cover the special tokens")
 

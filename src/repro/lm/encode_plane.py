@@ -105,9 +105,6 @@ class LruDict:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
     def get(self, key):
         value = self._data.get(key)
         if value is None:
@@ -123,16 +120,6 @@ class LruDict:
         if len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.evictions += 1
-
-    def pop(self, key) -> bool:
-        """Drop ``key`` if present; returns whether it was."""
-        return self._data.pop(key, None) is not None
-
-    def keys(self):
-        return list(self._data.keys())
-
-    def clear(self) -> None:
-        self._data.clear()
 
 
 # -- attribute token store -----------------------------------------------------

@@ -14,8 +14,11 @@ from repro.featurizers import (
     generate_pretraining_samples,
     make_pair_view,
 )
+from repro.core.artifacts import build_artifacts
+from repro.nn import TrainStats
 from repro.nn.serialize import state_dict
 from repro.schema import AttributeRef
+from tests.conftest import tiny_artifact_config
 
 
 @pytest.fixture()
@@ -211,6 +214,39 @@ class TestPretrainCache:
         finally:
             cold.close()
             warm.close()
+
+    def test_cold_and_warm_artifacts_agree_after_an_update(
+        self, source_schema, target_schema, ground_truth, tmp_path, monkeypatch
+    ):
+        """A cold store trains the MiniBERT in this process, which advances
+        its dropout generator; a warm store loads the weights into a freshly
+        seeded model.  The featurizer's later dropout draws must not tell
+        the two apart."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        labeled = list(ground_truth.items())[:4]
+        views = [make_pair_view(source_schema, target_schema, s, t) for s, t in labeled]
+        probe = PairBatch.from_views(
+            [
+                make_pair_view(source_schema, target_schema, source, target)
+                for source in source_schema.attribute_refs()
+                for target in target_schema.attribute_refs()
+            ]
+        )
+        columns = []
+        for expect_cold in (True, False):
+            mlm_stats = TrainStats()
+            artifacts = build_artifacts(
+                target_schema, config=tiny_artifact_config(), mlm_stats=mlm_stats
+            )
+            featurizer = self.pretrained(artifacts, target_schema)
+            try:
+                assert (mlm_stats.steps > 0) == expect_cold
+                assert (featurizer.train_stats.steps > 0) == expect_cold
+                featurizer.update(views, [1] * len(views))
+                columns.append(featurizer.score_pairs(probe))
+            finally:
+                featurizer.close()
+        np.testing.assert_array_equal(columns[1], columns[0])
 
     @pytest.mark.parametrize(
         "change, reused",

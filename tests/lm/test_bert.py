@@ -135,8 +135,11 @@ class TestMiniBert:
         hidden, pooled = model.forward(batch)
         assert hidden.shape == (2, 12, 16)
         assert pooled.shape == (2, 16)
-        assert model.last_embedding_output is not None
-        assert model.last_embedding_output.shape == hidden.shape
+        trunk = model.forward_trunk(batch)
+        assert trunk.shape == hidden.shape
+        top_hidden, top_pooled = model.forward_top(trunk, batch.attention_mask)
+        np.testing.assert_array_equal(top_hidden, hidden)
+        np.testing.assert_array_equal(top_pooled, pooled)
 
     def test_rejects_overlong_sequence(self, config, tokenizer):
         model = MiniBert(config, seed=0)

@@ -377,12 +377,6 @@ class TestLruDict:
         assert lru.misses == 1
         assert len(lru) == 2
 
-    def test_pop(self):
-        lru = LruDict(4)
-        lru.put("a", 1)
-        assert lru.pop("a") is True
-        assert lru.pop("a") is False
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             LruDict(0)

@@ -30,10 +30,8 @@ from repro.core import LearnedSchemaMatcher, LsmConfig
 from repro.core.artifacts import ArtifactConfig, build_artifacts
 from repro.datasets import load_dataset, scale_schema
 from repro.embeddings.ppmi import PpmiConfig
-from repro.engine import EngineConfig
 from repro.eval.reporting import render_table
 from repro.featurizers.bert import BertFeaturizerConfig
-from repro.retrieval import RetrievalConfig
 from repro.schema import DropColumn, RenameColumn, RetypeColumn, SchemaDelta
 from repro.schema.model import DataType
 
@@ -78,11 +76,6 @@ def _lsm_config() -> LsmConfig:
             max_length=24, pretrain_epochs=1, update_epochs=1, batch_size=32, seed=0
         ),
         max_candidates_per_source=CANDIDATES_PER_SOURCE,
-        retrieval=RetrievalConfig(persist=False),
-        # The incremental and rebuild matchers share an artifact cache key;
-        # persisted score blocks would leak one path's scores into the
-        # other's counters and corrupt the rescore measurement.
-        engine=EngineConfig(persist_scores=False),
         update_bert_every=10**9,  # same model throughout: isolate drift
         seed=0,
     )

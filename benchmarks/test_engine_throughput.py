@@ -92,7 +92,7 @@ def test_bucketed_batching_beats_naive_single_batch():
         model,
         classifier,
         special_ids,
-        EngineConfig(microbatch_size=64, bucket_granularity=8, persist_scores=False),
+        EngineConfig(microbatch_size=64, bucket_granularity=8),
     )
 
     def run_bucketed() -> np.ndarray:

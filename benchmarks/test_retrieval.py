@@ -36,7 +36,6 @@ from repro.embeddings.ppmi import PpmiConfig
 from repro.eval.reporting import render_table
 from repro.eval.retrieval import GATE_K, gate_reports
 from repro.featurizers.bert import BertFeaturizerConfig
-from repro.retrieval import RetrievalConfig
 from repro.schema import Schema
 
 SCALE_FACTOR = 10
@@ -140,7 +139,6 @@ def test_retrieval_speedup_with_unchanged_matches():
         ground_truth,
         artifacts,
         max_candidates_per_source=CANDIDATES_PER_SOURCE,
-        retrieval=RetrievalConfig(persist=False),
     )
 
     speedup = full["predict_seconds"] / max(retrieval["predict_seconds"], 1e-9)

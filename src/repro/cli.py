@@ -457,9 +457,9 @@ def _cmd_retrieval(args: argparse.Namespace) -> None:
     rows = []
     # One single-retriever configuration per signal, then the fused stack.
     configurations = [
-        ("sparse", RetrievalConfig(use_dense=False, use_sparse=True, persist=False)),
-        ("dense", RetrievalConfig(use_dense=True, use_sparse=False, persist=False)),
-        ("fused", RetrievalConfig(persist=False)),
+        ("sparse", RetrievalConfig(use_dense=False, use_sparse=True)),
+        ("dense", RetrievalConfig(use_dense=True, use_sparse=False)),
+        ("fused", RetrievalConfig()),
     ]
     embeddings = cheap_embeddings(task.target)
     for label, config in configurations:

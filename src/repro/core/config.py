@@ -38,8 +38,8 @@ class LsmConfig:
         through ``retrieval``, before BERT scoring.  ``None`` scores the
         full Cartesian product as in the paper.
     retrieval:
-        Candidate-generation knobs (retriever mix, rank-fusion weights,
-        index persistence, and the ``generator="full"`` escape hatch); see
+        Candidate-generation knobs (retriever mix, rank-fusion weights and
+        the ``generator="full"`` escape hatch); see
         :class:`repro.retrieval.RetrievalConfig`.  Only consulted when
         ``max_candidates_per_source`` is set.
     self_training_rounds / self_training_threshold:
@@ -64,8 +64,8 @@ class LsmConfig:
     meta_l2: float = 0.5
     meta_prior_blend_full_at: int = 5
     bert: BertFeaturizerConfig = field(default_factory=BertFeaturizerConfig)
-    #: Scoring-engine knobs (micro-batching, worker parallelism, incremental
-    #: re-scoring persistence); see :class:`repro.engine.EngineConfig`.
+    #: Scoring-engine knobs (micro-batching and worker parallelism); see
+    #: :class:`repro.engine.EngineConfig`.
     engine: EngineConfig = field(default_factory=EngineConfig)
     update_bert_every: int = 1
     #: When set, the matcher traces its full pipeline (predict stages, the

@@ -117,7 +117,6 @@ class LearnedSchemaMatcher:
                     self.artifacts.bert,
                     self.config.bert,
                     engine_config=self.config.engine,
-                    engine_cache_token=self.artifacts.cache_key,
                 )
                 self.bert_featurizer.pretrain(
                     target_schema, cache_key=self.artifacts.cache_key
@@ -195,7 +194,6 @@ class LearnedSchemaMatcher:
             target_docs,
             retrieval,
             embeddings=self.artifacts.embeddings if retrieval.use_dense else None,
-            cache_token=self.artifacts.cache_key,
             stats=self.retrieval_stats,
         )
 

@@ -16,13 +16,11 @@ encoded candidate pairs it
    :func:`repro.nn.inference_scope`, which writes no layer cache, so the
    threads need no weight replicas, and numpy releases the GIL inside every
    GEMM.  For the plan's duration :mod:`repro.engine.blas` holds OpenBLAS
-   at one thread, so its threads do not contend with the scoring threads;
-4. **persists score blocks** through :mod:`repro.store`, keyed by the exact
-   model weights, so re-running an experiment skips straight to cached
-   scores across processes.  A block is written the first time a weights
-   key has scores, then once :data:`PERSIST_EVERY` new scores have built
-   up, and on :meth:`ScoringEngine.close` and
-   :meth:`ScoringEngine.invalidate_model`.
+   at one thread, so its threads do not contend with the scoring threads.
+
+Scores live in memory only.  Every label update changes the weights, so a
+customer's scores are recomputed after each one; nothing reaches the
+artifact store.
 
 Model updates call :meth:`ScoringEngine.invalidate_model`; that bumps the
 version and drops stale scores.  The threads read the live weights, so no
@@ -52,11 +50,6 @@ from . import blas
 from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
 from .stats import EngineStats
 
-#: Write the score block at most once per this many new scores (after the
-#: first write of a weights key); close() and invalidate_model() flush the
-#: rest.
-PERSIST_EVERY = 512
-
 
 def default_workers() -> int:
     """Threads per plan by default: the CPUs this process may run on."""
@@ -81,15 +74,11 @@ class EngineConfig:
     n_workers:
         Threads that score one plan, the calling thread included; defaults
         to :func:`default_workers`.  0 and 1 score in-process.
-    persist_scores:
-        Persist/load score blocks through :mod:`repro.store`, keyed by the
-        exact model weights and pair contents.
     """
 
     microbatch_size: int = 64
     bucket_granularity: int = 8
     n_workers: int = field(default_factory=default_workers)
-    persist_scores: bool = True
 
     def __post_init__(self) -> None:
         if self.microbatch_size < 1:
@@ -118,25 +107,14 @@ class ScoringEngine:
         classifier,
         special_ids: Sequence[int],
         config: EngineConfig | None = None,
-        cache_token: str | None = None,
     ) -> None:
         self.model = model
         self.classifier = classifier
         self.special_ids = sorted(special_ids)
         self.config = config or EngineConfig()
-        #: Namespacing token for persisted score blocks (typically the
-        #: artifact cache key); ``None`` plus ``persist_scores=True`` still
-        #: persists, keyed purely by the model weights.
-        self.cache_token = cache_token
         self.stats = EngineStats()
         self._version = 0
         self._scores: dict[bytes, float] = {}
-        self._weights_key: str | None = None
-        self._persisted_loaded = False
-        #: Scores added since the last block write, and whether this weights
-        #: key has a block yet.
-        self._unsaved = 0
-        self._block_written = False
         #: Helper threads for multi-micro-batch plans; created on first use.
         self._pool: ThreadPoolExecutor | None = None
         #: Whether the most recent threaded plan held OpenBLAS at one thread.
@@ -149,19 +127,9 @@ class ScoringEngine:
         return self._version
 
     def invalidate_model(self) -> None:
-        """Signal that model/classifier weights changed: cached scores are stale.
-
-        Unsaved scores are first written under the cached pre-update weights
-        key, so a later engine on those weights still finds them.
-        """
-        if self._weights_key is not None:
-            self._flush_persisted()
+        """Signal that model/classifier weights changed: cached scores are stale."""
         self._version += 1
         self._scores.clear()
-        self._weights_key = None
-        self._persisted_loaded = False
-        self._unsaved = 0
-        self._block_written = False
         self.stats.invalidations += 1
 
     def count_reused(self, count: int) -> None:
@@ -177,51 +145,8 @@ class ScoringEngine:
     def clear_cached_scores(self) -> None:
         """Drop cached scores without bumping the model version (testing aid)."""
         self._scores.clear()
-        self._persisted_loaded = False
 
-    def _current_weights_key(self) -> str:
-        """Content hash of the live model + classifier weights."""
-        if self._weights_key is None:
-            digest = hashlib.blake2b(digest_size=FINGERPRINT_BYTES)
-            parameters = {
-                **self.model.parameters("model."),
-                **self.classifier.parameters("classifier."),
-            }
-            for name in sorted(parameters):
-                digest.update(name.encode("utf-8"))
-                digest.update(np.ascontiguousarray(parameters[name].value).tobytes())
-            self._weights_key = digest.hexdigest()
-        return self._weights_key
-
-    # -- persistence -------------------------------------------------------------
-
-    def _store_key(self) -> str:
-        from .. import store
-
-        # Blocks are keyed by the weights, not by the forward's arithmetic:
-        # bump the namespace whenever a kernel change moves float32 rounding,
-        # or a store would mix old- and new-rounding scores for one model.
-        return store.content_key(
-            "engine-scores-v3", self.cache_token or "", self._current_weights_key()
-        )
-
-    def _load_persisted(self) -> None:
-        if self._persisted_loaded or not self.config.persist_scores:
-            return
-        self._persisted_loaded = True
-        from .. import store
-
-        with self.stats.timer("persist_load"):
-            block = store.load_arrays("engine-scores", self._store_key())
-        if block is None:
-            return
-        fingerprints = block.get("fingerprints")
-        scores = block.get("scores")
-        if fingerprints is None or scores is None or len(fingerprints) != len(scores):
-            return
-        for fingerprint, score in zip(fingerprints, scores):
-            self._scores.setdefault(bytes(fingerprint), float(score))
-        self.stats.pairs_persisted_hits += len(scores)
+    # -- scoring -----------------------------------------------------------------
 
     def _record_scores(self, fingerprints, dirty: list[int], plan, results, scores) -> None:
         """Scatter a scored plan into ``scores`` and the score cache."""
@@ -231,36 +156,6 @@ class ScoringEngine:
                 value = float(probability)
                 scores[index] = value
                 self._scores[fingerprints[index]] = value
-        self._unsaved += len(dirty)
-        if not self._block_written or self._unsaved >= PERSIST_EVERY:
-            self._save_persisted()
-
-    def _flush_persisted(self) -> None:
-        """Write the block if it holds scores the store has not seen."""
-        if self._unsaved:
-            self._save_persisted()
-
-    def _save_persisted(self) -> None:
-        if not self.config.persist_scores or not self._scores:
-            return
-        from .. import store
-
-        with self.stats.timer("persist_save"):
-            fingerprints = np.frombuffer(
-                b"".join(self._scores.keys()), dtype=np.uint8
-            ).reshape(len(self._scores), FINGERPRINT_BYTES)
-            scores = np.fromiter(
-                self._scores.values(), dtype=np.float64, count=len(self._scores)
-            )
-            store.save_arrays(
-                "engine-scores",
-                self._store_key(),
-                {"fingerprints": fingerprints, "scores": scores},
-            )
-        self._unsaved = 0
-        self._block_written = True
-
-    # -- scoring -----------------------------------------------------------------
 
     def _score_plan(self, plan) -> list[np.ndarray]:
         """Score a plan in-process, or on threads when it has several batches."""
@@ -325,8 +220,6 @@ class ScoringEngine:
         caller owns request/result routing and cache policy.  Each returned
         array is positionally aligned with ``plan``.
         """
-        self.model.eval()
-        self.classifier.eval()
         self.stats.microbatches += len(plan)
         self.stats.buckets += plan_num_buckets(plan)
         self.stats.pairs_scored += sum(len(mb.indices) for mb in plan)
@@ -334,7 +227,6 @@ class ScoringEngine:
 
     def _split_cached(self, fingerprints: list[bytes], scores: np.ndarray, span) -> list[int]:
         """Fill cached scores in; return the indices that need a forward."""
-        self._load_persisted()
         dirty: list[int] = []
         for index, fingerprint in enumerate(fingerprints):
             cached = self._scores.get(fingerprint)
@@ -358,9 +250,6 @@ class ScoringEngine:
         with obs.span(
             "engine.score", pairs=count, version=self._version
         ) as score_span:
-            self.model.eval()
-            self.classifier.eval()
-
             with self.stats.timer("fingerprint"):
                 fingerprints = [fingerprint_encoded(pair) for pair in encoded]
             scores = np.empty(count, dtype=np.float64)
@@ -386,8 +275,8 @@ class ScoringEngine:
         fingerprinted :class:`repro.lm.encode_plane.BatchHalves` and
         ``plane`` the :class:`~repro.lm.encode_plane.EncodePlane` that
         produced it.  The
-        digest-parity fingerprints share the in-memory and persisted score
-        caches with the sequential path, bucket planning reads the rows'
+        digest-parity fingerprints share the score cache with
+        :meth:`score_encoded`, bucket planning reads the rows'
         truncated lengths, and each dirty micro-batch is gathered from the
         per-attribute id tables into fresh arrays.
         """
@@ -399,9 +288,6 @@ class ScoringEngine:
         with obs.span(
             "engine.score", pairs=count, version=self._version
         ) as score_span:
-            self.model.eval()
-            self.classifier.eval()
-
             fingerprints = halves.fingerprint_keys()
             scores = np.empty(count, dtype=np.float64)
             dirty = self._split_cached(fingerprints, scores, score_span)
@@ -435,9 +321,7 @@ class ScoringEngine:
         }
 
     def close(self) -> None:
-        """Write unsaved scores and join the helper threads (idempotent);
-        a later plan starts new threads."""
-        self._flush_persisted()
+        """Join the helper threads (idempotent); a later plan starts new threads."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)

@@ -1,7 +1,7 @@
 """Per-stage timing counters of the scoring engine.
 
 Every expensive step of a scoring pass (encoding, fingerprinting, bucket
-planning, forward passes, persistence) runs under a named
+planning, forward passes) runs under a named
 ``EngineStats.timer`` block (inherited from :class:`repro.obs.Counters`),
 and every skip/score decision increments a counter.  The counters are the
 engine's observability surface: the parity and incremental-rescoring tests
@@ -26,8 +26,6 @@ class EngineStats(Counters):
     pairs_skipped: int = 0
     #: Pairs actually pushed through the encoder.
     pairs_scored: int = 0
-    #: Pairs whose score was recovered from a persisted store block.
-    pairs_persisted_hits: int = 0
     #: Distinct padded-length buckets across all scoring passes.
     buckets: int = 0
     #: Micro-batches executed (in-process + threaded).

@@ -70,10 +70,9 @@ def task_generator(
     """The candidate generator a matcher would use for ``task``.
 
     ``embeddings`` defaults to :func:`cheap_embeddings` over the target
-    schema; index persistence is disabled (these generators are throwaway
-    evaluation objects, not serving state).
+    schema.
     """
-    config = config or RetrievalConfig(persist=False)
+    config = config or RetrievalConfig()
     if embeddings is None and config.use_dense:
         embeddings = cheap_embeddings(task.target)
     source_docs = docs_from_refs(

@@ -403,13 +403,6 @@ class BertFeaturizerConfig:
     #: instead of being drowned by the ISS regulariser samples.
     human_oversample: int = 4
     iss_subsample_per_update: int = 192
-    #: Human-label updates also train the encoder's top block and pooler.
-    #: The trunk below (embeddings and the lower blocks) stays frozen: the
-    #: token table carries the distributional (synonym) geometry from MLM
-    #: pre-training -- the reproduction's stand-in for BERT's world
-    #: knowledge -- that the detached cos(u0, v0) channel reads, and a
-    #: frozen trunk runs inference-only (see DESIGN.md, "BERT updates").
-    finetune_encoder: bool = True
     max_grad_norm: float = 1.0
     negatives_per_positive: int = 1
     #: Length-bucket granularity of the training micro-batch planner (same
@@ -452,6 +445,9 @@ class BertFeaturizer:
         engine_config: "EngineConfig | None" = None,
         engine_cache_token: str | None = None,
     ) -> None:
+        """``engine_cache_token`` is accepted and ignored: the engine keeps
+        its scores in memory only.  The end-to-end benchmark's vertical
+        build still passes it."""
         from ..engine import ScoringEngine
 
         self.tokenizer = tokenizer
@@ -493,7 +489,6 @@ class BertFeaturizer:
             self.classifier,
             sorted(self.tokenizer.vocab.special_ids()),
             config=engine_config,
-            cache_token=engine_cache_token,
         )
 
     @property
@@ -588,8 +583,8 @@ class BertFeaturizer:
         self,
         samples: Sequence[TrainingSample],
         epochs: int,
-        train_channels: bool = True,
-        train_encoder: bool | None = None,
+        train_channels: bool,
+        train_encoder: bool,
         warm: bool = False,
     ) -> list[float]:
         """Train the classifier (and optionally the encoder's top) on ``samples``.
@@ -610,8 +605,6 @@ class BertFeaturizer:
         """
         if not samples:
             return []
-        if train_encoder is None:
-            train_encoder = self.config.finetune_encoder
         with obs.span(
             "bert.train",
             samples=len(samples),
@@ -854,6 +847,14 @@ class BertFeaturizer:
         Human samples carry ``human_sample_weight``; a random subsample of
         the ISS pre-training set is mixed in as a regulariser so the
         classifier does not forget the per-vertical prior (§VI-B).
+
+        An update trains the whole classifier plus the encoder's top block
+        and pooler.  The trunk below (embeddings and the lower blocks) stays
+        frozen: the token table carries the distributional (synonym)
+        geometry from MLM pre-training -- the reproduction's stand-in for
+        BERT's world knowledge -- that the detached cos(u0, v0) channel
+        reads, and a frozen trunk runs inference-only (see DESIGN.md, "BERT
+        updates").
         """
         self._human_samples = [
             TrainingSample(
@@ -878,7 +879,13 @@ class BertFeaturizer:
             budget = min(self.config.iss_subsample_per_update, len(self._iss_samples))
             chosen = self._rng.choice(len(self._iss_samples), size=budget, replace=False)
             mixed.extend(self._iss_samples[int(i)] for i in chosen)
-        self._train(mixed, self.config.update_epochs, warm=self.config.warm_updates)
+        self._train(
+            mixed,
+            self.config.update_epochs,
+            train_channels=True,
+            train_encoder=True,
+            warm=self.config.warm_updates,
+        )
 
     # -- scoring ---------------------------------------------------------------
 

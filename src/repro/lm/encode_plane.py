@@ -25,8 +25,8 @@ module removes the remaining hot-path cost, the pure-Python encode half:
 * **fingerprint parity** -- :meth:`EncodePlane.fingerprint_rows` hashes
   each row assembled at full width, in bounded chunks, with the *same*
   blake2b digest as :func:`repro.engine.engine.fingerprint_encoded`, so
-  the engine's in-memory and persisted score caches are shared
-  bit-for-bit between the sequential and the batched encode paths.
+  the engine's score cache is shared bit-for-bit between the sequential
+  and the batched encode paths.
 
 Everything is held bit-exact to the sequential reference
 (:meth:`repro.lm.tokenizer.WordPieceTokenizer.encode_pair`); the hypothesis
@@ -526,8 +526,8 @@ class EncodePlane:
 
         One blake2b per row over the row assembled at full ``max_length``
         width, ``input_ids ‖ 0x00 ‖ segment_ids`` -- digest-identical to
-        ``fingerprint_encoded(encode_attribute_pair(...))``, so persisted
-        score blocks keep hitting.  Rows are assembled
+        ``fingerprint_encoded(encode_attribute_pair(...))``, so both encode
+        paths hit the same score-cache entries.  Rows are assembled
         :attr:`FINGERPRINT_CHUNK` at a time.
         """
         rows = len(halves)

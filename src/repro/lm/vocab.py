@@ -106,16 +106,6 @@ class WordPieceVocab:
             self._continuation_trie = root
         return self._continuation_trie
 
-    def fingerprint(self) -> str:
-        """Content hash of the token list (keys persisted token caches)."""
-        import hashlib
-
-        digest = hashlib.blake2b(digest_size=16)
-        for token in self.tokens:
-            digest.update(token.encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
-
     def __len__(self) -> int:
         return len(self.tokens)
 

@@ -40,8 +40,12 @@ def inference_scope() -> Iterator[None]:
     Every forward in the library reads only parameters inside the scope,
     which makes it reentrant: threads can share one live model with no
     replicas, and a scoring call cannot clobber the caches a pending
-    training forward left for its backward.  The scope belongs to the
-    calling thread and nests; it is independent of ``Module.training``.
+    training forward left for its backward.  Dropout is the identity
+    inside the scope whatever ``Module.training`` says, so a forward in the
+    scope draws no mask and leaves the dropout generators untouched: a
+    scoring call made while an update trains returns the eval-mode scores
+    and does not change the update's later steps.  The scope belongs to
+    the calling thread and nests.
     """
     previous = _INFERENCE.active
     _INFERENCE.active = True
@@ -278,7 +282,8 @@ class LayerNorm(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; identity in eval mode or with rate 0."""
+    """Inverted dropout; identity in eval mode, with rate 0, or inside
+    :func:`inference_scope`."""
 
     def __init__(self, rate: float, rng: np.random.Generator) -> None:
         super().__init__()
@@ -289,12 +294,13 @@ class Dropout(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if _INFERENCE.active:
+            return x
         mask = None
         if self.training and self.rate != 0.0:
             keep = 1.0 - self.rate
             mask = (self.rng.random(x.shape) < keep).astype(DTYPE) / keep
-        if not _INFERENCE.active:
-            self._mask = mask
+        self._mask = mask
         return x if mask is None else x * mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ def build_generator(
     target_docs,
     config: RetrievalConfig,
     embeddings=None,
-    cache_token: str | None = None,
     stats: RetrievalStats | None = None,
 ) -> CandidateGenerator:
     """Assemble the generator the config describes.
@@ -77,13 +76,7 @@ def build_generator(
         )
     if config.use_dense and embeddings is not None:
         retrievers.append(
-            DenseRetriever(
-                embeddings,
-                target_docs,
-                cache_token=cache_token,
-                stats=stats,
-                persist=config.persist,
-            )
+            DenseRetriever(embeddings, target_docs, stats=stats)
         )
     if not retrievers:
         return FullProductGenerator(len(source_docs), len(target_docs))

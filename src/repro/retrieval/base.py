@@ -64,14 +64,6 @@ class AttributeDoc:
         """Name tokens followed by description tokens (the document body)."""
         return self.name_tokens + self.description_tokens
 
-    @property
-    def text(self) -> str:
-        """Canonical flat text -- used for content-addressed index keys."""
-        key_marker = "key" if self.is_key else "nonkey"
-        return " ".join(
-            (*self.entity_tokens, "|", *self.tokens, "|", self.dtype_family, key_marker)
-        )
-
 
 def docs_from_refs(
     schema: Schema,
@@ -126,9 +118,6 @@ class RetrievalConfig:
     #: BM25 parameters.
     bm25_k1: float = 1.5
     bm25_b: float = 0.75
-    #: Persist pre-encoded dense indexes through ``repro.store`` (keyed by
-    #: artefact provenance + document contents + model version).
-    persist: bool = True
 
     def __post_init__(self) -> None:
         if self.generator not in {"fused", "full"}:
@@ -147,10 +136,8 @@ class RetrievalStats(Counters):
     ``time.<stage>``.
     """
 
-    #: Dense indexes encoded from scratch.
+    #: Dense indexes encoded.
     index_builds: int = 0
-    #: Dense indexes loaded from the artifact store.
-    index_cache_hits: int = 0
     #: ``generate()``/``generate_for_sources()`` calls (initial build +
     #: post-drift regenerations).
     generations: int = 0

@@ -132,13 +132,7 @@ class TestIncrementalParity:
         from dataclasses import replace
 
         if retrieval_k is not None:
-            from repro.retrieval import RetrievalConfig
-
-            config = replace(
-                config,
-                max_candidates_per_source=retrieval_k,
-                retrieval=RetrievalConfig(persist=False),
-            )
+            config = replace(config, max_candidates_per_source=retrieval_k)
         deltas = generate_drift_sequence(
             source_schema, DriftConfig(num_deltas=2, ops_per_delta=2, seed=5)
         )

@@ -59,7 +59,7 @@ def make_matcher(tiny_artifacts, source_schema, target_schema) -> LearnedSchemaM
         # Every second accepted match triggers a BERT update.
         update_bert_every=2,
         max_candidates_per_source=4,
-        engine=EngineConfig(persist_scores=False, microbatch_size=8),
+        engine=EngineConfig(microbatch_size=8),
         seed=0,
     )
     return LearnedSchemaMatcher(
@@ -269,7 +269,6 @@ def test_trace_explains_the_rescore(
         bert=BertFeaturizerConfig(max_length=24, pretrain_epochs=1, seed=0),
         update_bert_every=10**9,
         max_candidates_per_source=max_candidates,
-        engine=EngineConfig(persist_scores=False),
         seed=0,
     )
     matcher = LearnedSchemaMatcher(
@@ -353,7 +352,7 @@ def test_bert_rescore_after_update_on_a_large_store(tiny_artifacts):
             max_length=12, pretrain_epochs=1, update_epochs=1, batch_size=16, seed=0
         ),
         update_bert_every=1,
-        engine=EngineConfig(persist_scores=False, microbatch_size=256),
+        engine=EngineConfig(microbatch_size=256),
         seed=0,
     )
     matcher = LearnedSchemaMatcher(source, target, config=config, artifacts=tiny_artifacts)

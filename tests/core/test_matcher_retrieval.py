@@ -36,10 +36,7 @@ def pruned_matcher(source_schema, target_schema, tiny_artifacts):
     matcher = LearnedSchemaMatcher(
         source_schema,
         target_schema,
-        config=_config(
-            max_candidates_per_source=4,
-            retrieval=RetrievalConfig(persist=False),
-        ),
+        config=_config(max_candidates_per_source=4),
         artifacts=tiny_artifacts,
     )
     yield matcher
@@ -95,10 +92,7 @@ class TestGeneratorPruning:
         matcher = LearnedSchemaMatcher(
             source_schema,
             target_schema,
-            config=_config(
-                max_candidates_per_source=6,
-                retrieval=RetrievalConfig(persist=False),
-            ),
+            config=_config(max_candidates_per_source=6),
             artifacts=tiny_artifacts,
         )
         store = matcher.store
@@ -186,10 +180,7 @@ class TestScoreAlignmentAcrossReshapes:
         matcher = LearnedSchemaMatcher(
             source_schema,
             target_schema,
-            config=_config(
-                max_candidates_per_source=3,
-                retrieval=RetrievalConfig(persist=False),
-            ),
+            config=_config(max_candidates_per_source=3),
             artifacts=tiny_artifacts,
         )
         oracle = GroundTruthOracle(ground_truth, target_schema)

@@ -125,7 +125,7 @@ class TestExecutorFallback:
     def test_zero_workers_is_unavailable(self, tiny_stack):
         """n_workers=0 scores a many-batch plan in-process, with no threads."""
         model, classifier, special_ids = tiny_stack
-        config = EngineConfig(n_workers=0, microbatch_size=2, persist_scores=False)
+        config = EngineConfig(n_workers=0, microbatch_size=2)
         engine = ScoringEngine(model, classifier, special_ids, config)
         try:
             encoded = [encoded_of_length(length, fill=5) for length in (4, 9, 14, 20)]
@@ -144,7 +144,7 @@ class TestExecutorFallback:
     def test_small_batches_stay_in_process(self, tiny_stack):
         """A one-batch plan never leaves the calling thread."""
         model, classifier, special_ids = tiny_stack
-        config = EngineConfig(n_workers=4, persist_scores=False)
+        config = EngineConfig(n_workers=4)
         engine = ScoringEngine(model, classifier, special_ids, config)
         try:
             engine.score_encoded([encoded_of_length(4, fill=5)])

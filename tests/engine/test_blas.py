@@ -136,7 +136,7 @@ def test_unpinned_plan_emits_one_event_and_scores_exactly(monkeypatch):
     encoded = [encoded_of_length(length) for length in range(4, 24)]
 
     def score(n_workers: int) -> tuple[ScoringEngine, np.ndarray]:
-        config = EngineConfig(n_workers=n_workers, microbatch_size=3, persist_scores=False)
+        config = EngineConfig(n_workers=n_workers, microbatch_size=3)
         engine = ScoringEngine(model, classifier, [0, 1, 2, 3, 4], config)
         try:
             return engine, engine.score_encoded(encoded)

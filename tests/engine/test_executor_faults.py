@@ -69,7 +69,7 @@ def stack():
 
 def make_engine(stack, n_workers: int) -> ScoringEngine:
     model, classifier, special_ids, _, _ = stack
-    config = EngineConfig(n_workers=n_workers, microbatch_size=4, persist_scores=False)
+    config = EngineConfig(n_workers=n_workers, microbatch_size=4)
     return ScoringEngine(model, classifier, special_ids, config)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import store
 from repro.core.config import LsmConfig
 from repro.core.matcher import LearnedSchemaMatcher
 from repro.engine import EngineConfig, ScoringEngine
@@ -29,7 +28,7 @@ def incremental_config() -> LsmConfig:
     # unchanged pair stays clean.
     return LsmConfig(
         update_bert_every=10**9,
-        engine=EngineConfig(persist_scores=False, microbatch_size=16),
+        engine=EngineConfig(microbatch_size=16),
     )
 
 
@@ -104,7 +103,7 @@ class TestMatcherIncrementalRescoring:
     ):
         config = LsmConfig(
             update_bert_every=1,
-            engine=EngineConfig(persist_scores=False, microbatch_size=16),
+            engine=EngineConfig(microbatch_size=16),
         )
         matcher = make_matcher(tiny_artifacts, source_schema, target_schema, config)
         try:
@@ -136,9 +135,7 @@ def engine_stack():
 class TestEngineLevelIncrementalRescoring:
     def test_only_new_pairs_are_scored(self, engine_stack):
         model, classifier, special_ids = engine_stack
-        engine = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=False)
-        )
+        engine = ScoringEngine(model, classifier, special_ids)
         try:
             first = [encoded_of_length(length, fill=5) for length in (4, 8, 12)]
             engine.score_encoded(first)
@@ -153,9 +150,7 @@ class TestEngineLevelIncrementalRescoring:
 
     def test_weight_change_invalidates_scores(self, engine_stack):
         model, classifier, special_ids = engine_stack
-        engine = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=False)
-        )
+        engine = ScoringEngine(model, classifier, special_ids)
         try:
             encoded = [encoded_of_length(length, fill=5) for length in (4, 8, 12)]
             before = engine.score_encoded(encoded)
@@ -167,154 +162,3 @@ class TestEngineLevelIncrementalRescoring:
         finally:
             classifier.scalar_path.bias.value[:] -= 0.5
             engine.close()
-
-    def test_scores_persist_across_engines(self, engine_stack, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        model, classifier, special_ids = engine_stack
-        encoded = [encoded_of_length(length, fill=5) for length in (4, 8, 12, 16)]
-
-        first = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=True),
-            cache_token="test-vertical",
-        )
-        try:
-            expected = first.score_encoded(encoded)
-            assert first.stats.pairs_scored == 4
-        finally:
-            first.close()
-
-        second = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=True),
-            cache_token="test-vertical",
-        )
-        try:
-            scores = second.score_encoded(encoded)
-            np.testing.assert_allclose(scores, expected, atol=0, rtol=0)
-            assert second.stats.pairs_scored == 0
-            assert second.stats.pairs_persisted_hits == 4
-        finally:
-            second.close()
-
-    def test_old_namespace_blocks_are_not_served(
-        self, engine_stack, tmp_path, monkeypatch
-    ):
-        """Score blocks are keyed by weights, not by the forward's rounding:
-        a block persisted under an earlier namespace must be recomputed,
-        never mixed into today's scores.  ``-v1`` held the ``powf`` GELU's
-        rounding, ``-v2`` the numpy-reduction LayerNorm and softmax."""
-        model, classifier, special_ids = engine_stack
-        encoded = [encoded_of_length(length, fill=7) for length in (4, 8, 12)]
-
-        fresh = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=False)
-        )
-        try:
-            expected = fresh.score_encoded(encoded)
-        finally:
-            fresh.close()
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "current"))
-        writer = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=True),
-            cache_token="test-vertical",
-        )
-        try:
-            writer.score_encoded(encoded)
-            block = store.load_arrays("engine-scores", writer._store_key())
-            weights_key = writer._current_weights_key()
-        finally:
-            writer.close()
-        assert block is not None
-
-        reloaded = ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=True),
-            cache_token="test-vertical",
-        )
-        try:
-            np.testing.assert_array_equal(reloaded.score_encoded(encoded), expected)
-            assert reloaded.stats.pairs_persisted_hits == len(encoded)
-        finally:
-            reloaded.close()
-
-        # The same fingerprints with poisoned scores, under an old key only.
-        for namespace in ("engine-scores-v1", "engine-scores-v2"):
-            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / namespace))
-            store.save_arrays(
-                "engine-scores",
-                store.content_key(namespace, "test-vertical", weights_key),
-                {"fingerprints": block["fingerprints"], "scores": block["scores"] + 1.0},
-            )
-            upgraded = ScoringEngine(
-                model, classifier, special_ids, EngineConfig(persist_scores=True),
-                cache_token="test-vertical",
-            )
-            try:
-                np.testing.assert_array_equal(upgraded.score_encoded(encoded), expected)
-                assert upgraded.stats.pairs_persisted_hits == 0
-                assert upgraded.stats.pairs_scored == len(encoded)
-            finally:
-                upgraded.close()
-
-
-class TestScoreBlockPersistence:
-    """When the engine writes its cross-process score block."""
-
-    def _engine(self, engine_stack) -> ScoringEngine:
-        model, classifier, special_ids = engine_stack
-        return ScoringEngine(
-            model, classifier, special_ids, EngineConfig(persist_scores=True),
-            cache_token="test-vertical",
-        )
-
-    def _block_size(self, engine: ScoringEngine) -> int:
-        block = store.load_arrays("engine-scores", engine._store_key())
-        return 0 if block is None else len(block["scores"])
-
-    def test_first_scored_call_writes_block(self, engine_stack, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        engine = self._engine(engine_stack)
-        try:
-            engine.score_encoded([encoded_of_length(n, fill=5) for n in (4, 8, 12)])
-            assert self._block_size(engine) == 3
-        finally:
-            engine.close()
-
-    def test_later_scores_wait_for_close(self, engine_stack, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        engine = self._engine(engine_stack)
-        try:
-            engine.score_encoded([encoded_of_length(n, fill=5) for n in (4, 8, 12)])
-            engine.score_encoded([encoded_of_length(n, fill=6) for n in (4, 8)])
-            # Fewer than PERSIST_EVERY new scores: the block is not rewritten.
-            assert self._block_size(engine) == 3
-        finally:
-            engine.close()
-        assert self._block_size(engine) == 5
-
-    def test_invalidate_model_flushes_under_old_key(
-        self, engine_stack, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        _model, classifier, _special_ids = engine_stack
-        first = [encoded_of_length(n, fill=5) for n in (4, 8, 12)]
-        second = [encoded_of_length(n, fill=6) for n in (4, 8)]
-        engine = self._engine(engine_stack)
-        try:
-            expected = np.concatenate(
-                [engine.score_encoded(first), engine.score_encoded(second)]
-            )
-            old_key = engine._store_key()
-            classifier.scalar_path.bias.value[:] += 0.5
-            engine.invalidate_model()
-            assert len(store.load_arrays("engine-scores", old_key)["scores"]) == 5
-        finally:
-            classifier.scalar_path.bias.value[:] -= 0.5
-            engine.close()
-
-        fresh = self._engine(engine_stack)
-        try:
-            scores = fresh.score_encoded(first + second)
-            np.testing.assert_array_equal(scores, expected)
-            assert fresh.stats.pairs_scored == 0
-        finally:
-            fresh.close()

@@ -136,9 +136,7 @@ def test_monolithic_batch_matches_sequential(scoring_stack):
 
 def _assert_engine_matches_sequential(stack, n_workers: int, atol: float) -> None:
     model, classifier, special_ids, encoded, sequential = stack
-    config = EngineConfig(
-        n_workers=n_workers, bucket_granularity=4, persist_scores=False
-    )
+    config = EngineConfig(n_workers=n_workers, bucket_granularity=4)
     engine = ScoringEngine(model, classifier, special_ids, config)
     try:
         for batch_size in _batch_sizes(len(encoded)):
@@ -175,9 +173,7 @@ def test_engine_matches_sequential_live_channel(live_scoring_stack, n_workers):
 
 def _engine_scores(stack, n_workers: int) -> list[np.ndarray]:
     model, classifier, special_ids, encoded, _ = stack
-    config = EngineConfig(
-        n_workers=n_workers, bucket_granularity=4, persist_scores=False
-    )
+    config = EngineConfig(n_workers=n_workers, bucket_granularity=4)
     engine = ScoringEngine(model, classifier, special_ids, config)
     try:
         scores = []
@@ -219,7 +215,7 @@ def test_engine_scores_are_order_independent(scoring_stack):
         model,
         classifier,
         special_ids,
-        EngineConfig(microbatch_size=13, bucket_granularity=4, persist_scores=False),
+        EngineConfig(microbatch_size=13, bucket_granularity=4),
     )
     try:
         permutation = np.random.default_rng(0).permutation(len(encoded))

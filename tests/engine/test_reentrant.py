@@ -151,7 +151,7 @@ def test_engine_threads_score_every_microbatch_under_preemption():
     ]
 
     def score(n_workers: int) -> tuple[ScoringEngine, np.ndarray]:
-        config = EngineConfig(n_workers=n_workers, microbatch_size=1, persist_scores=False)
+        config = EngineConfig(n_workers=n_workers, microbatch_size=1)
         engine = ScoringEngine(model, classifier, SPECIAL_IDS, config)
         try:
             return engine, engine.score_encoded(encoded)

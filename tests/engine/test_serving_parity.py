@@ -83,7 +83,6 @@ def run_updates(stack, config: EngineConfig) -> ScoringEngine:
         n_workers=1,
         microbatch_size=config.microbatch_size,
         bucket_granularity=config.bucket_granularity,
-        persist_scores=False,
     )
     engine = ScoringEngine(model, classifier, special_ids, config)
     reference_engine = ScoringEngine(model, classifier, special_ids, reference_config)
@@ -109,7 +108,7 @@ def run_updates(stack, config: EngineConfig) -> ScoringEngine:
 
 @pytest.mark.parametrize("n_workers", (1, 2, 4))
 def test_hot_swap_parity_across_updates(stack, n_workers):
-    config = EngineConfig(n_workers=n_workers, microbatch_size=8, persist_scores=False)
+    config = EngineConfig(n_workers=n_workers, microbatch_size=8)
     engine = run_updates(stack, config)
     try:
         stats = engine.stats
@@ -123,7 +122,7 @@ def test_hot_swap_parity_across_updates(stack, n_workers):
 @pytest.mark.parametrize("n_workers", (1, 2, 4))
 def test_hot_swap_parity_live_channel(live_stack, n_workers):
     """With live blocks, every update moves the scores the threads return."""
-    config = EngineConfig(n_workers=n_workers, microbatch_size=8, persist_scores=False)
+    config = EngineConfig(n_workers=n_workers, microbatch_size=8)
     engine = run_updates(live_stack, config)
     try:
         assert (engine.stats.threaded_batches > 0) == (n_workers > 1)

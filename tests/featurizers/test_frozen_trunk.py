@@ -13,8 +13,9 @@ tests pin down that this is a cheaper way to compute the same step:
   backward at the top block;
 * the per-call trunk table equals the trunk run per micro-batch, bit for
   bit, on a sample list with repeats;
-* a scoring call between a training forward and its backward leaves the
-  step unchanged.
+* a scoring call between a training forward and its backward returns the
+  same scores every time and leaves that step and every later one
+  unchanged, whether it scores directly or through the engine.
 """
 
 from __future__ import annotations
@@ -241,27 +242,41 @@ class TestScoringBetweenForwardAndBackward:
         views, labels = labeled(source_schema, target_schema)
         twin = copy.deepcopy(featurizer)
         probe = featurizer._iss_samples[:9]  # noqa: SLF001
-        batch = stack_encoded([featurizer._encode_sample(s) for s in probe])  # noqa: SLF001
+        encoded = [featurizer._encode_sample(s) for s in probe]  # noqa: SLF001
+        batch = stack_encoded(encoded)
         expected_losses, expected_steps = run_update(twin, views, labels, monkeypatch)
 
         original_loss = bert_module.binary_cross_entropy_with_logits
-        calls = []
+        direct, engine_scores = [], []
+        loss_calls = []
+        engine_step = 2
+
+        def score_directly():
+            return score_encoded_batch(
+                featurizer.model,
+                featurizer.classifier,
+                sorted(featurizer.tokenizer.vocab.special_ids()),
+                batch,
+            )
 
         def scoring_then_loss(*args, **kwargs):
-            if not calls:
-                calls.append(
-                    score_encoded_batch(
-                        featurizer.model,
-                        featurizer.classifier,
-                        sorted(featurizer.tokenizer.vocab.special_ids()),
-                        batch,
-                    )
-                )
+            step = len(loss_calls)
+            loss_calls.append(step)
+            if step == 0:
+                # Two calls while the first step's caches are pending, the
+                # top block in train mode.
+                direct.extend([score_directly(), score_directly()])
+            elif step == engine_step:
+                engine_scores.append(featurizer.engine.score_encoded(encoded))
             return original_loss(*args, **kwargs)
 
         monkeypatch.setattr(bert_module, "binary_cross_entropy_with_logits", scoring_then_loss)
         losses, steps = run_update(featurizer, views, labels, monkeypatch)
-        assert calls and calls[0].shape == (len(probe),)
-        # The scoring forward ran while the first step's caches were pending.
-        assert losses[0][0] == expected_losses[0][0]
-        assert_steps_equal(steps[:1], expected_steps[:1])
+        assert len(direct) == 2 and direct[0].shape == (len(probe),)
+        # Inside the scope dropout is the identity whatever the mode.
+        np.testing.assert_array_equal(direct[0], direct[1])
+        assert len(engine_scores) == 1 and len(steps) > engine_step + 1
+        # Neither the direct calls nor the engine call moved a step: the
+        # update ran on exactly as without them, to its last step.
+        assert losses == expected_losses
+        assert_steps_equal(steps, expected_steps)

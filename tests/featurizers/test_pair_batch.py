@@ -56,7 +56,7 @@ def featurizers(tiny_artifacts):
                 tiny_artifacts.tokenizer,
                 tiny_artifacts.bert,
                 BertFeaturizerConfig(max_length=max_length, seed=0),
-                engine_config=EngineConfig(persist_scores=False, n_workers=1),
+                engine_config=EngineConfig(n_workers=1),
             )
         return made[max_length]
 

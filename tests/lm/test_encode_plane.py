@@ -440,10 +440,7 @@ class TestScoreHalvesParity:
     def test_matches_score_encoded(self, tiny_artifacts, source_schema, target_schema):
         from repro.engine import EngineConfig, ScoringEngine
 
-        # persist_scores off: otherwise one engine would serve the other's
-        # persisted block (same weights + digest-parity fingerprints) and
-        # never exercise assembly at all.
-        engine_config = EngineConfig(persist_scores=False)
+        engine_config = EngineConfig()
         planed = BertFeaturizer(
             tiny_artifacts.tokenizer,
             tiny_artifacts.bert,
@@ -514,13 +511,10 @@ class TestDriftInvalidation:
     never meets a stale entry and no drift sweep is needed."""
 
     def _featurizer(self, tiny_artifacts):
-        from repro.engine import EngineConfig
-
         return BertFeaturizer(
             tiny_artifacts.tokenizer,
             tiny_artifacts.bert,
             BertFeaturizerConfig(max_length=24, seed=0),
-            engine_config=EngineConfig(persist_scores=False),
         )
 
     def _expected_fingerprint(self, featurizer, view):

@@ -163,7 +163,7 @@ class TestBuildGenerator:
         generator = build_generator(
             source_docs,
             target_docs,
-            RetrievalConfig(use_dense=False, use_sparse=True, persist=False),
+            RetrievalConfig(use_dense=False, use_sparse=True),
         )
         assert isinstance(generator, FusedCandidateGenerator)
         assert [r.name for r in generator.retrievers] == ["sparse"]
@@ -175,7 +175,7 @@ class TestBuildGenerator:
         generator = build_generator(
             source_docs,
             target_docs,
-            RetrievalConfig(use_dense=True, use_sparse=True, persist=False),
+            RetrievalConfig(use_dense=True, use_sparse=True),
             embeddings=None,
         )
         assert [r.name for r in generator.retrievers] == ["sparse"]
@@ -185,7 +185,7 @@ class TestBuildGenerator:
         generator = build_generator(
             source_docs,
             target_docs,
-            RetrievalConfig(use_dense=True, use_sparse=False, persist=False),
+            RetrievalConfig(use_dense=True, use_sparse=False),
             embeddings=None,
         )
         assert isinstance(generator, FullProductGenerator)
@@ -195,7 +195,7 @@ class TestBuildGenerator:
         generator = build_generator(
             source_docs,
             target_docs,
-            RetrievalConfig(persist=False),
+            RetrievalConfig(),
             embeddings=tiny_artifacts.embeddings,
         )
         names = [r.name for r in generator.retrievers]

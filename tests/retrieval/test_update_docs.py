@@ -122,21 +122,15 @@ class TestDenseUpdateDocs:
     def test_evolved_index_not_persisted(
         self, tiny_artifacts, target_docs, tmp_path, monkeypatch
     ):
-        """The store entry stays keyed by the doc set it was built from: an
-        in-place update must not overwrite it with the evolved index."""
+        """An in-place update evolves only its own retriever's index and
+        writes nothing to the store."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        stats = RetrievalStats()
-        retriever = DenseRetriever(
-            tiny_artifacts.embeddings, target_docs, cache_token="tok", stats=stats
-        )
+        retriever = DenseRetriever(tiny_artifacts.embeddings, target_docs)
         retriever.update_docs([], {target_docs[0].ref})
-        # A fresh retriever over the *original* docs still gets the
-        # original (full-size) index from the store.
-        again = DenseRetriever(
-            tiny_artifacts.embeddings, target_docs, cache_token="tok", stats=stats
-        )
-        assert stats.index_cache_hits == 1
+        assert retriever._index.shape[0] == len(target_docs) - 1
+        again = DenseRetriever(tiny_artifacts.embeddings, target_docs)
         assert again._index.shape[0] == len(target_docs)
+        assert not any(tmp_path.rglob("*.npz"))
 
 
 class TestGeneratorUpdate:
@@ -192,48 +186,34 @@ class TestGeneratorUpdate:
 
 
 class TestStoreKeyStaleness:
-    """Satellite regression: persisted retrieval indexes must key on the
-    indexed document contents, not just artefact provenance."""
+    """A retriever over changed docs encodes the changed docs: no index is
+    shared across doc sets by artefact provenance alone."""
 
-    def test_mutated_schema_rebuilds_dense_index(
-        self, tiny_artifacts, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_mutated_schema_rebuilds_dense_index(self, tiny_artifacts):
         schema = make_target_schema()
         docs = docs_from_refs(schema, schema.attribute_refs())
         stats = RetrievalStats()
-        DenseRetriever(
-            tiny_artifacts.embeddings, docs, cache_token="tok", stats=stats
-        )
+        original = DenseRetriever(tiny_artifacts.embeddings, docs, stats=stats)
         assert stats.index_builds == 1
 
-        # Same artefacts, same cache token -- but one column was renamed.
+        # Same artefacts -- but one column was renamed.
+        renamed = AttributeRef("Product", "product_name")
         evolved, _ = apply_delta(
-            schema,
-            SchemaDelta(
-                (RenameColumn(AttributeRef("Product", "product_name"), "title"),)
-            ),
+            schema, SchemaDelta((RenameColumn(renamed, "title"),))
         )
         evolved_docs = docs_from_refs(evolved, evolved.attribute_refs())
-        DenseRetriever(
-            tiny_artifacts.embeddings, evolved_docs, cache_token="tok", stats=stats
-        )
+        rebuilt = DenseRetriever(tiny_artifacts.embeddings, evolved_docs, stats=stats)
         assert stats.index_builds == 2
-        assert stats.index_cache_hits == 0
+        row = [doc.ref for doc in docs].index(renamed)
+        assert not np.array_equal(original._index[row], rebuilt._index[row])
 
-    def test_description_change_rebuilds_dense_index(
-        self, tiny_artifacts, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_description_change_rebuilds_dense_index(self, tiny_artifacts):
         schema = make_target_schema()
         docs = docs_from_refs(schema, schema.attribute_refs())
         stats = RetrievalStats()
-        DenseRetriever(
-            tiny_artifacts.embeddings, docs, cache_token="tok", stats=stats
-        )
+        original = DenseRetriever(tiny_artifacts.embeddings, docs, stats=stats)
         mutated = list(docs)
         mutated[0] = _extra_doc(name=docs[0].ref.attribute, entity=docs[0].ref.entity)
-        DenseRetriever(
-            tiny_artifacts.embeddings, mutated, cache_token="tok", stats=stats
-        )
+        rebuilt = DenseRetriever(tiny_artifacts.embeddings, mutated, stats=stats)
         assert stats.index_builds == 2
+        assert not np.array_equal(original._index[0], rebuilt._index[0])

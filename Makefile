@@ -8,9 +8,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## and plane scores == score_encoded within 1e-8), the feature-column
 ## differential test, the pair-batch suite (BERT row keys and columns ==
 ## the per-pair reference, bit-exact), the BM25 per-posting reference test,
-## the MiniBERT kernel tests and the frozen-trunk suite (a label update's
-## steps == a full-forward reference, bit-exact) explicitly (they are part
-## of tests/, the second run pins them even if testpaths change).
+## the MiniBERT kernel tests, the frozen-trunk suite (a label update's
+## steps == a full-forward reference, bit-exact) and the pretraining suites
+## (the scalar-path fit on cached eval-mode cosines == the loop that runs
+## the encoder every step, within 1e-6; a cold and a warm pretrained block
+## agree after an update) explicitly (they are part of tests/, the second
+## run pins them even if testpaths change).
 ## Under `taskset -c 0` the engine's default worker count resolves to one,
 ## so the same suites cover the in-process path.
 verify: test parity
@@ -22,7 +25,9 @@ parity:
 	$(PYTHON) -m pytest -q tests/engine/test_parity.py tests/engine/test_reentrant.py \
 		tests/lm/test_encode_plane.py tests/core/test_feature_columns.py \
 		tests/featurizers/test_pair_batch.py tests/retrieval/test_bm25_reference.py \
-		tests/nn/test_kernels.py tests/featurizers/test_frozen_trunk.py
+		tests/nn/test_kernels.py tests/featurizers/test_frozen_trunk.py \
+		tests/featurizers/test_bert_featurizer.py::TestPretrainCache \
+		tests/featurizers/test_bert_featurizer.py::TestPretrainScalarFit
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

@@ -107,17 +107,6 @@ class Baseline:
     ) -> ScoredMatrix:
         raise NotImplementedError
 
-    def _empty_matrix(
-        self, source_schema: Schema, target_schema: Schema
-    ) -> ScoredMatrix:
-        source_refs = source_schema.attribute_refs()
-        target_refs = target_schema.attribute_refs()
-        return ScoredMatrix(
-            scores=np.zeros((len(source_refs), len(target_refs))),
-            source_refs=source_refs,
-            target_refs=target_refs,
-        )
-
 
 @dataclass
 class TrainTestSplit:

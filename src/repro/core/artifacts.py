@@ -105,7 +105,7 @@ def build_artifacts(
         schemata=[target_schema], lexicon=lexicon, seed=config.seed
     )
     key = cache.content_key(
-        "artifacts-v1", target_schema.name, corpus, config.describe()
+        "artifacts-v2", target_schema.name, corpus, config.describe()
     )
 
     vocab: WordPieceVocab | None = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -409,10 +409,6 @@ class BertFeaturizerConfig:
     #: scheme as the scoring engine); batches of mostly-short sentences stop
     #: paying the full ``max_length`` padding cost.
     bucket_granularity: int = 8
-    #: Reuse Adam moment state across ``update()`` calls.  Incremental label
-    #: batches then continue the existing optimisation trajectory instead of
-    #: re-estimating the moments from zero every round.
-    warm_updates: bool = True
     #: Bound on cached attribute token arrays in the plane's token store.
     token_cache_capacity: int = 65536
     seed: int = 0
@@ -456,6 +452,7 @@ class BertFeaturizer:
         self.model = copy.deepcopy(model)
         self.model.zero_grad()  # drop whatever grads the source model's last step left
         self.config = config or BertFeaturizerConfig()
+        self._reseed_dropout()
         rng = np.random.default_rng(self.config.seed)
         self.classifier = MatchingClassifier(
             model.config.hidden_size, self.config.classifier_size, rng
@@ -475,9 +472,9 @@ class BertFeaturizer:
         #: incremental updates re-train on overlapping sample sets, so most
         #: encodings are already known.  TrainingSample is frozen/hashable.
         self._sample_encodings: dict[TrainingSample, EncodedPair] = {}
-        #: Warm Adam state: (parameter-set signature, optimizer list).  Reused
-        #: by ``_train(warm=True)`` when the trained parameter set matches.
-        self._warm_optimizers: tuple[tuple[frozenset, frozenset], list[Adam]] | None = None
+        #: The label updates' Adam optimisers, created by the first update and
+        #: reused by every later one (moment estimates and step counts).
+        self._warm_optimizers: list[Adam] | None = None
         #: Per-stage timings and counters of every training pass (pretrain
         #: and updates); surfaced via ``repro train stats``.
         self.train_stats = TrainStats()
@@ -579,98 +576,31 @@ class BertFeaturizer:
 
     # -- training ---------------------------------------------------------------
 
-    def _train(
-        self,
-        samples: Sequence[TrainingSample],
-        epochs: int,
-        train_channels: bool,
-        train_encoder: bool,
-        warm: bool = False,
-    ) -> list[float]:
-        """Train the classifier (and optionally the encoder's top) on ``samples``.
-
-        ``train_channels``/``train_encoder`` gate the high-capacity paths:
-        schema-only pre-training calibrates just the scalar path (a monotone
-        reweighting of the cosine features that cannot corrupt rankings),
-        while human-label updates adapt the whole classifier plus the
-        encoder's top block and pooler.  With ``train_encoder`` the trunk
-        below runs once per distinct sample, in eval mode and inference-only
-        (:meth:`_trunk_outputs`); each micro-batch slices its rows.
-
-        With ``warm=True`` the Adam optimisers (moment estimates and step
-        counts) persist across calls training the same parameter set, so
-        incremental ``update()`` rounds continue the optimisation instead of
-        restarting it.  Labels and weights are float32 end to end -- the
-        whole step runs in the model dtype.
-        """
-        if not samples:
-            return []
-        with obs.span(
-            "bert.train",
-            samples=len(samples),
-            epochs=int(epochs),
-            warm=bool(warm),
-            train_encoder=bool(train_encoder),
-        ):
-            return self._train_traced(samples, epochs, train_channels, train_encoder, warm)
-
-    def _train_traced(
-        self,
-        samples: Sequence[TrainingSample],
-        epochs: int,
-        train_channels: bool,
-        train_encoder: bool,
-        warm: bool,
-    ) -> list[float]:
-        stats = self.train_stats
-        with stats.timer("encode"):
+    def _encoded_samples(
+        self, samples: Sequence[TrainingSample]
+    ) -> tuple[list[EncodedPair], np.ndarray, np.ndarray]:
+        """``samples`` encoded, with their labels and weights in float32 --
+        every training step runs in the model dtype."""
+        with self.train_stats.timer("encode"):
             encoded = [self._encode_sample(sample) for sample in samples]
         labels = np.asarray([sample.label for sample in samples], dtype=np.float32)
         weights = np.asarray([sample.weight for sample in samples], dtype=np.float32)
+        return encoded, labels, weights
 
-        channel_parameters: dict = {}
-        if train_channels:
-            channel_parameters = {
-                **self.classifier.hidden.parameters("classifier.hidden."),
-                **self.classifier.output.parameters("classifier.output."),
-            }
-        fast_parameters = dict(
-            self.classifier.scalar_path.parameters("classifier.scalar_path.")
-        )
-        if train_encoder:
-            fast_parameters.update(self.model.top_parameters("bert."))
-        parameters = {**fast_parameters, **channel_parameters}
+    def _steps(
+        self, encoded: Sequence[EncodedPair], epochs: int
+    ) -> Iterator[tuple["MicroBatch", np.ndarray]]:
+        """``(micro-batch, sample indices)`` for every step of ``epochs`` passes.
 
-        signature = (frozenset(fast_parameters), frozenset(channel_parameters))
-        optimizers: list[Adam] | None = None
-        if warm and self._warm_optimizers is not None:
-            stored_signature, stored_optimizers = self._warm_optimizers
-            if stored_signature == signature:
-                optimizers = stored_optimizers
-                stats.warm_starts += 1
-        if optimizers is None:
-            optimizers = [Adam(fast_parameters, lr=self.config.lr)]
-            if channel_parameters:
-                optimizers.append(
-                    Adam(channel_parameters, lr=self.config.lr * self.config.channel_lr_scale)
-                )
-            stats.cold_starts += 1
-        if warm:
-            self._warm_optimizers = (signature, optimizers)
-
+        Each epoch draws a fresh shuffle from the featurizer's generator and
+        plans length-bucketed micro-batches over it, executed in shuffled
+        order (:func:`repro.engine.batching.plan_training_microbatches`).
+        """
         # Engine batching helpers; imported lazily like ScoringEngine in
         # __init__ to keep featurizers importable without the engine package.
         from ..engine.batching import plan_num_buckets, plan_training_microbatches
 
-        trunk: np.ndarray | None = None
-        if train_encoder:
-            self.model.train_top()
-            with stats.timer("trunk"):
-                trunk, trunk_rows = self._trunk_outputs(encoded)
-        else:
-            self.model.train()
-        self.classifier.train()
-        losses: list[float] = []
+        stats = self.train_stats
         for _ in range(max(1, epochs)):
             stats.epochs += 1
             order = self._rng.permutation(len(encoded))
@@ -684,29 +614,119 @@ class BertFeaturizer:
             stats.buckets += plan_num_buckets(plan)
             for microbatch in plan:
                 index = order[list(microbatch.indices)]
-                with stats.timer("forward"):
-                    trunk_hidden = None
-                    if trunk is not None:
-                        trunk_hidden = trunk[trunk_rows[index], : microbatch.padded_length]
-                    features, cache = self._forward_features(microbatch.batch, trunk_hidden)
-                    logits = self.classifier.forward(features)
-                loss, grad_logits = binary_cross_entropy_with_logits(
-                    logits, labels[index], weights=weights[index]
-                )
-                with stats.timer("backward"):
-                    for optimizer in optimizers:
-                        optimizer.zero_grad()
-                    grad_features = self.classifier.backward(grad_logits)
-                    if train_encoder:
-                        self._backward_features(grad_features, cache)
-                with stats.timer("optim"):
-                    clip_gradients(parameters, self.config.max_grad_norm)
-                    for optimizer in optimizers:
-                        optimizer.step()
-                losses.append(loss)
                 stats.steps += 1
                 stats.microbatches += 1
                 stats.samples += len(index)
+                yield microbatch, index
+
+    def _fit_scalar_path(self, samples: Sequence[TrainingSample]) -> list[float]:
+        """Schema-only pretraining: fit ``classifier.scalar_path`` on ``samples``.
+
+        Pretraining calibrates only the scalar path, a monotone reweighting
+        of cos(u, v) and cos(u0, v0) that cannot corrupt rankings.  The
+        channel path is silent (``output.weight == 0``), so its logit is the
+        constant ``output.bias``.  The encoder therefore runs once per
+        sample, in eval mode inside :func:`inference_scope`, to cache the
+        two cosines; the Adam steps then walk the same shuffles and bucketed
+        micro-batch plans as :meth:`_train` over the cached ``(N, 2)`` array.
+        """
+        classifier = self.classifier
+        if classifier.output.weight.value.any():
+            raise ValueError(
+                "pretraining fits the scalar path alone and needs a silent "
+                "channel path (classifier.output.weight == 0)"
+            )
+        from ..engine.batching import plan_microbatches
+
+        stats = self.train_stats
+        encoded, labels, weights = self._encoded_samples(samples)
+        num_scalars = MatchingClassifier.NUM_SCALARS
+        cosines = np.empty((len(encoded), num_scalars), dtype=np.float32)
+        with stats.timer("forward"), inference_scope():
+            for microbatch in plan_microbatches(
+                encoded,
+                microbatch_size=self.config.batch_size,
+                bucket_granularity=self.config.bucket_granularity,
+            ):
+                features, _cache = self._forward_features(microbatch.batch)
+                cosines[list(microbatch.indices)] = features[:, :num_scalars]
+        scalar_path = classifier.scalar_path
+        parameters = scalar_path.parameters("classifier.scalar_path.")
+        optimizer = Adam(parameters, lr=self.config.lr)
+        stats.cold_starts += 1
+        channel_logit = classifier.output.bias.value[0]
+        losses: list[float] = []
+        for _microbatch, index in self._steps(encoded, self.config.pretrain_epochs):
+            logits = scalar_path.forward(cosines[index])[:, 0] + channel_logit
+            loss, grad_logits = binary_cross_entropy_with_logits(
+                logits, labels[index], weights=weights[index]
+            )
+            optimizer.zero_grad()
+            scalar_path.backward(grad_logits[:, None])
+            clip_gradients(parameters, self.config.max_grad_norm)
+            optimizer.step()
+            losses.append(loss)
+        return losses
+
+    def _train(self, samples: Sequence[TrainingSample], epochs: int) -> list[float]:
+        """Train the classifier, the encoder's top block and its pooler on ``samples``.
+
+        The trunk below runs once per distinct sample, in eval mode and
+        inference-only (:meth:`_trunk_outputs`); each micro-batch slices its
+        rows.  The Adam optimisers (moment estimates and step counts)
+        persist across calls, so incremental ``update()`` rounds continue
+        the optimisation instead of restarting it.
+        """
+        if not samples:
+            return []
+        with obs.span("bert.train", samples=len(samples), epochs=int(epochs)):
+            return self._train_traced(samples, epochs)
+
+    def _train_traced(self, samples: Sequence[TrainingSample], epochs: int) -> list[float]:
+        stats = self.train_stats
+        encoded, labels, weights = self._encoded_samples(samples)
+        fast_parameters = {
+            **self.classifier.scalar_path.parameters("classifier.scalar_path."),
+            **self.model.top_parameters("bert."),
+        }
+        channel_parameters = {
+            **self.classifier.hidden.parameters("classifier.hidden."),
+            **self.classifier.output.parameters("classifier.output."),
+        }
+        parameters = {**fast_parameters, **channel_parameters}
+        if self._warm_optimizers is None:
+            self._warm_optimizers = [
+                Adam(fast_parameters, lr=self.config.lr),
+                Adam(channel_parameters, lr=self.config.lr * self.config.channel_lr_scale),
+            ]
+            stats.cold_starts += 1
+        else:
+            stats.warm_starts += 1
+        optimizers = self._warm_optimizers
+
+        self.model.train_top()
+        self.classifier.train()
+        with stats.timer("trunk"):
+            trunk, trunk_rows = self._trunk_outputs(encoded)
+        losses: list[float] = []
+        for microbatch, index in self._steps(encoded, epochs):
+            with stats.timer("forward"):
+                trunk_hidden = trunk[trunk_rows[index], : microbatch.padded_length]
+                features, cache = self._forward_features(microbatch.batch, trunk_hidden)
+                logits = self.classifier.forward(features)
+            loss, grad_logits = binary_cross_entropy_with_logits(
+                logits, labels[index], weights=weights[index]
+            )
+            with stats.timer("backward"):
+                for optimizer in optimizers:
+                    optimizer.zero_grad()
+                grad_features = self.classifier.backward(grad_logits)
+                self._backward_features(grad_features, cache)
+            with stats.timer("optim"):
+                clip_gradients(parameters, self.config.max_grad_norm)
+                for optimizer in optimizers:
+                    optimizer.step()
+            losses.append(loss)
         self.model.eval()
         self.classifier.eval()
         # Bumps the engine's model version.  Its scoring threads read the
@@ -752,7 +772,8 @@ class BertFeaturizer:
     def _reseed_dropout(self) -> None:
         """Give every dropout layer of the encoder copy one fresh generator
         seeded from the config, whatever the artefacts' generator went
-        through before the copy (MLM training in this process or none)."""
+        through before the copy (MLM training in this process or none), so
+        updates draw the same masks on a cold and a warm store."""
         generator = np.random.default_rng(self.config.seed + 2)
         modules: list[Module] = [self.model]
         while modules:
@@ -770,8 +791,9 @@ class BertFeaturizer:
         """Pre-train the matching classifier from the ISS (once per vertical).
 
         When ``cache_key`` identifies the encoder's provenance (e.g. the
-        artefact cache key), the pre-trained encoder+classifier state is
-        cached on disk and reused, making the per-vertical cost literal.
+        artefact cache key), the fitted classifier is cached on disk and
+        reused, making the per-vertical cost literal.  Pretraining leaves
+        the encoder as it found it, so the block holds the classifier only.
         """
         from .. import store as disk_cache
         from ..nn.serialize import load_state_dict, state_dict
@@ -783,58 +805,30 @@ class BertFeaturizer:
                 self.config.negatives_per_positive,
                 lexicon=lexicon,
             )
-            # A cached block skips the training pass; a cold pass puts the
-            # shuffle generator back here afterwards and both paths reseed
-            # the encoder's dropout, so later updates draw the same on a
-            # cold and a warm store.
-            shuffle_state = self._rng.bit_generator.state
             span.set(samples=len(self._iss_samples))
-            full_key = None
+            full_key = stored = None
             if cache_key is not None:
                 full_key = disk_cache.content_key(
-                    "bert-featurizer-pretrain-v1",
+                    "bert-featurizer-pretrain-v2",
                     cache_key,
                     target_schema.name,
                     {name: getattr(self.config, name) for name in PRETRAIN_KEY_FIELDS},
                 )
                 stored = disk_cache.load_arrays("bert-pretrain", full_key)
-                if stored is not None:
-                    model_state = {
-                        name.removeprefix("model."): value
-                        for name, value in stored.items()
-                        if name.startswith("model.")
-                    }
-                    classifier_state = {
-                        name.removeprefix("classifier."): value
-                        for name, value in stored.items()
-                        if name.startswith("classifier.")
-                    }
-                    load_state_dict(self.model, model_state)
-                    load_state_dict(self.classifier, classifier_state)
-                    self.model.eval()
-                    self.classifier.eval()
-                    self._reseed_dropout()
-                    self.engine.invalidate_model()
-                    span.set(cached=True)
-                    return []
-            span.set(cached=False)
-            losses = self._train(
-                self._iss_samples,
-                self.config.pretrain_epochs,
-                train_channels=False,
-                train_encoder=False,
-            )
-            self._rng.bit_generator.state = shuffle_state
-            self._reseed_dropout()
-            if full_key is not None:
-                combined = {
-                    **{f"model.{k}": v for k, v in state_dict(self.model).items()},
-                    **{
-                        f"classifier.{k}": v
-                        for k, v in state_dict(self.classifier).items()
-                    },
-                }
-                disk_cache.save_arrays("bert-pretrain", full_key, combined)
+            span.set(cached=stored is not None)
+            losses: list[float] = []
+            if stored is not None:
+                load_state_dict(self.classifier, stored)
+            else:
+                # A cached block skips the fit; a cold fit puts the shuffle
+                # generator back afterwards, so later updates draw the same
+                # on a cold and a warm store.
+                shuffle_state = self._rng.bit_generator.state
+                losses = self._fit_scalar_path(self._iss_samples)
+                self._rng.bit_generator.state = shuffle_state
+                if full_key is not None:
+                    disk_cache.save_arrays("bert-pretrain", full_key, state_dict(self.classifier))
+            self.engine.invalidate_model()
         return losses
 
     def update(
@@ -879,13 +873,7 @@ class BertFeaturizer:
             budget = min(self.config.iss_subsample_per_update, len(self._iss_samples))
             chosen = self._rng.choice(len(self._iss_samples), size=budget, replace=False)
             mixed.extend(self._iss_samples[int(i)] for i in chosen)
-        self._train(
-            mixed,
-            self.config.update_epochs,
-            train_channels=True,
-            train_encoder=True,
-            warm=self.config.warm_updates,
-        )
+        self._train(mixed, self.config.update_epochs)
 
     # -- scoring ---------------------------------------------------------------
 

@@ -2,14 +2,12 @@
 
 The projection onto queries/keys/values is **fused**: one packed
 ``(hidden, 3 * hidden)`` GEMM replaces the three separate per-projection
-GEMMs of the original layout, in forward and backward.  Checkpoints written
-under the old ``query``/``key``/``value`` layout keep loading through
-:meth:`MultiHeadSelfAttention.migrate_state`, which packs them into the
-fused parameter on the fly.  Attention scores are laid out key-major so
-the softmax reduces over keys without a short-axis numpy reduction
-(:func:`attention_softmax`).  :class:`UnfusedAttentionReference` preserves
-the pre-fusion arithmetic, numpy-reduction softmax included, as the parity
-oracle for tests and the training benchmark.
+GEMMs of the original layout, in forward and backward.  Attention scores
+are laid out key-major so the softmax reduces over keys without a
+short-axis numpy reduction (:func:`attention_softmax`).
+:class:`UnfusedAttentionReference` preserves the pre-fusion arithmetic,
+numpy-reduction softmax included, as the parity oracle for tests and the
+training benchmark.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .config import BertConfig
 MASK_BIAS = -1e9
 
 #: Order of the packed projections inside the fused ``qkv`` parameter; also
-#: the legacy child-module names the migration consumes.
+#: the per-projection child names of :class:`UnfusedAttentionReference`.
 _QKV_NAMES = ("query", "key", "value")
 
 
@@ -182,27 +180,6 @@ class MultiHeadSelfAttention(Module):
         grad_input = self.qkv.backward(grad_packed)  # one GEMM for dW and dx
         self._cache = None
         return grad_input
-
-    # -- checkpoint migration -----------------------------------------------------
-
-    def migrate_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Pack legacy per-projection ``query``/``key``/``value`` weights.
-
-        Checkpoints written before the QKV fusion carry
-        ``<prefix>query.weight`` etc.; they are concatenated into the fused
-        ``<prefix>qkv.weight``/``bias`` layout in place, so every persisted
-        artefact (``repro.store`` blobs, npz files) keeps loading.
-        """
-        super().migrate_state(state, prefix)
-        legacy_weights = [f"{prefix}{name}.weight" for name in _QKV_NAMES]
-        if f"{prefix}qkv.weight" in state or not all(k in state for k in legacy_weights):
-            return
-        state[f"{prefix}qkv.weight"] = np.concatenate(
-            [state.pop(key) for key in legacy_weights], axis=1
-        )
-        state[f"{prefix}qkv.bias"] = np.concatenate(
-            [state.pop(f"{prefix}{name}.bias") for name in _QKV_NAMES], axis=0
-        )
 
 
 class UnfusedAttentionReference(Module):

@@ -126,17 +126,6 @@ class Module:
     def num_parameters(self) -> int:
         return sum(p.value.size for p in self.parameters().values())
 
-    def migrate_state(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Upgrade legacy checkpoint layouts in ``state``, in place.
-
-        ``load_state_dict`` calls this before validating names, so modules
-        whose parameter layout changed (e.g. the fused-QKV attention) can
-        translate checkpoints written under the old layout.  The base
-        implementation only recurses into children.
-        """
-        for child_name, child in self._children.items():
-            child.migrate_state(state, prefix=f"{prefix}{child_name}.")
-
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Glorot/Xavier uniform initialisation."""

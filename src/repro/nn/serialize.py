@@ -15,15 +15,7 @@ def state_dict(module: Module) -> dict[str, np.ndarray]:
 
 
 def load_state_dict(module: Module, state: dict[str, np.ndarray], strict: bool = True) -> None:
-    """Write ``state`` into the module's parameters, validating names/shapes.
-
-    Before validation the module tree gets a chance to upgrade legacy
-    checkpoint layouts via :meth:`Module.migrate_state` (e.g. packing
-    pre-fusion ``query``/``key``/``value`` attention weights into the fused
-    ``qkv`` parameter), so checkpoints written by older code keep loading.
-    """
-    state = dict(state)
-    module.migrate_state(state)
+    """Write ``state`` into the module's parameters, validating names/shapes."""
     parameters = module.parameters()
     missing = set(parameters) - set(state)
     unexpected = set(state) - set(parameters)

@@ -15,7 +15,12 @@ from repro.featurizers import (
     make_pair_view,
 )
 from repro.core.artifacts import build_artifacts
-from repro.nn import TrainStats
+from repro.engine.batching import plan_training_microbatches
+from repro.featurizers.bert import activate_channel_path
+from repro.nn import TrainStats, inference_scope
+from repro.nn.layers import Dropout
+from repro.nn.losses import binary_cross_entropy_with_logits
+from repro.nn.optim import Adam, clip_gradients
 from repro.nn.serialize import state_dict
 from repro.schema import AttributeRef
 from tests.conftest import tiny_artifact_config
@@ -267,6 +272,131 @@ class TestPretrainCache:
         )
         changed.close()
         assert (changed.train_stats.steps == 0) == reused
+
+
+class CountingGenerator:
+    """Delegates to a generator and counts the dropout masks drawn from it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = 0
+
+    def random(self, *args, **kwargs):
+        self.draws += 1
+        return self.inner.random(*args, **kwargs)
+
+
+def reference_pretrain(featurizer, schema):
+    """The pretraining loop that runs the encoder every step: the full
+    match-feature forward per training micro-batch, the encoder inside
+    ``inference_scope`` (eval mode), then the whole classifier's forward and
+    backward with only the scalar path stepped."""
+    config = featurizer.config
+    rng = featurizer._rng  # noqa: SLF001
+    samples = generate_pretraining_samples(schema, rng, config.negatives_per_positive)
+    encoded = [featurizer._encode_sample(sample) for sample in samples]  # noqa: SLF001
+    labels = np.asarray([sample.label for sample in samples], dtype=np.float32)
+    weights = np.asarray([sample.weight for sample in samples], dtype=np.float32)
+    special_ids = sorted(featurizer.tokenizer.vocab.special_ids())
+    classifier = featurizer.classifier
+    parameters = classifier.scalar_path.parameters("classifier.scalar_path.")
+    optimizer = Adam(parameters, lr=config.lr)
+    losses = []
+    for _ in range(config.pretrain_epochs):
+        order = rng.permutation(len(encoded))
+        plan = plan_training_microbatches(
+            [encoded[int(i)] for i in order],
+            microbatch_size=config.batch_size,
+            bucket_granularity=config.bucket_granularity,
+            rng=rng,
+        )
+        for microbatch in plan:
+            index = order[list(microbatch.indices)]
+            with inference_scope():
+                features, _ = compute_match_features(
+                    featurizer.model, special_ids, microbatch.batch
+                )
+            logits = classifier.forward(features)
+            loss, grad_logits = binary_cross_entropy_with_logits(
+                logits, labels[index], weights=weights[index]
+            )
+            optimizer.zero_grad()
+            classifier.backward(grad_logits)
+            clip_gradients(parameters, config.max_grad_norm)
+            optimizer.step()
+            losses.append(loss)
+    return losses
+
+
+class TestPretrainScalarFit:
+    """Pretraining fits ``classifier.scalar_path`` on eval-mode cosines
+    cached once per sample: no dropout, no other parameter moves, and the
+    fit equals the loop that runs the encoder at every step."""
+
+    CONFIG = BertFeaturizerConfig(
+        max_length=24, pretrain_epochs=2, update_epochs=1, batch_size=16, seed=0
+    )
+
+    def all_parameters(self, featurizer):
+        return {
+            **{f"model.{k}": v for k, v in state_dict(featurizer.model).items()},
+            **{f"classifier.{k}": v for k, v in state_dict(featurizer.classifier).items()},
+        }
+
+    def test_cold_pretrain_draws_no_mask_and_trains_only_the_scalar_path(
+        self, tiny_artifacts, target_schema
+    ):
+        featurizer = BertFeaturizer(tiny_artifacts.tokenizer, tiny_artifacts.bert, self.CONFIG)
+        dropouts = []
+        modules = [featurizer.model]
+        while modules:
+            module = modules.pop()
+            if isinstance(module, Dropout):
+                dropouts.append(module)
+            modules.extend(module._children.values())  # noqa: SLF001
+        assert dropouts and all(layer.rate > 0 for layer in dropouts)
+        counter = CountingGenerator(dropouts[0].rng)
+        for layer in dropouts:
+            layer.rng = counter
+        before = self.all_parameters(featurizer)
+        try:
+            featurizer.pretrain(target_schema)
+        finally:
+            featurizer.close()
+        assert featurizer.train_stats.steps > 0
+        assert counter.draws == 0
+        after = self.all_parameters(featurizer)
+        changed = {name for name, value in before.items() if not np.array_equal(after[name], value)}
+        assert changed == {"classifier.scalar_path.weight", "classifier.scalar_path.bias"}
+
+    def test_fit_matches_the_encoder_every_step_reference(self, tiny_artifacts, target_schema):
+        fitted = BertFeaturizer(tiny_artifacts.tokenizer, tiny_artifacts.bert, self.CONFIG)
+        reference = BertFeaturizer(tiny_artifacts.tokenizer, tiny_artifacts.bert, self.CONFIG)
+        try:
+            losses = fitted.pretrain(target_schema)
+            expected_losses = reference_pretrain(reference, target_schema)
+        finally:
+            fitted.close()
+            reference.close()
+        assert len(losses) == len(expected_losses) > self.CONFIG.pretrain_epochs
+        np.testing.assert_allclose(losses, expected_losses, rtol=0, atol=1e-6)
+        for name in ("weight", "bias"):
+            np.testing.assert_allclose(
+                getattr(fitted.classifier.scalar_path, name).value,
+                getattr(reference.classifier.scalar_path, name).value,
+                rtol=0,
+                atol=1e-6,
+                err_msg=name,
+            )
+
+    def test_rejects_a_live_channel_path(self, tiny_artifacts, target_schema):
+        featurizer = BertFeaturizer(tiny_artifacts.tokenizer, tiny_artifacts.bert, self.CONFIG)
+        activate_channel_path(featurizer.classifier)
+        try:
+            with pytest.raises(ValueError, match="silent channel path"):
+                featurizer.pretrain(target_schema)
+        finally:
+            featurizer.close()
 
 
 class TestEncodePathsAreBatched:

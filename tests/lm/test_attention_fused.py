@@ -1,17 +1,14 @@
-"""Fused-QKV attention: parity with the unfused reference and migration.
+"""Fused-QKV attention: parity with the unfused reference.
 
 The fused layout must be an implementation detail: identical math to the
 seed-era three-GEMM attention (forward, input gradients and packed parameter
-gradients, all to 1e-6), verified against central differences, and able to
-load checkpoints written under the old ``query``/``key``/``value`` layout.
+gradients, all to 1e-6), verified against central differences.
 """
 
 import numpy as np
 import pytest
 
-from repro.lm import BertConfig, MiniBert, MultiHeadSelfAttention, UnfusedAttentionReference
-from repro.lm.tokenizer import EncodedPair
-from repro.nn import load_state_dict, state_dict
+from repro.lm import BertConfig, MultiHeadSelfAttention, UnfusedAttentionReference
 
 
 CONFIG = BertConfig(
@@ -144,65 +141,3 @@ class TestStateGuards:
         fused = MultiHeadSelfAttention(CONFIG, np.random.default_rng(0))
         with pytest.raises(RuntimeError, match="backward before forward"):
             fused.backward(np.zeros((1, 2, CONFIG.hidden_size), dtype=np.float32))
-
-
-def _legacy_state(model: MiniBert) -> dict:
-    """Rewrite a current state dict into the pre-fusion checkpoint layout."""
-    state = state_dict(model)
-    hidden = model.config.hidden_size
-    for layer in range(model.config.num_layers):
-        prefix = f"block{layer}.attention."
-        weight = state.pop(f"{prefix}qkv.weight")
-        bias = state.pop(f"{prefix}qkv.bias")
-        for index, name in enumerate(("query", "key", "value")):
-            block = slice(index * hidden, (index + 1) * hidden)
-            state[f"{prefix}{name}.weight"] = weight[:, block].copy()
-            state[f"{prefix}{name}.bias"] = bias[block].copy()
-    return state
-
-
-class TestCheckpointMigration:
-    def test_legacy_layout_loads_and_matches(self):
-        source = MiniBert(CONFIG, seed=5)
-        legacy = _legacy_state(source)
-        assert "block0.attention.query.weight" in legacy
-
-        restored = MiniBert(CONFIG, seed=9)  # different init, fully overwritten
-        load_state_dict(restored, legacy)
-        source.eval()
-        restored.eval()
-
-        rng = np.random.default_rng(11)
-        batch = EncodedPair(
-            input_ids=rng.integers(5, CONFIG.vocab_size, size=(2, 8)),
-            segment_ids=np.zeros((2, 8), dtype=np.int64),
-            attention_mask=np.ones((2, 8), dtype=np.int64),
-        )
-        hidden_a, pooled_a = source.forward(batch)
-        hidden_b, pooled_b = restored.forward(batch)
-        np.testing.assert_array_equal(hidden_a, hidden_b)
-        np.testing.assert_array_equal(pooled_a, pooled_b)
-
-    def test_legacy_npz_roundtrip(self, tmp_path):
-        source = MiniBert(CONFIG, seed=5)
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **_legacy_state(source))
-
-        from repro.nn import load_module
-
-        restored = MiniBert(CONFIG, seed=9)
-        load_module(restored, path)
-        np.testing.assert_array_equal(
-            restored.blocks[0].attention.qkv.weight.value,
-            source.blocks[0].attention.qkv.weight.value,
-        )
-
-    def test_current_layout_unaffected_by_migration(self):
-        source = MiniBert(CONFIG, seed=5)
-        state = state_dict(source)
-        restored = MiniBert(CONFIG, seed=9)
-        load_state_dict(restored, state)
-        np.testing.assert_array_equal(
-            restored.blocks[0].attention.qkv.weight.value,
-            source.blocks[0].attention.qkv.weight.value,
-        )

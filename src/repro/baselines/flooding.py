@@ -21,7 +21,6 @@ phi(sigma0 + sigma))``, truncated at ``max_iterations``.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from ..embeddings.subword import SubwordEmbeddings
 from ..schema.model import Schema
@@ -135,6 +134,8 @@ class SimilarityFloodingMatcher(Baseline):
             rows.append(left)
             cols.append(right)
             values.append(1.0 / out_degree[right])
+
+        from scipy import sparse  # only this baseline needs scipy
 
         propagation = sparse.csr_matrix(
             (values, (rows, cols)), shape=(num_pairs, num_pairs)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import svds
 
 from .subword import SubwordEmbeddings, SubwordVocab
+
+if TYPE_CHECKING:  # scipy loads only in the functions that build matrices
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ def _cooccurrence_counts(
     window: int,
 ) -> sparse.csr_matrix:
     """Distance-weighted co-occurrence counts over the corpus."""
+    from scipy import sparse
+
     word_to_id = vocab.word_to_id
     rows: list[int] = []
     cols: list[int] = []
@@ -71,6 +74,8 @@ def _cooccurrence_counts(
 
 def _ppmi(matrix: sparse.csr_matrix, smoothing: float, shift: float) -> sparse.csr_matrix:
     """Positive PMI with context-distribution smoothing."""
+    from scipy import sparse
+
     total = matrix.sum()
     if total == 0:
         raise ValueError("empty co-occurrence matrix")
@@ -94,6 +99,8 @@ def train_ppmi_embeddings(
     vocab: SubwordVocab | None = None,
 ) -> SubwordEmbeddings:
     """Train PPMI-SVD embeddings and package them as subword embeddings."""
+    from scipy.sparse.linalg import svds
+
     if vocab is None:
         vocab = SubwordVocab(corpus, min_count=config.min_count)
     if vocab.num_words < 3:

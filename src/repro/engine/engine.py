@@ -18,12 +18,17 @@ encoded candidate pairs it
    GEMM.  For the plan's duration :mod:`repro.engine.blas` holds OpenBLAS
    at one thread, so its threads do not contend with the scoring threads.
 
-Scores live in memory only.  Every label update changes the weights, so a
-customer's scores are recomputed after each one; nothing reaches the
-artifact store.
+Scores live in memory only, and nothing reaches the artifact store.
+Every label update changes the weights, so a customer's scores are
+recomputed after each one -- but a label update trains only MiniBERT's top
+block, so the rescore after it reruns only that block.  The
+:class:`~repro.engine.trunks.TrunkStore` keeps each row's trunk output
+(embeddings and the lower blocks) from the first rescore after an update
+and rebuilds every later rescore's micro-batches from it, bit for bit.
 
 Model updates call :meth:`ScoringEngine.invalidate_model`; that bumps the
-version and drops stale scores.  The threads read the live weights, so no
+version and drops stale scores, and every update except a top-only one
+also empties the trunk store.  The threads read the live weights, so no
 copy or publish follows an update.
 
 The matcher keeps each pair's score in the candidate store's BERT column
@@ -49,6 +54,7 @@ from ..lm.tokenizer import EncodedPair
 from . import blas
 from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
 from .stats import EngineStats
+from .trunks import TrunkStore
 
 
 def default_workers() -> int:
@@ -115,6 +121,11 @@ class ScoringEngine:
         self.stats = EngineStats()
         self._version = 0
         self._scores: dict[bytes, float] = {}
+        #: Trunk outputs kept across top-only updates (see :meth:`invalidate_model`).
+        self.trunks = TrunkStore()
+        #: Whether the next ``score_halves`` is the first rescore after a
+        #: top-only update: it reads and fills the trunk store.
+        self._trunk_pass = False
         #: Helper threads for multi-micro-batch plans; created on first use.
         self._pool: ThreadPoolExecutor | None = None
         #: Whether the most recent threaded plan held OpenBLAS at one thread.
@@ -126,11 +137,22 @@ class ScoringEngine:
     def model_version(self) -> int:
         return self._version
 
-    def invalidate_model(self) -> None:
-        """Signal that model/classifier weights changed: cached scores are stale."""
+    def invalidate_model(self, top_only: bool = False) -> None:
+        """Signal that model/classifier weights changed: cached scores are stale.
+
+        ``top_only`` says that only the encoder's top block, its pooler and
+        the classifier moved, as in a label update.  Stored trunk outputs
+        stay valid then, and the next :meth:`score_halves` -- the full-column
+        rescore -- reads them, stores the rows it misses and drops the
+        entries it did not request.  Any other change empties the store.
+        """
         self._version += 1
         self._scores.clear()
         self.stats.invalidations += 1
+        self._trunk_pass = top_only
+        if not top_only:
+            self.trunks.clear()
+            self.stats.trunk_bytes = 0
 
     def count_reused(self, count: int) -> None:
         """Count pairs a caller served from scores this engine produced.
@@ -157,20 +179,31 @@ class ScoringEngine:
                 scores[index] = value
                 self._scores[fingerprints[index]] = value
 
-    def _score_plan(self, plan) -> list[np.ndarray]:
-        """Score a plan in-process, or on threads when it has several batches."""
+    def _score_plan(self, plan, trunk_jobs=None) -> list[np.ndarray]:
+        """Score a plan in-process, or on threads when it has several batches.
+
+        ``trunk_jobs``, one :class:`~repro.engine.trunks.TrunkJob` per
+        micro-batch, routes each micro-batch's trunk through the trunk store.
+        """
         from ..featurizers.bert import score_encoded_batch
+
+        def forward(index: int) -> np.ndarray:
+            batch = plan[index].batch
+            trunk = (
+                None
+                if trunk_jobs is None
+                else self.trunks.trunk_for(trunk_jobs[index], self.model, batch)
+            )
+            return score_encoded_batch(
+                self.model, self.classifier, self.special_ids, batch, trunk_hidden=trunk
+            )
 
         threads = min(self.config.n_workers, len(plan))
         if threads < 2:
             results = []
-            for microbatch in plan:
+            for index in range(len(plan)):
                 with self.stats.timer("forward"):
-                    results.append(
-                        score_encoded_batch(
-                            self.model, self.classifier, self.special_ids, microbatch.batch
-                        )
-                    )
+                    results.append(forward(index))
                 self.stats.inprocess_batches += 1
             return results
 
@@ -186,9 +219,7 @@ class ScoringEngine:
                         index = next(cursor, None)
                     if index is None:
                         return
-                    results[index] = score_encoded_batch(
-                        self.model, self.classifier, self.special_ids, plan[index].batch
-                    )
+                    results[index] = forward(index)
             except BaseException:
                 failed.set()  # the other threads stop at their next batch
                 raise
@@ -309,9 +340,44 @@ class ScoringEngine:
                 self.stats.buckets += plan_num_buckets(plan)
                 self.stats.microbatches += len(plan)
                 score_span.set(microbatches=len(plan))
-                results = self._score_plan(plan)
+                trunk_jobs = None
+                if self._trunk_pass:
+                    trunk_jobs = self._plan_trunks(fingerprints, rows, halves.lengths, chunks)
+                    self._trunk_pass = False
+                results = self._score_plan(plan, trunk_jobs)
+                if trunk_jobs is not None:
+                    self.stats.trunk_bytes = self.trunks.nbytes
                 self._record_scores(fingerprints, dirty, plan, results, scores)
         return scores
+
+    def _plan_trunks(self, fingerprints, rows, lengths, chunks):
+        """The trunk store's jobs for a full-column rescore's plan.
+
+        Entries this call does not request are dropped first.  Rows the
+        byte cap refuses run the full forward like any miss, and a pass
+        that refuses any emits one ``engine.trunk_store_full`` event.
+        """
+        store = self.trunks
+        store.retain(fingerprints)
+        batches = []
+        for _padded, chunk in chunks:
+            chunk_rows = rows[chunk]
+            batches.append(
+                ([fingerprints[row] for row in chunk_rows], lengths[chunk_rows])
+            )
+        jobs, refused = store.plan(batches, self.model.config.hidden_size)
+        hits = sum(len(job.keys) for job in jobs if job.hit)
+        self.stats.trunk_hits += hits
+        self.stats.trunk_misses += len(rows) - hits
+        if refused:
+            obs.event(
+                "engine.trunk_store_full",
+                reason="trunk store byte cap reached; refused rows run the full forward",
+                rows_refused=refused,
+                trunk_bytes=store.nbytes,
+                capacity_bytes=store.capacity_bytes,
+            )
+        return jobs
 
     def serving_info(self) -> dict[str, object]:
         """Threads per plan and whether the last threaded plan pinned BLAS."""

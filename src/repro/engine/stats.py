@@ -38,6 +38,14 @@ class EngineStats(Counters):
     invalidations: int = 0
     #: Calls to ``score_halves`` or ``score_encoded``.
     scoring_calls: int = 0
+    #: Rows of a rescore after a top-only update whose trunk output was read
+    #: back from the trunk store (their micro-batch ran only the top block).
+    trunk_hits: int = 0
+    #: Rows of such a rescore whose micro-batch ran the whole trunk: not
+    #: stored yet, refused by the byte cap, or batched with such a row.
+    trunk_misses: int = 0
+    #: Gauge: bytes the trunk store holds now.
+    trunk_bytes: int = 0
 
     @property
     def skip_fraction(self) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from .. import obs
 from ..lm.bert import MiniBert
 from ..lm.encode_plane import BatchHalves, EncodePlane
-from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
+from ..lm.tokenizer import EncodedPair, WordPieceTokenizer, stack_encoded, trim_encoded
 from ..nn.activations import relu, relu_backward, sigmoid
 from ..nn.layers import Dropout, Linear, Module, inference_active, inference_scope
 from ..nn.losses import binary_cross_entropy_with_logits
@@ -216,15 +216,19 @@ def score_encoded_batch(
     classifier: MatchingClassifier,
     special_ids: Sequence[int],
     batch: EncodedPair,
+    trunk_hidden: np.ndarray | None = None,
 ) -> np.ndarray:
     """Similarity probabilities in [0, 1] for one batched encoded input.
 
     Runs inside :func:`repro.nn.inference_scope`: it writes no layer cache,
     so threads may call it concurrently on one shared model, and it leaves
     a pending training forward's caches intact for that forward's backward.
+    ``trunk_hidden``, the trunk's output for ``batch`` (the scoring engine's
+    trunk store), makes it run only the top block, the match features and
+    the classifier.
     """
     with inference_scope():
-        features, _cache = compute_match_features(model, special_ids, batch)
+        features, _cache = compute_match_features(model, special_ids, batch, trunk_hidden)
         logits = classifier.forward(features)
     return sigmoid(logits.astype(np.float64))
 
@@ -503,17 +507,34 @@ class BertFeaturizer:
 
     # -- encoding ---------------------------------------------------------------
 
+    def _encode_samples(self, samples: Sequence[TrainingSample]) -> list[EncodedPair]:
+        """Each sample's full-width encoding; equal samples share one object.
+
+        Samples not encoded before are assembled in one batched plane call
+        (:meth:`EncodePlane.batch_halves_for_words`) and cached as row views
+        of that block, bit-identical to :meth:`EncodePlane.assemble_one`.
+        """
+        cache = self._sample_encodings
+        new = [sample for sample in dict.fromkeys(samples) if sample not in cache]
+        self.train_stats.encode_cache_misses += len(new)
+        self.train_stats.encode_cache_hits += len(samples) - len(new)
+        if new:
+            plane = self.encode_plane
+            halves = plane.batch_halves_for_words(
+                [(sample.words_a, sample.words_b) for sample in new]
+            )
+            block = plane.assemble(halves, pad_to=plane.max_length)
+            for row, (sample, length) in enumerate(zip(new, halves.lengths.tolist())):
+                cache[sample] = EncodedPair(
+                    input_ids=block.input_ids[row],
+                    segment_ids=block.segment_ids[row],
+                    attention_mask=block.attention_mask[row],
+                    length=length,
+                )
+        return [cache[sample] for sample in samples]
+
     def _encode_sample(self, sample: TrainingSample) -> EncodedPair:
-        cached = self._sample_encodings.get(sample)
-        if cached is not None:
-            self.train_stats.encode_cache_hits += 1
-            return cached
-        self.train_stats.encode_cache_misses += 1
-        encoded = self.encode_plane.assemble_one(
-            self.encode_plane.halves_for_words(sample.words_a, sample.words_b)
-        )
-        self._sample_encodings[sample] = encoded
-        return encoded
+        return self._encode_samples([sample])[0]
 
     def _batch_halves(self, batch: PairBatch) -> BatchHalves:
         """The batch as per-attribute id tables, truncated and fingerprinted."""
@@ -582,42 +603,46 @@ class BertFeaturizer:
         """``samples`` encoded, with their labels and weights in float32 --
         every training step runs in the model dtype."""
         with self.train_stats.timer("encode"):
-            encoded = [self._encode_sample(sample) for sample in samples]
+            encoded = self._encode_samples(samples)
         labels = np.asarray([sample.label for sample in samples], dtype=np.float32)
         weights = np.asarray([sample.weight for sample in samples], dtype=np.float32)
         return encoded, labels, weights
 
     def _steps(
         self, encoded: Sequence[EncodedPair], epochs: int
-    ) -> Iterator[tuple["MicroBatch", np.ndarray]]:
-        """``(micro-batch, sample indices)`` for every step of ``epochs`` passes.
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(padded length, sample indices)`` for every step of ``epochs`` passes.
 
-        Each epoch draws a fresh shuffle from the featurizer's generator and
-        plans length-bucketed micro-batches over it, executed in shuffled
-        order (:func:`repro.engine.batching.plan_training_microbatches`).
+        Each epoch draws a fresh shuffle from the featurizer's generator,
+        plans length-bucketed chunks over it and executes them in an order
+        drawn from the same generator: the indices and generator draws of
+        :func:`repro.engine.batching.plan_training_microbatches`, without
+        stacking any encoded array.
         """
-        # Engine batching helpers; imported lazily like ScoringEngine in
-        # __init__ to keep featurizers importable without the engine package.
-        from ..engine.batching import plan_num_buckets, plan_training_microbatches
+        # Imported lazily like ScoringEngine in __init__ to keep featurizers
+        # importable without the engine package.
+        from ..engine.batching import plan_bucket_chunks
 
         stats = self.train_stats
+        lengths = np.array([len(pair) for pair in encoded], dtype=np.intp)
         for _ in range(max(1, epochs)):
             stats.epochs += 1
-            order = self._rng.permutation(len(encoded))
+            order = self._rng.permutation(len(lengths))
             with stats.timer("bucket"):
-                plan = plan_training_microbatches(
-                    [encoded[int(i)] for i in order],
+                chunks = plan_bucket_chunks(
+                    lengths[order].tolist(),
                     microbatch_size=self.config.batch_size,
                     bucket_granularity=self.config.bucket_granularity,
-                    rng=self._rng,
                 )
-            stats.buckets += plan_num_buckets(plan)
-            for microbatch in plan:
-                index = order[list(microbatch.indices)]
+                if len(chunks) > 1:
+                    chunks = [chunks[int(i)] for i in self._rng.permutation(len(chunks))]
+            stats.buckets += len({padded for padded, _chunk in chunks})
+            for padded, chunk in chunks:
+                index = order[chunk]
                 stats.steps += 1
                 stats.microbatches += 1
                 stats.samples += len(index)
-                yield microbatch, index
+                yield padded, index
 
     def _fit_scalar_path(self, samples: Sequence[TrainingSample]) -> list[float]:
         """Schema-only pretraining: fit ``classifier.scalar_path`` on ``samples``.
@@ -656,7 +681,7 @@ class BertFeaturizer:
         stats.cold_starts += 1
         channel_logit = classifier.output.bias.value[0]
         losses: list[float] = []
-        for _microbatch, index in self._steps(encoded, self.config.pretrain_epochs):
+        for _padded, index in self._steps(encoded, self.config.pretrain_epochs):
             logits = scalar_path.forward(cosines[index])[:, 0] + channel_logit
             loss, grad_logits = binary_cross_entropy_with_logits(
                 logits, labels[index], weights=weights[index]
@@ -709,10 +734,12 @@ class BertFeaturizer:
         with stats.timer("trunk"):
             trunk, trunk_rows = self._trunk_outputs(encoded)
         losses: list[float] = []
-        for microbatch, index in self._steps(encoded, epochs):
+        for padded, index in self._steps(encoded, epochs):
+            with stats.timer("bucket"):
+                batch = trim_encoded(stack_encoded([encoded[i] for i in index]), padded)
             with stats.timer("forward"):
-                trunk_hidden = trunk[trunk_rows[index], : microbatch.padded_length]
-                features, cache = self._forward_features(microbatch.batch, trunk_hidden)
+                trunk_hidden = trunk[trunk_rows[index], :padded]
+                features, cache = self._forward_features(batch, trunk_hidden)
                 logits = self.classifier.forward(features)
             loss, grad_logits = binary_cross_entropy_with_logits(
                 logits, labels[index], weights=weights[index]
@@ -730,8 +757,9 @@ class BertFeaturizer:
         self.model.eval()
         self.classifier.eval()
         # Bumps the engine's model version.  Its scoring threads read the
-        # live weights, so no copy has to follow the update.
-        self.engine.invalidate_model()
+        # live weights, so no copy has to follow the update; the trunk did
+        # not move, so the engine keeps its stored trunk outputs.
+        self.engine.invalidate_model(top_only=True)
         return losses
 
     def _trunk_outputs(

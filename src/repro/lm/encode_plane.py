@@ -391,9 +391,28 @@ class EncodePlane:
         Each ``(name, description)`` entry is looked up in the token store
         once, and the closed-form truncation runs on length arrays.
         """
-        budget = self.max_length - 3
         rows_a = [self.tokens.ids_for(name, desc) for name, desc in texts_a]
         rows_b = [self.tokens.ids_for(name, desc) for name, desc in texts_b]
+        return self._batch_of_ids(rows_a, rows_b, index_a, index_b)
+
+    def batch_halves_for_words(
+        self, words: Sequence[tuple[Sequence[str], Sequence[str]]]
+    ) -> BatchHalves:
+        """One row per pre-tokenised ``(words_a, words_b)`` pair (training
+        samples, unfingerprinted): :meth:`halves_for_words` for many pairs."""
+        rows_a = [self.tokens.ids_for_words(words_a) for words_a, _ in words]
+        rows_b = [self.tokens.ids_for_words(words_b) for _, words_b in words]
+        index = np.arange(len(words), dtype=np.intp)
+        return self._batch_of_ids(rows_a, rows_b, index, index)
+
+    def _batch_of_ids(
+        self,
+        rows_a: Sequence[np.ndarray],
+        rows_b: Sequence[np.ndarray],
+        index_a: np.ndarray,
+        index_b: np.ndarray,
+    ) -> BatchHalves:
+        budget = self.max_length - 3
         sizes_a = np.fromiter((r.size for r in rows_a), dtype=np.intp, count=len(rows_a))
         sizes_b = np.fromiter((r.size for r in rows_b), dtype=np.intp, count=len(rows_b))
         len_a, len_b = truncate_pair_lengths(sizes_a[index_a], sizes_b[index_b], budget)

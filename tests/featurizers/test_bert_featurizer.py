@@ -16,7 +16,7 @@ from repro.featurizers import (
 )
 from repro.core.artifacts import build_artifacts
 from repro.engine.batching import plan_training_microbatches
-from repro.featurizers.bert import activate_channel_path
+from repro.featurizers.bert import TrainingSample, activate_channel_path
 from repro.nn import TrainStats, inference_scope
 from repro.nn.layers import Dropout
 from repro.nn.losses import binary_cross_entropy_with_logits
@@ -424,3 +424,85 @@ class TestEncodePathsAreBatched:
         scores = featurizer.score_pairs(PairBatch.from_views([view]))
         assert scores.shape == (1,)
         assert 0.0 <= scores[0] <= 1.0
+
+
+class TestIndexOnlyPlan:
+    """``_steps`` plans on lengths alone: the same indices, padded lengths
+    and generator draws as :func:`plan_training_microbatches` over the
+    stacked samples."""
+
+    def test_steps_match_the_stacking_plan(self, featurizer, target_schema):
+        samples = generate_pretraining_samples(target_schema, np.random.default_rng(4))
+        encoded = featurizer._encode_samples(samples)  # noqa: SLF001
+        config = featurizer.config
+        reference_rng = np.random.default_rng(11)
+        featurizer._rng = np.random.default_rng(11)  # noqa: SLF001
+        expected = []
+        for _ in range(3):
+            order = reference_rng.permutation(len(encoded))
+            plan = plan_training_microbatches(
+                [encoded[int(i)] for i in order],
+                microbatch_size=config.batch_size,
+                bucket_granularity=config.bucket_granularity,
+                rng=reference_rng,
+            )
+            expected.extend(
+                (microbatch.padded_length, order[list(microbatch.indices)]) for microbatch in plan
+            )
+        got = list(featurizer._steps(encoded, 3))  # noqa: SLF001
+        assert len(got) == len(expected) > 3
+        assert len({padded for padded, _ in got}) >= 2
+        for (padded, index), (expected_padded, expected_index) in zip(got, expected):
+            assert padded == expected_padded
+            np.testing.assert_array_equal(index, expected_index)
+        assert (
+            featurizer._rng.bit_generator.state  # noqa: SLF001
+            == reference_rng.bit_generator.state
+        )
+
+    def test_one_chunk_draws_no_order(self, featurizer):
+        featurizer._rng = np.random.default_rng(3)  # noqa: SLF001
+        reference_rng = np.random.default_rng(3)
+        encoded = featurizer._encode_samples(  # noqa: SLF001
+            [TrainingSample(("order",), ("item",), 1, 1.0, "self-repeating")] * 5
+        )
+        steps = list(featurizer._steps(encoded, 1))  # noqa: SLF001
+        order = reference_rng.permutation(5)
+        assert len(steps) == 1
+        np.testing.assert_array_equal(steps[0][1], order)
+        assert (
+            featurizer._rng.bit_generator.state  # noqa: SLF001
+            == reference_rng.bit_generator.state
+        )
+
+
+class TestBatchedSampleEncoding:
+    """Training samples are encoded in one plane call per batch of new
+    samples, bit-identical to the one-at-a-time ``assemble_one`` path."""
+
+    def test_batched_encodings_equal_assemble_one(self, featurizer, target_schema):
+        samples = generate_pretraining_samples(target_schema, np.random.default_rng(2))
+        samples = samples + samples[:7]  # repeats, as oversampled labels give
+        plane = featurizer.encode_plane
+        encoded = featurizer._encode_samples(samples)  # noqa: SLF001
+        assert len(encoded) == len(samples)
+        assert len({len(pair) for pair in encoded}) >= 2
+        for sample, pair in zip(samples, encoded):
+            expected = plane.assemble_one(plane.halves_for_words(sample.words_a, sample.words_b))
+            assert pair.length == expected.length
+            for name in ("input_ids", "segment_ids", "attention_mask"):
+                got, want = getattr(pair, name), getattr(expected, name)
+                assert got.shape == want.shape == (featurizer.config.max_length,)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_equal_samples_share_one_encoding(self, featurizer, target_schema):
+        samples = generate_pretraining_samples(target_schema, np.random.default_rng(2))[:6]
+        stats = featurizer.train_stats
+        first = featurizer._encode_samples(samples * 3)  # noqa: SLF001
+        assert stats.encode_cache_misses == len(set(samples))
+        assert stats.encode_cache_hits == 3 * len(samples) - len(set(samples))
+        assert all(first[i] is first[i + len(samples)] for i in range(len(samples)))
+        again = featurizer._encode_samples(samples)  # noqa: SLF001
+        assert all(a is b for a, b in zip(again, first))
+        assert stats.encode_cache_misses == len(set(samples))

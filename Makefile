@@ -11,11 +11,15 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## the MiniBERT kernel tests, the frozen-trunk suite (a label update's
 ## steps == a full-forward reference, bit-exact), the trunk-store suite (a
 ## rescore after label updates that reads stored trunk outputs == a
-## store-less forward, bit-exact) and the pretraining suites
-## (the scalar-path fit on cached eval-mode cosines == the loop that runs
-## the encoder every step, within 1e-6; a cold and a warm pretrained block
-## agree after an update) explicitly (they are part of tests/, the second
-## run pins them even if testpaths change).
+## store-less forward, bit-exact), the pretraining suites (the
+## scalar-path fit on cached eval-mode cosines == the loop that runs the
+## encoder every step, within 1e-6; a cold and a warm pretrained block
+## agree after an update) and the training-input suites (the training
+## planner's chunks and generator draws, every update and MLM step's batch
+## gathered from the encode plane, and each update step's trunk rows ==
+## the stacked and trimmed encode_pair/encode_single reference,
+## bit-exact) explicitly (they are part of tests/, the second run pins
+## them even if testpaths change).
 ## Under `taskset -c 0` the engine's default worker count resolves to one,
 ## so the same suites cover the in-process path.
 verify: test parity
@@ -30,7 +34,11 @@ parity:
 		tests/nn/test_kernels.py tests/featurizers/test_frozen_trunk.py \
 		tests/engine/test_trunk_store.py \
 		tests/featurizers/test_bert_featurizer.py::TestPretrainCache \
-		tests/featurizers/test_bert_featurizer.py::TestPretrainScalarFit
+		tests/featurizers/test_bert_featurizer.py::TestPretrainScalarFit \
+		tests/featurizers/test_bert_featurizer.py::TestIndexOnlyPlan \
+		tests/featurizers/test_bert_featurizer.py::TestBatchedSampleEncoding \
+		tests/engine/test_batching.py::TestPlanTrainingChunks \
+		tests/lm/test_mlm.py::TestMlmStepBatches
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

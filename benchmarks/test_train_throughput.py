@@ -9,7 +9,8 @@ epoch twice:
   attention layer (:class:`UnfusedAttentionReference`) and every batch
   padded to ``MAX_LENGTH``;
 * **fast** -- the fused packed-QKV attention over length-bucketed
-  micro-batches (:func:`plan_training_microbatches`).
+  micro-batches: the chunks of :func:`plan_training_chunks`, each chunk's
+  pairs stacked and trimmed to its padded length.
 
 Both paths run the full step (forward, loss, backward, clip, Adam) over the
 same samples; the measured speedup lands in ``BENCH_train.json``.
@@ -23,13 +24,13 @@ import numpy as np
 from _emit import emit_benchmark
 from conftest import register_report
 
-from repro.engine.batching import plan_training_microbatches
+from repro.engine.batching import plan_training_chunks
 from repro.eval.reporting import render_table
 from repro.lm import UnfusedAttentionReference
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
 from repro.lm.mlm import IGNORE_INDEX, MlmHead
-from repro.lm.tokenizer import EncodedPair, stack_encoded
+from repro.lm.tokenizer import EncodedPair, stack_encoded, trim_encoded
 from repro.nn import Adam, clip_gradients
 from repro.nn.losses import softmax_cross_entropy
 
@@ -116,13 +117,15 @@ def test_fused_bucketed_training_beats_naive():
         for start in range(0, len(encoded), BATCH_SIZE)
     ]
     # fast: bucket-trimmed micro-batches (shuffle rng fixed for determinism).
-    plan = plan_training_microbatches(
-        encoded,
-        microbatch_size=BATCH_SIZE,
-        bucket_granularity=8,
-        rng=np.random.default_rng(1),
+    chunks = plan_training_chunks(
+        [int(pair.attention_mask.sum()) for pair in encoded],
+        BATCH_SIZE,
+        np.random.default_rng(1),
     )
-    fast_batches = [microbatch.batch for microbatch in plan]
+    fast_batches = [
+        trim_encoded(stack_encoded([encoded[i] for i in chunk]), padded)
+        for padded, chunk in chunks
+    ]
     assert max(batch.input_ids.shape[1] for batch in fast_batches) <= MAX_LENGTH
     assert min(batch.input_ids.shape[1] for batch in fast_batches) < MAX_LENGTH
 

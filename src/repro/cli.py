@@ -25,9 +25,8 @@ Commands
 ``train stats [--dataset D] [--labels N] [--fast]``
     Exercise the training fast path: MLM pre-training (when artefacts are
     built fresh), classifier pre-training, and ``--labels`` incremental
-    human-label updates.  Prints the per-stage training timings, warm/cold
-    optimiser starts and encode-cache counters (see
-    :class:`repro.nn.TrainStats`).
+    human-label updates.  Prints the per-stage training timings and the
+    warm/cold optimiser starts (see :class:`repro.nn.TrainStats`).
 ``serve stats [--requests N] [--sessions S] [--tenants T] [--seed X]``
     Replay a deterministic multi-tenant load through the async serving
     service (``repro.serve``) and print its metrics: coalesce ratio,
@@ -56,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 
+from .core.artifacts import ArtifactConfig
 from .datasets import ALL_NAMES, load_dataset
 from .eval.experiments import (
     BASELINE_NAMES,
@@ -64,6 +64,17 @@ from .eval.experiments import (
     run_lsm_session,
 )
 from .eval.reporting import render_table
+
+#: Tiny artefacts for ``--fast`` smoke runs of ``engine``, ``train`` and ``drift``.
+FAST_ARTIFACTS = ArtifactConfig(
+    vocab_size=400,
+    hidden_size=32,
+    num_layers=1,
+    num_heads=2,
+    intermediate_size=64,
+    max_position=32,
+    mlm_epochs=1,
+)
 
 
 def _cmd_stats(_args: argparse.Namespace) -> None:
@@ -253,26 +264,13 @@ def _cmd_cache(args: argparse.Namespace) -> None:
 
 
 def _cmd_engine(args: argparse.Namespace) -> None:
-    from .core.artifacts import ArtifactConfig, build_artifacts
+    from .core.artifacts import build_artifacts
     from .core.config import LsmConfig
     from .core.matcher import LearnedSchemaMatcher
     from .engine import EngineConfig
 
     task = load_dataset(args.dataset)
-    artifacts = None
-    if args.fast:
-        artifacts = build_artifacts(
-            task.target,
-            config=ArtifactConfig(
-                vocab_size=400,
-                hidden_size=32,
-                num_layers=1,
-                num_heads=2,
-                intermediate_size=64,
-                max_position=32,
-                mlm_epochs=1,
-            ),
-        )
+    artifacts = build_artifacts(task.target, config=FAST_ARTIFACTS) if args.fast else None
     workers = {} if args.workers is None else {"n_workers": args.workers}
     engine_config = EngineConfig(
         microbatch_size=args.microbatch,
@@ -310,24 +308,14 @@ def _cmd_engine(args: argparse.Namespace) -> None:
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
-    from .core.artifacts import ArtifactConfig, build_artifacts
+    from .core.artifacts import build_artifacts
     from .core.config import LsmConfig
     from .core.matcher import LearnedSchemaMatcher
     from .nn.stats import TrainStats
 
     task = load_dataset(args.dataset)
     mlm_stats = TrainStats()
-    artifact_config = None
-    if args.fast:
-        artifact_config = ArtifactConfig(
-            vocab_size=400,
-            hidden_size=32,
-            num_layers=1,
-            num_heads=2,
-            intermediate_size=64,
-            max_position=32,
-            mlm_epochs=1,
-        )
+    artifact_config = FAST_ARTIFACTS if args.fast else None
     artifacts = build_artifacts(
         task.target, config=artifact_config, mlm_stats=mlm_stats
     )
@@ -487,23 +475,12 @@ def _cmd_retrieval(args: argparse.Namespace) -> None:
 
 
 def _cmd_drift(args: argparse.Namespace) -> None:
-    from .core.artifacts import ArtifactConfig
     from .core.config import LsmConfig
     from .datasets.drift import DriftConfig
     from .eval.drift import REPLAY_COLUMNS, run_drift_replay
 
     task = load_dataset(args.dataset)
-    artifact_config = None
-    if args.fast:
-        artifact_config = ArtifactConfig(
-            vocab_size=400,
-            hidden_size=32,
-            num_layers=1,
-            num_heads=2,
-            intermediate_size=64,
-            max_position=32,
-            mlm_epochs=1,
-        )
+    artifact_config = FAST_ARTIFACTS if args.fast else None
     lsm_config = LsmConfig(
         max_candidates_per_source=args.k,
         update_bert_every=10**9,  # isolate incremental re-scoring from retraining

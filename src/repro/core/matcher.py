@@ -521,9 +521,9 @@ class LearnedSchemaMatcher:
     def train_stats(self) -> dict[str, object]:
         """Training fast-path counters from the BERT featurizer.
 
-        Step/epoch/sample counts, warm-vs-cold optimiser starts, encode-cache
-        hit rates and per-stage seconds (see :class:`repro.nn.TrainStats`);
-        empty when BERT is disabled.
+        Step/epoch/sample counts, warm-vs-cold optimiser starts and
+        per-stage seconds (see :class:`repro.nn.TrainStats`); empty when
+        BERT is disabled.
         """
         if self.bert_featurizer is None:
             return {}

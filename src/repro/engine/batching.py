@@ -1,14 +1,21 @@
-"""Length-bucketed micro-batching of encoded candidate pairs.
+"""Length-bucketed micro-batch planning.
 
 The monolithic scoring path pads every pair to the tokenizer's
 ``max_length``, so a batch of short attribute names pays the attention cost
 of the longest description in the schema (quadratic in sequence length).
-This module plans the batch layout the scoring engine executes instead:
+This module plans the batch layout instead:
 
-1. group pairs by their *actual* token count, rounded up to a configurable
+1. group rows by their *actual* token count, rounded up to a configurable
    ``bucket_granularity`` so near-equal lengths share a batch;
-2. within each bucket, stack pairs into micro-batches of at most
-   ``microbatch_size`` rows, trimmed to the bucket's padded length.
+2. within each bucket, cut rows into chunks of at most ``microbatch_size``,
+   each padded to the bucket's length.
+
+The planners work on lengths alone.  :func:`plan_bucket_chunks` orders the
+chunks shortest-first for scoring; :func:`plan_training_chunks` shuffles
+their order for gradient steps.  Callers gather each chunk from the encode
+plane's id tables (:mod:`repro.lm.encode_plane`).
+:func:`plan_microbatches` stacks already-encoded pairs along the same plan
+for the serving scheduler.
 
 Because attention masks zero padding out of every softmax and pooling step
 (see :func:`repro.lm.tokenizer.trim_encoded`), the plan is numerically
@@ -106,24 +113,21 @@ def plan_num_buckets(plan: list[MicroBatch]) -> int:
     return len({microbatch.padded_length for microbatch in plan})
 
 
-def plan_training_microbatches(
-    encoded: list[EncodedPair],
-    microbatch_size: int = 32,
-    bucket_granularity: int = 8,
-    rng: np.random.Generator | None = None,
-) -> list[MicroBatch]:
-    """A micro-batch plan for *training*: bucketed, then order-shuffled.
+def plan_training_chunks(
+    lengths: Sequence[int],
+    microbatch_size: int,
+    rng: np.random.Generator,
+) -> list[tuple[int, list[int]]]:
+    """The chunk plan for *training*: :func:`plan_bucket_chunks`, order-shuffled.
 
-    The inference planner above emits buckets shortest-first, which would
-    feed an optimiser all short sequences before any long ones.  For
-    gradient steps we keep the padding savings but shuffle the execution
-    order of the micro-batches (SGD-style), so consecutive steps mix
-    lengths.  Composition within each micro-batch stays bucketed -- that is
-    where the padding win lives.
+    The inference planner emits buckets shortest-first, which would feed an
+    optimiser all short sequences before any long ones.  Gradient steps
+    keep the bucketed composition of each chunk -- that is where the
+    padding win lives -- but run the chunks in an order drawn from ``rng``
+    (SGD-style), so consecutive steps mix lengths.  A single chunk draws
+    nothing.  Callers assemble each chunk from the encode plane.
     """
-    plan = plan_microbatches(
-        encoded, microbatch_size=microbatch_size, bucket_granularity=bucket_granularity
-    )
-    if rng is not None and len(plan) > 1:
-        plan = [plan[int(i)] for i in rng.permutation(len(plan))]
-    return plan
+    chunks = plan_bucket_chunks(lengths, microbatch_size=microbatch_size)
+    if len(chunks) > 1:
+        chunks = [chunks[int(i)] for i in rng.permutation(len(chunks))]
+    return chunks

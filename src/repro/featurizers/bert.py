@@ -24,7 +24,7 @@ import numpy as np
 from .. import obs
 from ..lm.bert import MiniBert
 from ..lm.encode_plane import BatchHalves, EncodePlane
-from ..lm.tokenizer import EncodedPair, WordPieceTokenizer, stack_encoded, trim_encoded
+from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
 from ..nn.layers import Dropout, Linear, Module, inference_active, inference_scope
 from ..nn.losses import binary_cross_entropy_with_logits
@@ -409,10 +409,6 @@ class BertFeaturizerConfig:
     iss_subsample_per_update: int = 192
     max_grad_norm: float = 1.0
     negatives_per_positive: int = 1
-    #: Length-bucket granularity of the training micro-batch planner (same
-    #: scheme as the scoring engine); batches of mostly-short sentences stop
-    #: paying the full ``max_length`` padding cost.
-    bucket_granularity: int = 8
     #: Bound on cached attribute token arrays in the plane's token store.
     token_cache_capacity: int = 65536
     seed: int = 0
@@ -429,7 +425,6 @@ PRETRAIN_KEY_FIELDS = (
     "lr",
     "max_grad_norm",
     "negatives_per_positive",
-    "bucket_granularity",
     "seed",
 )
 
@@ -472,10 +467,6 @@ class BertFeaturizer:
             max_length=self.config.max_length,
             token_cache_capacity=self.config.token_cache_capacity,
         )
-        #: Encoded training samples, persisted across ``update()`` calls --
-        #: incremental updates re-train on overlapping sample sets, so most
-        #: encodings are already known.  TrainingSample is frozen/hashable.
-        self._sample_encodings: dict[TrainingSample, EncodedPair] = {}
         #: The label updates' Adam optimisers, created by the first update and
         #: reused by every later one (moment estimates and step counts).
         self._warm_optimizers: list[Adam] | None = None
@@ -507,34 +498,24 @@ class BertFeaturizer:
 
     # -- encoding ---------------------------------------------------------------
 
-    def _encode_samples(self, samples: Sequence[TrainingSample]) -> list[EncodedPair]:
-        """Each sample's full-width encoding; equal samples share one object.
+    def _encode_samples(
+        self, samples: Sequence[TrainingSample]
+    ) -> tuple[BatchHalves, np.ndarray]:
+        """``(distinct, rows)``: the distinct samples' halves and each sample's row.
 
-        Samples not encoded before are assembled in one batched plane call
-        (:meth:`EncodePlane.batch_halves_for_words`) and cached as row views
-        of that block, bit-identical to :meth:`EncodePlane.assemble_one`.
+        Equal samples share one row, in first-appearance order (human
+        samples repeat ``human_oversample`` times); the distinct samples are
+        encoded in one :meth:`EncodePlane.batch_halves_for_words` call, whose
+        token store already holds every word sequence seen before.
         """
-        cache = self._sample_encodings
-        new = [sample for sample in dict.fromkeys(samples) if sample not in cache]
-        self.train_stats.encode_cache_misses += len(new)
-        self.train_stats.encode_cache_hits += len(samples) - len(new)
-        if new:
-            plane = self.encode_plane
-            halves = plane.batch_halves_for_words(
-                [(sample.words_a, sample.words_b) for sample in new]
-            )
-            block = plane.assemble(halves, pad_to=plane.max_length)
-            for row, (sample, length) in enumerate(zip(new, halves.lengths.tolist())):
-                cache[sample] = EncodedPair(
-                    input_ids=block.input_ids[row],
-                    segment_ids=block.segment_ids[row],
-                    attention_mask=block.attention_mask[row],
-                    length=length,
-                )
-        return [cache[sample] for sample in samples]
-
-    def _encode_sample(self, sample: TrainingSample) -> EncodedPair:
-        return self._encode_samples([sample])[0]
+        row_of: dict[TrainingSample, int] = {}
+        rows = np.array(
+            [row_of.setdefault(sample, len(row_of)) for sample in samples], dtype=np.intp
+        )
+        distinct = self.encode_plane.batch_halves_for_words(
+            [(sample.words_a, sample.words_b) for sample in row_of]
+        )
+        return distinct, rows
 
     def _batch_halves(self, batch: PairBatch) -> BatchHalves:
         """The batch as per-attribute id tables, truncated and fingerprinted."""
@@ -599,43 +580,35 @@ class BertFeaturizer:
 
     def _encoded_samples(
         self, samples: Sequence[TrainingSample]
-    ) -> tuple[list[EncodedPair], np.ndarray, np.ndarray]:
-        """``samples`` encoded, with their labels and weights in float32 --
-        every training step runs in the model dtype."""
+    ) -> tuple[BatchHalves, np.ndarray, np.ndarray, np.ndarray]:
+        """``samples`` encoded (see :meth:`_encode_samples`), with their labels
+        and weights in float32 -- every training step runs in the model dtype."""
         with self.train_stats.timer("encode"):
-            encoded = self._encode_samples(samples)
+            distinct, rows = self._encode_samples(samples)
         labels = np.asarray([sample.label for sample in samples], dtype=np.float32)
         weights = np.asarray([sample.weight for sample in samples], dtype=np.float32)
-        return encoded, labels, weights
+        return distinct, rows, labels, weights
 
-    def _steps(
-        self, encoded: Sequence[EncodedPair], epochs: int
-    ) -> Iterator[tuple[int, np.ndarray]]:
+    def _steps(self, lengths: np.ndarray, epochs: int) -> Iterator[tuple[int, np.ndarray]]:
         """``(padded length, sample indices)`` for every step of ``epochs`` passes.
 
-        Each epoch draws a fresh shuffle from the featurizer's generator,
-        plans length-bucketed chunks over it and executes them in an order
-        drawn from the same generator: the indices and generator draws of
-        :func:`repro.engine.batching.plan_training_microbatches`, without
-        stacking any encoded array.
+        Each epoch draws a fresh shuffle of the samples from the
+        featurizer's generator, then plans over it with
+        :func:`repro.engine.batching.plan_training_chunks`, which draws the
+        chunk order from the same generator.
         """
         # Imported lazily like ScoringEngine in __init__ to keep featurizers
         # importable without the engine package.
-        from ..engine.batching import plan_bucket_chunks
+        from ..engine.batching import plan_training_chunks
 
         stats = self.train_stats
-        lengths = np.array([len(pair) for pair in encoded], dtype=np.intp)
         for _ in range(max(1, epochs)):
             stats.epochs += 1
             order = self._rng.permutation(len(lengths))
             with stats.timer("bucket"):
-                chunks = plan_bucket_chunks(
-                    lengths[order].tolist(),
-                    microbatch_size=self.config.batch_size,
-                    bucket_granularity=self.config.bucket_granularity,
+                chunks = plan_training_chunks(
+                    lengths[order].tolist(), self.config.batch_size, self._rng
                 )
-                if len(chunks) > 1:
-                    chunks = [chunks[int(i)] for i in self._rng.permutation(len(chunks))]
             stats.buckets += len({padded for padded, _chunk in chunks})
             for padded, chunk in chunks:
                 index = order[chunk]
@@ -651,9 +624,10 @@ class BertFeaturizer:
         of cos(u, v) and cos(u0, v0) that cannot corrupt rankings.  The
         channel path is silent (``output.weight == 0``), so its logit is the
         constant ``output.bias``.  The encoder therefore runs once per
-        sample, in eval mode inside :func:`inference_scope`, to cache the
-        two cosines; the Adam steps then walk the same shuffles and bucketed
-        micro-batch plans as :meth:`_train` over the cached ``(N, 2)`` array.
+        sample, in eval mode inside :func:`inference_scope`, over bucketed
+        micro-batches gathered from the encode plane, to cache the two
+        cosines; the Adam steps then walk the same shuffles and chunk plans
+        as :meth:`_train` over the cached ``(N, 2)`` array.
         """
         classifier = self.classifier
         if classifier.output.weight.value.any():
@@ -661,27 +635,27 @@ class BertFeaturizer:
                 "pretraining fits the scalar path alone and needs a silent "
                 "channel path (classifier.output.weight == 0)"
             )
-        from ..engine.batching import plan_microbatches
+        from ..engine.batching import plan_bucket_chunks
 
         stats = self.train_stats
-        encoded, labels, weights = self._encoded_samples(samples)
+        distinct, rows, labels, weights = self._encoded_samples(samples)
+        halves = distinct.take(rows)
         num_scalars = MatchingClassifier.NUM_SCALARS
-        cosines = np.empty((len(encoded), num_scalars), dtype=np.float32)
+        cosines = np.empty((len(halves), num_scalars), dtype=np.float32)
         with stats.timer("forward"), inference_scope():
-            for microbatch in plan_microbatches(
-                encoded,
-                microbatch_size=self.config.batch_size,
-                bucket_granularity=self.config.bucket_granularity,
+            for padded, chunk in plan_bucket_chunks(
+                halves.lengths.tolist(), microbatch_size=self.config.batch_size
             ):
-                features, _cache = self._forward_features(microbatch.batch)
-                cosines[list(microbatch.indices)] = features[:, :num_scalars]
+                batch = self.encode_plane.assemble(halves.take(chunk), pad_to=padded)
+                features, _cache = self._forward_features(batch)
+                cosines[chunk] = features[:, :num_scalars]
         scalar_path = classifier.scalar_path
         parameters = scalar_path.parameters("classifier.scalar_path.")
         optimizer = Adam(parameters, lr=self.config.lr)
         stats.cold_starts += 1
         channel_logit = classifier.output.bias.value[0]
         losses: list[float] = []
-        for _padded, index in self._steps(encoded, self.config.pretrain_epochs):
+        for _padded, index in self._steps(halves.lengths, self.config.pretrain_epochs):
             logits = scalar_path.forward(cosines[index])[:, 0] + channel_logit
             loss, grad_logits = binary_cross_entropy_with_logits(
                 logits, labels[index], weights=weights[index]
@@ -709,7 +683,8 @@ class BertFeaturizer:
 
     def _train_traced(self, samples: Sequence[TrainingSample], epochs: int) -> list[float]:
         stats = self.train_stats
-        encoded, labels, weights = self._encoded_samples(samples)
+        distinct, rows, labels, weights = self._encoded_samples(samples)
+        halves = distinct.take(rows)
         fast_parameters = {
             **self.classifier.scalar_path.parameters("classifier.scalar_path."),
             **self.model.top_parameters("bert."),
@@ -732,13 +707,13 @@ class BertFeaturizer:
         self.model.train_top()
         self.classifier.train()
         with stats.timer("trunk"):
-            trunk, trunk_rows = self._trunk_outputs(encoded)
+            trunk = self._trunk_outputs(distinct)
         losses: list[float] = []
-        for padded, index in self._steps(encoded, epochs):
+        for padded, index in self._steps(halves.lengths, epochs):
             with stats.timer("bucket"):
-                batch = trim_encoded(stack_encoded([encoded[i] for i in index]), padded)
+                batch = self.encode_plane.assemble(halves.take(index), pad_to=padded)
             with stats.timer("forward"):
-                trunk_hidden = trunk[trunk_rows[index], :padded]
+                trunk_hidden = trunk[rows[index], :padded]
                 features, cache = self._forward_features(batch, trunk_hidden)
                 logits = self.classifier.forward(features)
             loss, grad_logits = binary_cross_entropy_with_logits(
@@ -762,40 +737,29 @@ class BertFeaturizer:
         self.engine.invalidate_model(top_only=True)
         return losses
 
-    def _trunk_outputs(
-        self, encoded: Sequence[EncodedPair]
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _trunk_outputs(self, distinct: BatchHalves) -> np.ndarray:
         """The frozen trunk's output for every distinct sample of a call.
 
-        Returns ``(table, rows)``: ``table[rows[i], :T]`` is the trunk's
-        output for ``encoded[i]`` at the padded length ``T`` of its training
-        micro-batch, and the table is zero beyond each row's length bucket.
-        Equal samples share one cached encoding, so the trunk runs once per
-        distinct object (human samples repeat ``human_oversample`` times).
-        It runs in the training planner's length buckets, so each row
-        equals, bit for bit, what the trunk gives it inside its
+        ``table[r, :T]`` is the trunk's output for row ``r`` of ``distinct``
+        at the padded length ``T`` of its training micro-batch, and the
+        table is zero beyond each row's length bucket.  The trunk runs once
+        per distinct sample, in the training planner's length buckets, so
+        each row equals, bit for bit, what the trunk gives it inside its
         micro-batch.  The table lives for one call only.
         """
-        from ..engine.batching import plan_microbatches
+        from ..engine.batching import plan_bucket_chunks
 
-        by_id = {id(pair): pair for pair in encoded}
-        row_of = {key: row for row, key in enumerate(by_id)}
-        rows = np.array([row_of[id(pair)] for pair in encoded], dtype=np.intp)
-        distinct = list(by_id.values())
         table = np.zeros(
-            (len(distinct), len(distinct[0].input_ids), self.model.config.hidden_size),
+            (len(distinct), self.encode_plane.max_length, self.model.config.hidden_size),
             dtype=np.float32,
         )
         with inference_scope():
-            for microbatch in plan_microbatches(
-                distinct,
-                microbatch_size=self.config.batch_size,
-                bucket_granularity=self.config.bucket_granularity,
+            for padded, chunk in plan_bucket_chunks(
+                distinct.lengths.tolist(), microbatch_size=self.config.batch_size
             ):
-                table[list(microbatch.indices), : microbatch.padded_length] = (
-                    self.model.forward_trunk(microbatch.batch)
-                )
-        return table, rows
+                batch = self.encode_plane.assemble(distinct.take(chunk), pad_to=padded)
+                table[chunk, :padded] = self.model.forward_trunk(batch)
+        return table
 
     def _reseed_dropout(self) -> None:
         """Give every dropout layer of the encoder copy one fresh generator

@@ -75,8 +75,7 @@ class EncodeStats(Counters):
     batches_assembled: int = 0
     #: Rows written across all assembled batches.
     rows_assembled: int = 0
-    #: Single-segment rows assembled by :meth:`EncodePlane.assemble_singles`
-    #: (MLM batches come from ``WordPieceTokenizer.encode_singles`` instead).
+    #: Single-segment rows assembled by :meth:`EncodePlane.assemble_singles`.
     singles_assembled: int = 0
     #: Rows fingerprinted (score-cache keys).
     fingerprints: int = 0
@@ -320,9 +319,11 @@ class EncodePlane:
 
     One plane per :class:`repro.featurizers.bert.BertFeaturizer`; the
     scoring engine's :meth:`repro.engine.ScoringEngine.score_halves` drives
-    it for inference and the featurizer's training path for sample
-    encoding.  Candidate pairs travel as :class:`BatchHalves`; no full
-    encoded row is cached.
+    it for inference, and the featurizer's training path gathers every
+    training micro-batch from it.  Candidate pairs and training samples
+    travel as :class:`BatchHalves`; no full encoded row is cached.  MLM
+    pretraining gathers its single-segment batches with
+    :meth:`assemble_singles`.
     """
 
     #: Rows fingerprinted per assembled block, bounding the transient
@@ -478,8 +479,7 @@ class EncodePlane:
         )
 
     def assemble_one(self, pair: PairHalves) -> EncodedPair:
-        """One full-width row -- the drop-in replacement
-        for ``encode_pair`` where the result is retained (training caches)."""
+        """One full-width row of one pair, equal to ``encode_pair``'s."""
         width = self.max_length
         buffer = np.zeros((3, 1, width), dtype=np.int64)
         input_ids, segment_ids, attention = buffer[0], buffer[1], buffer[2]

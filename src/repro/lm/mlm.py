@@ -24,6 +24,7 @@ from ..nn.optim import Adam, clip_gradients
 from ..nn.stats import TrainStats
 from .bert import MiniBert
 from .config import BertConfig
+from .encode_plane import EncodePlane
 from .tokenizer import EncodedPair, WordPieceTokenizer
 from .vocab import WordPieceVocab
 
@@ -160,15 +161,17 @@ def pretrain_mlm(
     seed: int = 0,
     max_grad_norm: float = 1.0,
     mask_probability: float = 0.15,
-    bucket_granularity: int = 8,
     stats: TrainStats | None = None,
 ) -> MlmTrainResult:
     """Run MLM pre-training over the corpus; mutates ``model`` in place.
 
-    Batches are length-bucketed (same planner as the scoring engine), so a
-    corpus of mostly-short attribute names no longer pads every row to
-    ``max_length``; micro-batch execution order is shuffled each epoch.
-    ``stats`` accumulates per-stage timings and masking counters.
+    Each sentence is tokenised once.  Every epoch plans length-bucketed
+    chunks with :func:`repro.engine.batching.plan_training_chunks` (the
+    label updates' planner), so a corpus of mostly-short attribute names
+    does not pad every row to ``max_length``, and the chunk order is
+    shuffled.  Each step's ``[CLS] A [SEP]`` batch is gathered from the id
+    arrays by :meth:`EncodePlane.assemble_singles`.  ``stats`` accumulates
+    per-stage timings and masking counters.
     """
     if stats is None:
         stats = TrainStats()
@@ -178,38 +181,35 @@ def pretrain_mlm(
     parameters = {**model.parameters("bert."), **head.parameters("head.")}
     optimizer = Adam(parameters, lr=lr)
 
+    plane = EncodePlane(tokenizer, max_length=max_length)
     with stats.timer("encode"):
-        encoded = tokenizer.encode_singles(
-            [sentence for sentence in corpus if sentence], max_length=max_length
-        )
-    if not encoded:
+        id_rows = [tokenizer.ids_array(sentence) for sentence in corpus if sentence]
+    if not id_rows:
         raise ValueError("corpus is empty")
+    lengths = [min(ids.size, max_length - 2) + 2 for ids in id_rows]
 
     # Imported here to keep repro.lm free of an engine dependency at import
     # time (engine.batching itself imports from repro.lm.tokenizer).
-    from ..engine.batching import plan_num_buckets, plan_training_microbatches
+    from ..engine.batching import plan_training_chunks
 
     model.train()
     head.train()
     losses: list[float] = []
     steps = 0
     with obs.span(
-        "mlm.pretrain", sentences=len(encoded), epochs=int(epochs)
+        "mlm.pretrain", sentences=len(id_rows), epochs=int(epochs)
     ) as span:
         for _ in range(epochs):
             stats.epochs += 1
             with stats.timer("bucket"):
-                plan = plan_training_microbatches(
-                    encoded,
-                    microbatch_size=batch_size,
-                    bucket_granularity=bucket_granularity,
-                    rng=rng,
-                )
-            stats.buckets += plan_num_buckets(plan)
-            for microbatch in plan:
+                chunks = plan_training_chunks(lengths, batch_size, rng)
+            stats.buckets += len({padded for padded, _chunk in chunks})
+            for padded, chunk in chunks:
+                with stats.timer("bucket"):
+                    batch = plane.assemble_singles([id_rows[i] for i in chunk], pad_to=padded)
                 with stats.timer("mask"):
                     drawn = mask_tokens_with_redraw(
-                        microbatch.batch,
+                        batch,
                         tokenizer.vocab,
                         rng,
                         mask_probability,

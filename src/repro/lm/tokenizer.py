@@ -136,10 +136,6 @@ class WordPieceTokenizer:
             dtype=np.int64,
         )
 
-    def tokenize_many(self, word_lists: Sequence[Sequence[str]]) -> list[np.ndarray]:
-        """Batch API: one int64 id array per word list (memo shared across rows)."""
-        return [self.ids_array(words) for words in word_lists]
-
     # -- pair encoding ---------------------------------------------------------
 
     def encode_pair(
@@ -179,7 +175,7 @@ class WordPieceTokenizer:
         )
 
     def encode_single(self, words: list[str], max_length: int = 64) -> EncodedPair:
-        """Encode a single span as ``[CLS] A [SEP]`` (used for MLM pre-training)."""
+        """Encode a single span as ``[CLS] A [SEP]`` (MLM batch reference)."""
         ids = self.ids(words)[: max_length - 2]
         input_ids = [self.vocab.cls_id] + ids + [self.vocab.sep_id]
         segment_ids = [0] * len(input_ids)
@@ -195,37 +191,6 @@ class WordPieceTokenizer:
             attention_mask=np.asarray(attention, dtype=np.int64),
             length=real,
         )
-
-    def encode_singles(
-        self, sentences: Sequence[Sequence[str]], max_length: int = 64
-    ) -> list[EncodedPair]:
-        """Vectorised :meth:`encode_single` over many sentences.
-
-        Tokenises through the shared word memo and fills each row's arrays
-        with slice writes instead of building Python token lists -- the MLM
-        pre-training encode stage.  Bit-exact with per-sentence
-        :meth:`encode_single`.
-        """
-        cls_id, sep_id, pad_id = self.vocab.cls_id, self.vocab.sep_id, self.vocab.pad_id
-        encoded: list[EncodedPair] = []
-        for sentence in sentences:
-            ids = self.ids_array(sentence)[: max_length - 2]
-            real = int(ids.size) + 2
-            input_ids = np.full(max_length, pad_id, dtype=np.int64)
-            input_ids[0] = cls_id
-            input_ids[1 : real - 1] = ids
-            input_ids[real - 1] = sep_id
-            attention = np.zeros(max_length, dtype=np.int64)
-            attention[:real] = 1
-            encoded.append(
-                EncodedPair(
-                    input_ids=input_ids,
-                    segment_ids=np.zeros(max_length, dtype=np.int64),
-                    attention_mask=attention,
-                    length=real,
-                )
-            )
-        return encoded
 
     def encode_attribute_pair(
         self,

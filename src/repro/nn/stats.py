@@ -4,7 +4,7 @@ The mirror image of :class:`repro.engine.stats.EngineStats` for the other
 half of the latency budget: every expensive step of a training pass
 (encoding, masking, bucket planning, forward, backward, optimiser) runs
 under a named :meth:`TrainStats.timer` block, and structural decisions
-(mask re-draws, warm vs cold optimiser starts, encode-cache hits) increment
+(mask re-draws, warm vs cold optimiser starts) increment
 counters.  ``repro train stats`` renders them for humans; the fast-path
 tests assert on them.
 """
@@ -34,10 +34,6 @@ class TrainStats(Counters):
     mask_redraws: int = 0
     #: Batches with no maskable token at all (skipped, cannot train).
     unmaskable_batches: int = 0
-    #: Training-sample encodings served from the featurizer's cache.
-    encode_cache_hits: int = 0
-    #: Training-sample encodings computed fresh.
-    encode_cache_misses: int = 0
     #: ``update()`` runs that reused persisted Adam moment state.
     warm_starts: int = 0
     #: Optimiser (re)initialisations from scratch.

@@ -12,6 +12,7 @@ from repro.engine import (
     fingerprint_encoded,
     plan_microbatches,
 )
+from repro.engine.batching import plan_training_chunks
 from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
 from repro.lm.bert import MiniBert
 from repro.lm.config import BertConfig
@@ -21,6 +22,7 @@ from repro.lm.tokenizer import (
     stack_encoded,
     trim_encoded,
 )
+from tests.training_reference import assert_batches_equal, reference_plan
 
 
 def encoded_of_length(length: int, width: int = 32, fill: int = 7) -> EncodedPair:
@@ -94,6 +96,32 @@ class TestPlanMicrobatches:
             plan_microbatches([], microbatch_size=0)
         with pytest.raises(ValueError, match="bucket_granularity"):
             plan_microbatches([], bucket_granularity=0)
+
+
+class TestPlanTrainingChunks:
+    """The training planner works on lengths alone: the indices, padded
+    lengths and generator draws of the stack-and-trim reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_stacking_reference(self, seed):
+        lengths = np.random.default_rng(seed).integers(2, 33, size=40)
+        encoded = [encoded_of_length(int(length)) for length in lengths]
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        chunks = plan_training_chunks(lengths.tolist(), 5, rng)
+        expected = reference_plan(encoded, 5, reference_rng)
+        assert len(chunks) == len(expected) > 1
+        for (padded, chunk), (want_padded, want_chunk, want_batch) in zip(chunks, expected):
+            assert (padded, chunk) == (want_padded, want_chunk)
+            assert_batches_equal(
+                trim_encoded(stack_encoded([encoded[i] for i in chunk]), padded), want_batch
+            )
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_one_chunk_draws_no_order(self):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert plan_training_chunks([5, 6, 7], 8, rng) == [(8, [0, 1, 2])]
+        assert rng.bit_generator.state == state
 
 
 class TestFingerprint:

@@ -15,8 +15,7 @@ from repro.featurizers import (
     make_pair_view,
 )
 from repro.core.artifacts import build_artifacts
-from repro.engine.batching import plan_training_microbatches
-from repro.featurizers.bert import TrainingSample, activate_channel_path
+from repro.featurizers.bert import activate_channel_path
 from repro.nn import TrainStats, inference_scope
 from repro.nn.layers import Dropout
 from repro.nn.losses import binary_cross_entropy_with_logits
@@ -24,6 +23,7 @@ from repro.nn.optim import Adam, clip_gradients
 from repro.nn.serialize import state_dict
 from repro.schema import AttributeRef
 from tests.conftest import tiny_artifact_config
+from tests.training_reference import assert_batches_equal, reference_steps, sample_rows
 
 
 @pytest.fixture()
@@ -294,7 +294,7 @@ def reference_pretrain(featurizer, schema):
     config = featurizer.config
     rng = featurizer._rng  # noqa: SLF001
     samples = generate_pretraining_samples(schema, rng, config.negatives_per_positive)
-    encoded = [featurizer._encode_sample(sample) for sample in samples]  # noqa: SLF001
+    rows = sample_rows(featurizer.tokenizer, samples, config.max_length)
     labels = np.asarray([sample.label for sample in samples], dtype=np.float32)
     weights = np.asarray([sample.weight for sample in samples], dtype=np.float32)
     special_ids = sorted(featurizer.tokenizer.vocab.special_ids())
@@ -302,29 +302,20 @@ def reference_pretrain(featurizer, schema):
     parameters = classifier.scalar_path.parameters("classifier.scalar_path.")
     optimizer = Adam(parameters, lr=config.lr)
     losses = []
-    for _ in range(config.pretrain_epochs):
-        order = rng.permutation(len(encoded))
-        plan = plan_training_microbatches(
-            [encoded[int(i)] for i in order],
-            microbatch_size=config.batch_size,
-            bucket_granularity=config.bucket_granularity,
-            rng=rng,
+    for _padded, index, batch in reference_steps(
+        rows, config.pretrain_epochs, config.batch_size, rng
+    ):
+        with inference_scope():
+            features, _ = compute_match_features(featurizer.model, special_ids, batch)
+        logits = classifier.forward(features)
+        loss, grad_logits = binary_cross_entropy_with_logits(
+            logits, labels[index], weights=weights[index]
         )
-        for microbatch in plan:
-            index = order[list(microbatch.indices)]
-            with inference_scope():
-                features, _ = compute_match_features(
-                    featurizer.model, special_ids, microbatch.batch
-                )
-            logits = classifier.forward(features)
-            loss, grad_logits = binary_cross_entropy_with_logits(
-                logits, labels[index], weights=weights[index]
-            )
-            optimizer.zero_grad()
-            classifier.backward(grad_logits)
-            clip_gradients(parameters, config.max_grad_norm)
-            optimizer.step()
-            losses.append(loss)
+        optimizer.zero_grad()
+        classifier.backward(grad_logits)
+        clip_gradients(parameters, config.max_grad_norm)
+        optimizer.step()
+        losses.append(loss)
     return losses
 
 
@@ -428,31 +419,27 @@ class TestEncodePathsAreBatched:
 
 class TestIndexOnlyPlan:
     """``_steps`` plans on lengths alone: the same indices, padded lengths
-    and generator draws as :func:`plan_training_microbatches` over the
-    stacked samples."""
+    and generator draws as the stack-and-trim reference over the samples'
+    ``encode_pair`` rows."""
 
     def test_steps_match_the_stacking_plan(self, featurizer, target_schema):
         samples = generate_pretraining_samples(target_schema, np.random.default_rng(4))
-        encoded = featurizer._encode_samples(samples)  # noqa: SLF001
+        distinct, rows = featurizer._encode_samples(samples)  # noqa: SLF001
         config = featurizer.config
         reference_rng = np.random.default_rng(11)
         featurizer._rng = np.random.default_rng(11)  # noqa: SLF001
-        expected = []
-        for _ in range(3):
-            order = reference_rng.permutation(len(encoded))
-            plan = plan_training_microbatches(
-                [encoded[int(i)] for i in order],
-                microbatch_size=config.batch_size,
-                bucket_granularity=config.bucket_granularity,
-                rng=reference_rng,
+        expected = list(
+            reference_steps(
+                sample_rows(featurizer.tokenizer, samples, config.max_length),
+                3,
+                config.batch_size,
+                reference_rng,
             )
-            expected.extend(
-                (microbatch.padded_length, order[list(microbatch.indices)]) for microbatch in plan
-            )
-        got = list(featurizer._steps(encoded, 3))  # noqa: SLF001
+        )
+        got = list(featurizer._steps(distinct.take(rows).lengths, 3))  # noqa: SLF001
         assert len(got) == len(expected) > 3
         assert len({padded for padded, _ in got}) >= 2
-        for (padded, index), (expected_padded, expected_index) in zip(got, expected):
+        for (padded, index), (expected_padded, expected_index, _batch) in zip(got, expected):
             assert padded == expected_padded
             np.testing.assert_array_equal(index, expected_index)
         assert (
@@ -463,10 +450,7 @@ class TestIndexOnlyPlan:
     def test_one_chunk_draws_no_order(self, featurizer):
         featurizer._rng = np.random.default_rng(3)  # noqa: SLF001
         reference_rng = np.random.default_rng(3)
-        encoded = featurizer._encode_samples(  # noqa: SLF001
-            [TrainingSample(("order",), ("item",), 1, 1.0, "self-repeating")] * 5
-        )
-        steps = list(featurizer._steps(encoded, 1))  # noqa: SLF001
+        steps = list(featurizer._steps(np.full(5, 6), 1))  # noqa: SLF001
         order = reference_rng.permutation(5)
         assert len(steps) == 1
         np.testing.assert_array_equal(steps[0][1], order)
@@ -477,32 +461,44 @@ class TestIndexOnlyPlan:
 
 
 class TestBatchedSampleEncoding:
-    """Training samples are encoded in one plane call per batch of new
-    samples, bit-identical to the one-at-a-time ``assemble_one`` path."""
+    """Training samples are encoded in one plane call over the distinct
+    samples; every sample's row equals ``encode_pair`` and ``assemble_one``."""
 
     def test_batched_encodings_equal_assemble_one(self, featurizer, target_schema):
         samples = generate_pretraining_samples(target_schema, np.random.default_rng(2))
         samples = samples + samples[:7]  # repeats, as oversampled labels give
         plane = featurizer.encode_plane
-        encoded = featurizer._encode_samples(samples)  # noqa: SLF001
-        assert len(encoded) == len(samples)
-        assert len({len(pair) for pair in encoded}) >= 2
-        for sample, pair in zip(samples, encoded):
-            expected = plane.assemble_one(plane.halves_for_words(sample.words_a, sample.words_b))
-            assert pair.length == expected.length
+        max_length = featurizer.config.max_length
+        distinct, rows = featurizer._encode_samples(samples)  # noqa: SLF001
+        assert len(rows) == len(samples)
+        block = plane.assemble(distinct.take(rows), pad_to=max_length)
+        assert block.input_ids.shape == (len(samples), max_length)
+        lengths = distinct.take(rows).lengths
+        assert len(set(lengths.tolist())) >= 2
+        for row, (sample, expected) in enumerate(
+            zip(samples, sample_rows(featurizer.tokenizer, samples, max_length))
+        ):
+            one = plane.assemble_one(plane.halves_for_words(sample.words_a, sample.words_b))
+            assert lengths[row] == expected.length == one.length
             for name in ("input_ids", "segment_ids", "attention_mask"):
-                got, want = getattr(pair, name), getattr(expected, name)
-                assert got.shape == want.shape == (featurizer.config.max_length,)
-                assert got.dtype == want.dtype
-                np.testing.assert_array_equal(got, want, err_msg=name)
+                got = getattr(block, name)[row]
+                np.testing.assert_array_equal(got, getattr(expected, name), err_msg=name)
+                np.testing.assert_array_equal(got, getattr(one, name), err_msg=name)
 
     def test_equal_samples_share_one_encoding(self, featurizer, target_schema):
         samples = generate_pretraining_samples(target_schema, np.random.default_rng(2))[:6]
-        stats = featurizer.train_stats
-        first = featurizer._encode_samples(samples * 3)  # noqa: SLF001
-        assert stats.encode_cache_misses == len(set(samples))
-        assert stats.encode_cache_hits == 3 * len(samples) - len(set(samples))
-        assert all(first[i] is first[i + len(samples)] for i in range(len(samples)))
-        again = featurizer._encode_samples(samples)  # noqa: SLF001
-        assert all(a is b for a, b in zip(again, first))
-        assert stats.encode_cache_misses == len(set(samples))
+        distinct, rows = featurizer._encode_samples(samples * 3)  # noqa: SLF001
+        first_seen = list(dict.fromkeys(samples))
+        assert len(distinct) == len(first_seen)
+        np.testing.assert_array_equal(
+            rows, np.tile([first_seen.index(sample) for sample in samples], 3)
+        )
+        stats = featurizer.encode_plane.stats
+        misses = stats.token_cache_misses
+        again, again_rows = featurizer._encode_samples(samples)  # noqa: SLF001
+        assert stats.token_cache_misses == misses  # every word sequence was cached
+        np.testing.assert_array_equal(again_rows, rows[: len(samples)])
+        assert_batches_equal(
+            featurizer.encode_plane.assemble(again),
+            featurizer.encode_plane.assemble(distinct),
+        )

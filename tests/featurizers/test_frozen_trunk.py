@@ -13,6 +13,8 @@ tests pin down that this is a cheaper way to compute the same step:
   backward at the top block;
 * the per-call trunk table equals the trunk run per micro-batch, bit for
   bit, on a sample list with repeats;
+* every update step's batch, gathered from the encode plane, and its
+  trunk rows equal the stack-and-trim reference's, bit for bit;
 * a scoring call between a training forward and its backward returns the
   same scores every time and leaves that step and every later one
   unchanged, whether it scores directly or through the engine.
@@ -25,7 +27,6 @@ import copy
 import numpy as np
 import pytest
 
-from repro.engine.batching import plan_training_microbatches
 from repro.featurizers import BertFeaturizer, BertFeaturizerConfig, make_pair_view
 from repro.featurizers import bert as bert_module
 from repro.featurizers.bert import compute_match_features, score_encoded_batch
@@ -34,6 +35,12 @@ from repro.lm.config import BertConfig
 from repro.lm.tokenizer import stack_encoded
 from repro.nn import inference_scope
 from repro.schema import AttributeRef
+from tests.training_reference import (
+    assert_batches_equal,
+    reference_plan,
+    reference_steps,
+    sample_rows,
+)
 
 MAX_LENGTH = 24
 
@@ -213,26 +220,61 @@ class TestTrunkTable:
         # Repeats the way an update builds its list: labels oversampled,
         # plus regulariser samples, some of which recur.
         samples = pool[:5] * 4 + pool[5:40] + pool[10:20]
-        encoded = [featurizer._encode_sample(s) for s in samples]  # noqa: SLF001
+        distinct, rows = featurizer._encode_samples(samples)  # noqa: SLF001
         featurizer.model.train_top()
-        table, rows = featurizer._trunk_outputs(encoded)  # noqa: SLF001
+        table = featurizer._trunk_outputs(distinct)  # noqa: SLF001
         assert len(table) == len(set(samples)) < len(samples)
 
-        plan = plan_training_microbatches(
-            encoded,
-            microbatch_size=7,
-            bucket_granularity=featurizer.config.bucket_granularity,
-            rng=np.random.default_rng(5),
+        plan = reference_plan(
+            sample_rows(featurizer.tokenizer, samples, MAX_LENGTH), 7, np.random.default_rng(5)
         )
-        assert len({m.padded_length for m in plan}) >= 2
-        for microbatch in plan:
+        assert len({padded for padded, _, _ in plan}) >= 2
+        for padded, chunk, batch in plan:
             with inference_scope():
-                expected = featurizer.model.forward_trunk(microbatch.batch)
-            index = list(microbatch.indices)
-            np.testing.assert_array_equal(
-                table[rows[index], : microbatch.padded_length], expected
-            )
-            assert not table[rows[index], microbatch.padded_length :].any()
+                expected = featurizer.model.forward_trunk(batch)
+            np.testing.assert_array_equal(table[rows[chunk], :padded], expected)
+            assert not table[rows[chunk], padded:].any()
+
+    def test_update_steps_match_the_stacking_reference(
+        self, featurizer, source_schema, target_schema, monkeypatch
+    ):
+        """Every step of two updates: the batch gathered from the encode
+        plane and the trunk rows sliced from the table equal the reference's
+        stacked ``encode_pair`` rows and its trunk run on them."""
+        calls, steps = [], []
+        original_train = BertFeaturizer._train
+        original_forward = BertFeaturizer._forward_features
+
+        def recording_train(self, samples, epochs):
+            calls.append((list(samples), epochs, self._rng.bit_generator.state))  # noqa: SLF001
+            return original_train(self, samples, epochs)
+
+        def recording_forward(self, batch, trunk_hidden=None):
+            steps.append((batch, trunk_hidden.copy()))
+            return original_forward(self, batch, trunk_hidden)
+
+        monkeypatch.setattr(BertFeaturizer, "_train", recording_train)
+        monkeypatch.setattr(BertFeaturizer, "_forward_features", recording_forward)
+        for count in (2, 4):
+            featurizer.update(*labeled(source_schema, target_schema, count))
+        monkeypatch.undo()
+
+        expected = []
+        for samples, epochs, state in calls:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = state
+            rows = sample_rows(featurizer.tokenizer, samples, MAX_LENGTH)
+            expected.extend(reference_steps(rows, epochs, featurizer.config.batch_size, rng))
+        assert len(calls) == 2 and len(steps) == len(expected)
+        assert len({padded for padded, _, _ in expected}) >= 2
+        for step, ((batch, trunk_hidden), (padded, _index, want)) in enumerate(
+            zip(steps, expected)
+        ):
+            assert_batches_equal(batch, want, f"step {step}")
+            with inference_scope():
+                np.testing.assert_array_equal(
+                    trunk_hidden, featurizer.model.forward_trunk(want), err_msg=f"step {step}"
+                )
 
 
 class TestScoringBetweenForwardAndBackward:
@@ -242,7 +284,7 @@ class TestScoringBetweenForwardAndBackward:
         views, labels = labeled(source_schema, target_schema)
         twin = copy.deepcopy(featurizer)
         probe = featurizer._iss_samples[:9]  # noqa: SLF001
-        encoded = [featurizer._encode_sample(s) for s in probe]  # noqa: SLF001
+        encoded = sample_rows(featurizer.tokenizer, probe, MAX_LENGTH)
         batch = stack_encoded(encoded)
         expected_losses, expected_steps = run_update(twin, views, labels, monkeypatch)
 

@@ -143,13 +143,6 @@ class TestTrieWordPiece:
         assert ids.dtype == np.int64
         assert ids.tolist() == tokenizer.ids(["price", "amount"])
 
-    def test_tokenize_many(self, tokenizer):
-        rows = tokenizer.tokenize_many([["price"], ["brand", "name"]])
-        assert [row.tolist() for row in rows] == [
-            tokenizer.ids(["price"]),
-            tokenizer.ids(["brand", "name"]),
-        ]
-
 
 # -- truncation closed form ----------------------------------------------------
 
@@ -286,20 +279,6 @@ class TestAssemblyParity:
             np.testing.assert_array_equal(
                 assembled.attention_mask, microbatch.batch.attention_mask
             )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(st.lists(word_st, max_size=10), min_size=1, max_size=6),
-        st.integers(min_value=4, max_value=40),
-    )
-    def test_encode_singles_bit_exact(self, tokenizer, sentences, max_length):
-        batched = tokenizer.encode_singles(sentences, max_length=max_length)
-        for sentence, fast in zip(sentences, batched):
-            reference = tokenizer.encode_single(list(sentence), max_length=max_length)
-            np.testing.assert_array_equal(fast.input_ids, reference.input_ids)
-            np.testing.assert_array_equal(fast.segment_ids, reference.segment_ids)
-            np.testing.assert_array_equal(fast.attention_mask, reference.attention_mask)
-            assert encoded_length(fast) == encoded_length(reference)
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -19,6 +19,7 @@ from repro.lm import (
 from repro.lm.mlm import MlmHead
 from repro.nn import TrainStats, state_dict
 from repro.nn.losses import softmax_cross_entropy
+from tests.training_reference import assert_batches_equal, reference_plan, sentence_rows
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,49 @@ class TestPretrainMlm:
             assert value.dtype == np.float32, name
 
 
+class TestMlmStepBatches:
+    @pytest.mark.parametrize("max_length", [12, 5])
+    def test_steps_equal_the_stacking_reference(self, setup, monkeypatch, max_length):
+        """Every epoch's chunk plan draws what the stack-and-trim reference
+        draws, and every step's batch gathered by ``assemble_singles``
+        equals the reference's stacked ``encode_single`` rows (``max_length``
+        5 truncates sentences)."""
+        import repro.engine.batching as batching
+        import repro.lm.mlm as mlm
+
+        corpus, tokenizer, config = setup
+        corpus = [[], *corpus[:9], ["order", "identifier", "number", "product", "name"] * 2]
+        rows = sentence_rows(tokenizer, corpus, max_length)
+        expected, got = [], []
+        plan = batching.plan_training_chunks
+        mask = mlm.mask_tokens_with_redraw
+
+        def planning(lengths, microbatch_size, rng):
+            reference_rng = np.random.default_rng()
+            reference_rng.bit_generator.state = rng.bit_generator.state
+            reference = reference_plan(rows, microbatch_size, reference_rng)
+            chunks = plan(lengths, microbatch_size, rng)
+            assert chunks == [(padded, chunk) for padded, chunk, _ in reference]
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            expected.extend(batch for _, _, batch in reference)
+            return chunks
+
+        def masking(batch, *args, **kwargs):
+            got.append(batch)
+            return mask(batch, *args, **kwargs)
+
+        monkeypatch.setattr(batching, "plan_training_chunks", planning)
+        monkeypatch.setattr(mlm, "mask_tokens_with_redraw", masking)
+        model = MiniBert(config, seed=0)
+        result = pretrain_mlm(
+            model, tokenizer, corpus, epochs=3, batch_size=3, max_length=max_length
+        )
+        assert len(got) == len(expected) == result.steps > 3
+        assert len({batch.input_ids.shape[1] for batch in got}) >= (2 if max_length > 8 else 1)
+        for step, (batch, want) in enumerate(zip(got, expected)):
+            assert_batches_equal(batch, want, f"step {step}")
+
+
 class TestBucketedMlmStepGradient:
     def test_mlm_step_gradcheck(self, setup):
         """Central-difference check of one bucketed MLM training step's
@@ -209,14 +253,9 @@ class TestBucketedMlmStepGradient:
         model.train()
         head.train()
         rng = np.random.default_rng(2)
-
-        from repro.engine.batching import plan_training_microbatches
-
-        encoded = [
-            tokenizer.encode_single(list(s), max_length=12) for s in corpus[:6]
-        ]
-        plan = plan_training_microbatches(encoded, microbatch_size=4, rng=rng)
-        batch = plan[0].batch
+        _padded, _chunk, batch = reference_plan(
+            sentence_rows(tokenizer, corpus[:6], max_length=12), 4, rng
+        )[0]
         assert batch.input_ids.shape[1] < 12  # actually trimmed
         drawn = mask_tokens_with_redraw(batch, tokenizer.vocab, rng, 0.5)
         assert drawn is not None

@@ -18,8 +18,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## planner's chunks and generator draws, every update and MLM step's batch
 ## gathered from the encode plane, and each update step's trunk rows ==
 ## the stacked and trimmed encode_pair/encode_single reference,
-## bit-exact) explicitly (they are part of tests/, the second run pins
-## them even if testpaths change).
+## bit-exact) and the drift-parity suites (incremental drift == a fresh
+## matcher on the evolved schema, with and without retrieval; a
+## generate_for_sources slice == the matching rows of a full generate)
+## explicitly (they are part of tests/, the second run pins them even if
+## testpaths change).
 ## Under `taskset -c 0` the engine's default worker count resolves to one,
 ## so the same suites cover the in-process path.
 verify: test parity
@@ -38,7 +41,9 @@ parity:
 		tests/featurizers/test_bert_featurizer.py::TestIndexOnlyPlan \
 		tests/featurizers/test_bert_featurizer.py::TestBatchedSampleEncoding \
 		tests/engine/test_batching.py::TestPlanTrainingChunks \
-		tests/lm/test_mlm.py::TestMlmStepBatches
+		tests/lm/test_mlm.py::TestMlmStepBatches \
+		tests/core/test_drift_e2e.py::TestIncrementalParity \
+		tests/retrieval/test_generator.py::TestFusedCandidateGenerator::test_generate_for_sources_matches_full_generate
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

@@ -7,13 +7,12 @@ flat numpy index arrays so the training/prediction phases can slice by label
 state without Python loops.  Featurizers score a :class:`PairBatch` built
 for the rows being scored (:meth:`CandidateStore.pair_batch`): per-side
 tables of the attributes those rows touch plus index arrays into them.  The
-label path still reads one :class:`AttributePairView` per labeled pair.
+label path reads one :class:`AttributePairView` per labeled pair, built
+from the current schemas on every read.
 
-Pruning (blocking) shrinks the pair set to the most promising targets per
-source attribute -- either score-based (:meth:`CandidateStore.prune`) or
-driven by the retrieval layer's per-source candidate sets
-(:meth:`CandidateStore.apply_candidate_sets`).  Two invariants hold through
-every pruning operation:
+Pruning (blocking) shrinks the pair set to the retrieval layer's
+per-source candidate sets (:meth:`CandidateStore.apply_candidate_sets`).
+Two invariants hold through every pruning operation:
 
 * feedback is never lost: labeled pairs survive pruning, and labeling a
   pruned pair (``set_positive``/``set_negative``) re-adds it first;
@@ -23,10 +22,10 @@ every pruning operation:
 
 The store also carries the featurizers' per-row scores: one float64 column
 per featurizer, the featurizer version each column was computed under, and
-a ``dirty`` mask.  A row is dirty when it is new, re-added, or its view was
-invalidated (a renamed source); every reshaping path carries the columns
-along, so a re-predict scores only the dirty rows (see DESIGN.md,
-"Per-row feature columns").
+a ``dirty`` mask.  A row is dirty when it is new, re-added, or its source
+was renamed; every reshaping path carries the columns along, so a
+re-predict scores only the dirty rows (see DESIGN.md, "Per-row feature
+columns").
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ class StoreDeltaReport:
     dropped_sources: list[AttributeRef] = field(default_factory=list)
     pairs_dropped: int = 0
     pairs_added: int = 0
-    #: Renamed sources' rows that held a cached view or scored features.
-    views_invalidated: int = 0
     #: Labels that survived the delta / were lost with dropped columns.
     labels_preserved: int = 0
     labels_dropped: int = 0
@@ -115,9 +112,8 @@ class CandidateStore:
         self.feature_versions: list[int | None] = []
         #: Rows whose feature columns must be recomputed.
         self.dirty = np.ones(self.num_pairs, dtype=bool)
-        self._views: list[AttributePairView | None] = [None] * self.num_pairs
         #: Lazily built per-source pair-id lists; invalidated whenever the
-        #: pair arrays change shape (prune / ensure_pair).
+        #: pair arrays change shape (candidate sets / ensure_pair).
         self._groups: list[np.ndarray] | None = None
 
     # -- sizes / lookups ---------------------------------------------------------
@@ -154,17 +150,14 @@ class CandidateStore:
         return None if pair_id < 0 else pair_id
 
     def view(self, pair_id: int) -> AttributePairView:
-        cached = self._views[pair_id]
-        if cached is None:
-            cached = make_pair_view(
-                self.source_schema,
-                self.target_schema,
-                self.source_refs[int(self.pair_source[pair_id])],
-                self.target_refs[int(self.pair_target[pair_id])],
-                use_descriptions=self.use_descriptions,
-            )
-            self._views[pair_id] = cached
-        return cached
+        """The pair's textual view, read from the current schemas."""
+        return make_pair_view(
+            self.source_schema,
+            self.target_schema,
+            self.source_refs[int(self.pair_source[pair_id])],
+            self.target_refs[int(self.pair_target[pair_id])],
+            use_descriptions=self.use_descriptions,
+        )
 
     def views(self, pair_ids: Iterable[int]) -> list[AttributePairView]:
         return [self.view(int(pair_id)) for pair_id in pair_ids]
@@ -190,30 +183,16 @@ class CandidateStore:
             target_index=target_index.reshape(-1),
         )
 
-    def invalidate_views(self, pair_ids: Iterable[int]) -> int:
-        """Drop the cached views of ``pair_ids`` and mark the rows dirty.
+    def invalidate_views(self, pair_ids: Iterable[int]) -> None:
+        """Mark ``pair_ids`` dirty: their feature columns were scored from
+        text that changed (a renamed or re-described column).
+        :meth:`apply_delta` routes through here; so must any future
+        mutator of attribute metadata."""
+        self.dirty[np.fromiter(pair_ids, dtype=np.intp)] = True
 
-        The view cache has no implicit invalidation: a pair's view embeds the
-        attribute's name and description at build time, so any metadata
-        mutation (a renamed or re-described column) must explicitly drop the
-        affected entries or the pair keeps scoring its stale encoding.  The
-        rows' feature columns were scored from the old text, so they turn
-        dirty too.  :meth:`apply_delta` routes through here; so must any
-        future mutator.  Returns the number of rows that actually held a
-        cached view or scored features.
-        """
-        pair_ids = np.unique(np.fromiter(pair_ids, dtype=np.intp))
-        cached = ~self.dirty[pair_ids]
-        self.dirty[pair_ids] = True
-        for position, pair_id in enumerate(pair_ids.tolist()):
-            if self._views[pair_id] is not None:
-                self._views[pair_id] = None
-                cached[position] = True
-        return int(np.count_nonzero(cached))
-
-    def invalidate_views_of_source(self, source_index: int) -> int:
-        """Drop the cached views of every pair of one source attribute."""
-        return self.invalidate_views(self.pairs_of_source_index(source_index))
+    def invalidate_views_of_source(self, source_index: int) -> None:
+        """Mark every pair of one source attribute dirty."""
+        self.invalidate_views(self.pairs_of_source_index(source_index))
 
     # -- feature columns ---------------------------------------------------------
 
@@ -250,24 +229,6 @@ class CandidateStore:
 
     # -- blocking -----------------------------------------------------------------
 
-    def prune(self, keep_per_source: int, scores: np.ndarray) -> None:
-        """Keep the ``keep_per_source`` best-scoring targets per source.
-
-        ``scores`` must align with the current pair arrays.  Already labeled
-        pairs are always retained so feedback can never be dropped.
-        """
-        if scores.shape[0] != self.num_pairs:
-            raise ValueError("scores do not align with candidate pairs")
-        if keep_per_source >= self.num_targets:
-            return
-        keep_mask = np.zeros(self.num_pairs, dtype=bool)
-        for source_index in range(self.num_sources):
-            pair_ids = self.pairs_of_source_index(source_index)
-            top = pair_ids[np.argsort(-scores[pair_ids], kind="stable")[:keep_per_source]]
-            keep_mask[top] = True
-        keep_mask |= self.labels != UNLABELED
-        self._apply_mask(keep_mask)
-
     def apply_candidate_sets(
         self, per_source_targets: Sequence[np.ndarray]
     ) -> tuple[int, int]:
@@ -279,23 +240,9 @@ class CandidateStore:
         pairs that are currently absent (e.g. pruned by an earlier, stale
         candidate set) are re-added.  Returns ``(added, removed)``.
         """
-        if len(per_source_targets) != self.num_sources:
-            raise ValueError("candidate sets do not align with source attributes")
-        allowed = np.zeros((self.num_sources, self.num_targets), dtype=bool)
-        for source_index, targets in enumerate(per_source_targets):
-            allowed[source_index, np.asarray(targets, dtype=np.intp)] = True
-
-        keep_mask = allowed[self.pair_source, self.pair_target]
-        keep_mask |= self.labels != UNLABELED
-        removed = int(self.num_pairs - keep_mask.sum())
-        if removed:
-            self._apply_mask(keep_mask)
-
-        # Batch-append allowed pairs that are not currently present.
-        allowed[self.pair_source, self.pair_target] = False
-        missing_sources, missing_targets = np.nonzero(allowed)
-        added = self._append_pairs(missing_sources, missing_targets)
-        return added, removed
+        return self.apply_candidate_sets_for_sources(
+            range(self.num_sources), per_source_targets
+        )
 
     def apply_candidate_sets_for_sources(
         self,
@@ -304,7 +251,7 @@ class CandidateStore:
     ) -> tuple[int, int]:
         """Reshape only the listed sources' pair sets; others are untouched.
 
-        The incremental half of :meth:`apply_candidate_sets`: after a schema
+        The incremental form of :meth:`apply_candidate_sets`: after a schema
         delta, only the drifted sources' candidate sets change, so only their
         unlabeled out-of-set pairs are dropped and only their missing in-set
         pairs are added.  ``per_source_targets[i]`` lists the allowed target
@@ -339,7 +286,6 @@ class CandidateStore:
         self.label_explicit = self.label_explicit[keep_ids]
         self.features = self.features[keep_ids]
         self.dirty = self.dirty[keep_ids]
-        self._views = [self._views[int(i)] for i in keep_ids]
         self._reindex()
 
     def _reindex(self) -> None:
@@ -379,7 +325,6 @@ class CandidateStore:
             [self.features, np.full((added, self.features.shape[1]), np.nan)]
         )
         self.dirty = np.concatenate([self.dirty, np.ones(added, dtype=bool)])
-        self._views.extend([None] * added)
         self._pair_lookup[sources, targets] = np.arange(
             start, start + added, dtype=np.int32
         )
@@ -432,9 +377,10 @@ class CandidateStore:
 
         Touches only what the delta touched: dropped sources take their pairs
         (and labels) with them, renamed sources keep their pairs and labels
-        but lose their cached views, retyped sources keep everything (dtype
-        lives in the adjuster's mask, not the views' text).  Surviving pair
-        ids are compacted; callers holding pair ids must re-resolve them.
+        but their rows turn dirty (they were scored from the old name),
+        retyped sources keep everything (dtype lives in the adjuster's mask,
+        not the pair text).  Surviving pair ids are compacted; callers
+        holding pair ids must re-resolve them.
 
         Added sources get the full target product only when
         ``add_full_product`` is True; the matcher instead leaves them empty
@@ -487,10 +433,9 @@ class CandidateStore:
         for ref in effect.added:
             report.added_sources.append(new_index[ref])
 
-        # Renamed columns' views embed the old name -- drop them so they
-        # rebuild against the evolved schema, and mark their rows dirty.
+        # Renamed columns' rows were scored from the old name.
         for source_index in report.renamed_sources:
-            report.views_invalidated += self.invalidate_views_of_source(source_index)
+            self.invalidate_views_of_source(source_index)
 
         if add_full_product and report.added_sources:
             added_sources = np.repeat(

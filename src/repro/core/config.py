@@ -38,9 +38,8 @@ class LsmConfig:
         through ``retrieval``, before BERT scoring.  ``None`` scores the
         full Cartesian product as in the paper.
     retrieval:
-        Candidate-generation knobs (retriever mix, rank-fusion weights and
-        the ``generator="full"`` escape hatch); see
-        :class:`repro.retrieval.RetrievalConfig`.  Only consulted when
+        Which retrievers the candidate generator fuses (dense, sparse);
+        see :class:`repro.retrieval.RetrievalConfig`.  Only consulted when
         ``max_candidates_per_source`` is set.
     self_training_rounds / self_training_threshold:
         Semi-supervised self-training schedule of the meta-learner.

@@ -58,7 +58,6 @@ class DriftStats(Counters):
     columns_dropped: int = 0
     pairs_dropped: int = 0
     pairs_added: int = 0
-    views_invalidated: int = 0
     rows_dirtied: int = 0
     labels_preserved: int = 0
     labels_dropped: int = 0
@@ -77,7 +76,6 @@ class DriftStats(Counters):
         self.columns_dropped += len(report.effect.dropped)
         self.pairs_dropped += report.store.pairs_dropped
         self.pairs_added += report.store.pairs_added
-        self.views_invalidated += report.store.views_invalidated
         self.rows_dirtied += report.rows_dirtied
         self.labels_preserved += report.store.labels_preserved
         self.labels_dropped += report.store.labels_dropped

@@ -31,7 +31,7 @@ from ..featurizers.lexical import LexicalFeaturizer
 from ..featurizers.pipeline import FeaturizerPipeline
 from ..nn.activations import softmax
 from ..retrieval import (
-    CandidateGenerator,
+    FusedCandidateGenerator,
     RetrievalStats,
     build_generator,
     docs_from_refs,
@@ -128,7 +128,7 @@ class LearnedSchemaMatcher:
             #: (BM25, subword phrase vectors) are frozen, so a BERT update
             #: never changes the candidate sets.
             self.retrieval_stats = RetrievalStats()
-            self.generator: CandidateGenerator | None = None
+            self.generator: FusedCandidateGenerator | None = None
             if self.config.max_candidates_per_source is not None:
                 with obs.span(
                     "lsm.candidates", k=int(self.config.max_candidates_per_source)
@@ -180,7 +180,7 @@ class LearnedSchemaMatcher:
 
     # -- candidate generation (retrieve-then-rerank) -------------------------------
 
-    def _build_candidate_generator(self) -> CandidateGenerator:
+    def _build_candidate_generator(self) -> FusedCandidateGenerator:
         """Assemble the generator ``config.retrieval`` describes."""
         retrieval = self.config.retrieval
         source_docs = docs_from_refs(
@@ -218,8 +218,8 @@ class LearnedSchemaMatcher:
         drift"):
 
         * the store drops/remaps the affected pairs, keeping surviving
-          labels, invalidating renamed sources' views and marking their
-          rows dirty in the feature columns;
+          labels and marking renamed sources' rows dirty in the feature
+          columns;
         * the adjuster's dtype mask is invalidated when a column retyped;
         * affected sources' candidate sets are regenerated through the
           retrieval layer; the pairs this adds are new, hence dirty rows.
@@ -236,10 +236,7 @@ class LearnedSchemaMatcher:
         ) as drift_span:
             new_schema, effect = apply_schema_delta(self.source_schema, delta)
             pending = self._dirty_pairs()
-            use_retrieval = (
-                self.generator is not None
-                and self.config.max_candidates_per_source is not None
-            )
+            use_retrieval = self.generator is not None
             store_report = self.store.apply_delta(
                 new_schema, effect, add_full_product=not use_retrieval
             )

@@ -20,7 +20,7 @@ from ..datasets import MatchingTask, load_dataset
 from ..embeddings.ppmi import PpmiConfig, train_ppmi_embeddings
 from ..embeddings.subword import SubwordEmbeddings
 from ..retrieval import (
-    CandidateGenerator,
+    FusedCandidateGenerator,
     RecallReport,
     RetrievalConfig,
     build_generator,
@@ -66,7 +66,7 @@ def task_generator(
     config: RetrievalConfig | None = None,
     embeddings: SubwordEmbeddings | None = None,
     use_descriptions: bool = True,
-) -> CandidateGenerator:
+) -> FusedCandidateGenerator:
     """The candidate generator a matcher would use for ``task``.
 
     ``embeddings`` defaults to :func:`cheap_embeddings` over the target

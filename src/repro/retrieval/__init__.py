@@ -6,9 +6,7 @@ for the architecture overview.
 
 from .base import (
     AttributeDoc,
-    CandidateGenerator,
     CandidateSets,
-    FullProductGenerator,
     FusedCandidateGenerator,
     RetrievalConfig,
     RetrievalStats,
@@ -29,10 +27,8 @@ from .sparse import SparseRetriever
 
 __all__ = [
     "AttributeDoc",
-    "CandidateGenerator",
     "CandidateSets",
     "DenseRetriever",
-    "FullProductGenerator",
     "FusedCandidateGenerator",
     "RecallGateError",
     "RecallReport",
@@ -56,30 +52,16 @@ def build_generator(
     config: RetrievalConfig,
     embeddings=None,
     stats: RetrievalStats | None = None,
-) -> CandidateGenerator:
+) -> FusedCandidateGenerator:
     """Assemble the generator the config describes.
 
     ``embeddings`` feeds the dense retriever; when it is None the dense
-    retriever is skipped.  ``generator="full"`` (or no usable retriever)
-    falls back to the full Cartesian product.
+    retriever is skipped.  Raises ``ValueError`` when no retriever is left.
     """
     stats = stats if stats is not None else RetrievalStats()
-    if config.generator == "full":
-        return FullProductGenerator(len(source_docs), len(target_docs))
-
     retrievers: list[Retriever] = []
     if config.use_sparse:
-        retrievers.append(
-            SparseRetriever(
-                target_docs, ngram_n=config.ngram_n, k1=config.bm25_k1, b=config.bm25_b
-            )
-        )
+        retrievers.append(SparseRetriever(target_docs))
     if config.use_dense and embeddings is not None:
-        retrievers.append(
-            DenseRetriever(embeddings, target_docs, stats=stats)
-        )
-    if not retrievers:
-        return FullProductGenerator(len(source_docs), len(target_docs))
-    return FusedCandidateGenerator(
-        source_docs, target_docs, retrievers, config=config, stats=stats
-    )
+        retrievers.append(DenseRetriever(embeddings, target_docs, stats=stats))
+    return FusedCandidateGenerator(source_docs, target_docs, retrievers, stats=stats)

@@ -14,19 +14,21 @@ Three layers live here:
 * :class:`Retriever` -- one ranking signal producing a dense
   ``(num_queries, num_targets)`` score matrix (``repro.retrieval.dense``
   and ``repro.retrieval.sparse`` provide the implementations);
-* :class:`CandidateGenerator` -- the pluggable interface the matcher holds:
-  :class:`FusedCandidateGenerator` (reciprocal-rank fusion over the
-  configured retrievers) and :class:`FullProductGenerator` (the escape
-  hatch back to the paper's full Cartesian product).
+* :class:`FusedCandidateGenerator` -- what the matcher holds when
+  ``max_candidates_per_source`` is set: reciprocal-rank fusion over the
+  configured retrievers.  Without that budget the matcher holds no
+  generator and scores the paper's full product.
 
-Nothing in this package imports ``repro.core``: generators consume docs and
-produce target-index sets, and the :class:`~repro.core.candidates.
-CandidateStore` applies them.
+The target indexes are built once and never change; schema drift on the
+source side only swaps query docs (:meth:`FusedCandidateGenerator.
+replace_source_docs`).  Nothing in this package imports ``repro.core``:
+generators consume docs and produce target-index sets, and the
+:class:`~repro.core.candidates.CandidateStore` applies them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -93,39 +95,25 @@ def docs_from_refs(
 # Configuration + stats
 # ---------------------------------------------------------------------------
 
+#: Reciprocal-rank-fusion smoothing constant; 60 is the canonical value.
+RRF_K = 60
+#: Per-retriever fusion weights, by retriever name.
+RRF_WEIGHTS = {"dense": 1.0, "sparse": 1.0}
+
+
 @dataclass
 class RetrievalConfig:
-    """Knobs of the candidate-generation layer (``LsmConfig.retrieval``).
+    """Which retrievers the candidate generator fuses (``LsmConfig.retrieval``).
 
-    ``generator="full"`` is the escape hatch: the matcher keeps the paper's
-    full Cartesian product regardless of ``max_candidates_per_source``.
+    A retriever whose inputs are missing (dense without embeddings) is
+    skipped; a config that leaves no retriever is rejected by
+    :func:`repro.retrieval.build_generator`.
     """
 
-    #: "fused" (retrieve-then-rerank) or "full" (escape hatch: no pruning).
-    generator: str = "fused"
     #: Dense bi-encoder over ``repro.embeddings`` subword phrase vectors.
     use_dense: bool = True
     #: Sparse BM25 over identifier/description tokens + character n-grams.
     use_sparse: bool = True
-    #: RRF smoothing constant; 60 is the canonical value.
-    rrf_k: int = 60
-    #: Per-retriever reciprocal-rank-fusion weights, by retriever name.
-    weights: dict[str, float] = field(
-        default_factory=lambda: {"dense": 1.0, "sparse": 1.0}
-    )
-    #: Character n-gram order of the sparse index.
-    ngram_n: int = 3
-    #: BM25 parameters.
-    bm25_k1: float = 1.5
-    bm25_b: float = 0.75
-
-    def __post_init__(self) -> None:
-        if self.generator not in {"fused", "full"}:
-            raise ValueError(f"unknown candidate generator: {self.generator!r}")
-        if self.rrf_k < 1:
-            raise ValueError("rrf_k must be >= 1")
-        if self.ngram_n < 2:
-            raise ValueError("ngram_n must be >= 2")
 
 
 @dataclass
@@ -161,24 +149,19 @@ class Retriever(Protocol):
         """Dense ``(len(queries), num_targets)`` relevance scores."""
         ...
 
-    def update_docs(
-        self, added_docs: Sequence[AttributeDoc], removed_refs: set[AttributeRef]
-    ) -> None:
-        """Mutate the index in place: drop removed docs, append added ones."""
-        ...
-
 
 def rrf_fuse(
     matrices: Sequence[np.ndarray],
     weights: Sequence[float],
-    rrf_k: int = 60,
+    rrf_k: int = RRF_K,
 ) -> np.ndarray:
     """Weighted reciprocal-rank fusion of per-retriever score matrices.
 
     Each matrix is converted to per-query ranks (0 = best, ties broken by
     target index so fusion is deterministic) and combined as
-    ``sum_i w_i / (rrf_k + rank_i)``.  RRF is scale-free, which is what makes
-    it robust to BM25 and cosine living on incomparable scales.
+    ``sum_i w_i / (rrf_k + 1 + rank_i)``, i.e. the usual RRF over 1-based
+    ranks.  RRF is scale-free, which is what makes it robust to BM25 and
+    cosine living on incomparable scales.
     """
     fused = np.zeros_like(matrices[0], dtype=np.float64)
     for matrix, weight in zip(matrices, weights):
@@ -205,9 +188,6 @@ class CandidateSets:
     k: int
     #: Names of the retrievers that produced the fused ranking.
     retriever_names: tuple[str, ...]
-    #: Fused relevance matrix (num_sources, num_targets); kept for
-    #: diagnostics (recall gates, minimal-k probes).
-    fused_scores: np.ndarray | None = None
 
     @property
     def num_sources(self) -> int:
@@ -216,61 +196,11 @@ class CandidateSets:
     def total_candidates(self) -> int:
         return int(sum(row.size for row in self.per_source))
 
-    def contains(self, source_index: int, target_index: int) -> bool:
-        return int(target_index) in self.per_source[int(source_index)]
-
     def rank_of(self, source_index: int, target_index: int) -> int | None:
         """0-based rank of a target in a source's candidate list, or None."""
         row = self.per_source[int(source_index)]
         hits = np.flatnonzero(row == int(target_index))
         return int(hits[0]) if hits.size else None
-
-
-class CandidateGenerator(Protocol):
-    """What the matcher holds: produces per-source candidate sets."""
-
-    @property
-    def name(self) -> str: ...
-
-    @property
-    def num_targets(self) -> int: ...
-
-    def generate(self, k: int) -> CandidateSets: ...
-
-
-class FullProductGenerator:
-    """Escape hatch: every target is a candidate for every source."""
-
-    name = "full"
-
-    def __init__(self, num_sources: int, num_targets: int) -> None:
-        self._num_sources = num_sources
-        self._num_targets = num_targets
-
-    @property
-    def num_targets(self) -> int:
-        return self._num_targets
-
-    def generate(self, k: int) -> CandidateSets:
-        all_targets = np.arange(self._num_targets)
-        return CandidateSets(
-            per_source=[all_targets] * self._num_sources,
-            k=self._num_targets,
-            retriever_names=("full",),
-        )
-
-    def replace_source_docs(self, source_docs: Sequence[AttributeDoc]) -> None:
-        self._num_sources = len(source_docs)
-
-    def generate_for_sources(
-        self, source_indices: Sequence[int], k: int
-    ) -> CandidateSets:
-        all_targets = np.arange(self._num_targets)
-        return CandidateSets(
-            per_source=[all_targets] * len(source_indices),
-            k=self._num_targets,
-            retriever_names=("full",),
-        )
 
 
 class FusedCandidateGenerator:
@@ -283,7 +213,6 @@ class FusedCandidateGenerator:
         source_docs: Sequence[AttributeDoc],
         target_docs: Sequence[AttributeDoc],
         retrievers: Sequence[Retriever],
-        config: RetrievalConfig | None = None,
         stats: RetrievalStats | None = None,
     ) -> None:
         if not retrievers:
@@ -291,15 +220,11 @@ class FusedCandidateGenerator:
         self.source_docs = list(source_docs)
         self.target_docs = list(target_docs)
         self.retrievers = list(retrievers)
-        self.config = config or RetrievalConfig()
         self.stats = stats or RetrievalStats()
 
     @property
     def num_targets(self) -> int:
         return len(self.target_docs)
-
-    def fused_matrix(self) -> np.ndarray:
-        return self._fuse_queries(self.source_docs)
 
     def _fuse_queries(self, queries: Sequence[AttributeDoc]) -> np.ndarray:
         matrices: list[np.ndarray] = []
@@ -307,11 +232,11 @@ class FusedCandidateGenerator:
         for retriever in self.retrievers:
             with self.stats.timer(f"score.{retriever.name}"):
                 matrices.append(retriever.score_matrix(queries))
-            weights.append(float(self.config.weights.get(retriever.name, 1.0)))
+            weights.append(RRF_WEIGHTS.get(retriever.name, 1.0))
         with self.stats.timer("fuse"):
             if len(matrices) == 1:
                 return matrices[0].astype(np.float64)
-            return rrf_fuse(matrices, weights, rrf_k=self.config.rrf_k)
+            return rrf_fuse(matrices, weights)
 
     def _rank(self, fused: np.ndarray, k: int) -> list[np.ndarray]:
         with self.stats.timer("rank"):
@@ -319,28 +244,8 @@ class FusedCandidateGenerator:
         return [row.copy() for row in order]
 
     def generate(self, k: int) -> CandidateSets:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        self.stats.generations += 1
-        fused = self.fused_matrix()
-        return CandidateSets(
-            per_source=self._rank(fused, k),
-            k=min(k, fused.shape[1]),
-            retriever_names=tuple(r.name for r in self.retrievers),
-            fused_scores=fused,
-        )
-
-    # -- schema drift ---------------------------------------------------------
-
-    def replace_source_docs(self, source_docs: Sequence[AttributeDoc]) -> None:
-        """Swap the query-side docs after source-schema drift.
-
-        Source docs are queries, not index content, so no retriever state
-        needs rebuilding -- reciprocal-rank fusion ranks each query row
-        independently, which is what makes :meth:`generate_for_sources`
-        equivalent to slicing a full :meth:`generate`.
-        """
-        self.source_docs = list(source_docs)
+        """Candidate sets for every source doc."""
+        return self.generate_for_sources(range(len(self.source_docs)), k)
 
     def generate_for_sources(
         self, source_indices: Sequence[int], k: int
@@ -349,7 +254,8 @@ class FusedCandidateGenerator:
 
         Scores only ``len(source_indices)`` query rows against the target
         indexes; ``per_source[i]`` corresponds to ``source_indices[i]``.
-        Identical to the matching rows of a full :meth:`generate`.
+        Reciprocal-rank fusion ranks each query row independently, so the
+        rows equal the matching rows of a full :meth:`generate`.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
@@ -360,30 +266,17 @@ class FusedCandidateGenerator:
             per_source=self._rank(fused, k),
             k=min(k, fused.shape[1]),
             retriever_names=tuple(r.name for r in self.retrievers),
-            fused_scores=fused,
         )
 
-    def update_target_docs(
-        self,
-        added_docs: Sequence[AttributeDoc] = (),
-        removed_refs: Sequence[AttributeRef] = (),
-    ) -> None:
-        """Evolve the target side in place: append/remove docs per retriever.
+    # -- schema drift ---------------------------------------------------------
 
-        Every retriever mutates its existing index (new postings / index
-        rows) instead of rebuilding from scratch; removed docs are addressed
-        by ref.  Target indices shift when docs are removed -- callers must
-        regenerate their candidate sets afterwards.
+    def replace_source_docs(self, source_docs: Sequence[AttributeDoc]) -> None:
+        """Swap the query-side docs after source-schema drift.
+
+        Source docs are queries, not index content, so no retriever state
+        needs rebuilding.
         """
-        removed = set(removed_refs)
-        if removed:
-            self.target_docs = [
-                doc for doc in self.target_docs if doc.ref not in removed
-            ]
-        self.target_docs.extend(added_docs)
-        for retriever in self.retrievers:
-            with self.stats.timer(f"update.{retriever.name}"):
-                retriever.update_docs(added_docs, removed)
+        self.source_docs = list(source_docs)
 
     def refresh(self) -> bool:
         """No-op kept for the end-to-end benchmark's span table, which

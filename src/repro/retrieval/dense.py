@@ -29,36 +29,13 @@ class DenseRetriever:
         stats: RetrievalStats | None = None,
     ) -> None:
         self.embeddings = embeddings
-        self.target_docs = list(target_docs)
         self.stats = stats or RetrievalStats()
         with self.stats.timer(f"build.{self.name}"):
             self._index = self.embeddings.phrase_matrix(
-                [list(doc.tokens) for doc in self.target_docs]
+                [list(doc.tokens) for doc in target_docs]
             )
         self.stats.index_builds += 1
 
     def score_matrix(self, queries: Sequence[AttributeDoc]) -> np.ndarray:
         query_matrix = self.embeddings.phrase_matrix([list(doc.tokens) for doc in queries])
         return query_matrix @ self._index.T
-
-    def update_docs(
-        self,
-        added_docs: Sequence[AttributeDoc],
-        removed_refs: set,
-    ) -> None:
-        """Mutate the index in place: drop rows of removed docs, encode and
-        append rows for added ones.  Only the added docs are encoded.
-        """
-        if removed_refs:
-            keep = [
-                i for i, doc in enumerate(self.target_docs)
-                if doc.ref not in removed_refs
-            ]
-            self.target_docs = [self.target_docs[i] for i in keep]
-            self._index = self._index[keep]
-        if added_docs:
-            self.target_docs.extend(added_docs)
-            added = self.embeddings.phrase_matrix(
-                [list(doc.tokens) for doc in added_docs]
-            )
-            self._index = np.concatenate([self._index, added.astype(self._index.dtype)])

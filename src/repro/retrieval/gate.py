@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..schema.model import AttributeRef
-from .base import CandidateGenerator, CandidateSets
+from .base import CandidateSets, FusedCandidateGenerator
 
 
 @dataclass
@@ -68,7 +68,7 @@ def candidate_recall(
         if s is None or t is None:
             continue
         report.num_truth += 1
-        if sets.contains(s, t):
+        if sets.rank_of(s, t) is not None:
             report.num_hit += 1
         else:
             report.missed.append((source, target))
@@ -104,7 +104,7 @@ def enforce_recall_gate(
 
 
 def minimal_full_recall_k(
-    generator: CandidateGenerator,
+    generator: FusedCandidateGenerator,
     ground_truth: Mapping[AttributeRef, AttributeRef],
     source_refs: Sequence[AttributeRef],
     target_refs: Sequence[AttributeRef],
@@ -131,7 +131,7 @@ def minimal_full_recall_k(
 
 
 def recall_curve(
-    generator: CandidateGenerator,
+    generator: FusedCandidateGenerator,
     ground_truth: Mapping[AttributeRef, AttributeRef],
     source_refs: Sequence[AttributeRef],
     target_refs: Sequence[AttributeRef],

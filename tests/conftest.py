@@ -142,6 +142,17 @@ def make_ground_truth() -> dict[AttributeRef, AttributeRef]:
     )
 
 
+def top_k_sets(store, keep_per_source: int, scores: np.ndarray) -> list[np.ndarray]:
+    """Per-source candidate sets: the ``keep_per_source`` best-scoring
+    targets of each source, ``scores`` aligned with the store's pairs."""
+    sets = []
+    for source_index in range(store.num_sources):
+        pair_ids = store.pairs_of_source_index(source_index)
+        order = np.argsort(-scores[pair_ids], kind="stable")[:keep_per_source]
+        sets.append(store.pair_target[pair_ids[order]])
+    return sets
+
+
 @pytest.fixture(scope="session")
 def source_schema() -> Schema:
     return make_source_schema()

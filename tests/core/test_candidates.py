@@ -6,6 +6,8 @@ import pytest
 from repro.core import NEGATIVE, POSITIVE, UNLABELED, CandidateStore
 from repro.schema import AttributeRef
 
+from ..conftest import top_k_sets
+
 
 @pytest.fixture()
 def store(source_schema, target_schema):
@@ -85,7 +87,7 @@ class TestLabels:
 class TestPruning:
     def test_prune_keeps_top_per_source(self, store, rng):
         scores = rng.random(store.num_pairs)
-        store.prune(3, scores)
+        store.apply_candidate_sets(top_k_sets(store, 3, scores))
         for source_index in range(store.num_sources):
             assert (store.pair_source == source_index).sum() == 3
 
@@ -96,25 +98,22 @@ class TestPruning:
         scores = np.zeros(store.num_pairs)
         scores[pair_id] = -1.0  # worst score: would be pruned if unlabeled
         store.set_positive(source, target)
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         assert store.pair_id(source, target) is not None
         assert store.matched_target_of(source) == target
 
     def test_prune_noop_when_keep_exceeds_targets(self, store, rng):
         before = store.num_pairs
-        store.prune(10_000, rng.random(store.num_pairs))
+        sets = top_k_sets(store, 10_000, rng.random(store.num_pairs))
+        assert store.apply_candidate_sets(sets) == (0, 0)
         assert store.num_pairs == before
-
-    def test_prune_score_shape_validated(self, store):
-        with pytest.raises(ValueError):
-            store.prune(3, np.zeros(3))
 
     def test_ensure_pair_restores_pruned_pair(self, store, rng):
         source = AttributeRef("Orders", "qty")
         target = AttributeRef("Brand", "brand_name")
         scores = rng.random(store.num_pairs)
         scores[store.pair_id(source, target)] = -10.0
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         assert store.pair_id(source, target) is None
         pair_id = store.ensure_pair(source, target)
         assert store.pair_id(source, target) == pair_id
@@ -125,7 +124,7 @@ class TestPruning:
         target = AttributeRef("Brand", "brand_name")
         scores = rng.random(store.num_pairs)
         scores[store.pair_id(source, target)] = -10.0
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         store.set_positive(source, target)  # must not raise
         assert store.matched_target_of(source) == target
 
@@ -136,7 +135,7 @@ class TestPruning:
         target = AttributeRef("Brand", "brand_name")
         scores = rng.random(store.num_pairs)
         scores[store.pair_id(source, target)] = -10.0
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         assert store.pair_id(source, target) is None  # really was pruned
         store.set_negative(source, target)
         pair_id = store.pair_id(source, target)
@@ -149,7 +148,7 @@ class TestPruning:
         target = AttributeRef("Brand", "brand_name")
         scores = rng.random(store.num_pairs)
         scores[store.pair_id(source, target)] = -10.0
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         store.set_negative(source, target)
         # A later pruning pass (e.g. post-drift regeneration) must keep it.
         store.apply_candidate_sets(
@@ -196,7 +195,9 @@ class TestLabelProvenance:
         source = AttributeRef("Orders", "qty")
         target = AttributeRef("Transaction", "tax_amount")
         store.set_negative(source, target)
-        store.prune(2, rng.random(store.num_pairs))
+        store.apply_candidate_sets(
+            top_k_sets(store, 2, rng.random(store.num_pairs))
+        )
         pair_id = store.pair_id(source, target)
         assert store.label_explicit[pair_id]
         assert pair_id in store.informative_ids()
@@ -223,7 +224,9 @@ class TestSourceGroups:
 
     def test_groups_invalidated_by_prune(self, store, rng):
         store.pairs_of_source_index(0)  # populate the cache
-        store.prune(3, rng.random(store.num_pairs))
+        store.apply_candidate_sets(
+            top_k_sets(store, 3, rng.random(store.num_pairs))
+        )
         self._assert_groups_consistent(store)
         assert store.pairs_of_source_index(0).size == 3
 
@@ -232,7 +235,7 @@ class TestSourceGroups:
         target = AttributeRef("Brand", "brand_name")
         scores = rng.random(store.num_pairs)
         scores[store.pair_id(source, target)] = -10.0
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         store.pairs_of_source_index(0)  # populate the cache
         pair_id = store.ensure_pair(source, target)
         self._assert_groups_consistent(store)
@@ -248,7 +251,9 @@ class TestSourceGroups:
             assert store.pairs_of_source_index(source_index).size == 3
 
     def test_groups_agree_with_flatnonzero(self, store, rng):
-        store.prune(4, rng.random(store.num_pairs))
+        store.apply_candidate_sets(
+            top_k_sets(store, 4, rng.random(store.num_pairs))
+        )
         for source_index in range(store.num_sources):
             expected = np.flatnonzero(store.pair_source == source_index)
             np.testing.assert_array_equal(

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.scoring import dtype_compatibility_mask
 from repro.featurizers.bert import BertFeaturizerConfig
-from repro.retrieval import FusedCandidateGenerator, RetrievalConfig
+from repro.retrieval import FusedCandidateGenerator
 from repro.schema import AttributeRef
 
 
@@ -64,21 +64,6 @@ class TestGeneratorPruning:
             source_schema, target_schema, config=_config(), artifacts=tiny_artifacts
         )
         assert matcher.generator is None
-        store = matcher.store
-        assert store.num_pairs == store.num_sources * store.num_targets
-        matcher.close()
-
-    def test_full_escape_hatch(self, source_schema, target_schema, tiny_artifacts):
-        """generator="full" keeps the Cartesian product even with blocking on."""
-        matcher = LearnedSchemaMatcher(
-            source_schema,
-            target_schema,
-            config=_config(
-                max_candidates_per_source=4,
-                retrieval=RetrievalConfig(generator="full"),
-            ),
-            artifacts=tiny_artifacts,
-        )
         store = matcher.store
         assert store.num_pairs == store.num_sources * store.num_targets
         matcher.close()

@@ -16,6 +16,8 @@ from repro.schema import (
 )
 from repro.schema.drift import apply_delta as apply_schema_delta
 
+from ..conftest import top_k_sets
+
 
 @pytest.fixture()
 def store(source_schema, target_schema):
@@ -66,7 +68,9 @@ class TestDtypeFilter:
     def test_mask_recomputed_after_ensure_pair(self, store, target_schema, rng):
         adjuster = ScoreAdjuster(store, target_schema, apply_entity_penalty=False)
         adjuster.adjust(np.ones(store.num_pairs))
-        store.prune(2, rng.random(store.num_pairs))
+        store.apply_candidate_sets(
+            top_k_sets(store, 2, rng.random(store.num_pairs))
+        )
         store.ensure_pair(
             AttributeRef("Orders", "qty"), AttributeRef("Brand", "brand_name")
         )
@@ -85,7 +89,9 @@ class TestDtypeFilter:
         before = store.num_pairs
 
         all_pairs = set(zip(store.pair_source.tolist(), store.pair_target.tolist()))
-        store.prune(store.num_targets - 1, rng.random(store.num_pairs))
+        store.apply_candidate_sets(
+            top_k_sets(store, store.num_targets - 1, rng.random(store.num_pairs))
+        )
         kept = set(zip(store.pair_source.tolist(), store.pair_target.tolist()))
         for source_index, target_index in sorted(all_pairs - kept):
             store.ensure_pair(
@@ -132,7 +138,10 @@ class TestDtypeMaskParity:
         source, target = random_schema("S", rng), random_schema("T", rng)
         store = CandidateStore(source, target)
         if seed % 2:  # a pruned, non-product pair layout
-            store.prune(max(store.num_targets // 2, 1), rng.random(store.num_pairs))
+            keep = max(store.num_targets // 2, 1)
+            store.apply_candidate_sets(
+                top_k_sets(store, keep, rng.random(store.num_pairs))
+            )
         adjuster = ScoreAdjuster(store, target, apply_entity_penalty=False)
         expected = reference_dtype_mask(store)
         np.testing.assert_array_equal(dtype_compatibility_mask(store), expected)

@@ -1,9 +1,9 @@
 """CandidateStore drift + staleness regression tests.
 
-Covers the cache layers that historically had no explicit invalidation:
+Covers the store state a schema delta must keep current:
 
-* the per-pair view cache (a renamed column's cached view kept its old
-  name until the store learned to drop the affected entries);
+* renamed columns' rows (they turn dirty, and their views read the new
+  name);
 * the batched pair-growth path (per-pair ``np.append`` chains silently
   promoted the ``intp``/``int8`` arrays and were O(n^2));
 * ``apply_delta``: the store-level incremental evolution contract.
@@ -22,7 +22,7 @@ from repro.schema import (
     apply_delta,
 )
 
-from ..conftest import make_source_schema, make_target_schema
+from ..conftest import make_source_schema, make_target_schema, top_k_sets
 
 
 def ref(text: str) -> AttributeRef:
@@ -35,48 +35,45 @@ def store() -> CandidateStore:
 
 
 class TestViewInvalidation:
-    def test_views_are_cached(self, store):
-        pair_id = store.pair_id(ref("Orders.qty"), ref("Transaction.quantity"))
-        assert store.view(pair_id) is store.view(pair_id)
-
     def test_invalidate_views_drops_only_named_pairs(self, store):
         a = store.pair_id(ref("Orders.qty"), ref("Transaction.quantity"))
         b = store.pair_id(ref("Orders.disc"), ref("Transaction.tax_amount"))
-        view_a, view_b = store.view(a), store.view(b)
-        assert store.invalidate_views([a]) == 1
-        assert store.view(a) is not view_a
-        assert store.view(b) is view_b
-        # Already-invalid entries are not double counted.
-        assert store.invalidate_views([a, a]) == 1
+        store.dirty[:] = False
+        store.invalidate_views([a, a])
+        assert np.flatnonzero(store.dirty).tolist() == [a]
+        assert not store.dirty[b]
 
     def test_invalidate_views_of_source(self, store):
         source = ref("Orders.qty")
-        pair_ids = store.pairs_of_source(source)
-        views = [store.view(int(i)) for i in pair_ids]
-        other = store.view(store.pair_id(ref("Item.ean"), ref("Brand.brand_id")))
-        assert store.invalidate_views_of_source(store.source_index(source)) == len(views)
-        assert store.view(store.pair_id(ref("Item.ean"), ref("Brand.brand_id"))) is other
+        store.dirty[:] = False
+        store.invalidate_views_of_source(store.source_index(source))
+        np.testing.assert_array_equal(
+            np.flatnonzero(store.dirty), np.sort(store.pairs_of_source(source))
+        )
 
     def test_rename_delta_rebuilds_views_with_new_name(self, store):
-        """Regression: cached views embed the attribute name at build time;
-        a rename without explicit invalidation kept scoring the old text."""
+        """A view read after a rename shows the new name, and the renamed
+        source's rows, and only those, turn dirty."""
         target = ref("Transaction.quantity")
         pair_id = store.pair_id(ref("Orders.qty"), target)
         assert store.view(pair_id).source_name == "qty"
+        store.dirty[:] = False
         evolved, effect = apply_delta(
             store.source_schema,
             SchemaDelta((RenameColumn(ref("Orders.qty"), "quantity_sold"),)),
         )
-        report = store.apply_delta(evolved, effect)
-        assert report.views_invalidated > 0
-        fresh = store.pair_id(ref("Orders.quantity_sold"), target)
+        store.apply_delta(evolved, effect)
+        renamed = ref("Orders.quantity_sold")
+        assert store.dirty.sum() == len(store.pairs_of_source(renamed)) > 0
+        assert store.dirty[store.pairs_of_source(renamed)].all()
+        fresh = store.pair_id(renamed, target)
         assert store.view(fresh).source_name == "quantity_sold"
 
 
 class TestBatchedGrowth:
     def test_ensure_pairs_single_growth_and_dtypes(self, store):
         scores = np.zeros(store.num_pairs)
-        store.prune(2, scores)
+        store.apply_candidate_sets(top_k_sets(store, 2, scores))
         missing = [
             (ref("Orders.qty"), ref("Transaction.tax_amount")),
             (ref("Orders.qty"), ref("Brand.brand_name")),

@@ -68,27 +68,3 @@ def test_score_matrix_equals_per_posting_reference(targets, queries):
     np.testing.assert_array_equal(got, expected)
     if queries:
         np.testing.assert_array_equal(retriever.score_matrix(queries), expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    targets=st.lists(DOC, min_size=2, max_size=10),
-    added=st.lists(DOC, max_size=4),
-    removed=st.sets(st.integers(0, 9), max_size=3),
-    queries=st.lists(DOC, min_size=1, max_size=4),
-)
-def test_updated_index_equals_reference(targets, added, removed, queries):
-    """In-place updates move the average doc length; the saturations must
-    follow, or the updated index drifts from the plain sum."""
-    targets = [
-        AttributeDoc(AttributeRef("T", f"t{i}"), d.name_tokens, d.description_tokens,
-                     d.entity_tokens, d.dtype_family, d.is_key)
-        for i, d in enumerate(targets)
-    ]
-    gone = {targets[i].ref for i in removed if i < len(targets) - 1}
-    retriever = SparseRetriever(targets)
-    retriever.update_docs(added, gone)
-    evolved = [doc for doc in targets if doc.ref not in gone] + list(added)
-    np.testing.assert_array_equal(
-        retriever.score_matrix(queries), reference_matrix(evolved, queries)
-    )

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.retrieval import (
+    AttributeDoc,
     DenseRetriever,
     RetrievalStats,
     docs_from_refs,
 )
+from repro.schema import AttributeRef, RenameColumn, SchemaDelta, apply_delta
+from repro.text.tokenize import split_identifier
+
+from ..conftest import make_target_schema
 
 
 @pytest.fixture()
@@ -61,3 +66,47 @@ class TestDenseRetriever:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         DenseRetriever(tiny_artifacts.embeddings, target_docs)
         assert not any(tmp_path.rglob("*.npz"))
+
+
+def _extra_doc(name="launch_window", entity="Transaction"):
+    return AttributeDoc(
+        ref=AttributeRef(entity, name),
+        name_tokens=tuple(split_identifier(name)),
+        description_tokens=("scheduled", "launch", "window"),
+        entity_tokens=tuple(split_identifier(entity)),
+        dtype_family="temporal",
+    )
+
+
+class TestStoreKeyStaleness:
+    """A retriever over changed docs encodes the changed docs: no index is
+    shared across doc sets."""
+
+    def test_mutated_schema_rebuilds_dense_index(self, tiny_artifacts):
+        schema = make_target_schema()
+        docs = docs_from_refs(schema, schema.attribute_refs())
+        stats = RetrievalStats()
+        original = DenseRetriever(tiny_artifacts.embeddings, docs, stats=stats)
+        assert stats.index_builds == 1
+
+        # Same artefacts -- but one column was renamed.
+        renamed = AttributeRef("Product", "product_name")
+        evolved, _ = apply_delta(
+            schema, SchemaDelta((RenameColumn(renamed, "title"),))
+        )
+        evolved_docs = docs_from_refs(evolved, evolved.attribute_refs())
+        rebuilt = DenseRetriever(tiny_artifacts.embeddings, evolved_docs, stats=stats)
+        assert stats.index_builds == 2
+        row = [doc.ref for doc in docs].index(renamed)
+        assert not np.array_equal(original._index[row], rebuilt._index[row])
+
+    def test_description_change_rebuilds_dense_index(self, tiny_artifacts):
+        schema = make_target_schema()
+        docs = docs_from_refs(schema, schema.attribute_refs())
+        stats = RetrievalStats()
+        original = DenseRetriever(tiny_artifacts.embeddings, docs, stats=stats)
+        mutated = list(docs)
+        mutated[0] = _extra_doc(name=docs[0].ref.attribute, entity=docs[0].ref.entity)
+        rebuilt = DenseRetriever(tiny_artifacts.embeddings, mutated, stats=stats)
+        assert stats.index_builds == 2
+        assert not np.array_equal(original._index[0], rebuilt._index[0])

@@ -5,10 +5,11 @@ import pytest
 
 from repro.retrieval import (
     AttributeDoc,
-    FullProductGenerator,
+    DenseRetriever,
     FusedCandidateGenerator,
     RetrievalConfig,
     RetrievalStats,
+    SparseRetriever,
     build_generator,
     docs_from_refs,
     rrf_fuse,
@@ -65,14 +66,6 @@ class TestFusion:
         assert list(np.argsort(-fused[0], kind="stable")) == [0, 1, 2]
 
 
-class TestFullProductGenerator:
-    def test_every_target_is_a_candidate(self):
-        generator = FullProductGenerator(num_sources=3, num_targets=5)
-        sets = generator.generate(k=2)  # k is ignored by the escape hatch
-        assert sets.num_sources == 3
-        assert sets.total_candidates() == 15
-
-
 class TestFusedCandidateGenerator:
     def test_topk_follows_fused_ranking(self):
         sources, targets = _docs(2, "s"), _docs(4, "t")
@@ -102,8 +95,6 @@ class TestFusedCandidateGenerator:
             sources, targets, [_StubRetriever("dense", matrix)]
         )
         sets = generator.generate(k=2)
-        assert sets.contains(0, 1)
-        assert not sets.contains(0, 3)
         assert sets.rank_of(0, 1) == 0
         assert sets.rank_of(0, 2) == 1
         assert sets.rank_of(0, 3) is None
@@ -119,6 +110,8 @@ class TestFusedCandidateGenerator:
         generator.generate(k=1)
         generator.generate(k=1)
         assert stats.generations == 2
+        generator.generate_for_sources([0], k=1)
+        assert stats.generations == 3
 
     def test_requires_a_retriever(self):
         with pytest.raises(ValueError):
@@ -131,11 +124,34 @@ class TestFusedCandidateGenerator:
         with pytest.raises(ValueError):
             generator.generate(k=0)
 
+    def test_generate_for_sources_matches_full_generate(
+        self, tiny_artifacts, source_schema, target_schema
+    ):
+        source_docs = docs_from_refs(source_schema, source_schema.attribute_refs())
+        target_docs = docs_from_refs(target_schema, target_schema.attribute_refs())
+        generator = FusedCandidateGenerator(
+            source_docs,
+            target_docs,
+            [
+                SparseRetriever(target_docs),
+                DenseRetriever(tiny_artifacts.embeddings, target_docs),
+            ],
+        )
+        full = generator.generate(k=3)
+        some = [0, 2, 5]
+        partial = generator.generate_for_sources(some, k=3)
+        assert partial.k == full.k
+        for row, source_index in enumerate(some):
+            np.testing.assert_array_equal(
+                partial.per_source[row], full.per_source[source_index]
+            )
+
 
 class TestRetrievalConfig:
     def test_rejects_unknown_generator(self):
-        with pytest.raises(ValueError):
-            RetrievalConfig(generator="magic")
+        # Fused retrieval is the only generator; there is no selector knob.
+        with pytest.raises(TypeError):
+            RetrievalConfig(generator="full")
 
     def test_rejects_unknown_fusion(self):
         # Reciprocal-rank fusion is the only fusion; there is no mode knob.
@@ -150,13 +166,6 @@ class TestBuildGenerator:
             docs_from_refs(source_schema, source_schema.attribute_refs()),
             docs_from_refs(target_schema, target_schema.attribute_refs()),
         )
-
-    def test_full_escape_hatch(self, docs):
-        source_docs, target_docs = docs
-        generator = build_generator(
-            source_docs, target_docs, RetrievalConfig(generator="full")
-        )
-        assert isinstance(generator, FullProductGenerator)
 
     def test_sparse_only(self, docs):
         source_docs, target_docs = docs
@@ -180,15 +189,24 @@ class TestBuildGenerator:
         )
         assert [r.name for r in generator.retrievers] == ["sparse"]
 
-    def test_nothing_available_degrades_to_full(self, docs):
+    def test_nothing_available_raises(self, docs):
+        """No usable retriever is a configuration error, not a silent
+        full product: without a candidate budget the matcher holds no
+        generator at all."""
         source_docs, target_docs = docs
-        generator = build_generator(
-            source_docs,
-            target_docs,
-            RetrievalConfig(use_dense=True, use_sparse=False),
-            embeddings=None,
-        )
-        assert isinstance(generator, FullProductGenerator)
+        with pytest.raises(ValueError):
+            build_generator(
+                source_docs,
+                target_docs,
+                RetrievalConfig(use_dense=True, use_sparse=False),
+                embeddings=None,
+            )
+        with pytest.raises(ValueError):
+            build_generator(
+                source_docs,
+                target_docs,
+                RetrievalConfig(use_dense=False, use_sparse=False),
+            )
 
     def test_dense_and_sparse(self, docs, tiny_artifacts):
         source_docs, target_docs = docs

@@ -21,6 +21,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## bit-exact) and the drift-parity suites (incremental drift == a fresh
 ## matcher on the evolved schema, with and without retrieval; a
 ## generate_for_sources slice == the matching rows of a full generate)
+## and the store-load suites (a warm load of the vertical's embeddings and
+## of the baselines' generic embeddings == the cold build, bit-exact)
 ## explicitly (they are part of tests/, the second run pins them even if
 ## testpaths change).
 ## Under `taskset -c 0` the engine's default worker count resolves to one,
@@ -43,7 +45,9 @@ parity:
 		tests/engine/test_batching.py::TestPlanTrainingChunks \
 		tests/lm/test_mlm.py::TestMlmStepBatches \
 		tests/core/test_drift_e2e.py::TestIncrementalParity \
-		tests/retrieval/test_generator.py::TestFusedCandidateGenerator::test_generate_for_sources_matches_full_generate
+		tests/retrieval/test_generator.py::TestFusedCandidateGenerator::test_generate_for_sources_matches_full_generate \
+		tests/core/test_config_artifacts.py::TestArtifacts::test_cache_round_trip \
+		tests/core/test_config_artifacts.py::TestArtifacts::test_generic_embeddings_warm_load_equals_cold_build
 
 ## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.

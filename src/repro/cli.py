@@ -57,6 +57,7 @@ import argparse
 
 from .core.artifacts import ArtifactConfig
 from .datasets import ALL_NAMES, load_dataset
+from .engine.batching import BUCKET_GRANULARITY, MICROBATCH_SIZE
 from .eval.experiments import (
     BASELINE_NAMES,
     evaluate_lsm_accuracy,
@@ -565,8 +566,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="threads per scoring plan (default: the CPUs this process may use)",
     )
-    engine.add_argument("--microbatch", type=int, default=64)
-    engine.add_argument("--bucket-granularity", type=int, default=8)
+    engine.add_argument("--microbatch", type=int, default=MICROBATCH_SIZE)
+    engine.add_argument("--bucket-granularity", type=int, default=BUCKET_GRANULARITY)
     engine.add_argument(
         "--fast", action="store_true", help="tiny artefacts for a quick smoke run"
     )

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..embeddings.ppmi import PpmiConfig, train_ppmi_embeddings
 from ..embeddings.subword import SubwordEmbeddings, SubwordVocab
-from ..embeddings.trainer import SkipGramConfig, train_subword_embeddings
 from ..lm.bert import MiniBert
 from ..lm.config import BertConfig
 from ..lm.mlm import pretrain_mlm
@@ -29,6 +28,11 @@ from ..schema.model import Schema
 from .. import store as cache
 from ..text.corpus import build_corpus
 from ..text.lexicon import SynonymLexicon
+
+#: MLM pre-training learning rate.
+MLM_LR = 5e-4
+#: MLM pre-training truncates corpus sentences to this many tokens.
+MLM_MAX_LENGTH = 24
 
 
 @dataclass
@@ -43,12 +47,6 @@ class ArtifactConfig:
     max_position: int = 64
     mlm_epochs: int = 2
     mlm_batch_size: int = 32
-    mlm_lr: float = 5e-4
-    mlm_max_length: int = 24
-    #: "ppmi_svd" (default; sample-efficient on the synthetic corpus) or
-    #: "skipgram" (the FastText-faithful trainer, needs a larger corpus).
-    embedding_method: str = "ppmi_svd"
-    embedding: SkipGramConfig = field(default_factory=SkipGramConfig)
     ppmi: PpmiConfig = field(default_factory=PpmiConfig)
     seed: int = 0
 
@@ -63,17 +61,12 @@ class ArtifactConfig:
         )
 
     def describe(self) -> dict:
+        """Every value the build reads, for the artefact content key."""
         payload = self.__dict__.copy()
-        payload["embedding"] = self.embedding.__dict__
-        payload["ppmi"] = self.ppmi.__dict__
+        payload["mlm_lr"] = MLM_LR
+        payload["mlm_max_length"] = MLM_MAX_LENGTH
+        payload["ppmi"] = self.ppmi.describe()
         return payload
-
-    def train_embeddings(self, corpus: list[list[str]]) -> SubwordEmbeddings:
-        if self.embedding_method == "ppmi_svd":
-            return train_ppmi_embeddings(corpus, config=self.ppmi)
-        if self.embedding_method == "skipgram":
-            return train_subword_embeddings(corpus, config=self.embedding)
-        raise ValueError(f"unknown embedding method: {self.embedding_method!r}")
 
 
 @dataclass
@@ -120,22 +113,14 @@ def build_artifacts(
             bert = MiniBert(config.bert_config(len(vocab)), seed=config.seed)
             load_state_dict(bert, bert_state)
             bert.eval()
-            subword_vocab = SubwordVocab(corpus)
-            word_row_weight = (
-                config.ppmi.word_row_weight
-                if config.embedding_method == "ppmi_svd"
-                else 0.5
-            )
             embeddings = SubwordEmbeddings(
-                subword_vocab,
-                embedding_state["input_table"],
-                word_row_weight=word_row_weight,
+                SubwordVocab(corpus), embedding_state["input_table"]
             )
 
     if vocab is None or bert is None or embeddings is None:
         vocab = build_vocab(corpus, target_size=config.vocab_size)
         tokenizer = WordPieceTokenizer(vocab)
-        embeddings = config.train_embeddings(corpus)
+        embeddings = train_ppmi_embeddings(corpus, config=config.ppmi)
         bert = MiniBert(config.bert_config(len(vocab)), seed=config.seed)
         initialize_token_embeddings(bert, vocab, embeddings)
         pretrain_mlm(
@@ -144,8 +129,8 @@ def build_artifacts(
             corpus,
             epochs=config.mlm_epochs,
             batch_size=config.mlm_batch_size,
-            lr=config.mlm_lr,
-            max_length=config.mlm_max_length,
+            lr=MLM_LR,
+            max_length=MLM_MAX_LENGTH,
             seed=config.seed,
             stats=mlm_stats,
         )
@@ -173,7 +158,7 @@ def initialize_token_embeddings(
 
     Real BERT arrives with distributionally meaningful token embeddings from
     web-scale pre-training; a randomly initialised MiniBERT does not.  This
-    transfers the PPMI/skip-gram geometry (including its synonym structure)
+    transfers the PPMI geometry (including its synonym structure)
     into the encoder before MLM pre-training refines it.  Rows are scaled to
     ``row_norm`` -- the typical norm of the original random init -- so
     optimisation dynamics stay unchanged.  Returns the number of rows seeded.

@@ -183,16 +183,16 @@ class CandidateStore:
             target_index=target_index.reshape(-1),
         )
 
-    def invalidate_views(self, pair_ids: Iterable[int]) -> None:
+    def mark_dirty(self, pair_ids: Iterable[int]) -> None:
         """Mark ``pair_ids`` dirty: their feature columns were scored from
         text that changed (a renamed or re-described column).
         :meth:`apply_delta` routes through here; so must any future
         mutator of attribute metadata."""
         self.dirty[np.fromiter(pair_ids, dtype=np.intp)] = True
 
-    def invalidate_views_of_source(self, source_index: int) -> None:
+    def mark_source_dirty(self, source_index: int) -> None:
         """Mark every pair of one source attribute dirty."""
-        self.invalidate_views(self.pairs_of_source_index(source_index))
+        self.mark_dirty(self.pairs_of_source_index(source_index))
 
     # -- feature columns ---------------------------------------------------------
 
@@ -435,7 +435,7 @@ class CandidateStore:
 
         # Renamed columns' rows were scored from the old name.
         for source_index in report.renamed_sources:
-            self.invalidate_views_of_source(source_index)
+            self.mark_source_dirty(source_index)
 
         if add_full_product and report.added_sources:
             added_sources = np.repeat(

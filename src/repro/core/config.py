@@ -17,9 +17,6 @@ class LsmConfig:
     ----------
     top_k:
         Number of matching suggestions per source attribute (paper: 3).
-    labels_per_iteration:
-        ``N``, the number of attributes the user labels per iteration
-        (paper: typically 1).
     selection_strategy:
         ``"least_confident_anchor"`` (the paper's smart strategy) or
         ``"random"``.
@@ -41,14 +38,15 @@ class LsmConfig:
         Which retrievers the candidate generator fuses (dense, sparse);
         see :class:`repro.retrieval.RetrievalConfig`.  Only consulted when
         ``max_candidates_per_source`` is set.
-    self_training_rounds / self_training_threshold:
-        Semi-supervised self-training schedule of the meta-learner.
+    self_training_rounds:
+        Self-training rounds of the meta-learner (0 fits on the labels
+        alone); its other settings are
+        :class:`~repro.core.meta.SelfTrainingClassifier` defaults.
     seed:
         Master seed; all stochastic components derive from it.
     """
 
     top_k: int = 3
-    labels_per_iteration: int = 1
     selection_strategy: str = "least_confident_anchor"
     use_bert: bool = True
     use_embedding: bool = True
@@ -59,9 +57,6 @@ class LsmConfig:
     max_candidates_per_source: int | None = None
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     self_training_rounds: int = 2
-    self_training_threshold: float = 0.9
-    meta_l2: float = 0.5
-    meta_prior_blend_full_at: int = 5
     bert: BertFeaturizerConfig = field(default_factory=BertFeaturizerConfig)
     #: Scoring-engine knobs (micro-batching and worker parallelism); see
     #: :class:`repro.engine.EngineConfig`.
@@ -77,11 +72,7 @@ class LsmConfig:
     def __post_init__(self) -> None:
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
-        if self.labels_per_iteration < 1:
-            raise ValueError("labels_per_iteration must be >= 1")
         if self.selection_strategy not in {"least_confident_anchor", "random"}:
             raise ValueError(f"unknown selection strategy: {self.selection_strategy}")
         if not (self.use_bert or self.use_embedding or self.use_lexical):
             raise ValueError("at least one featurizer must be enabled")
-        if not 0.5 < self.self_training_threshold <= 1.0:
-            raise ValueError("self_training_threshold must be in (0.5, 1]")

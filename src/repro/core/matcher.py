@@ -46,6 +46,9 @@ from .meta import SelfTrainingClassifier
 from .scoring import ScoreAdjuster
 from .selection import SelectionStrategy, make_strategy
 
+#: ``N``, the attributes the user labels per iteration (paper: typically 1).
+LABELS_PER_ITERATION = 1
+
 
 @dataclass
 class Predictions:
@@ -151,12 +154,7 @@ class LearnedSchemaMatcher:
                 anchor_set=anchor_set,
                 seed=self.config.seed,
             )
-            self.meta = SelfTrainingClassifier(
-                rounds=self.config.self_training_rounds,
-                confidence_threshold=self.config.self_training_threshold,
-                l2=self.config.meta_l2,
-                prior_blend_full_at=self.config.meta_prior_blend_full_at,
-            )
+            self.meta = SelfTrainingClassifier(rounds=self.config.self_training_rounds)
         self._iteration = 0
         self._labels_at_last_bert_update = 0
         self.last_predictions: Predictions | None = None
@@ -481,9 +479,10 @@ class LearnedSchemaMatcher:
 
     # -- active learning ----------------------------------------------------------
 
-    def select_attributes_to_label(self, n: int | None = None) -> list[AttributeRef]:
+    def select_attributes_to_label(
+        self, n: int = LABELS_PER_ITERATION
+    ) -> list[AttributeRef]:
         """Pick the next attributes for the user to map (Section IV-E2)."""
-        n = n if n is not None else self.config.labels_per_iteration
         confidences = (
             self.last_predictions.confidences if self.last_predictions else {}
         )

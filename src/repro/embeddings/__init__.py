@@ -1,4 +1,4 @@
-"""FastText-style subword embeddings trained from scratch."""
+"""FastText-style subword embeddings, trained from scratch by PPMI + SVD."""
 
 from .subword import (
     SubwordEmbeddings,
@@ -6,16 +6,13 @@ from .subword import (
     character_ngrams_of_word,
     fnv1a,
 )
-from .trainer import SkipGramConfig, train_subword_embeddings
 from .ppmi import PpmiConfig, train_ppmi_embeddings
 
 __all__ = [
     "PpmiConfig",
-    "SkipGramConfig",
     "train_ppmi_embeddings",
     "SubwordEmbeddings",
     "SubwordVocab",
     "character_ngrams_of_word",
     "fnv1a",
-    "train_subword_embeddings",
 ]

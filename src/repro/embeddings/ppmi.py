@@ -5,8 +5,7 @@ synonym geometry; on a synthetic corpus of a few thousand sentences the
 count-based classic -- positive pointwise mutual information with context
 distribution smoothing, factorised by a truncated SVD -- is far more sample
 efficient (Levy & Goldberg's "don't count, predict" rebuttal in miniature).
-This module therefore provides the default embedding trainer for the
-reproduction; the SGNS trainer remains available for comparison.
+This module therefore provides the reproduction's one embedding trainer.
 
 Subword handling: each hashed n-gram bucket receives the average vector of
 the in-vocabulary words containing it, so out-of-vocabulary words (unseen
@@ -16,16 +15,27 @@ abbreviations, concatenations) are composed from n-gram rows exactly as in
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .subword import SubwordEmbeddings, SubwordVocab
+from .subword import WORD_ROW_WEIGHT, SubwordEmbeddings, SubwordVocab
 
 if TYPE_CHECKING:  # scipy loads only in the functions that build matrices
     from scipy import sparse
+
+
+#: Co-occurrence window (tokens on each side, weighted 1 / distance).
+WINDOW = 4
+#: Context-distribution smoothing exponent.
+SMOOTHING = 0.75
+#: Subtracted from PMI before clipping (log k).
+SHIFT = 0.0
+#: Minimum corpus frequency of a vocabulary word.
+MIN_COUNT = 1
+#: Seed of the SVD's start vector.
+SEED = 0
 
 
 @dataclass(frozen=True)
@@ -33,12 +43,18 @@ class PpmiConfig:
     """Hyper-parameters of the PPMI-SVD trainer."""
 
     dim: int = 48
-    window: int = 4
-    smoothing: float = 0.75  # context-distribution smoothing exponent
-    shift: float = 0.0  # subtracted from PMI before clipping (log k)
-    min_count: int = 1
-    word_row_weight: float = 0.7
-    seed: int = 0
+
+    def describe(self) -> dict:
+        """Every value training reads, for the artefact content key."""
+        return {
+            "dim": self.dim,
+            "window": WINDOW,
+            "smoothing": SMOOTHING,
+            "shift": SHIFT,
+            "min_count": MIN_COUNT,
+            "word_row_weight": WORD_ROW_WEIGHT,
+            "seed": SEED,
+        }
 
 
 def _cooccurrence_counts(
@@ -102,16 +118,16 @@ def train_ppmi_embeddings(
     from scipy.sparse.linalg import svds
 
     if vocab is None:
-        vocab = SubwordVocab(corpus, min_count=config.min_count)
+        vocab = SubwordVocab(corpus, min_count=MIN_COUNT)
     if vocab.num_words < 3:
         raise ValueError("corpus too small for PPMI embeddings")
 
-    counts = _cooccurrence_counts(corpus, vocab, config.window)
-    ppmi = _ppmi(counts, config.smoothing, config.shift)
+    counts = _cooccurrence_counts(corpus, vocab, WINDOW)
+    ppmi = _ppmi(counts, SMOOTHING, SHIFT)
 
     k = min(config.dim, min(ppmi.shape) - 1)
     # svds needs float and a deterministic start vector for reproducibility.
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(SEED)
     v0 = rng.standard_normal(min(ppmi.shape))
     u, s, vt = svds(ppmi.astype(np.float64), k=k, v0=v0)
     order = np.argsort(-s)
@@ -143,6 +159,4 @@ def train_ppmi_embeddings(
     bucket_sums[nonzero] /= bucket_counts[nonzero, None]
     input_table[vocab.num_words : vocab.num_words + vocab.num_buckets] = bucket_sums
 
-    return SubwordEmbeddings(
-        vocab, input_table, word_row_weight=config.word_row_weight
-    )
+    return SubwordEmbeddings(vocab, input_table)

@@ -8,7 +8,7 @@ module reimplements that representation from scratch:
 * :class:`SubwordVocab` -- word vocabulary + hashed character-n-gram ids,
 * :class:`SubwordEmbeddings` -- the trained tables and vector/cosine queries.
 
-Training lives in :mod:`repro.embeddings.trainer`.
+Training lives in :mod:`repro.embeddings.ppmi`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,11 @@ import numpy as np
 #: FNV-1a offset/prime for the n-gram hash (FastText uses the same trick).
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+
+#: Share of a known word's vector taken from its own row; the rest is the
+#: mean of its n-gram rows.  Training and every store load read this one
+#: value, so a loaded table gives the vectors it was trained with.
+WORD_ROW_WEIGHT = 0.7
 
 
 def fnv1a(text: str) -> int:
@@ -119,7 +124,7 @@ class SubwordEmbeddings:
     """Trained subword embedding tables with vector and cosine queries.
 
     Word vectors blend the per-word row with the mean of the hashed n-gram
-    rows (``word_row_weight``), then remove the corpus-wide *common
+    rows (:data:`WORD_ROW_WEIGHT`), then remove the corpus-wide *common
     direction* (mean + top principal component of the in-vocabulary word
     vectors, the "all-but-the-top" post-processing).  On a small synthetic
     corpus the shared character n-grams otherwise dominate and every pair of
@@ -127,12 +132,7 @@ class SubwordEmbeddings:
     power.
     """
 
-    def __init__(
-        self,
-        vocab: SubwordVocab,
-        input_table: np.ndarray,
-        word_row_weight: float = 0.5,
-    ) -> None:
+    def __init__(self, vocab: SubwordVocab, input_table: np.ndarray) -> None:
         if input_table.shape[0] != vocab.num_rows:
             raise ValueError(
                 f"table has {input_table.shape[0]} rows, vocab expects {vocab.num_rows}"
@@ -141,7 +141,6 @@ class SubwordEmbeddings:
         self.input_table = input_table.astype(np.float32)
         # Padding row must stay zero so batched means are correct.
         self.input_table[vocab.padding_row].fill(0.0)
-        self.word_row_weight = word_row_weight
         self._word_vector_cache: dict[str, np.ndarray] = {}
         self._common_mean: np.ndarray | None = None
         self._common_direction: np.ndarray | None = None
@@ -158,8 +157,8 @@ class SubwordEmbeddings:
         if word_id is not None and len(ids) > 1:
             ngram_mean = self.input_table[ids[1:]].mean(axis=0)
             return (
-                self.word_row_weight * self.input_table[word_id]
-                + (1.0 - self.word_row_weight) * ngram_mean
+                WORD_ROW_WEIGHT * self.input_table[word_id]
+                + (1.0 - WORD_ROW_WEIGHT) * ngram_mean
             )
         return self.input_table[ids].mean(axis=0)
 

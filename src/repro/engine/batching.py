@@ -5,10 +5,14 @@ The monolithic scoring path pads every pair to the tokenizer's
 of the longest description in the schema (quadratic in sequence length).
 This module plans the batch layout instead:
 
-1. group rows by their *actual* token count, rounded up to a configurable
+1. group rows by their *actual* token count, rounded up to a multiple of
    ``bucket_granularity`` so near-equal lengths share a batch;
 2. within each bucket, cut rows into chunks of at most ``microbatch_size``,
    each padded to the bucket's length.
+
+:data:`MICROBATCH_SIZE` and :data:`BUCKET_GRANULARITY` are the defaults of
+every planner, of :class:`repro.engine.EngineConfig` and of the serving
+scheduler.
 
 The planners work on lengths alone.  :func:`plan_bucket_chunks` orders the
 chunks shortest-first for scoring; :func:`plan_training_chunks` shuffles
@@ -31,6 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from ..lm.tokenizer import EncodedPair, encoded_length, stack_encoded, trim_encoded
+
+#: Default maximum rows per micro-batch.
+MICROBATCH_SIZE = 64
+#: Default bucket width: padded lengths are rounded up to a multiple of it.
+BUCKET_GRANULARITY = 8
 
 
 @dataclass(frozen=True)
@@ -56,8 +65,8 @@ def bucket_key(length: int, granularity: int) -> int:
 
 def plan_bucket_chunks(
     lengths: Sequence[int],
-    microbatch_size: int = 64,
-    bucket_granularity: int = 8,
+    microbatch_size: int = MICROBATCH_SIZE,
+    bucket_granularity: int = BUCKET_GRANULARITY,
 ) -> list[tuple[int, list[int]]]:
     """The batch layout on *lengths* alone: ``(padded_length, indices)`` chunks.
 
@@ -87,8 +96,8 @@ def plan_bucket_chunks(
 
 def plan_microbatches(
     encoded: list[EncodedPair],
-    microbatch_size: int = 64,
-    bucket_granularity: int = 8,
+    microbatch_size: int = MICROBATCH_SIZE,
+    bucket_granularity: int = BUCKET_GRANULARITY,
 ) -> list[MicroBatch]:
     """Bucket-and-chunk ``encoded`` into an ordered list of micro-batches.
 

@@ -52,7 +52,14 @@ from .. import obs
 from ..lm.encode_plane import FINGERPRINT_BYTES
 from ..lm.tokenizer import EncodedPair
 from . import blas
-from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
+from .batching import (
+    BUCKET_GRANULARITY,
+    MICROBATCH_SIZE,
+    MicroBatch,
+    plan_bucket_chunks,
+    plan_microbatches,
+    plan_num_buckets,
+)
 from .stats import EngineStats
 from .trunks import TrunkStore
 
@@ -82,8 +89,8 @@ class EngineConfig:
         to :func:`default_workers`.  0 and 1 score in-process.
     """
 
-    microbatch_size: int = 64
-    bucket_granularity: int = 8
+    microbatch_size: int = MICROBATCH_SIZE
+    bucket_granularity: int = BUCKET_GRANULARITY
     n_workers: int = field(default_factory=default_workers)
 
     def __post_init__(self) -> None:

@@ -97,9 +97,7 @@ def generic_embeddings_for(task: MatchingTask):
         if stored is not None:
             from ..embeddings.subword import SubwordEmbeddings, SubwordVocab
 
-            embeddings = SubwordEmbeddings(
-                SubwordVocab(corpus), stored["input_table"], word_row_weight=0.7
-            )
+            embeddings = SubwordEmbeddings(SubwordVocab(corpus), stored["input_table"])
         else:
             embeddings = train_ppmi_embeddings(corpus)
             cache.save_arrays(

@@ -386,47 +386,53 @@ def generate_pretraining_samples(
     return samples
 
 
+#: Hidden width of the matching classifier's channel path.
+CLASSIFIER_SIZE = 32
+#: Adam learning rate of pretraining and of label updates.
+LR = 1e-3
+#: Learning-rate multiplier for the classifier's high-dimensional channel
+#: path.  The scalar-cosine path and the encoder learn at :data:`LR`; the
+#: wide path learns slower so it cannot overfit the (small) schema-only
+#: pre-training set and corrupt the similarity ranking.
+CHANNEL_LR_SCALE = 0.1
+#: Loss weight of a human-labeled sample; ISS samples weigh 1.
+HUMAN_SAMPLE_WEIGHT = 8.0
+#: Each human-labeled pair is replicated this many times in the update
+#: training set, so a lone label is actually present in most mini-batches
+#: instead of being drowned by the ISS regulariser samples.
+HUMAN_OVERSAMPLE = 4
+#: Global gradient-norm clip of every training step.
+MAX_GRAD_NORM = 1.0
+#: Corrupted negatives generated per pre-training positive.
+NEGATIVES_PER_POSITIVE = 1
+
+
 @dataclass
 class BertFeaturizerConfig:
     """Training/runtime knobs of the BERT featurizer."""
 
     max_length: int = 32
-    classifier_size: int = 32
     pretrain_epochs: int = 2
     update_epochs: int = 2
     batch_size: int = 64
-    lr: float = 1e-3
-    #: Learning-rate multiplier for the classifier's high-dimensional channel
-    #: path.  The scalar-cosine path and the encoder learn at ``lr``; the
-    #: wide path learns slower so it cannot overfit the (small) schema-only
-    #: pre-training set and corrupt the similarity ranking.
-    channel_lr_scale: float = 0.1
-    human_sample_weight: float = 8.0
-    #: Each human-labeled pair is replicated this many times in the update
-    #: training set, so a lone label is actually present in most mini-batches
-    #: instead of being drowned by the ISS regulariser samples.
-    human_oversample: int = 4
     iss_subsample_per_update: int = 192
-    max_grad_norm: float = 1.0
-    negatives_per_positive: int = 1
-    #: Bound on cached attribute token arrays in the plane's token store.
-    token_cache_capacity: int = 65536
     seed: int = 0
 
 
-#: The :class:`BertFeaturizerConfig` fields :meth:`BertFeaturizer.pretrain`
-#: reads (sample generation, the scalar-path-only training pass and the
-#: classifier's shape and seed); the pretrained-block key hashes only these.
-PRETRAIN_KEY_FIELDS = (
-    "max_length",
-    "classifier_size",
-    "pretrain_epochs",
-    "batch_size",
-    "lr",
-    "max_grad_norm",
-    "negatives_per_positive",
-    "seed",
-)
+def pretrain_key_payload(config: BertFeaturizerConfig) -> dict:
+    """Every value :meth:`BertFeaturizer.pretrain` reads (sample generation,
+    the scalar-path-only training pass and the classifier's shape and seed);
+    the pretrained-block key hashes only these."""
+    return {
+        "max_length": config.max_length,
+        "classifier_size": CLASSIFIER_SIZE,
+        "pretrain_epochs": config.pretrain_epochs,
+        "batch_size": config.batch_size,
+        "lr": LR,
+        "max_grad_norm": MAX_GRAD_NORM,
+        "negatives_per_positive": NEGATIVES_PER_POSITIVE,
+        "seed": config.seed,
+    }
 
 
 class BertFeaturizer:
@@ -454,7 +460,7 @@ class BertFeaturizer:
         self._reseed_dropout()
         rng = np.random.default_rng(self.config.seed)
         self.classifier = MatchingClassifier(
-            model.config.hidden_size, self.config.classifier_size, rng
+            model.config.hidden_size, CLASSIFIER_SIZE, rng
         )
         self._rng = np.random.default_rng(self.config.seed + 1)
         self._iss_samples: list[TrainingSample] = []
@@ -462,11 +468,7 @@ class BertFeaturizer:
         #: All encoding goes through the vectorized encode plane: attribute
         #: token caching, per-attribute id tables, and batch assembly
         #: gathered from them (see :mod:`repro.lm.encode_plane`).
-        self.encode_plane = EncodePlane(
-            tokenizer,
-            max_length=self.config.max_length,
-            token_cache_capacity=self.config.token_cache_capacity,
-        )
+        self.encode_plane = EncodePlane(tokenizer, max_length=self.config.max_length)
         #: The label updates' Adam optimisers, created by the first update and
         #: reused by every later one (moment estimates and step counts).
         self._warm_optimizers: list[Adam] | None = None
@@ -504,7 +506,7 @@ class BertFeaturizer:
         """``(distinct, rows)``: the distinct samples' halves and each sample's row.
 
         Equal samples share one row, in first-appearance order (human
-        samples repeat ``human_oversample`` times); the distinct samples are
+        samples repeat :data:`HUMAN_OVERSAMPLE` times); the distinct samples are
         encoded in one :meth:`EncodePlane.batch_halves_for_words` call, whose
         token store already holds every word sequence seen before.
         """
@@ -651,7 +653,7 @@ class BertFeaturizer:
                 cosines[chunk] = features[:, :num_scalars]
         scalar_path = classifier.scalar_path
         parameters = scalar_path.parameters("classifier.scalar_path.")
-        optimizer = Adam(parameters, lr=self.config.lr)
+        optimizer = Adam(parameters, lr=LR)
         stats.cold_starts += 1
         channel_logit = classifier.output.bias.value[0]
         losses: list[float] = []
@@ -662,7 +664,7 @@ class BertFeaturizer:
             )
             optimizer.zero_grad()
             scalar_path.backward(grad_logits[:, None])
-            clip_gradients(parameters, self.config.max_grad_norm)
+            clip_gradients(parameters, MAX_GRAD_NORM)
             optimizer.step()
             losses.append(loss)
         return losses
@@ -696,8 +698,8 @@ class BertFeaturizer:
         parameters = {**fast_parameters, **channel_parameters}
         if self._warm_optimizers is None:
             self._warm_optimizers = [
-                Adam(fast_parameters, lr=self.config.lr),
-                Adam(channel_parameters, lr=self.config.lr * self.config.channel_lr_scale),
+                Adam(fast_parameters, lr=LR),
+                Adam(channel_parameters, lr=LR * CHANNEL_LR_SCALE),
             ]
             stats.cold_starts += 1
         else:
@@ -725,7 +727,7 @@ class BertFeaturizer:
                 grad_features = self.classifier.backward(grad_logits)
                 self._backward_features(grad_features, cache)
             with stats.timer("optim"):
-                clip_gradients(parameters, self.config.max_grad_norm)
+                clip_gradients(parameters, MAX_GRAD_NORM)
                 for optimizer in optimizers:
                     optimizer.step()
             losses.append(loss)
@@ -794,7 +796,7 @@ class BertFeaturizer:
             self._iss_samples = generate_pretraining_samples(
                 target_schema,
                 self._rng,
-                self.config.negatives_per_positive,
+                NEGATIVES_PER_POSITIVE,
                 lexicon=lexicon,
             )
             span.set(samples=len(self._iss_samples))
@@ -804,7 +806,7 @@ class BertFeaturizer:
                     "bert-featurizer-pretrain-v2",
                     cache_key,
                     target_schema.name,
-                    {name: getattr(self.config, name) for name in PRETRAIN_KEY_FIELDS},
+                    pretrain_key_payload(self.config),
                 )
                 stored = disk_cache.load_arrays("bert-pretrain", full_key)
             span.set(cached=stored is not None)
@@ -830,7 +832,7 @@ class BertFeaturizer:
     ) -> None:
         """Fold the human labels collected so far into the classifier.
 
-        Human samples carry ``human_sample_weight``; a random subsample of
+        Human samples carry :data:`HUMAN_SAMPLE_WEIGHT`; a random subsample of
         the ISS pre-training set is mixed in as a regulariser so the
         classifier does not forget the per-vertical prior (§VI-B).
 
@@ -851,16 +853,14 @@ class BertFeaturizer:
                     name_and_description_tokens(pair.target_name, pair.target_description)
                 ),
                 int(label),
-                self.config.human_sample_weight,
+                HUMAN_SAMPLE_WEIGHT,
                 "human",
             )
             for pair, label in zip(labeled_pairs, labels)
         ]
         if not self._human_samples:
             return
-        mixed: list[TrainingSample] = list(self._human_samples) * max(
-            1, self.config.human_oversample
-        )
+        mixed: list[TrainingSample] = list(self._human_samples) * HUMAN_OVERSAMPLE
         if self._iss_samples:
             budget = min(self.config.iss_subsample_per_update, len(self._iss_samples))
             chosen = self._rng.choice(len(self._iss_samples), size=budget, replace=False)

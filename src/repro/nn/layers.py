@@ -1,7 +1,7 @@
 """Minimal neural-network layer library on numpy.
 
 The reproduction cannot ship PyTorch/transformers, so every trainable model
-(MiniBERT, the matching classifier, skip-gram) is built on this hand-rolled
+(MiniBERT and the matching classifier) is built on this hand-rolled
 substrate.  Design decisions:
 
 * **Explicit forward/backward.** No autograd tape; each layer caches what its

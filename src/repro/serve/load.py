@@ -221,9 +221,7 @@ class ReplayResult:
     metrics: dict[str, object] = field(default_factory=dict)
 
 
-def replay_sequential(
-    script: LoadScript, microbatch_size: int = 64, bucket_granularity: int = 8
-) -> ReplayResult:
+def replay_sequential(script: LoadScript) -> ReplayResult:
     """Per-session sequential baseline: plan + score each request alone."""
     stacks = {
         tenant: build_tenant_stack(script, tenant)
@@ -238,11 +236,7 @@ def replay_sequential(
             continue
         model, classifier, special_ids = stacks[event.tenant]
         pairs = request_pairs(script, event)
-        plan = plan_microbatches(
-            pairs,
-            microbatch_size=microbatch_size,
-            bucket_granularity=bucket_granularity,
-        )
+        plan = plan_microbatches(pairs)
         flat = np.empty(len(pairs), dtype=np.float64)
         for microbatch in plan:
             batch_scores = score_encoded_batch(

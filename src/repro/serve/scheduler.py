@@ -103,8 +103,6 @@ class CoalescingScheduler:
         target_batch_pairs: int = 128,
         max_batch_pairs: int = 1024,
         max_queue_per_session: int = 32,
-        microbatch_size: int = 64,
-        bucket_granularity: int = 8,
     ) -> None:
         if max_wait_s < 0:
             raise ValueError("max_wait_s must be >= 0")
@@ -112,18 +110,10 @@ class CoalescingScheduler:
             raise ValueError("need 1 <= target_batch_pairs <= max_batch_pairs")
         if max_queue_per_session < 1:
             raise ValueError("max_queue_per_session must be >= 1")
-        # Checked here, not at the first drain: a bad value would otherwise
-        # raise inside the service's scheduler task and strand every future.
-        if microbatch_size < 1:
-            raise ValueError("microbatch_size must be >= 1")
-        if bucket_granularity < 1:
-            raise ValueError("bucket_granularity must be >= 1")
         self.max_wait_s = max_wait_s
         self.target_batch_pairs = target_batch_pairs
         self.max_batch_pairs = max_batch_pairs
         self.max_queue_per_session = max_queue_per_session
-        self.microbatch_size = microbatch_size
-        self.bucket_granularity = bucket_granularity
         self._next_request_id = 1
         #: Pending requests per model key, in submission (FIFO) order.
         self._pending: dict[str, deque[ScoreRequest]] = {}
@@ -290,11 +280,7 @@ class CoalescingScheduler:
         if not queue:
             del self._pending[model_key]
         concatenated = [pair for request in taken for pair in request.pairs]
-        plan = plan_microbatches(
-            concatenated,
-            microbatch_size=self.microbatch_size,
-            bucket_granularity=self.bucket_granularity,
-        )
+        plan = plan_microbatches(concatenated)
         return CoalescedBatch(
             model_key=model_key,
             requests=tuple(taken),

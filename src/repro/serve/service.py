@@ -161,11 +161,6 @@ class ServeConfig:
     target_batch_pairs: int = 128
     #: Hard cap of pairs drained into one coalesced batch.
     max_batch_pairs: int = 1024
-    microbatch_size: int = 64
-    bucket_granularity: int = 8
-    #: Resident (tenant, version) snapshots kept side-by-side (soft bound:
-    #: pinned and latest versions are never evicted).
-    residency_capacity: int = 4
 
     def __post_init__(self) -> None:
         if self.max_wait_s < 0:
@@ -193,14 +188,12 @@ class ServeService:
         self.clock = clock
         self.backend = backend or InProcessBackend()
         self.stats = ServeStats()
-        self.residency = ModelResidency(capacity=self.config.residency_capacity)
+        self.residency = ModelResidency()
         self.scheduler = CoalescingScheduler(
             max_wait_s=self.config.max_wait_s,
             target_batch_pairs=self.config.target_batch_pairs,
             max_batch_pairs=self.config.max_batch_pairs,
             max_queue_per_session=self.config.max_inflight_per_session,
-            microbatch_size=self.config.microbatch_size,
-            bucket_granularity=self.config.bucket_granularity,
         )
         self.admission = AdmissionController(
             self.config.max_sessions, self.config.max_inflight_per_session

@@ -10,7 +10,7 @@ same thing.  :class:`SynonymLexicon` packages that primitive:
 
 * the S-MATCH baseline queries it directly (WordNet substitute),
 * the corpus generator (:mod:`repro.text.corpus`) emits co-occurrence
-  sentences from it so the from-scratch skip-gram embeddings and MiniBERT
+  sentences from it so the from-scratch subword embeddings and MiniBERT
   *learn* the synonymy distributionally -- mirroring how the real FastText /
   BERT acquired it from the web,
 * the customer-schema generators use it to *create* the

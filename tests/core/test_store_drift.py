@@ -39,14 +39,14 @@ class TestViewInvalidation:
         a = store.pair_id(ref("Orders.qty"), ref("Transaction.quantity"))
         b = store.pair_id(ref("Orders.disc"), ref("Transaction.tax_amount"))
         store.dirty[:] = False
-        store.invalidate_views([a, a])
+        store.mark_dirty([a, a])
         assert np.flatnonzero(store.dirty).tolist() == [a]
         assert not store.dirty[b]
 
     def test_invalidate_views_of_source(self, store):
         source = ref("Orders.qty")
         store.dirty[:] = False
-        store.invalidate_views_of_source(store.source_index(source))
+        store.mark_source_dirty(store.source_index(source))
         np.testing.assert_array_equal(
             np.flatnonzero(store.dirty), np.sort(store.pairs_of_source(source))
         )

@@ -1,14 +1,9 @@
-"""Tests for the skip-gram and PPMI-SVD embedding trainers."""
+"""Tests for the PPMI-SVD embedding trainer."""
 
 import numpy as np
 import pytest
 
-from repro.embeddings import (
-    PpmiConfig,
-    SkipGramConfig,
-    train_ppmi_embeddings,
-    train_subword_embeddings,
-)
+from repro.embeddings import PpmiConfig, train_ppmi_embeddings
 
 
 def synonym_corpus():
@@ -32,14 +27,14 @@ def synonym_corpus():
 class TestPpmiTrainer:
     def test_synonym_geometry(self):
         embeddings = train_ppmi_embeddings(
-            synonym_corpus(), config=PpmiConfig(dim=8, window=2)
+            synonym_corpus(), config=PpmiConfig(dim=8)
         )
         same_group = embeddings.similarity(["alpha"], ["beta"])
         cross_group = embeddings.similarity(["alpha"], ["delta"])
         assert same_group > cross_group
 
     def test_deterministic(self):
-        config = PpmiConfig(dim=8, seed=3)
+        config = PpmiConfig(dim=8)
         a = train_ppmi_embeddings(synonym_corpus(), config=config)
         b = train_ppmi_embeddings(synonym_corpus(), config=config)
         assert np.allclose(a.input_table, b.input_table)
@@ -53,22 +48,8 @@ class TestPpmiTrainer:
         embeddings = train_ppmi_embeddings(corpus, config=PpmiConfig(dim=16))
         assert embeddings.dim == 16
 
-
-class TestSkipGramTrainer:
-    def test_trains_and_separates_groups(self):
-        config = SkipGramConfig(dim=16, epochs=20, window=2, seed=0)
-        embeddings = train_subword_embeddings(synonym_corpus(), config=config)
-        same_group = embeddings.similarity(["alpha"], ["beta"])
-        cross_group = embeddings.similarity(["alpha"], ["delta"])
-        assert same_group > cross_group
-
     def test_padding_row_stays_zero(self):
-        config = SkipGramConfig(dim=8, epochs=2, seed=0)
-        embeddings = train_subword_embeddings(synonym_corpus(), config=config)
+        embeddings = train_ppmi_embeddings(synonym_corpus(), config=PpmiConfig(dim=8))
         assert np.allclose(
             embeddings.input_table[embeddings.vocab.padding_row], 0.0
         )
-
-    def test_rejects_empty_corpus(self):
-        with pytest.raises(ValueError):
-            train_subword_embeddings([[]], config=SkipGramConfig(epochs=1))

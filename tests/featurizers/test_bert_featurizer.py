@@ -15,7 +15,13 @@ from repro.featurizers import (
     make_pair_view,
 )
 from repro.core.artifacts import build_artifacts
-from repro.featurizers.bert import activate_channel_path
+from repro.featurizers import bert as bert_module
+from repro.featurizers.bert import (
+    LR,
+    MAX_GRAD_NORM,
+    NEGATIVES_PER_POSITIVE,
+    activate_channel_path,
+)
 from repro.nn import TrainStats, inference_scope
 from repro.nn.layers import Dropout
 from repro.nn.losses import binary_cross_entropy_with_logits
@@ -257,9 +263,9 @@ class TestPretrainCache:
         "change, reused",
         [
             ({"update_epochs": 3}, True),
-            ({"human_sample_weight": 2.0}, True),
+            ({"iss_subsample_per_update": 64}, True),
             ({"pretrain_epochs": 2}, False),
-            ({"lr": 5e-4}, False),
+            ({"batch_size": 8}, False),
         ],
     )
     def test_key_covers_only_pretraining_fields(
@@ -272,6 +278,17 @@ class TestPretrainCache:
         )
         changed.close()
         assert (changed.train_stats.steps == 0) == reused
+
+    def test_key_covers_pretraining_constants(
+        self, tiny_artifacts, target_schema, tmp_path, monkeypatch
+    ):
+        """Editing a module constant pretraining reads refits the block."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        self.pretrained(tiny_artifacts, target_schema).close()
+        monkeypatch.setattr(bert_module, "LR", bert_module.LR / 2)
+        changed = self.pretrained(tiny_artifacts, target_schema)
+        changed.close()
+        assert changed.train_stats.steps > 0
 
 
 class CountingGenerator:
@@ -293,14 +310,14 @@ def reference_pretrain(featurizer, schema):
     backward with only the scalar path stepped."""
     config = featurizer.config
     rng = featurizer._rng  # noqa: SLF001
-    samples = generate_pretraining_samples(schema, rng, config.negatives_per_positive)
+    samples = generate_pretraining_samples(schema, rng, NEGATIVES_PER_POSITIVE)
     rows = sample_rows(featurizer.tokenizer, samples, config.max_length)
     labels = np.asarray([sample.label for sample in samples], dtype=np.float32)
     weights = np.asarray([sample.weight for sample in samples], dtype=np.float32)
     special_ids = sorted(featurizer.tokenizer.vocab.special_ids())
     classifier = featurizer.classifier
     parameters = classifier.scalar_path.parameters("classifier.scalar_path.")
-    optimizer = Adam(parameters, lr=config.lr)
+    optimizer = Adam(parameters, lr=LR)
     losses = []
     for _padded, index, batch in reference_steps(
         rows, config.pretrain_epochs, config.batch_size, rng
@@ -313,7 +330,7 @@ def reference_pretrain(featurizer, schema):
         )
         optimizer.zero_grad()
         classifier.backward(grad_logits)
-        clip_gradients(parameters, config.max_grad_norm)
+        clip_gradients(parameters, MAX_GRAD_NORM)
         optimizer.step()
         losses.append(loss)
     return losses

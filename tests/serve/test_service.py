@@ -338,13 +338,6 @@ class TestLifecycle:
         assert service.residency.resident_keys() == []
         assert service.residency.resident_bytes() == 0
 
-    @pytest.mark.parametrize("field", ["microbatch_size", "bucket_granularity"])
-    def test_invalid_plan_knob_rejected_at_construction(self, field):
-        # A 0 that reached the first drain would raise inside the scheduler
-        # task and leave every submit() waiting forever.
-        with pytest.raises(ValueError, match=field):
-            ServeService(small_config(**{field: 0}))
-
     def test_submit_before_start_raises(self, tenant_stack):
         service = ServeService(small_config())
         service.register_tenant("t0", *tenant_stack)

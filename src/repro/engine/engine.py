@@ -32,9 +32,9 @@ also empties the trunk store.  The threads read the live weights, so no
 copy or publish follows an update.
 
 The matcher keeps each pair's score in the candidate store's BERT column
-and hands the engine only new, re-added or invalidated rows; the rows it
-serves from its column are counted here through
-:meth:`ScoringEngine.count_reused`.
+and hands the engine only new, re-added or invalidated rows, and after an
+update only the live ones; the current rows it serves from its column are
+counted here through :meth:`ScoringEngine.count_reused`.
 """
 
 from __future__ import annotations
@@ -149,9 +149,10 @@ class ScoringEngine:
 
         ``top_only`` says that only the encoder's top block, its pooler and
         the classifier moved, as in a label update.  Stored trunk outputs
-        stay valid then, and the next :meth:`score_halves` -- the full-column
-        rescore -- reads them, stores the rows it misses and drops the
-        entries it did not request.  Any other change empties the store.
+        stay valid then, and the next :meth:`score_halves` -- the rescore of
+        the matcher's live rows -- reads them, stores the rows it misses and
+        drops the entries it did not request.  Any other change empties the
+        store.
         """
         self._version += 1
         self._scores.clear()
@@ -165,8 +166,11 @@ class ScoringEngine:
         """Count pairs a caller served from scores this engine produced.
 
         The matcher keeps every scored pair in the candidate store's BERT
-        column and passes only dirty rows; its clean rows still count as
-        requested and skipped, as if they had hit the fingerprint cache.
+        column and passes only the rows it must rescore; its other rows
+        whose value is current still count as requested and skipped, as if
+        they had hit the fingerprint cache.  Rows it leaves stale (a
+        matched source's implied negatives after an update) count as
+        neither.
         """
         self.stats.pairs_requested += count
         self.stats.pairs_skipped += count
@@ -358,7 +362,7 @@ class ScoringEngine:
         return scores
 
     def _plan_trunks(self, fingerprints, rows, lengths, chunks):
-        """The trunk store's jobs for a full-column rescore's plan.
+        """The trunk store's jobs for the plan of the rescore after an update.
 
         Entries this call does not request are dropped first.  Rows the
         byte cap refuses run the full forward like any miss, and a pass

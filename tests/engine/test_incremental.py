@@ -98,7 +98,7 @@ class TestMatcherIncrementalRescoring:
                 t for t, _ in cold_predictions.suggestions[ref]
             ]
 
-    def test_update_marks_everything_dirty(
+    def test_update_rescores_only_live_rows(
         self, tiny_artifacts, source_schema, target_schema, ground_truth
     ):
         config = LsmConfig(
@@ -111,10 +111,17 @@ class TestMatcherIncrementalRescoring:
             matcher.predict()
             num_pairs = matcher.store.num_pairs
             source, target = next(iter(ground_truth.items()))
+            siblings = matcher.store.pairs_of_source(source).size
             matcher.record_match(source, target)
-            matcher.predict()  # triggers a BERT update -> full re-score
-            assert stats.pairs_scored == 2 * num_pairs
+            requested = stats.pairs_requested
+            matcher.predict()  # triggers a BERT update
             assert stats.invalidations >= 2  # pretrain + label update
+            # Every other source's rows plus the positive rescore; the
+            # matched source's implied negatives stay frozen.
+            live = num_pairs - siblings + 1
+            assert stats.pairs_scored == num_pairs + live
+            # Frozen rows count as neither requested nor skipped.
+            assert stats.pairs_requested - requested == live
         finally:
             matcher.close()
 

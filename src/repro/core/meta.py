@@ -52,7 +52,11 @@ def fit_logistic(
     similarity scores, so a negative weight can only arise from small-sample
     artefacts (e.g. a labeled source whose lexically identical candidate is
     a non-match); projection keeps the combined score monotone in each
-    featurizer.
+    featurizer.  Once the bound is active, a weight held at zero whose
+    gradient still pushes it below sits out the Newton system, and the
+    projected step is halved until the loss does not rise: the plain
+    projected step can cycle between two points up to ``max_iterations``.
+    While the bound is inactive the iterates are plain Newton steps.
     """
     if features.ndim != 2:
         raise ValueError("features must be 2-D")
@@ -76,17 +80,43 @@ def fit_logistic(
     beta = np.zeros(num_features + 1)
     ridge = l2 * np.eye(num_features + 1)
     ridge[-1, -1] = 0.0  # do not penalise the bias
-    for _ in range(max_iterations):
+
+    def loss(beta: np.ndarray) -> float:
+        logits = design @ beta
+        return float(
+            balance @ (np.logaddexp(0.0, logits) - labels * logits)
+            + 0.5 * beta @ ridge @ beta
+        )
+
+    for iteration in range(max_iterations):
         probabilities = sigmoid(design @ beta)
         gradient = design.T @ (balance * (probabilities - labels)) + ridge @ beta
         curvature = balance * probabilities * (1.0 - probabilities)
         hessian = design.T @ (design * curvature[:, None]) + ridge
         hessian += 1e-9 * np.eye(num_features + 1)
-        step = np.linalg.solve(hessian, gradient)
-        beta = beta - step
-        if nonnegative:
+        held = np.zeros(num_features + 1, dtype=bool)
+        if nonnegative and iteration > 0:
+            held[:-1] = (beta[:-1] == 0.0) & (gradient[:-1] > 0.0)
+        free = ~held
+        step = np.zeros(num_features + 1)
+        step[free] = np.linalg.solve(hessian[np.ix_(free, free)], gradient[free])
+        proposed = beta - step
+        if not nonnegative or not (held.any() or (proposed[:-1] < 0.0).any()):
+            beta = proposed
+            if float(np.abs(step).max()) < tolerance:
+                break
+            continue
+        # The bound is active: shorten the projected step until the loss
+        # does not rise, and stop once the projected iterate stops moving.
+        start, start_loss = beta, loss(beta)
+        scale = 1.0
+        while True:
+            beta = start - scale * step
             beta[:-1] = np.maximum(beta[:-1], 0.0)
-        if float(np.abs(step).max()) < tolerance:
+            if scale < 1e-6 or loss(beta) <= start_loss:
+                break
+            scale *= 0.5
+        if float(np.abs(beta - start).max()) < tolerance:
             break
     return LogisticModel(weights=beta)
 

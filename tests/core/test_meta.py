@@ -55,6 +55,49 @@ class TestFitLogistic:
         model = fit_logistic(features, labels, nonnegative=True)
         assert (model.weights[:-1] >= 0).all()
 
+    def test_active_bound_reaches_the_constrained_optimum(self):
+        # Two informative features and a third that the label makes
+        # slightly lower but that rides on the first: its weight wants to go
+        # negative.  The plain projected Newton step cycles between two
+        # points here; the fit must instead stop at the point where the free
+        # weights' gradient vanishes and the held weight's pushes below zero.
+        rng = np.random.default_rng(0)
+        n, l2 = 2000, 0.5
+        labels = (rng.random(n) < 0.02).astype(np.int64)
+        base = rng.random(n) * 0.5 + 0.45 * labels
+        first = np.clip(base + 0.1 * rng.standard_normal(n), 0, 1)
+        second = np.clip(base + 0.1 * rng.standard_normal(n), 0, 1)
+        third = np.clip(
+            0.45 + 0.3 * (first - 0.5) - 0.04 * labels + 0.05 * rng.standard_normal(n),
+            0,
+            1,
+        )
+        features = np.column_stack([first, second, third])
+        weights = fit_logistic(features, labels, l2=l2, nonnegative=True).weights
+
+        design = np.column_stack([features, np.ones(n)])
+        balance = np.where(labels == 1, 0.5 / labels.sum(), 0.5 / (n - labels.sum()))
+        balance *= n / balance.sum()
+        ridge = l2 * np.eye(4)
+        ridge[-1, -1] = 0.0
+        probabilities = 1.0 / (1.0 + np.exp(-(design @ weights)))
+        gradient = design.T @ (balance * (probabilities - labels)) + ridge @ weights
+        held = np.r_[weights[:-1] == 0.0, False]
+        assert held[2] and not held[:2].any()
+        assert gradient[held].min() > 0.0
+        assert np.abs(gradient[~held]).max() < 1e-8
+
+    def test_inactive_bound_leaves_newton_unchanged(self, rng):
+        # Every weight stays positive along the path, so the bound never
+        # acts and the fit is plain Newton, bit for bit.
+        features = rng.random((300, 2))
+        noise = 0.2 * rng.standard_normal(300)
+        labels = (features.sum(axis=1) + noise > 1.0).astype(np.int64)
+        plain = fit_logistic(features, labels, l2=0.5)
+        assert (plain.weights[:-1] > 0).all()
+        bounded = fit_logistic(features, labels, l2=0.5, nonnegative=True)
+        np.testing.assert_array_equal(bounded.weights, plain.weights)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 1000))
     def test_property_probabilities_in_unit_interval(self, seed):

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test parity bench-engine bench-train bench-serve bench-retrieval bench-drift bench-encode bench-e2e test-bench-e2e trace-smoke
+.PHONY: verify test parity bench-engine bench-train bench-serve bench-retrieval bench-drift bench-session bench-encode bench-e2e test-bench-e2e trace-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity and reentrancy
 ## suites, the encode-plane suite (plane == sequential encode, bit-exact,
@@ -75,6 +75,11 @@ bench-retrieval:
 ## zero re-runs for drop-only deltas; emits BENCH_drift.json at the root.
 bench-drift:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_drift.py
+
+## Label-cost gate (tier-2): customer C's interactive session on config
+## seeds 0-3 must confirm every source correctly with <= 24 labels.
+bench-session:
+	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_session_labels.py
 
 ## Encode-plane smoke (tier-2): per-pair encode vs per-attribute id tables,
 ## row fingerprints and gather assembly on an encode-dominated 10x-ISS

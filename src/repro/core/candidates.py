@@ -1,21 +1,24 @@
-"""Candidate-pair store: the Cartesian product ``P = A_s x A_t`` with labels.
+"""Candidate-pair store: the candidate pairs between two schemas, with labels.
 
-The preparation phase of the pipeline (Section IV-B) generates every
-``(a_s, a_t)`` pair and initialises its label to -1 (unlabeled).  Labels move
-to 1 (correct match) or 0 (incorrect) through user feedback.  The store keeps
-flat numpy index arrays so the training/prediction phases can slice by label
-state without Python loops.  Featurizers score a :class:`PairBatch` built
-for the rows being scored (:meth:`CandidateStore.pair_batch`): per-side
-tables of the attributes those rows touch plus index arrays into them.  The
-label path reads one :class:`AttributePairView` per labeled pair, built
-from the current schemas on every read.
+The preparation phase of the pipeline (Section IV-B) produces the
+candidate pairs and initialises each label to -1 (unlabeled).  The store
+is built from per-source candidate sets: every target for each source
+gives the paper's full product ``P = A_s x A_t``, and the retrieval
+layer's top-k gives a blocked subset.  Labels move to 1 (correct match)
+or 0 (incorrect) through user feedback.  The store keeps flat numpy index
+arrays so the training/prediction phases can slice by label state without
+Python loops.  Featurizers score a :class:`PairBatch` built for the rows
+being scored (:meth:`CandidateStore.pair_batch`): per-side tables of the
+attributes those rows touch plus index arrays into them.  The label path
+reads one :class:`AttributePairView` per labeled pair, built from the
+current schemas on every read.
 
-Pruning (blocking) shrinks the pair set to the retrieval layer's
-per-source candidate sets (:meth:`CandidateStore.apply_candidate_sets`).
-Two invariants hold through every pruning operation:
+After a schema delta the matcher reshapes the drifted sources' pair sets
+to fresh candidate sets (:meth:`CandidateStore.apply_candidate_sets_for_sources`).
+Two invariants hold through every reshaping:
 
-* feedback is never lost: labeled pairs survive pruning, and labeling a
-  pruned pair (``set_positive``/``set_negative``) re-adds it first;
+* feedback is never lost: labeled pairs survive reshaping, and labeling an
+  absent pair (``set_positive``/``set_negative``) adds it first;
 * labels record their provenance: ``label_explicit`` distinguishes labels
   the user actively produced from the sibling negatives ``set_positive``
   mass-implies, so training can select the informative subset.
@@ -78,8 +81,15 @@ class CandidateStore:
         self,
         source_schema: Schema,
         target_schema: Schema,
+        per_source_targets: Sequence[np.ndarray],
         use_descriptions: bool = True,
     ) -> None:
+        """Lay out the pairs of the given candidate sets.
+
+        ``per_source_targets[i]`` lists the target indices of source ``i``
+        (in any order).  Rows are laid out row-major by ``(source,
+        target)``.
+        """
         self.source_schema = source_schema
         self.target_schema = target_schema
         self.use_descriptions = use_descriptions
@@ -89,36 +99,35 @@ class CandidateStore:
         self._source_index = {ref: i for i, ref in enumerate(self.source_refs)}
         self._target_index = {ref: i for i, ref in enumerate(self.target_refs)}
 
-        num_sources = len(self.source_refs)
-        num_targets = len(self.target_refs)
-        self.pair_source = np.repeat(np.arange(num_sources), num_targets)
-        self.pair_target = np.tile(np.arange(num_targets), num_sources)
-        self.labels = np.full(self.pair_source.shape[0], UNLABELED, dtype=np.int8)
+        self.pair_source = np.empty(0, dtype=np.intp)
+        self.pair_target = np.empty(0, dtype=np.intp)
+        self.labels = np.empty(0, dtype=np.int8)
         #: True where the label came from a direct user action (accept/reject)
         #: rather than the sibling negatives ``set_positive`` mass-implies.
-        self.label_explicit = np.zeros(self.pair_source.shape[0], dtype=bool)
+        self.label_explicit = np.empty(0, dtype=bool)
         #: Dense ``(source, target) -> pair id`` lookup, -1 where the pair is
-        #: absent (pruned).  The full product is laid out row-major.
-        self._pair_lookup = np.arange(self.num_pairs, dtype=np.int32).reshape(
-            num_sources, num_targets
+        #: absent.
+        self._pair_lookup = np.full(
+            (self.num_sources, self.num_targets), -1, dtype=np.int32
         )
         #: Featurizer names of the ``features`` columns (see
         #: :meth:`set_feature_names`).
         self.feature_names: tuple[str, ...] = ()
         #: Per-row feature scores, shape ``(num_pairs, len(feature_names))``.
-        self.features = np.empty((self.num_pairs, 0), dtype=np.float64)
+        self.features = np.empty((0, 0), dtype=np.float64)
         #: The BERT model version the ``current`` rows were scored under
         #: (None: nothing scored yet).  The other featurizers never change,
         #: so only BERT has a version.
         self.scored_version: int | None = None
         #: Rows whose BERT value was scored under ``scored_version``; after
         #: a BERT update every row is stale until it is scored again.
-        self.current = np.zeros(self.num_pairs, dtype=bool)
+        self.current = np.empty(0, dtype=bool)
         #: Rows whose feature columns must be recomputed.
-        self.dirty = np.ones(self.num_pairs, dtype=bool)
+        self.dirty = np.empty(0, dtype=bool)
         #: Lazily built per-source pair-id lists; invalidated whenever the
         #: pair arrays change shape (candidate sets / ensure_pair).
         self._groups: list[np.ndarray] | None = None
+        self.apply_candidate_sets(per_source_targets)
 
     # -- sizes / lookups ---------------------------------------------------------
 
@@ -243,18 +252,18 @@ class CandidateStore:
         """Flat indices of all pairs whose source is ``source``."""
         return self.pairs_of_source_index(self._source_index[source])
 
-    # -- blocking -----------------------------------------------------------------
+    # -- candidate sets -----------------------------------------------------------
 
     def apply_candidate_sets(
         self, per_source_targets: Sequence[np.ndarray]
     ) -> tuple[int, int]:
-        """Reshape the pair set to the retrieval layer's candidate sets.
+        """Reshape the pair set to per-source candidate sets.
 
         ``per_source_targets[i]`` lists the allowed target indices for source
         ``i`` (one row per source attribute).  Pairs outside the sets are
         dropped -- except labeled ones, which always survive -- and allowed
-        pairs that are currently absent (e.g. pruned by an earlier, stale
-        candidate set) are re-added.  Returns ``(added, removed)``.
+        pairs that are currently absent are added, row-major by ``(source,
+        target)``.  Returns ``(added, removed)``.
         """
         return self.apply_candidate_sets_for_sources(
             range(self.num_sources), per_source_targets
@@ -386,10 +395,7 @@ class CandidateStore:
     # -- schema drift ----------------------------------------------------------
 
     def apply_delta(
-        self,
-        new_source_schema: Schema,
-        effect: DeltaEffect,
-        add_full_product: bool = False,
+        self, new_source_schema: Schema, effect: DeltaEffect
     ) -> StoreDeltaReport:
         """Evolve the store in place to ``new_source_schema`` (source side).
 
@@ -400,10 +406,9 @@ class CandidateStore:
         not the pair text).  Surviving pair ids are compacted; callers
         holding pair ids must re-resolve them.
 
-        Added sources get the full target product only when
-        ``add_full_product`` is True; the matcher instead leaves them empty
-        here and regenerates their candidate sets through retrieval
-        (:meth:`apply_candidate_sets_for_sources`).
+        Added sources get no pairs here: the caller lays out their candidate
+        sets (:meth:`apply_candidate_sets_for_sources`), as it does for
+        every affected source.
         """
         report = StoreDeltaReport()
         old_index = self._source_index
@@ -454,16 +459,6 @@ class CandidateStore:
         # Renamed columns' rows were scored from the old name.
         for source_index in report.renamed_sources:
             self.mark_source_dirty(source_index)
-
-        if add_full_product and report.added_sources:
-            added_sources = np.repeat(
-                np.asarray(report.added_sources, dtype=np.intp), self.num_targets
-            )
-            added_targets = np.tile(
-                np.arange(self.num_targets, dtype=np.intp),
-                len(report.added_sources),
-            )
-            report.pairs_added += self._append_pairs(added_sources, added_targets)
         return report
 
     # -- labels ---------------------------------------------------------------

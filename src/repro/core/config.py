@@ -30,10 +30,12 @@ class LsmConfig:
         Multiply scores into unmatched target entities by
         ``z = 1 / (1 + log(1 + sp))`` (§IV-D).
     max_candidates_per_source:
-        Optional blocking: keep only this many target candidates per source
-        attribute, produced by the retrieve-then-rerank generator configured
-        through ``retrieval``, before BERT scoring.  ``None`` scores the
-        full Cartesian product as in the paper.
+        Optional blocking: the candidate store holds only this many target
+        candidates per source attribute, the top-k of the retrieve-then-rerank
+        generator configured through ``retrieval``, laid out at construction
+        and again for every source a schema delta touches.  ``None`` gives
+        every source every target: the full Cartesian product, as in the
+        paper.
     retrieval:
         Which retrievers the candidate generator fuses (dense, sparse);
         see :class:`repro.retrieval.RetrievalConfig`.  Only consulted when

@@ -25,7 +25,8 @@ class DriftReport:
     delta: SchemaDelta
     effect: DeltaEffect
     store: StoreDeltaReport
-    #: Source indices whose candidate sets were regenerated via retrieval.
+    #: Source indices whose candidate sets were laid out again: every
+    #: added, renamed or retyped source, with or without retrieval.
     regenerated_sources: list[int] = field(default_factory=list)
     #: Candidate rows the delta marked dirty (renamed sources' rows and new
     #: pairs); the next ``predict()`` rescores them.

@@ -19,6 +19,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ from ..featurizers.base import AttributePairView, PairBatch
 from ..featurizers.bert import BertFeaturizer
 from ..featurizers.embedding import EmbeddingFeaturizer
 from ..featurizers.lexical import LexicalFeaturizer
-from ..featurizers.pipeline import FeaturizerPipeline
 from ..nn.activations import softmax
 from ..retrieval import (
     FusedCandidateGenerator,
@@ -103,17 +103,12 @@ class LearnedSchemaMatcher:
                 target_schema, config=artifact_config
             )
 
-            self.store = CandidateStore(
-                source_schema,
-                target_schema,
-                use_descriptions=self.config.use_descriptions,
-            )
-
-            featurizers: list = []
+            #: Step 1's featurizers, one feature column each, in column order.
+            self.featurizers: list = []
             if self.config.use_lexical:
-                featurizers.append(LexicalFeaturizer())
+                self.featurizers.append(LexicalFeaturizer())
             if self.config.use_embedding:
-                featurizers.append(
+                self.featurizers.append(
                     EmbeddingFeaturizer(embeddings=self.artifacts.embeddings)
                 )
             self.bert_featurizer: BertFeaturizer | None = None
@@ -127,23 +122,33 @@ class LearnedSchemaMatcher:
                 self.bert_featurizer.pretrain(
                     target_schema, cache_key=self.artifacts.cache_key
                 )
-                featurizers.append(self.bert_featurizer)
-            self.pipeline = FeaturizerPipeline(featurizers)
+                self.featurizers.append(self.bert_featurizer)
+            #: Cumulative seconds inside each featurizer's ``score_pairs``.
+            self.featurizer_seconds = {
+                featurizer.name: 0.0 for featurizer in self.featurizers
+            }
 
-            #: Retrieve-then-rerank candidate generation.  Its retrievers
-            #: (BM25, subword phrase vectors) are frozen, so a BERT update
-            #: never changes the candidate sets.
+            #: Retrieve-then-rerank candidate generation, when blocking is
+            #: on.  Its retrievers (BM25, subword phrase vectors) are frozen,
+            #: so a BERT update never changes the candidate sets.
             self.retrieval_stats = RetrievalStats()
             self.generator: FusedCandidateGenerator | None = None
-            if self.config.max_candidates_per_source is not None:
-                with obs.span(
-                    "lsm.candidates", k=int(self.config.max_candidates_per_source)
-                ):
+            k = self.config.max_candidates_per_source
+            with obs.span("lsm.candidates", k=k):
+                if k is not None:
                     self.generator = self._build_candidate_generator()
-                    self._apply_generator_pruning()
-            # Laid out after pruning, so the columns never span the full
-            # product when retrieval keeps a fraction of it.
-            self.store.set_feature_names(self.pipeline.feature_names)
+                self.store = CandidateStore(
+                    source_schema,
+                    target_schema,
+                    self._candidate_sets(range(source_schema.num_attributes)),
+                    use_descriptions=self.config.use_descriptions,
+                )
+            if self.generator is not None:
+                self.retrieval_stats.pairs_full_product = (
+                    self.store.num_sources * self.store.num_targets
+                )
+                self.retrieval_stats.pairs_after_pruning = self.store.num_pairs
+            self.store.set_feature_names(self.feature_names)
 
             self.adjuster = ScoreAdjuster(
                 self.store,
@@ -170,7 +175,7 @@ class LearnedSchemaMatcher:
             self.metrics.register("engine", self.bert_featurizer.engine.stats)
             self.metrics.register("train", self.bert_featurizer.train_stats)
             self.metrics.register("encode", self.bert_featurizer.encode_stats_payload)
-        self.metrics.register("pipeline", self.pipeline.timings)
+        self.metrics.register("pipeline", self.featurizer_seconds.copy)
         self.metrics.register("retrieval", self.retrieval_stats)
         self.metrics.register("drift", self.drift_stats)
         from .. import store as artifact_store
@@ -185,10 +190,14 @@ class LearnedSchemaMatcher:
         """Assemble the generator ``config.retrieval`` describes."""
         retrieval = self.config.retrieval
         source_docs = docs_from_refs(
-            self.source_schema, self.store.source_refs, self.config.use_descriptions
+            self.source_schema,
+            self.source_schema.attribute_refs(),
+            self.config.use_descriptions,
         )
         target_docs = docs_from_refs(
-            self.target_schema, self.store.target_refs, self.config.use_descriptions
+            self.target_schema,
+            self.target_schema.attribute_refs(),
+            self.config.use_descriptions,
         )
         return build_generator(
             source_docs,
@@ -198,17 +207,18 @@ class LearnedSchemaMatcher:
             stats=self.retrieval_stats,
         )
 
-    def _apply_generator_pruning(self) -> None:
-        """Shrink the pair set to the generator's per-source top-k sets."""
-        assert self.generator is not None
-        k = self.config.max_candidates_per_source
-        assert k is not None
-        self.retrieval_stats.pairs_full_product = (
-            self.store.num_sources * self.store.num_targets
-        )
-        sets = self.generator.generate(k)
-        self.store.apply_candidate_sets(sets.per_source)
-        self.retrieval_stats.pairs_after_pruning = self.store.num_pairs
+    def _candidate_sets(self, source_indices) -> list[np.ndarray]:
+        """The allowed targets of each listed source, in list order.
+
+        The generator's top-k when blocking is on, and every target
+        otherwise (the paper's full product).
+        """
+        if self.generator is None:
+            every_target = np.arange(self.target_schema.num_attributes)
+            return [every_target] * len(source_indices)
+        return self.generator.generate_for_sources(
+            source_indices, self.config.max_candidates_per_source
+        ).per_source
 
     # -- schema drift ----------------------------------------------------------
 
@@ -222,8 +232,10 @@ class LearnedSchemaMatcher:
           labels and marking renamed sources' rows dirty in the feature
           columns;
         * the adjuster's dtype mask is invalidated when a column retyped;
-        * affected sources' candidate sets are regenerated through the
-          retrieval layer; the pairs this adds are new, hence dirty rows.
+        * affected (added, renamed, retyped) sources' candidate sets are
+          laid out again through :meth:`_candidate_sets` -- the retrieval
+          layer's top-k, or every target without blocking; the pairs this
+          adds are new, hence dirty rows.
           Unaffected sources keep their rows and columns, so the next
           :meth:`predict` scores none of them again.
 
@@ -237,10 +249,7 @@ class LearnedSchemaMatcher:
         ) as drift_span:
             new_schema, effect = apply_schema_delta(self.source_schema, delta)
             pending = self._dirty_pairs()
-            use_retrieval = self.generator is not None
-            store_report = self.store.apply_delta(
-                new_schema, effect, add_full_product=not use_retrieval
-            )
+            store_report = self.store.apply_delta(new_schema, effect)
             self.source_schema = new_schema
 
             if effect.retyped:
@@ -249,33 +258,30 @@ class LearnedSchemaMatcher:
             if callable(remap):
                 remap(effect.renamed, effect.dropped)
 
-            regenerated: list[int] = []
-            if use_retrieval:
-                source_docs = docs_from_refs(
-                    new_schema, self.store.source_refs, self.config.use_descriptions
+            if self.generator is not None:
+                self.generator.replace_source_docs(
+                    docs_from_refs(
+                        new_schema,
+                        self.store.source_refs,
+                        self.config.use_descriptions,
+                    )
                 )
-                self.generator.replace_source_docs(source_docs)
-                affected = store_report.affected_sources()
-                if affected:
-                    with obs.span(
-                        "lsm.drift_candidates", sources=len(affected)
-                    ):
-                        sets = self.generator.generate_for_sources(
-                            affected, self.config.max_candidates_per_source
-                        )
-                        added, removed = self.store.apply_candidate_sets_for_sources(
-                            affected, sets.per_source
-                        )
-                        store_report.pairs_added += added
-                        store_report.pairs_dropped += removed
+            affected = store_report.affected_sources()
+            if affected:
+                with obs.span("lsm.drift_candidates", sources=len(affected)):
+                    added, removed = self.store.apply_candidate_sets_for_sources(
+                        affected, self._candidate_sets(affected)
+                    )
+                    store_report.pairs_added += added
+                    store_report.pairs_dropped += removed
+                if self.generator is not None:
                     self.retrieval_stats.pairs_after_pruning = self.store.num_pairs
-                    regenerated = affected
 
             report = DriftReport(
                 delta=delta,
                 effect=effect,
                 store=store_report,
-                regenerated_sources=regenerated,
+                regenerated_sources=affected,
                 # Read off the mask: rows a regenerated candidate set
                 # dropped again do not count, nor do rows dirty before.
                 rows_dirtied=int(np.count_nonzero(self.store.dirty))
@@ -293,7 +299,7 @@ class LearnedSchemaMatcher:
                 "drift.applied",
                 level="info",
                 delta=delta.describe(),
-                regenerated_sources=len(regenerated),
+                regenerated_sources=len(affected),
                 rows_dirtied=report.rows_dirtied,
             )
         return report
@@ -392,13 +398,17 @@ class LearnedSchemaMatcher:
         # bert_rows holds every dirty row, so equal sizes mean equal rows.
         batches: dict[int, PairBatch] = {}
         rows_dirty: dict[str, int] = {}
-        for column, featurizer in enumerate(self.pipeline.featurizers):
+        for column, featurizer in enumerate(self.featurizers):
             rows = bert_rows if featurizer is bert else dirty_rows
             if rows.size:
                 if rows.size not in batches:
                     batches[rows.size] = store.pair_batch(rows)
-                store.features[rows, column] = self.pipeline.score(
-                    featurizer, batches[rows.size]
+                start = time.perf_counter()
+                store.features[rows, column] = featurizer.score_pairs(
+                    batches[rows.size]
+                )
+                self.featurizer_seconds[featurizer.name] += (
+                    time.perf_counter() - start
                 )
             rows_dirty[featurizer.name] = int(rows.size)
         store.current[bert_rows] = True
@@ -490,9 +500,14 @@ class LearnedSchemaMatcher:
                 scores=adjusted,
                 suggestions=suggestions,
                 confidences=confidences,
-                feature_names=self.pipeline.feature_names,
+                feature_names=self.feature_names,
             )
         return self.last_predictions
+
+    @property
+    def feature_names(self) -> list[str]:
+        """The featurizers' names, in feature-column order."""
+        return [featurizer.name for featurizer in self.featurizers]
 
     # -- active learning ----------------------------------------------------------
 
@@ -527,7 +542,7 @@ class LearnedSchemaMatcher:
                     for key, value in self.bert_featurizer.encode_stats_payload().items()
                 }
             )
-        for name, seconds in self.pipeline.timings().items():
+        for name, seconds in self.featurizer_seconds.items():
             payload[f"pipeline.{name}"] = round(seconds, 6)
         return payload
 
@@ -545,11 +560,11 @@ class LearnedSchemaMatcher:
     def close(self) -> None:
         """Release featurizer resources and finalise the trace (if any).
 
-        This joins the scoring engine's helper threads and writes unsaved
-        scores; call it (or use the matcher as a context manager) once the
-        matcher is done.
+        This joins the scoring engine's helper threads; call it (or use
+        the matcher as a context manager) once the matcher is done.
         """
-        self.pipeline.close()
+        if self.bert_featurizer is not None:
+            self.bert_featurizer.close()
         self.tracer.close()
 
     def __enter__(self) -> "LearnedSchemaMatcher":

@@ -20,7 +20,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .subword import WORD_ROW_WEIGHT, SubwordEmbeddings, SubwordVocab
+from . import subword
+from .subword import SubwordEmbeddings, SubwordVocab
 
 if TYPE_CHECKING:  # scipy loads only in the functions that build matrices
     from scipy import sparse
@@ -52,7 +53,9 @@ class PpmiConfig:
             "smoothing": SMOOTHING,
             "shift": SHIFT,
             "min_count": MIN_COUNT,
-            "word_row_weight": WORD_ROW_WEIGHT,
+            # Read from the module that applies it, so a patched weight
+            # changes the key too.
+            "word_row_weight": subword.WORD_ROW_WEIGHT,
             "seed": SEED,
         }
 

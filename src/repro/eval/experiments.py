@@ -82,7 +82,7 @@ def generic_embeddings_for(task: MatchingTask):
     embeddings come from :func:`artifacts_for` (full domain corpus), exactly
     the per-vertical pre-training advantage the paper describes.
     """
-    from ..embeddings.ppmi import train_ppmi_embeddings
+    from ..embeddings.ppmi import PpmiConfig, train_ppmi_embeddings
     from .. import store as cache
     from ..text.corpus import build_corpus
     from ..text.lexicon import generic_lexicon
@@ -92,7 +92,9 @@ def generic_embeddings_for(task: MatchingTask):
         corpus = build_corpus(
             schemata=[task.target], lexicon=generic_lexicon(), seed=0
         )
-        cache_key = cache.content_key("generic-embeddings-v1", key, corpus)
+        cache_key = cache.content_key(
+            "generic-embeddings-v2", key, corpus, PpmiConfig().describe()
+        )
         stored = cache.load_arrays("generic-emb", cache_key)
         if stored is not None:
             from ..embeddings.subword import SubwordEmbeddings, SubwordVocab

@@ -5,7 +5,6 @@ from .base import (
     AttributeTable,
     Featurizer,
     PairBatch,
-    StaticFeaturizer,
     make_pair_view,
 )
 from .lexical import LexicalFeaturizer
@@ -20,7 +19,6 @@ from .bert import (
     score_encoded_batch,
     segment_content_masks,
 )
-from .pipeline import FeaturizerPipeline
 
 __all__ = [
     "AttributePairView",
@@ -29,11 +27,9 @@ __all__ = [
     "BertFeaturizerConfig",
     "EmbeddingFeaturizer",
     "Featurizer",
-    "FeaturizerPipeline",
     "LexicalFeaturizer",
     "MatchingClassifier",
     "PairBatch",
-    "StaticFeaturizer",
     "TrainingSample",
     "compute_match_features",
     "generate_pretraining_samples",

@@ -1,9 +1,9 @@
 """Featurizer interface and the columnar pair batch it consumes.
 
 Step 1 of the LSM pipeline (Fig. 2) converts candidate pairs into numerical
-vectors through a *modular* featurizer pipeline.  Every featurizer maps a
-candidate pair to a similarity score in ``[0, 1]``; the pipeline stacks the
-scores into the feature matrix the meta-learner trains on.
+vectors through a *modular* set of featurizers.  Every featurizer maps a
+candidate pair to a similarity score in ``[0, 1]``; the matcher stores the
+scores as the feature columns the meta-learner trains on.
 
 Featurizers score a :class:`PairBatch`: one :class:`AttributeTable` per side
 holding the text of each distinct attribute the batch touches, plus per-row
@@ -13,7 +13,8 @@ not once per pair it takes part in.  The candidate store builds batches for
 the rows being scored (:meth:`repro.core.candidates.CandidateStore.pair_batch`).
 
 The module also defines :class:`AttributePairView` -- the textual view of one
-pair -- which the label path (``Featurizer.update``) consumes.
+pair -- which the label path (:meth:`repro.featurizers.bert.BertFeaturizer.update`)
+consumes.
 """
 
 from __future__ import annotations
@@ -179,35 +180,12 @@ def _codes(keys: Sequence[Hashable]) -> tuple[np.ndarray, int]:
 class Featurizer(Protocol):
     """One similarity signal over candidate pairs.
 
-    ``score_pairs`` must be pure given the featurizer's current state;
-    ``update`` lets stateful featurizers (the BERT featurizer) learn from the
-    labels collected so far and is a no-op by default.
+    ``score_pairs`` must be pure given the featurizer's current state.  The
+    lexical and embedding featurizers have none; BERT's changes only through
+    its label update, which the matcher calls directly.
     """
 
     @property
     def name(self) -> str: ...
 
     def score_pairs(self, batch: PairBatch) -> np.ndarray: ...
-
-    def update(
-        self,
-        labeled_pairs: Sequence[AttributePairView],
-        labels: Sequence[int],
-    ) -> None: ...
-
-
-@dataclass
-class StaticFeaturizer:
-    """Convenience base for stateless featurizers (update is a no-op).
-
-    ``score_pairs`` is pure: it keeps no cache.  Reuse across re-predicts
-    lives in the candidate store's per-row feature columns, which score only
-    new or invalidated rows.
-    """
-
-    def update(
-        self,
-        labeled_pairs: Sequence[AttributePairView],
-        labels: Sequence[int],
-    ) -> None:
-        """Stateless featurizers ignore labels."""

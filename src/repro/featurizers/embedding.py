@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..embeddings.subword import SubwordEmbeddings
-from .base import PairBatch, StaticFeaturizer
+from .base import PairBatch
 
 
 @dataclass
-class EmbeddingFeaturizer(StaticFeaturizer):
+class EmbeddingFeaturizer:
     """Cosine similarity of subword-embedding name vectors, mapped to [0, 1]."""
 
     embeddings: SubwordEmbeddings = field(default=None)  # type: ignore[assignment]

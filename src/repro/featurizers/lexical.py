@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..text.metrics import lcs_ratio
-from .base import PairBatch, StaticFeaturizer
+from .base import PairBatch
 
 
 @dataclass
-class LexicalFeaturizer(StaticFeaturizer):
+class LexicalFeaturizer:
     """LCS-over-shorter-length lexical similarity."""
 
     @property

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.artifacts import ArtifactConfig, DomainArtifacts, build_artifacts
+from repro.core.candidates import CandidateStore
 from repro.embeddings.ppmi import PpmiConfig
 from repro.schema import (
     Attribute,
@@ -139,6 +140,14 @@ def make_ground_truth() -> dict[AttributeRef, AttributeRef]:
             ("Item.brand_name", "Brand.brand_name"),
             ("Item.ean", "Product.european_article_number"),
         ]
+    )
+
+
+def full_product_store(source: Schema, target: Schema, **kwargs) -> CandidateStore:
+    """A store over every ``(source, target)`` pair: the paper's full product."""
+    every_target = np.arange(target.num_attributes)
+    return CandidateStore(
+        source, target, [every_target] * source.num_attributes, **kwargs
     )
 
 

@@ -6,12 +6,12 @@ import pytest
 from repro.core import NEGATIVE, POSITIVE, UNLABELED, CandidateStore
 from repro.schema import AttributeRef
 
-from ..conftest import top_k_sets
+from ..conftest import full_product_store, top_k_sets
 
 
 @pytest.fixture()
 def store(source_schema, target_schema):
-    return CandidateStore(source_schema, target_schema)
+    return full_product_store(source_schema, target_schema)
 
 
 class TestPreparation:
@@ -35,6 +35,42 @@ class TestPreparation:
     def test_pairs_of_source(self, store, target_schema):
         pairs = store.pairs_of_source(AttributeRef("Orders", "qty"))
         assert pairs.size == target_schema.num_attributes
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_built_from_sets_equals_row_major_reference(
+        self, seed, source_schema, target_schema
+    ):
+        """Sets in any order, with repeats and empty rows, lay out the
+        row-major ``(source, target)`` pairs a full product pruned to the
+        same sets holds, bit for bit."""
+        rng = np.random.default_rng(seed)
+        num_sources, num_targets = source_schema.num_attributes, target_schema.num_attributes
+        sets = [
+            rng.integers(0, num_targets, size=rng.integers(0, num_targets + 3))
+            for _ in range(num_sources)
+        ]
+        store = CandidateStore(source_schema, target_schema, sets)
+
+        reference = sorted({(s, int(t)) for s, targets in enumerate(sets) for t in targets})
+        expected_source = np.asarray([s for s, _ in reference], dtype=np.intp)
+        expected_target = np.asarray([t for _, t in reference], dtype=np.intp)
+        pruned = full_product_store(source_schema, target_schema)
+        pruned.apply_candidate_sets(sets)
+        for built in (store, pruned):
+            for name, expected in (
+                ("pair_source", expected_source),
+                ("pair_target", expected_target),
+            ):
+                actual = getattr(built, name)
+                assert actual.dtype == np.intp, name
+                np.testing.assert_array_equal(actual, expected, err_msg=name)
+        assert (store.labels == UNLABELED).all() and store.labels.dtype == np.int8
+        assert not store.label_explicit.any()
+        assert store.dirty.all() and not store.current.any()
+        assert store.features.shape == (len(reference), 0)
+        for pair_id, (s, t) in enumerate(reference):
+            assert store.pair_id(store.source_ref(s), store.target_ref(t)) == pair_id
+        assert (store._pair_lookup >= 0).sum() == len(reference)
 
 
 class TestLabels:

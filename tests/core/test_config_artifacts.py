@@ -99,6 +99,22 @@ class TestArtifacts:
         words = [[word] for word in cold.vocab.words]
         np.testing.assert_array_equal(warm.phrase_matrix(words), cold.phrase_matrix(words))
 
+    def test_generic_embeddings_key_covers_the_ppmi_constants(
+        self, target_schema, tmp_path, monkeypatch
+    ):
+        """A stored table trained under another word-row weight is not
+        loaded: the key hashes ``PpmiConfig().describe()``."""
+        from repro.embeddings import subword
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        task = SimpleNamespace(target=target_schema)
+        for weight in (subword.WORD_ROW_WEIGHT, 0.5):
+            monkeypatch.setattr(subword, "WORD_ROW_WEIGHT", weight)
+            monkeypatch.setattr(experiments, "_GENERIC_EMBEDDINGS", {})
+            writes = store.cache_stats().writes
+            generic_embeddings_for(task)
+            assert store.cache_stats().writes > writes, "a stale table was loaded"
+
     def test_token_embedding_seeding(self, tiny_artifacts):
         from repro.lm import BertConfig, MiniBert
 

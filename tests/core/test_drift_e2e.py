@@ -20,6 +20,8 @@ from repro.core.scoring import dtype_compatibility_mask
 from repro.datasets import DriftConfig, generate_drift_sequence
 from repro.featurizers.bert import BertFeaturizerConfig
 from repro.schema import (
+    AddColumn,
+    Attribute,
     AttributeRef,
     DataType,
     DropColumn,
@@ -180,6 +182,28 @@ class TestDriftStats:
         assert stats["columns_retyped"] == 1
         assert stats["pairs_rescored"] + stats["pairs_reused"] > 0
         assert "drift" in matcher.metrics.snapshot()
+
+
+class TestAddDrift:
+    def test_full_product_added_source_is_scored_against_every_target(
+        self, matcher, target_schema
+    ):
+        matcher.predict()
+        new_ref = ref("Orders.units_shipped")
+        report = matcher.apply_delta(
+            SchemaDelta((AddColumn("Orders", Attribute("units_shipped", DataType.INTEGER)),))
+        )
+        new_index = matcher.store.source_index(new_ref)
+        assert report.regenerated_sources == [new_index]
+        assert report.store.pairs_added == target_schema.num_attributes
+        predictions = matcher.predict()
+        store = matcher.store
+        rows = store.pairs_of_source_index(new_index)
+        np.testing.assert_array_equal(
+            np.sort(store.pair_target[rows]), np.arange(target_schema.num_attributes)
+        )
+        assert store.current[rows].all() and not np.isnan(store.features[rows]).any()
+        assert len(predictions.suggestions[new_ref]) == matcher.config.top_k
 
 
 class TestSessionDrift:

@@ -99,7 +99,7 @@ def assert_columns_match_full_rescore(matcher: LearnedSchemaMatcher) -> None:
     rows = np.flatnonzero(current)
     views = store.views(rows)
     stats = matcher.bert_featurizer.engine.stats
-    for column, featurizer in enumerate(matcher.pipeline.featurizers):
+    for column, featurizer in enumerate(matcher.featurizers):
         scored_before = stats.pairs_scored
         reference = reference_column(featurizer, views)
         if featurizer is matcher.bert_featurizer:
@@ -108,15 +108,18 @@ def assert_columns_match_full_rescore(matcher: LearnedSchemaMatcher) -> None:
 
 
 def record_scored_rows(matcher: LearnedSchemaMatcher) -> dict[str, list[int]]:
-    """Wrap ``pipeline.score`` to log the rows each featurizer is handed."""
+    """Wrap each featurizer's ``score_pairs`` to log the rows it is handed."""
     handed: dict[str, list[int]] = {}
-    score = matcher.pipeline.score
 
-    def logged(featurizer, batch):
-        handed.setdefault(featurizer.name, []).append(len(batch))
-        return score(featurizer, batch)
+    def logging(name, score):
+        def logged(batch):
+            handed.setdefault(name, []).append(len(batch))
+            return score(batch)
 
-    matcher.pipeline.score = logged
+        return logged
+
+    for featurizer in matcher.featurizers:
+        featurizer.score_pairs = logging(featurizer.name, featurizer.score_pairs)
     return handed
 
 
@@ -281,10 +284,10 @@ def test_clean_predict_scores_nothing(tiny_artifacts, source_schema, target_sche
     try:
         matcher.predict()
         stats = matcher.bert_featurizer.engine.stats
-        calls = dict(matcher.pipeline.stage_calls)
+        handed = record_scored_rows(matcher)
         requested, skipped = stats.pairs_requested, stats.pairs_skipped
         matcher.predict()
-        assert matcher.pipeline.stage_calls == calls
+        assert handed == {}
         assert stats.pairs_requested - requested == matcher.store.num_pairs
         assert stats.pairs_skipped - skipped == matcher.store.num_pairs
     finally:
@@ -428,7 +431,7 @@ def test_bert_rescore_after_update_on_a_large_store(tiny_artifacts):
         current = current_rows(matcher)
         assert int(np.count_nonzero(current)) == live
         rows = np.flatnonzero(current)
-        column = matcher.pipeline.feature_names.index("bert")
+        column = matcher.feature_names.index("bert")
         bert.engine.clear_cached_scores()
         scored = bert.engine.stats.pairs_scored
         cold = reference_column(bert, store.views(rows))
@@ -550,7 +553,7 @@ def test_one_shot_labels_score_every_row_once(
         assert matcher.bert_featurizer.model_version > version
         assert matcher.bert_featurizer.engine.stats.pairs_scored == num_pairs
         assert {name: sum(counts) for name, counts in handed.items()} == {
-            name: num_pairs for name in matcher.pipeline.feature_names
+            name: num_pairs for name in matcher.feature_names
         }
         assert fitted == [num_pairs]
     finally:

@@ -42,6 +42,23 @@ class TestMatcherPredict:
             scores = [score for _, score in ranked]
             assert scores == sorted(scores, reverse=True)
 
+    def test_feature_columns_follow_featurizer_order(self, matcher):
+        """Column ``i`` holds featurizer ``i``'s scores over every row, and
+        each featurizer's seconds report under ``pipeline.<name>``."""
+        predictions = matcher.predict()
+        names = ["lexical", "embedding", "bert"]
+        assert matcher.feature_names == names
+        assert list(matcher.store.feature_names) == names
+        assert predictions.feature_names == names
+        batch = matcher.store.pair_batch(np.arange(matcher.store.num_pairs))
+        for column, featurizer in enumerate(matcher.featurizers):
+            np.testing.assert_array_equal(
+                matcher.store.features[:, column], featurizer.score_pairs(batch)
+            )
+        stats = matcher.engine_stats()
+        assert all(stats[f"pipeline.{name}"] > 0 for name in names)
+        assert sorted(matcher.metrics.snapshot()["pipeline"]) == sorted(names)
+
     def test_confidences_are_probabilities(self, matcher):
         predictions = matcher.predict()
         for confidence in predictions.confidences.values():

@@ -16,12 +16,12 @@ from repro.schema import (
 )
 from repro.schema.drift import apply_delta as apply_schema_delta
 
-from ..conftest import top_k_sets
+from ..conftest import full_product_store, top_k_sets
 
 
 @pytest.fixture()
 def store(source_schema, target_schema):
-    return CandidateStore(source_schema, target_schema)
+    return full_product_store(source_schema, target_schema)
 
 
 class TestEntityPenaltyFormula:
@@ -136,7 +136,7 @@ class TestDtypeMaskParity:
     def test_matches_double_loop_reference(self, seed):
         rng = np.random.default_rng(seed)
         source, target = random_schema("S", rng), random_schema("T", rng)
-        store = CandidateStore(source, target)
+        store = full_product_store(source, target)
         if seed % 2:  # a pruned, non-product pair layout
             keep = max(store.num_targets // 2, 1)
             store.apply_candidate_sets(

@@ -22,7 +22,12 @@ from repro.schema import (
     apply_delta,
 )
 
-from ..conftest import make_source_schema, make_target_schema, top_k_sets
+from ..conftest import (
+    full_product_store,
+    make_source_schema,
+    make_target_schema,
+    top_k_sets,
+)
 
 
 def ref(text: str) -> AttributeRef:
@@ -31,7 +36,7 @@ def ref(text: str) -> AttributeRef:
 
 @pytest.fixture()
 def store() -> CandidateStore:
-    return CandidateStore(make_source_schema(), make_target_schema())
+    return full_product_store(make_source_schema(), make_target_schema())
 
 
 class TestViewInvalidation:
@@ -157,11 +162,20 @@ class TestStoreApplyDelta:
             store.source_schema,
             SchemaDelta((AddColumn("Orders", Attribute("upc", DataType.STRING)),)),
         )
-        report = store.apply_delta(evolved, effect, add_full_product=True)
-        assert report.pairs_added == store.num_targets
+        report = store.apply_delta(evolved, effect)
         new_index = store.source_index(ref("Orders.upc"))
         assert report.added_sources == [new_index]
-        assert len(store.pairs_of_source_index(new_index)) == store.num_targets
+        assert report.affected_sources() == [new_index]
+        every_target = np.arange(store.num_targets)
+        added, removed = store.apply_candidate_sets_for_sources(
+            report.affected_sources(), [every_target]
+        )
+        assert (added, removed) == (store.num_targets, 0)
+        rows = store.pairs_of_source_index(new_index)
+        np.testing.assert_array_equal(store.pair_target[rows], every_target)
+        assert store.dirty[rows].all() and (store.labels[rows] == UNLABELED).all()
+        for i, (s, t) in enumerate(zip(store.pair_source, store.pair_target)):
+            assert store.pair_id(store.source_ref(s), store.target_ref(t)) == i
 
     def test_add_without_full_product_defers_to_retrieval(self, store):
         from repro.schema import AddColumn, Attribute, DataType

@@ -1,4 +1,4 @@
-"""Tests for the lexical, embedding and pipeline featurizers."""
+"""Tests for the lexical and embedding featurizers."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.featurizers import (
     AttributePairView,
     EmbeddingFeaturizer,
-    FeaturizerPipeline,
     LexicalFeaturizer,
     PairBatch,
     make_pair_view,
@@ -73,10 +72,9 @@ class TestLexicalFeaturizer:
         assert batch[0] == featurizer.score_pairs(PairBatch.from_views([w]))[0]
         assert vars(featurizer) == state
 
-    def test_update_is_noop(self, source_schema, target_schema):
-        featurizer = LexicalFeaturizer()
-        v = view(source_schema, target_schema, "Orders.qty", "Transaction.quantity")
-        featurizer.update([v], [1])  # must not raise
+    def test_empty_batch(self):
+        empty = PairBatch.from_views([])
+        assert LexicalFeaturizer().score_pairs(empty).shape == (0,)
 
 
 class TestEmbeddingFeaturizer:
@@ -111,43 +109,3 @@ class TestEmbeddingFeaturizer:
     def test_requires_embeddings(self):
         with pytest.raises((ValueError, TypeError)):
             EmbeddingFeaturizer(embeddings=None)
-
-
-class TestPipeline:
-    def test_feature_matrix_shape(self, source_schema, target_schema, tiny_artifacts):
-        pipeline = FeaturizerPipeline(
-            [
-                LexicalFeaturizer(),
-                EmbeddingFeaturizer(embeddings=tiny_artifacts.embeddings),
-            ]
-        )
-        views = [
-            view(source_schema, target_schema, "Orders.qty", "Transaction.quantity"),
-            view(source_schema, target_schema, "Orders.qty", "Brand.brand_name"),
-        ]
-        matrix = np.column_stack(
-            [
-                pipeline.score(featurizer, PairBatch.from_views(views))
-                for featurizer in pipeline.featurizers
-            ]
-        )
-        assert matrix.shape == (2, 2)
-        assert pipeline.feature_names == ["lexical", "embedding"]
-        assert pipeline.stage_calls == {"lexical": 1, "embedding": 1}
-        for column, featurizer in enumerate(pipeline.featurizers):
-            np.testing.assert_array_equal(
-                matrix[:, column], featurizer.score_pairs(PairBatch.from_views(views))
-            )
-
-    def test_empty_views(self, tiny_artifacts):
-        pipeline = FeaturizerPipeline([LexicalFeaturizer()])
-        empty = PairBatch.from_views([])
-        assert pipeline.score(pipeline.featurizers[0], empty).shape == (0,)
-
-    def test_rejects_empty_pipeline(self):
-        with pytest.raises(ValueError):
-            FeaturizerPipeline([])
-
-    def test_rejects_duplicate_names(self):
-        with pytest.raises(ValueError):
-            FeaturizerPipeline([LexicalFeaturizer(), LexicalFeaturizer()])

@@ -28,6 +28,7 @@ from repro.featurizers import (
 )
 from repro.schema import Attribute, DataType, Entity, Schema
 
+from ..conftest import full_product_store
 from .pair_reference import reference_column
 
 NAME = st.text(alphabet="abcdeimnoprstuz_", min_size=1, max_size=16)
@@ -96,7 +97,7 @@ def assert_keys_match_sequential(featurizer, store: CandidateStore) -> None:
 def test_keys_equal_sequential_fingerprints(
     featurizers, source, target_a, target_b, max_length, use_descriptions
 ):
-    store = CandidateStore(
+    store = full_product_store(
         schema_of("s", source),
         schema_of("t", target_a, target_b),
         use_descriptions=use_descriptions,
@@ -122,7 +123,7 @@ def test_every_truncation_regime(
     featurizers, source, target, max_length, use_descriptions, regime
 ):
     featurizer = featurizers(max_length)
-    store = CandidateStore(
+    store = full_product_store(
         schema_of("s", [source]), schema_of("t", [target]), use_descriptions=use_descriptions
     )
     tokens = featurizer.encode_plane.tokens
@@ -161,7 +162,7 @@ def test_columns_equal_per_pair_reference(
 ):
     """Duplicate names across entities share table keys; each column must
     still equal the per-pair score of every row."""
-    store = CandidateStore(
+    store = full_product_store(
         schema_of("s", source),
         schema_of("t", target_a, target_b),
         use_descriptions=use_descriptions,
@@ -181,7 +182,7 @@ def test_columns_equal_per_pair_reference(
 
 
 def test_tables_cover_only_touched_attributes(source_schema, target_schema):
-    store = CandidateStore(source_schema, target_schema)
+    store = full_product_store(source_schema, target_schema)
     rows = store.pairs_of_source_index(1)[:3]
     batch = store.pair_batch(rows)
     assert len(batch.sources) == 1

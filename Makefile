@@ -9,7 +9,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## differential test, the pair-batch suite (BERT row keys and columns ==
 ## the per-pair reference, bit-exact), the BM25 per-posting reference test,
 ## the MiniBERT kernel tests, the frozen-trunk suite (a label update's
-## steps == a full-forward reference, bit-exact), the trunk-store suite (a
+## sharded steps on two threads == the shards run in sequence with a
+## full forward, bit-exact, and == the one-batch step within 1e-5), the
+## update-determinism test (two label updates give the same weights and
+## scores, bit for bit, on one or two engine threads and with OpenBLAS at
+## one or two threads), the trunk-store suite (a
 ## rescore after label updates that reads stored trunk outputs == a
 ## store-less forward, bit-exact), the pretraining suites (the
 ## scalar-path fit on cached eval-mode cosines == the loop that runs the
@@ -37,6 +41,7 @@ parity:
 		tests/lm/test_encode_plane.py tests/core/test_feature_columns.py \
 		tests/featurizers/test_pair_batch.py tests/retrieval/test_bm25_reference.py \
 		tests/nn/test_kernels.py tests/featurizers/test_frozen_trunk.py \
+		tests/featurizers/test_update_determinism.py \
 		tests/engine/test_trunk_store.py \
 		tests/featurizers/test_bert_featurizer.py::TestPretrainCache \
 		tests/featurizers/test_bert_featurizer.py::TestPretrainScalarFit \

@@ -3,7 +3,8 @@
 Public surface:
 
 * :class:`ScoringEngine` / :class:`EngineConfig` -- the engine itself, which
-  scores multi-batch plans on threads over the one live model;
+  scores multi-batch plans on threads over the one live model, and whose
+  threads also run a BERT label update's row shards;
 * :class:`EngineStats` -- per-stage timing counters;
 * :func:`plan_microbatches` / :class:`MicroBatch` -- length-bucketed batch
   planning (usable standalone).

@@ -1,4 +1,4 @@
-"""Pin every loaded OpenBLAS to one thread while engine threads score.
+"""Pin every loaded OpenBLAS to one thread while engine threads score or train.
 
 The threaded scoring path runs one micro-batch per thread.  Left alone,
 OpenBLAS would also split each GEMM over its own threads, and the two kinds
@@ -7,6 +7,12 @@ faster than one.  :func:`single_threaded` finds each OpenBLAS mapped into
 the process (numpy and scipy each ship their own), sets it to one thread
 for the scope and restores the previous counts when the last of any nested
 or concurrent scopes exits.
+
+A BERT label update runs inside the scope from start to end, for a second
+reason besides contention: its weight-gradient GEMMs reduce over about a
+thousand rows, and OpenBLAS on several threads splits that reduction and
+rounds differently.  Pinned, an update's bits depend neither on the CPU
+count nor on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations

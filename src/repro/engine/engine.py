@@ -18,6 +18,11 @@ encoded candidate pairs it
    GEMM.  For the plan's duration :mod:`repro.engine.blas` holds OpenBLAS
    at one thread, so its threads do not contend with the scoring threads.
 
+The same pool runs a label update's work (:meth:`ScoringEngine.run_parallel`):
+the row shards of every training step, each on its own replica of the
+trained modules, and the chunks of the update's trunk table (see
+:meth:`repro.featurizers.bert.BertFeaturizer._train`).
+
 Scores live in memory only, and nothing reaches the artifact store.
 Every label update changes the weights, so a customer's scores are
 recomputed after each one -- but a label update trains only MiniBERT's top
@@ -44,7 +49,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,6 +67,8 @@ from .batching import (
 )
 from .stats import EngineStats
 from .trunks import TrunkStore
+
+T = TypeVar("T")
 
 
 def default_workers() -> int:
@@ -86,7 +93,9 @@ class EngineConfig:
         fuller batches.
     n_workers:
         Threads that score one plan, the calling thread included; defaults
-        to :func:`default_workers`.  0 and 1 score in-process.
+        to :func:`default_workers`.  0 and 1 score in-process.  A label
+        update runs its row shards and trunk chunks on the same threads
+        (:meth:`ScoringEngine.run_parallel`).
     """
 
     microbatch_size: int = MICROBATCH_SIZE
@@ -209,8 +218,7 @@ class ScoringEngine:
                 self.model, self.classifier, self.special_ids, batch, trunk_hidden=trunk
             )
 
-        threads = min(self.config.n_workers, len(plan))
-        if threads < 2:
+        if min(self.config.n_workers, len(plan)) < 2:
             results = []
             for index in range(len(plan)):
                 with self.stats.timer("forward"):
@@ -218,8 +226,33 @@ class ScoringEngine:
                 self.stats.inprocess_batches += 1
             return results
 
-        results: list[np.ndarray | None] = [None] * len(plan)
-        cursor = iter(range(len(plan)))
+        with self.stats.timer("forward"), blas.single_threaded() as pinned:
+            self._blas_pinned = pinned
+            results = self.run_parallel(forward, len(plan))
+        self.stats.threaded_batches += len(plan)
+        return results
+
+    def run_parallel(self, work: Callable[[int], T], count: int) -> list[T]:
+        """``[work(0), ..., work(count - 1)]``, on up to ``n_workers`` threads.
+
+        The calling thread and up to ``n_workers - 1`` helper threads of the
+        engine's pool pull indices from a shared cursor; with one worker, or
+        one index, the calling thread runs them in order.  Threaded scoring
+        plans and a label update's row shards and trunk chunks run here.
+
+        ``work`` should not score through the engine, whose counters are
+        not synchronised.  A helper that has not started by the time the
+        cursor runs out is cancelled rather than awaited, so a call made
+        from a pool thread cannot wait on the pool thread it runs on.
+        :func:`repro.nn.inference_scope` is per thread: ``work`` enters it
+        where it needs it.
+        """
+        threads = min(self.config.n_workers, count)
+        if threads < 2:
+            return [work(index) for index in range(count)]
+
+        results: list = [None] * count
+        cursor = iter(range(count))
         cursor_lock = threading.Lock()
         failed = threading.Event()
 
@@ -230,27 +263,27 @@ class ScoringEngine:
                         index = next(cursor, None)
                     if index is None:
                         return
-                    results[index] = forward(index)
+                    results[index] = work(index)
             except BaseException:
-                failed.set()  # the other threads stop at their next batch
+                failed.set()  # the other threads stop at their next index
                 raise
 
         if self._pool is None:
             self._pool = ThreadPoolExecutor(
                 self.config.n_workers - 1, thread_name_prefix="repro-engine"
             )
-        with self.stats.timer("forward"), blas.single_threaded() as pinned:
-            self._blas_pinned = pinned
-            helpers = [self._pool.submit(drain) for _ in range(threads - 1)]
-            try:
-                drain()
-            finally:
-                # No helper may outlive the call: each writes into the
-                # plan's results, and its failure is re-raised below.
-                wait(helpers)
-            for helper in helpers:
-                helper.result()  # re-raise a helper's failure here
-        self.stats.threaded_batches += len(plan)
+        helpers = [self._pool.submit(drain) for _ in range(threads - 1)]
+        try:
+            drain()
+        finally:
+            # No started helper may outlive the call: each writes into
+            # ``results``, and its failure is re-raised below.  One that
+            # never started has claimed no index; it is cancelled and not
+            # awaited (``wait`` would block until a pool thread dequeued it).
+            started = [helper for helper in helpers if not helper.cancel()]
+            wait(started)
+        for helper in started:
+            helper.result()  # re-raise a helper's failure here
         return results
 
     def score_plan(self, plan) -> list[np.ndarray]:

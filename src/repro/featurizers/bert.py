@@ -26,7 +26,15 @@ from ..lm.bert import MiniBert
 from ..lm.encode_plane import BatchHalves, EncodePlane
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
-from ..nn.layers import Dropout, Linear, Module, inference_active, inference_scope
+from ..nn.layers import (
+    Dropout,
+    Linear,
+    Module,
+    Parameter,
+    inference_active,
+    inference_scope,
+    weight_sharing_copy,
+)
 from ..nn.losses import binary_cross_entropy_with_logits
 from ..nn.optim import Adam, clip_gradients
 from ..nn.stats import TrainStats
@@ -152,7 +160,7 @@ def compute_match_features(
     states, plus |u0 - v0| and u0 * v0 from the (detached) raw token
     embeddings -- the latter carry the distributional word geometry
     directly, without positional/segment additions.  The returned cache
-    feeds :meth:`BertFeaturizer._backward_features` during training.
+    feeds :func:`backward_match_features` during training.
     ``trunk_hidden``, the trunk's output for ``batch`` computed beforehand,
     makes the forward run only the top block and the pooler.
     """
@@ -231,6 +239,50 @@ def score_encoded_batch(
         features, _cache = compute_match_features(model, special_ids, batch, trunk_hidden)
         logits = classifier.forward(features)
     return sigmoid(logits.astype(np.float64))
+
+
+def backward_match_features(model: MiniBert, grad_features: np.ndarray, cache: dict) -> None:
+    """Backpropagate match-feature gradients into ``model``'s top block and pooler.
+
+    ``cache`` is :func:`compute_match_features`'s for the same batch.  The
+    gradient stops at the top block: a label update's trunk is frozen, so
+    the block's input gradient is not computed.
+    """
+    size = model.config.hidden_size
+    offset = MatchingClassifier.NUM_SCALARS
+    grad_pooled = grad_features[:, offset : offset + size]
+    grad_absdiff = grad_features[:, offset + size : offset + 2 * size]
+    grad_product = grad_features[:, offset + 2 * size : offset + 3 * size]
+    # The embedding-layer scalar/channels (cos(u0, v0) and channels 4-5)
+    # are detached by design; cos(u, v) backpropagates into the encoder.
+    u, v = cache["u"], cache["v"]
+    sign = np.sign(u - v)
+    grad_u = grad_absdiff * sign + grad_product * v
+    grad_v = -grad_absdiff * sign + grad_product * u
+
+    grad_cosine = grad_features[:, 0]
+    norm_u = np.linalg.norm(u, axis=1)
+    norm_v = np.linalg.norm(v, axis=1)
+    safe = (norm_u > 0) & (norm_v > 0)
+    if safe.any():
+        cosine = cache["cosine_uv"]
+        inv_u = np.where(safe, 1.0 / np.maximum(norm_u, 1e-12), 0.0)
+        inv_v = np.where(safe, 1.0 / np.maximum(norm_v, 1e-12), 0.0)
+        coeff = (grad_cosine * inv_u * inv_v)[:, None]
+        grad_u = grad_u + coeff * v - (
+            grad_cosine * cosine * inv_u**2
+        )[:, None] * u
+        grad_v = grad_v + coeff * u - (
+            grad_cosine * cosine * inv_v**2
+        )[:, None] * v
+    # Every operand above is float32 (features, cache arrays and the loss
+    # gradient all follow the model dtype), so grad_hidden is float32
+    # by construction -- no astype needed.
+    grad_hidden = (
+        cache["mask_a"][..., None] * (grad_u / cache["count_a"])[:, None, :]
+        + cache["mask_b"][..., None] * (grad_v / cache["count_b"])[:, None, :]
+    )
+    model.backward_top(grad_hidden=grad_hidden, grad_pooled=grad_pooled, input_grad=False)
 
 
 @dataclass(frozen=True)
@@ -405,6 +457,10 @@ HUMAN_OVERSAMPLE = 4
 MAX_GRAD_NORM = 1.0
 #: Corrupted negatives generated per pre-training positive.
 NEGATIVES_PER_POSITIVE = 1
+#: Row shards of every label-update step, each trained on its own thread
+#: when the engine has two.  Fixed rather than the engine's thread count,
+#: so an update gives the same bits on every machine (see DESIGN.md).
+TRAIN_SHARDS = 2
 
 
 @dataclass
@@ -435,6 +491,81 @@ def pretrain_key_payload(config: BertFeaturizerConfig) -> dict:
     }
 
 
+def trained_parameters(
+    model: MiniBert, classifier: MatchingClassifier
+) -> tuple[dict[str, Parameter], dict[str, Parameter]]:
+    """``(fast, channel)``: the parameters a label update trains, by learning rate.
+
+    The fast group is the classifier's scalar path and the encoder's top
+    block and pooler, at :data:`LR`; the channel group is the classifier's
+    channel path, at ``LR * CHANNEL_LR_SCALE``.
+    """
+    fast = {
+        **classifier.scalar_path.parameters("classifier.scalar_path."),
+        **model.top_parameters("bert."),
+    }
+    channel = {
+        **classifier.hidden.parameters("classifier.hidden."),
+        **classifier.output.parameters("classifier.output."),
+    }
+    return fast, channel
+
+
+class _TrainShard:
+    """One row shard of every label-update step, on its own replica of the
+    trained modules: the encoder's top block and pooler
+    (:meth:`MiniBert.top_replica`) and the matching classifier.
+
+    The replica shares the featurizer's weight arrays and keeps its own
+    grads, caches and dropout generator, so shards run on threads at once.
+    """
+
+    def __init__(
+        self,
+        model: MiniBert,
+        classifier: MatchingClassifier,
+        special_ids: list[int],
+        dropout_generator: np.random.Generator,
+    ) -> None:
+        self.model = model.top_replica()
+        self.classifier = weight_sharing_copy(classifier)
+        self.special_ids = special_ids
+        modules: list[Module] = [self.model.blocks[-1]]
+        while modules:
+            module = modules.pop()
+            if isinstance(module, Dropout):
+                module.rng = dropout_generator
+            modules.extend(module._children.values())
+        self.model.train_top()
+        self.classifier.train()
+        fast, channel = trained_parameters(self.model, self.classifier)
+        self.parameters = {**fast, **channel}
+
+    def run(
+        self,
+        batch: EncodedPair,
+        trunk_hidden: np.ndarray,
+        labels: np.ndarray,
+        weights: np.ndarray,
+        share: float,
+    ) -> float:
+        """Forward, loss and backward of this shard's rows; returns its loss.
+
+        The loss gradient is scaled by ``share``, the shard's part of the
+        step's total sample weight, so the shards' grads sum to the step's.
+        """
+        for parameter in self.parameters.values():
+            parameter.zero_grad()
+        features, cache = compute_match_features(
+            self.model, self.special_ids, batch, trunk_hidden
+        )
+        logits = self.classifier.forward(features)
+        loss, grad_logits = binary_cross_entropy_with_logits(logits, labels, weights=weights)
+        grad_logits *= share
+        backward_match_features(self.model, self.classifier.backward(grad_logits), cache)
+        return loss
+
+
 class BertFeaturizer:
     """Cross-encoder similarity scorer with per-ISS pre-training."""
 
@@ -457,7 +588,6 @@ class BertFeaturizer:
         self.model = copy.deepcopy(model)
         self.model.zero_grad()  # drop whatever grads the source model's last step left
         self.config = config or BertFeaturizerConfig()
-        self._reseed_dropout()
         rng = np.random.default_rng(self.config.seed)
         self.classifier = MatchingClassifier(
             model.config.hidden_size, CLASSIFIER_SIZE, rng
@@ -472,6 +602,9 @@ class BertFeaturizer:
         #: The label updates' Adam optimisers, created by the first update and
         #: reused by every later one (moment estimates and step counts).
         self._warm_optimizers: list[Adam] | None = None
+        #: The label updates' row shards (see :meth:`_train`), built by the
+        #: first update.
+        self._shards: list[_TrainShard] | None = None
         #: Per-stage timings and counters of every training pass (pretrain
         #: and updates); surfaced via ``repro train stats``.
         self.train_stats = TrainStats()
@@ -539,44 +672,6 @@ class BertFeaturizer:
         return compute_match_features(
             self.model, sorted(self.tokenizer.vocab.special_ids()), batch, trunk_hidden
         )
-
-    def _backward_features(self, grad_features: np.ndarray, cache: dict) -> None:
-        """Backpropagate match-feature gradients into the top block and pooler."""
-        size = self.model.config.hidden_size
-        offset = MatchingClassifier.NUM_SCALARS
-        grad_pooled = grad_features[:, offset : offset + size]
-        grad_absdiff = grad_features[:, offset + size : offset + 2 * size]
-        grad_product = grad_features[:, offset + 2 * size : offset + 3 * size]
-        # The embedding-layer scalar/channels (cos(u0, v0) and channels 4-5)
-        # are detached by design; cos(u, v) backpropagates into the encoder.
-        u, v = cache["u"], cache["v"]
-        sign = np.sign(u - v)
-        grad_u = grad_absdiff * sign + grad_product * v
-        grad_v = -grad_absdiff * sign + grad_product * u
-
-        grad_cosine = grad_features[:, 0]
-        norm_u = np.linalg.norm(u, axis=1)
-        norm_v = np.linalg.norm(v, axis=1)
-        safe = (norm_u > 0) & (norm_v > 0)
-        if safe.any():
-            cosine = cache["cosine_uv"]
-            inv_u = np.where(safe, 1.0 / np.maximum(norm_u, 1e-12), 0.0)
-            inv_v = np.where(safe, 1.0 / np.maximum(norm_v, 1e-12), 0.0)
-            coeff = (grad_cosine * inv_u * inv_v)[:, None]
-            grad_u = grad_u + coeff * v - (
-                grad_cosine * cosine * inv_u**2
-            )[:, None] * u
-            grad_v = grad_v + coeff * u - (
-                grad_cosine * cosine * inv_v**2
-            )[:, None] * v
-        # Every operand above is float32 (features, cache arrays and the loss
-        # gradient all follow the model dtype), so grad_hidden is float32
-        # by construction -- no astype needed.
-        grad_hidden = (
-            cache["mask_a"][..., None] * (grad_u / cache["count_a"])[:, None, :]
-            + cache["mask_b"][..., None] * (grad_v / cache["count_b"])[:, None, :]
-        )
-        self.model.backward_top(grad_hidden=grad_hidden, grad_pooled=grad_pooled)
 
     # -- training ---------------------------------------------------------------
 
@@ -674,70 +769,110 @@ class BertFeaturizer:
 
         The trunk below runs once per distinct sample, in eval mode and
         inference-only (:meth:`_trunk_outputs`); each micro-batch slices its
-        rows.  The Adam optimisers (moment estimates and step counts)
-        persist across calls, so incremental ``update()`` rounds continue
-        the optimisation instead of restarting it.
+        rows.  Every step splits its micro-batch into :data:`TRAIN_SHARDS`
+        fixed row shards and trains each on its own replica of the trained
+        modules (:meth:`_train_step`), on the engine's threads.  The whole
+        call holds OpenBLAS at one thread (:func:`repro.engine.blas.single_threaded`),
+        so its bits depend neither on the CPU count nor on
+        ``OPENBLAS_NUM_THREADS``.  The Adam optimisers (moment estimates
+        and step counts) persist across calls, so incremental ``update()``
+        rounds continue the optimisation instead of restarting it.
         """
         if not samples:
             return []
+        from ..engine import blas
+
         with obs.span("bert.train", samples=len(samples), epochs=int(epochs)):
-            return self._train_traced(samples, epochs)
+            with blas.single_threaded():
+                return self._train_traced(samples, epochs)
 
     def _train_traced(self, samples: Sequence[TrainingSample], epochs: int) -> list[float]:
         stats = self.train_stats
         distinct, rows, labels, weights = self._encoded_samples(samples)
         halves = distinct.take(rows)
-        fast_parameters = {
-            **self.classifier.scalar_path.parameters("classifier.scalar_path."),
-            **self.model.top_parameters("bert."),
-        }
-        channel_parameters = {
-            **self.classifier.hidden.parameters("classifier.hidden."),
-            **self.classifier.output.parameters("classifier.output."),
-        }
-        parameters = {**fast_parameters, **channel_parameters}
         if self._warm_optimizers is None:
+            fast_parameters, channel_parameters = trained_parameters(self.model, self.classifier)
             self._warm_optimizers = [
                 Adam(fast_parameters, lr=LR),
                 Adam(channel_parameters, lr=LR * CHANNEL_LR_SCALE),
             ]
+            special_ids = sorted(self.tokenizer.vocab.special_ids())
+            self._shards = [
+                _TrainShard(self.model, self.classifier, special_ids, self._reseed_dropout(shard))
+                for shard in range(TRAIN_SHARDS)
+            ]
             stats.cold_starts += 1
         else:
             stats.warm_starts += 1
-        optimizers = self._warm_optimizers
 
-        self.model.train_top()
-        self.classifier.train()
         with stats.timer("trunk"):
             trunk = self._trunk_outputs(distinct)
         losses: list[float] = []
         for padded, index in self._steps(halves.lengths, epochs):
             with stats.timer("bucket"):
                 batch = self.encode_plane.assemble(halves.take(index), pad_to=padded)
-            with stats.timer("forward"):
-                trunk_hidden = trunk[rows[index], :padded]
-                features, cache = self._forward_features(batch, trunk_hidden)
-                logits = self.classifier.forward(features)
-            loss, grad_logits = binary_cross_entropy_with_logits(
-                logits, labels[index], weights=weights[index]
+            losses.append(
+                self._train_step(
+                    batch, trunk[rows[index], :padded], labels[index], weights[index]
+                )
             )
-            with stats.timer("backward"):
-                for optimizer in optimizers:
-                    optimizer.zero_grad()
-                grad_features = self.classifier.backward(grad_logits)
-                self._backward_features(grad_features, cache)
-            with stats.timer("optim"):
-                clip_gradients(parameters, MAX_GRAD_NORM)
-                for optimizer in optimizers:
-                    optimizer.step()
-            losses.append(loss)
-        self.model.eval()
-        self.classifier.eval()
         # Bumps the engine's model version.  Its scoring threads read the
         # live weights, so no copy has to follow the update; the trunk did
         # not move, so the engine keeps its stored trunk outputs.
         self.engine.invalidate_model(top_only=True)
         return losses
+
+    def _train_step(
+        self,
+        batch: EncodedPair,
+        trunk_hidden: np.ndarray,
+        labels: np.ndarray,
+        weights: np.ndarray,
+    ) -> float:
+        """One optimiser step over a micro-batch; returns its weighted loss.
+
+        Shard ``s`` takes the ``s``-th run of ``ceil(B / TRAIN_SHARDS)``
+        consecutive rows and runs forward, loss and backward on its own
+        replica (:class:`_TrainShard`), its loss gradient scaled by its share
+        of the step's sample weight.  The shards run on the engine's threads
+        (:meth:`repro.engine.ScoringEngine.run_parallel`), or one after the
+        other with one worker.  The calling thread then sums the shards'
+        grads in shard order into the featurizer's parameters, clips them
+        and steps Adam, which moves every replica's shared weights.
+        """
+        stats = self.train_stats
+        shards = self._shards
+        optimizers = self._warm_optimizers
+        size = -(-len(labels) // TRAIN_SHARDS)
+        parts = [slice(start, start + size) for start in range(0, len(labels), size)]
+        total = float(weights.sum(dtype=np.float64))
+        shares = [float(weights[part].sum(dtype=np.float64)) / total for part in parts]
+
+        def run(shard: int) -> float:
+            part = parts[shard]
+            rows = EncodedPair(
+                input_ids=batch.input_ids[part],
+                segment_ids=batch.segment_ids[part],
+                attention_mask=batch.attention_mask[part],
+            )
+            return shards[shard].run(
+                rows, trunk_hidden[part], labels[part], weights[part], shares[shard]
+            )
+
+        with stats.timer("shards"):
+            shard_losses = self.engine.run_parallel(run, len(parts))
+        with stats.timer("optim"):
+            parameters: dict[str, Parameter] = {}
+            for optimizer in optimizers:
+                parameters.update(optimizer.parameters)
+            for name, parameter in parameters.items():
+                np.copyto(parameter.grad, shards[0].parameters[name].grad)
+                for shard in shards[1 : len(parts)]:
+                    parameter.grad += shard.parameters[name].grad
+            clip_gradients(parameters, MAX_GRAD_NORM)
+            for optimizer in optimizers:
+                optimizer.step()
+        return sum(loss * share for loss, share in zip(shard_losses, shares))
 
     def _trunk_outputs(self, distinct: BatchHalves) -> np.ndarray:
         """The frozen trunk's output for every distinct sample of a call.
@@ -745,9 +880,13 @@ class BertFeaturizer:
         ``table[r, :T]`` is the trunk's output for row ``r`` of ``distinct``
         at the padded length ``T`` of its training micro-batch, and the
         table is zero beyond each row's length bucket.  The trunk runs once
-        per distinct sample, in the training planner's length buckets, so
-        each row equals, bit for bit, what the trunk gives it inside its
-        micro-batch.  The table lives for one call only.
+        per distinct sample, in the training planner's length buckets, one
+        chunk per task on the engine's threads
+        (:meth:`repro.engine.ScoringEngine.run_parallel`), each inside
+        :func:`inference_scope`.  Each row equals, bit for bit, what the
+        trunk gives it inside its micro-batch: the trunk's GEMMs are split
+        by rows, which does not change a row's bits.  The table lives for
+        one call only.
         """
         from ..engine.batching import plan_bucket_chunks
 
@@ -755,26 +894,34 @@ class BertFeaturizer:
             (len(distinct), self.encode_plane.max_length, self.model.config.hidden_size),
             dtype=np.float32,
         )
-        with inference_scope():
-            for padded, chunk in plan_bucket_chunks(
-                distinct.lengths.tolist(), microbatch_size=self.config.batch_size
-            ):
-                batch = self.encode_plane.assemble(distinct.take(chunk), pad_to=padded)
-                table[chunk, :padded] = self.model.forward_trunk(batch)
+        chunks = plan_bucket_chunks(
+            distinct.lengths.tolist(), microbatch_size=self.config.batch_size
+        )
+        batches = [
+            self.encode_plane.assemble(distinct.take(chunk), pad_to=padded)
+            for padded, chunk in chunks
+        ]
+
+        def run(index: int) -> None:
+            padded, chunk = chunks[index]
+            with inference_scope():
+                table[chunk, :padded] = self.model.forward_trunk(batches[index])
+
+        self.engine.run_parallel(run, len(chunks))
         return table
 
-    def _reseed_dropout(self) -> None:
-        """Give every dropout layer of the encoder copy one fresh generator
-        seeded from the config, whatever the artefacts' generator went
-        through before the copy (MLM training in this process or none), so
-        updates draw the same masks on a cold and a warm store."""
-        generator = np.random.default_rng(self.config.seed + 2)
-        modules: list[Module] = [self.model]
-        while modules:
-            module = modules.pop()
-            if isinstance(module, Dropout):
-                module.rng = generator
-            modules.extend(module._children.values())
+    def _reseed_dropout(self, shard: int) -> np.random.Generator:
+        """The dropout generator of row shard ``shard``'s replica, seeded from
+        ``(config.seed + 2, shard)``.
+
+        A shard's masks depend only on the config and its own earlier
+        draws: not on what the artefacts' generator went through before
+        the featurizer copied the encoder (MLM training in this process or
+        none), so updates draw the same masks on a cold and a warm store,
+        and not on which thread ran the shard or on the order the shards
+        ran in.
+        """
+        return np.random.default_rng([self.config.seed + 2, shard])
 
     def pretrain(
         self,

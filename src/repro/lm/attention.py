@@ -149,7 +149,9 @@ class MultiHeadSelfAttention(Module):
             }
         return self.output.forward(merged)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter grads; return the input's gradient, or
+        ``None`` without its GEMM when ``input_grad`` is false."""
         if self._cache is None:
             raise RuntimeError("MultiHeadSelfAttention: backward before forward")
         cache = self._cache
@@ -177,7 +179,7 @@ class MultiHeadSelfAttention(Module):
             ],
             axis=-1,
         )
-        grad_input = self.qkv.backward(grad_packed)  # one GEMM for dW and dx
+        grad_input = self.qkv.backward(grad_packed, input_grad)  # one GEMM each for dW and dx
         self._cache = None
         return grad_input
 

@@ -12,10 +12,13 @@ with numpy.  Two heads attach to it in this repository:
 The forward splits into a *trunk* (embeddings and every block below the
 top) and a *top* (the last block and the pooler).  MLM pre-training runs and
 backpropagates through both; a featurizer update runs the trunk
-inference-only and trains the top (:meth:`MiniBert.backward_top`).
+inference-only and trains the top (:meth:`MiniBert.backward_top`), one row
+shard per :meth:`MiniBert.top_replica`.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from ..nn.layers import (
     Module,
     Parameter,
     inference_active,
+    weight_sharing_copy,
 )
 from .config import BertConfig
 from .encoder import TransformerBlock
@@ -126,6 +130,25 @@ class MiniBert(Module):
             **self.pooler.parameters(f"{prefix}pooler."),
         }
 
+    def top_replica(self) -> "MiniBert":
+        """A MiniBert over this one's trunk modules, with its own copy of the
+        top block and the pooler (see :func:`repro.nn.weight_sharing_copy`).
+
+        The copy shares every weight array, so an optimiser stepping this
+        model moves the replica too, but it keeps its own grads, caches and
+        dropout generators: threads can each run :meth:`forward_top` and
+        :meth:`backward_top` on their own replica at once.
+        """
+        replica = copy.copy(self)
+        replica._children = dict(self._children)
+        top = len(self.blocks) - 1
+        block = weight_sharing_copy(self.blocks[top])
+        replica.blocks = [*self.blocks[:top], block]
+        replica._children[f"block{top}"] = block
+        replica.pooler = replica._children["pooler"] = weight_sharing_copy(self.pooler)
+        replica._pooler_cache = replica._seq_len = None
+        return replica
+
     def train_top(self) -> None:
         """Train mode for the top block and the pooler; the trunk stays in
         eval mode, so its forward draws no dropout."""
@@ -159,12 +182,14 @@ class MiniBert(Module):
         self,
         grad_hidden: np.ndarray | None = None,
         grad_pooled: np.ndarray | None = None,
-    ) -> np.ndarray:
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
         """Backpropagate through the pooler and the top block only.
 
         Needs a :meth:`forward_top` outside :func:`repro.nn.inference_scope`;
-        returns the gradient at the top block's input, which a frozen trunk
-        discards.
+        returns the gradient at the top block's input.  A frozen trunk would
+        discard it, so a label update passes ``input_grad=False`` and gets
+        ``None`` without the block's input GEMM.
         """
         if self._seq_len is None:
             raise RuntimeError("MiniBert: backward before forward")
@@ -186,4 +211,4 @@ class MiniBert(Module):
             grad_hidden[:, 0, :] += grad_cls
         self._pooler_cache = None
         self._seq_len = None
-        return self.blocks[-1].backward(grad_hidden)
+        return self.blocks[-1].backward(grad_hidden, input_grad)

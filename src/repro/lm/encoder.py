@@ -47,7 +47,10 @@ class TransformerBlock(Module):
         projected += x
         return self.ffn_norm.forward(projected)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter grads; return the input's gradient, or
+        ``None`` when ``input_grad`` is false, which skips the packed-QKV
+        input GEMM and the residual add (a frozen trunk below discards them)."""
         if self._gelu_cache is None:
             raise RuntimeError("TransformerBlock: backward before forward")
         grad_residual = self.ffn_norm.backward(grad_output)
@@ -59,4 +62,5 @@ class TransformerBlock(Module):
 
         grad_residual = self.attention_norm.backward(grad_x)
         grad_attended = self.attention_out_dropout.backward(grad_residual)
-        return self.attention.backward(grad_attended) + grad_residual
+        grad_input = self.attention.backward(grad_attended, input_grad)
+        return None if grad_input is None else grad_input + grad_residual

@@ -11,6 +11,7 @@ from .layers import (
     inference_active,
     inference_scope,
     normal_init,
+    weight_sharing_copy,
     xavier_uniform,
 )
 from .activations import (
@@ -62,5 +63,6 @@ __all__ = [
     "TrainStats",
     "tanh",
     "tanh_backward",
+    "weight_sharing_copy",
     "xavier_uniform",
 ]

@@ -17,9 +17,10 @@ substrate.  Design decisions:
 
 from __future__ import annotations
 
+import copy
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 import numpy as np
 
@@ -127,6 +128,25 @@ class Module:
         return sum(p.value.size for p in self.parameters().values())
 
 
+ModuleT = TypeVar("ModuleT", bound=Module)
+
+
+def weight_sharing_copy(module: ModuleT) -> ModuleT:
+    """A deep copy of ``module`` whose parameters share the source's value arrays.
+
+    The copy owns zeroed grads, its own backward caches and its own
+    dropout generators (copies of the source's, in the same state), so a
+    thread can run a training forward and backward on it while another
+    thread does the same on a sibling copy.
+    An optimiser that steps the source's parameters in place moves every
+    copy with them.
+    """
+    memo = {id(p.value): p.value for p in module.parameters().values()}
+    replica = copy.deepcopy(module, memo)
+    replica.zero_grad()
+    return replica
+
+
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Glorot/Xavier uniform initialisation."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -177,7 +197,9 @@ class Linear(Module):
             self._input = x
         return x @ self.weight.value + self.bias.value
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, grad_output: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate the parameter grads; return the input's gradient, or
+        ``None`` without computing it when ``input_grad`` is false."""
         _require_forward(self._input, "Linear")
         x = self._input
         flat_x = x.reshape(-1, self.fan_in)
@@ -190,9 +212,8 @@ class Linear(Module):
         else:  # mixed-dtype caller: np.matmul(out=) would reject the cast
             self.weight.grad += flat_x.T @ flat_grad
         self.bias.grad += flat_grad.sum(axis=0)
-        grad_input = grad_output @ self.weight.value.T
         self._input = None
-        return grad_input
+        return grad_output @ self.weight.value.T if input_grad else None
 
 
 class Embedding(Module):

@@ -7,13 +7,16 @@
   uninterleaved forward/backward;
 * threads scoring concurrently on one shared model return exactly what
   sequential scoring returns, and the engine's threads score every
-  micro-batch of a plan exactly once, even when preempted constantly.
+  micro-batch of a plan exactly once, even when preempted constantly;
+* ``run_parallel`` called from one of the engine's own pool threads (a
+  label update's shard that scores) finishes instead of waiting on itself.
 """
 
 from __future__ import annotations
 
 import copy
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -167,3 +170,35 @@ def test_engine_threads_score_every_microbatch_under_preemption():
         sys.setswitchinterval(interval)
     np.testing.assert_array_equal(got, expected)
     assert engine.stats.threaded_batches == engine.stats.microbatches == len(encoded)
+
+
+def test_run_parallel_from_a_pool_thread_does_not_wait_on_itself():
+    """Two indices held apart by a barrier run on two threads, so one runs
+    on the pool's only thread; it calls ``run_parallel`` again, whose helper
+    can never start there."""
+    model, classifier = make_stack()
+    engine = ScoringEngine(model, classifier, SPECIAL_IDS, EngineConfig(n_workers=2))
+    barrier = threading.Barrier(2, timeout=30)
+    nested = []
+
+    def work(index: int) -> int:
+        barrier.wait()
+        if threading.current_thread() is not caller:
+            nested.append(engine.run_parallel(lambda inner: 10 * index + inner, 3))
+        return index
+
+    caller = None
+    outcome = {}
+
+    def run() -> None:
+        nonlocal caller
+        caller = threading.current_thread()
+        outcome["results"] = engine.run_parallel(work, 2)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "run_parallel from a pool thread waited on itself"
+    engine.close()
+    assert outcome["results"] == [0, 1]
+    assert len(nested) == 1 and nested[0] in ([0, 1, 2], [10, 11, 12])

@@ -1,5 +1,8 @@
 """Gradient-checked tests for MiniBERT and its building blocks."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -127,7 +130,52 @@ class TestTransformerBlock:
         assert parameter.grad[0, 0] == pytest.approx(numeric, rel=3e-2, abs=1e-3)
 
 
+    def test_parameter_grads_do_not_depend_on_the_input_gradient(self, config, rng):
+        """A label update skips the top block's input gradient; the block's
+        parameter grads are bit for bit those of the full backward, dropout
+        masks included."""
+        block = TransformerBlock(replace(config, dropout=0.1, attention_dropout=0.1), rng)
+        block.train()
+        x = rng.standard_normal((3, 7, 16)).astype(np.float32)
+        mask = np.ones((3, 7), dtype=np.float32)
+        mask[1, 5:] = 0.0
+        grad_output = rng.standard_normal((3, 7, 16)).astype(np.float32)
+        twin = copy.deepcopy(block)  # same weights and dropout generator state
+        block.forward(x, mask)
+        full = block.backward(grad_output)
+        assert full is not None and full.shape == x.shape
+        twin.forward(x, mask)
+        assert twin.backward(grad_output, input_grad=False) is None
+        twin_parameters = twin.parameters()
+        for name, parameter in block.parameters().items():
+            assert parameter.grad.any(), name
+            np.testing.assert_array_equal(twin_parameters[name].grad, parameter.grad, err_msg=name)
+
+
 class TestMiniBert:
+    def test_top_replica_shares_weights_not_grads(self, config, tokenizer):
+        model = MiniBert(config, seed=0)
+        replica = model.top_replica()
+        top = model.top_parameters()
+        replica_top = replica.top_parameters()
+        assert top.keys() == replica_top.keys()
+        for name, parameter in top.items():
+            assert replica_top[name].value is parameter.value, name
+            assert replica_top[name].grad is not parameter.grad, name
+        # The trunk modules are the model's own.
+        assert replica.token_embedding is model.token_embedding
+        assert replica.blocks[0] is model.blocks[0]
+        assert replica.blocks[-1] is not model.blocks[-1]
+
+        batch = make_batch(tokenizer)
+        replica.train_top()
+        _hidden, pooled = replica.forward(batch)
+        replica.backward_top(grad_pooled=np.ones_like(pooled), input_grad=False)
+        assert any(p.grad.any() for p in replica_top.values())
+        assert not any(p.grad.any() for p in model.parameters().values())
+        # An in-place step on the model moves the replica.
+        model.pooler.weight.value += 1.0
+        np.testing.assert_array_equal(replica.pooler.weight.value, model.pooler.weight.value)
     def test_forward_shapes(self, config, tokenizer):
         model = MiniBert(config, seed=0)
         model.eval()

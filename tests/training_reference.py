@@ -1,4 +1,4 @@
-"""Stack-and-trim reference for the training input path.
+"""Stack-and-trim reference for the training input path, and the one-batch step.
 
 Training plans index-only chunks (:func:`repro.engine.batching.plan_training_chunks`)
 and gathers every step's batch from the encode plane.  These helpers build
@@ -6,6 +6,12 @@ the same steps the plain way -- one full-width ``encode_pair`` or
 ``encode_single`` row per sample, lengths summed from the attention masks,
 buckets rounded up by hand, rows stacked and trimmed -- so the training
 suites can hold the fast path to them bit for bit.
+
+A label update's step runs its micro-batch as row shards, each on its own
+replica of the trained modules, and sums their grads.
+:func:`one_batch_step_grads` is the step the plain way, the whole
+micro-batch in one forward and backward, for the suites to hold the
+sharded step to within float32 rounding.
 """
 
 from __future__ import annotations
@@ -14,7 +20,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from repro.featurizers.bert import (
+    backward_match_features,
+    compute_match_features,
+    trained_parameters,
+)
 from repro.lm.tokenizer import EncodedPair, stack_encoded, trim_encoded
+from repro.nn import binary_cross_entropy_with_logits, weight_sharing_copy
 
 GRANULARITY = 8
 
@@ -75,3 +87,24 @@ def assert_batches_equal(got: EncodedPair, expected: EncodedPair, context: str =
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.shape == b.shape, f"{context} {name}"
         np.testing.assert_array_equal(a, b, err_msg=f"{context} {name}")
+
+
+def one_batch_step_grads(featurizer, batch, trunk_hidden, labels, weights) -> dict[str, np.ndarray]:
+    """The grads of one update step run as a single batch, before clipping.
+
+    Runs on a fresh replica of the featurizer's top block, pooler and
+    classifier (the live weights, zeroed grads), so the featurizer's own
+    state is left as it was; keyed like the update's parameters.
+    """
+    model = featurizer.model.top_replica()
+    classifier = weight_sharing_copy(featurizer.classifier)
+    model.train_top()
+    classifier.train()
+    special_ids = sorted(featurizer.tokenizer.vocab.special_ids())
+    features, cache = compute_match_features(model, special_ids, batch, trunk_hidden)
+    _loss, grad_logits = binary_cross_entropy_with_logits(
+        classifier.forward(features), labels, weights=weights
+    )
+    backward_match_features(model, classifier.backward(grad_logits), cache)
+    fast, channel = trained_parameters(model, classifier)
+    return {name: parameter.grad.copy() for name, parameter in {**fast, **channel}.items()}

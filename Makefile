@@ -15,7 +15,9 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## scores, bit for bit, on one or two engine threads and with OpenBLAS at
 ## one or two threads), the trunk-store suite (a
 ## rescore after label updates that reads stored trunk outputs == a
-## store-less forward, bit-exact), the pretraining suites (the
+## store-less forward, bit-exact), the stage-0 differential test (leaving
+## dtype-incompatible rows out of BERT before the first label changes no
+## prediction or scored BERT cell, bit-exact), the pretraining suites (the
 ## scalar-path fit on cached eval-mode cosines == the loop that runs the
 ## encoder every step, within 1e-6; a cold and a warm pretrained block
 ## agree after an update) and the training-input suites (the training
@@ -42,7 +44,7 @@ parity:
 		tests/featurizers/test_pair_batch.py tests/retrieval/test_bm25_reference.py \
 		tests/nn/test_kernels.py tests/featurizers/test_frozen_trunk.py \
 		tests/featurizers/test_update_determinism.py \
-		tests/engine/test_trunk_store.py \
+		tests/engine/test_trunk_store.py tests/core/test_dtype_skip.py \
 		tests/featurizers/test_bert_featurizer.py::TestPretrainCache \
 		tests/featurizers/test_bert_featurizer.py::TestPretrainScalarFit \
 		tests/featurizers/test_bert_featurizer.py::TestIndexOnlyPlan \
@@ -54,7 +56,7 @@ parity:
 		tests/core/test_config_artifacts.py::TestArtifacts::test_cache_round_trip \
 		tests/core/test_config_artifacts.py::TestArtifacts::test_generic_embeddings_warm_load_equals_cold_build
 
-## Engine perf smoke (tier-2): length-bucketed micro-batches vs one
+## Engine perf smoke (tier-2): exact-length micro-batches vs one
 ## monolithic padded batch, parity within 1e-8; emits BENCH_engine.json.
 bench-engine:
 	$(PYTHON) -m pytest -q benchmarks/test_engine_throughput.py

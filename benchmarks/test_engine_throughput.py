@@ -1,8 +1,9 @@
-"""Engine throughput smoke: bucketing beats naive.
+"""Engine throughput smoke: exact-length micro-batches beat naive.
 
 A skewed-length synthetic schema (many short attribute names, a handful of
 long-description pairs) is scored two ways: the monolithic batch padded
-to the longest pair and the engine's length-bucketed plan.  Bucketing must
+to the longest pair and the engine's plan, whose micro-batches each hold
+rows of one token count padded to exactly that count.  The engine must
 win because attention cost is quadratic in the padded length, and both
 paths must agree within 1e-8.  The datapoint is ``BENCH_engine.json``.
 """
@@ -88,12 +89,7 @@ def test_bucketed_batching_beats_naive_single_batch():
     def run_naive() -> np.ndarray:
         return score_encoded_batch(model, classifier, special_ids, monolithic)
 
-    engine = ScoringEngine(
-        model,
-        classifier,
-        special_ids,
-        EngineConfig(microbatch_size=64, bucket_granularity=8),
-    )
+    engine = ScoringEngine(model, classifier, special_ids, EngineConfig(microbatch_size=64))
 
     def run_bucketed() -> np.ndarray:
         engine.clear_cached_scores()
@@ -115,7 +111,7 @@ def test_bucketed_batching_beats_naive_single_batch():
             ["path", "wall-clock (s)", "speedup"],
             [
                 ["naive single batch", f"{naive_seconds:.4f}", "1.00x"],
-                ["bucketed micro-batches", f"{bucketed_seconds:.4f}", f"{speedup:.2f}x"],
+                ["exact-length micro-batches", f"{bucketed_seconds:.4f}", f"{speedup:.2f}x"],
             ],
             title=f"Engine throughput -- {len(encoded)} skewed-length pairs",
         )
@@ -130,10 +126,10 @@ def test_bucketed_batching_beats_naive_single_batch():
         gate={"max_score_deviation": deviation, "atol": 1e-8},
         extra={
             "baseline": "monolithic batch padded to max_length",
-            "fast": "length-bucketed micro-batches (in-process float32)",
+            "fast": "exact-length micro-batches (in-process float32)",
         },
     )
 
-    # The whole point of bucketing: short pairs stop paying MAX_LENGTH
+    # The whole point of length planning: short pairs stop paying MAX_LENGTH
     # padding.  Demand a real margin, not a tie.
     assert bucketed_seconds < naive_seconds, datapoint

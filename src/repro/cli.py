@@ -57,7 +57,7 @@ import argparse
 
 from .core.artifacts import ArtifactConfig
 from .datasets import ALL_NAMES, load_dataset
-from .engine.batching import BUCKET_GRANULARITY, MICROBATCH_SIZE
+from .engine.batching import MICROBATCH_SIZE
 from .eval.experiments import (
     BASELINE_NAMES,
     evaluate_lsm_accuracy,
@@ -273,11 +273,7 @@ def _cmd_engine(args: argparse.Namespace) -> None:
     task = load_dataset(args.dataset)
     artifacts = build_artifacts(task.target, config=FAST_ARTIFACTS) if args.fast else None
     workers = {} if args.workers is None else {"n_workers": args.workers}
-    engine_config = EngineConfig(
-        microbatch_size=args.microbatch,
-        bucket_granularity=args.bucket_granularity,
-        **workers,
-    )
+    engine_config = EngineConfig(microbatch_size=args.microbatch, **workers)
     config = LsmConfig(
         engine=engine_config,
         update_bert_every=10**9,  # isolate incremental re-scoring from retraining
@@ -567,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="threads per scoring plan (default: the CPUs this process may use)",
     )
     engine.add_argument("--microbatch", type=int, default=MICROBATCH_SIZE)
-    engine.add_argument("--bucket-granularity", type=int, default=BUCKET_GRANULARITY)
     engine.add_argument(
         "--fast", action="store_true", help="tiny artefacts for a quick smoke run"
     )

@@ -39,7 +39,7 @@ from ..retrieval import (
 from ..schema.drift import DeltaEffect, SchemaDelta, apply_delta as apply_schema_delta
 from ..schema.model import AttributeRef, Correspondence, MatchResult, Schema
 from .artifacts import ArtifactConfig, DomainArtifacts, build_artifacts
-from .candidates import CandidateStore
+from .candidates import UNLABELED, CandidateStore
 from .config import LsmConfig
 from .drift import DriftReport, DriftStats
 from .meta import SelfTrainingClassifier
@@ -170,6 +170,10 @@ class LearnedSchemaMatcher:
         #: True between a drift and the next featurization pass; makes the
         #: pass measure rescored-vs-reused pair counts into ``drift_stats``.
         self._drift_pending = False
+        #: True while rows a pass left out of BERT (:meth:`_filtered_rows`)
+        #: may still lack a score; the first predict that holds a label
+        #: scores those it freezes (:meth:`_score_filtered_frozen_rows`).
+        self._filtered_pending = False
 
         if self.bert_featurizer is not None:
             self.metrics.register("engine", self.bert_featurizer.engine.stats)
@@ -369,23 +373,75 @@ class LearnedSchemaMatcher:
             self.bert_featurizer.update(views, labels)
             self._labels_at_last_bert_update = positives
 
+    def _filtered_rows(self) -> np.ndarray | None:
+        """Stage 0 of the cascade: the rows no output reads a BERT score of.
+
+        While the store holds no label and the dtype filter is on,
+        :meth:`ScoreAdjuster.adjust` zeroes every dtype-incompatible pair,
+        and the only other reader of such a row's BERT cell is the
+        meta-learner's prior mean of that same row.  So those rows need no
+        BERT score yet.  The mask is the adjuster's own, so a retype
+        (:meth:`ScoreAdjuster.invalidate_dtype_mask`) moves rows in and out
+        of it.  None once a label exists, or without BERT or the filter.
+        """
+        if (
+            self.bert_featurizer is None
+            or not self.adjuster.apply_dtype_filter
+            or (self.store.labels != UNLABELED).any()
+        ):
+            return None
+        return ~self.adjuster.dtype_mask()
+
+    def _score_column(self, column: int, rows: np.ndarray, batch: PairBatch) -> None:
+        """Score ``rows`` (``batch``) into one feature column, timed."""
+        featurizer = self.featurizers[column]
+        start = time.perf_counter()
+        self.store.features[rows, column] = featurizer.score_pairs(batch)
+        self.featurizer_seconds[featurizer.name] += time.perf_counter() - start
+
+    def _score_filtered_frozen_rows(self) -> None:
+        """Score the filtered rows the first label froze, before any update.
+
+        Without the filter every row would hold a BERT value of the model
+        before the first update, and a matched source's implied negatives
+        keep it: they are frozen, and the meta-learner's fit reads them.
+        So on the first predict that holds a label, before
+        :meth:`_maybe_update_bert` moves the model, the rows the filter
+        left unscored that are no longer live are scored under the current
+        model.  The filtered rows that are still live are stale like every
+        other live row, and :meth:`_featurize` scores them.
+        """
+        if not self._filtered_pending or self._filtered_rows() is not None:
+            return
+        self._filtered_pending = False
+        store = self.store
+        rows = np.flatnonzero(~store.current & ~store.dirty & ~store.live_mask())
+        if rows.size:
+            with obs.span("lsm.featurize_filtered", rows=int(rows.size)):
+                column = self.featurizers.index(self.bert_featurizer)
+                self._score_column(column, rows, store.pair_batch(rows))
+                store.current[rows] = True
+
     def _featurize(self, span) -> np.ndarray:
         """Bring the store's live feature rows up to date; return the block.
 
         The static featurizers score the store's dirty rows; BERT scores
         those plus the live rows (:meth:`CandidateStore.live_mask`) its
         model moved past since they were scored (after an update), all in
-        store order.  Before the first confirmed match every row is live,
-        so the engine then sees exactly the pairs a full pass would have
-        missed its cache on, in the same order, and forms the same
-        micro-batch plans.  A matched source's implied negatives are not
+        store order, less the rows :meth:`_filtered_rows` leaves out before
+        the first label.  A filtered row stays stale and keeps whatever
+        BERT cell it has; the first predict that holds a label scores it
+        under the model it would have been scored by
+        (:meth:`_score_filtered_frozen_rows`, or here as a stale live row).
+        A matched source's implied negatives are not
         rescored: they are *frozen* at the BERT value of the model that
         last scored them until a rename dirties them, and only the
         meta-learner's fit reads them.  Featurizers scoring the same rows
         share one :class:`~repro.featurizers.base.PairBatch`.
 
         The engine counts the clean rows that are not frozen as requested
-        and skipped; frozen rows count as neither.
+        and skipped; frozen rows count as neither, and filtered rows go to
+        :meth:`ScoringEngine.count_filtered`.
         """
         store = self.store
         bert = self.bert_featurizer
@@ -393,33 +449,39 @@ class LearnedSchemaMatcher:
         if store.scored_version != version:  # an update: every row is stale
             store.scored_version = version
             store.current[:] = False
+        stale = store.dirty | (~store.current & store.live_mask())
+        filtered = self._filtered_rows()
+        rows_filtered = 0
+        if filtered is not None:
+            filtered &= stale
+            stale &= ~filtered
+            # A dirty filtered row (a renamed source's) holds a stale value.
+            store.current[filtered] = False
+            rows_filtered = int(np.count_nonzero(filtered))
+            self._filtered_pending |= rows_filtered > 0
         dirty_rows = np.flatnonzero(store.dirty)
-        bert_rows = np.flatnonzero(store.dirty | (~store.current & store.live_mask()))
-        # bert_rows holds every dirty row, so equal sizes mean equal rows.
-        batches: dict[int, PairBatch] = {}
+        bert_rows = np.flatnonzero(stale)
+        batches: dict[bytes, PairBatch] = {}
         rows_dirty: dict[str, int] = {}
         for column, featurizer in enumerate(self.featurizers):
             rows = bert_rows if featurizer is bert else dirty_rows
             if rows.size:
-                if rows.size not in batches:
-                    batches[rows.size] = store.pair_batch(rows)
-                start = time.perf_counter()
-                store.features[rows, column] = featurizer.score_pairs(
-                    batches[rows.size]
-                )
-                self.featurizer_seconds[featurizer.name] += (
-                    time.perf_counter() - start
-                )
+                key = rows.tobytes()
+                if key not in batches:
+                    batches[key] = store.pair_batch(rows)
+                self._score_column(column, rows, batches[key])
             rows_dirty[featurizer.name] = int(rows.size)
         store.current[bert_rows] = True
         store.dirty[:] = False
         rows_current = int(np.count_nonzero(store.current))
         if bert is not None:
-            bert.engine.count_reused(rows_current - rows_dirty[bert.name])
+            bert.engine.count_reused(rows_current - bert_rows.size)
+            bert.engine.count_filtered(rows_filtered)
         span.set(
-            rows_clean=rows_current - max(rows_dirty.values()),
+            rows_clean=rows_current - int(bert_rows.size),
             rows_dirty=rows_dirty,
-            rows_frozen=store.num_pairs - rows_current,
+            rows_frozen=store.num_pairs - rows_current - rows_filtered,
+            rows_filtered=rows_filtered,
         )
         return store.features
 
@@ -429,6 +491,7 @@ class LearnedSchemaMatcher:
         with obs.activated(self.tracer), obs.span(
             "lsm.predict", iteration=self._iteration
         ) as predict_span:
+            self._score_filtered_frozen_rows()
             with obs.span("lsm.update_bert"):
                 self._maybe_update_bert()
 

@@ -88,13 +88,15 @@ class ScoreAdjuster:
         """Identity of the store's current pair layout (order-sensitive)."""
         return (self.store.pair_source.tobytes(), self.store.pair_target.tobytes())
 
-    def _current_dtype_mask(self) -> np.ndarray:
+    def dtype_mask(self) -> np.ndarray:
         """Dtype mask aligned with the store's current pair layout.
 
-        Keyed on the pair index arrays themselves, not their length: a
-        count-preserving mutation (prune one pair, ``ensure_pair`` another)
-        changes which pair sits at each row, and a length-keyed cache would
-        silently zero the wrong candidates.
+        True where the pair's dtypes are compatible; :meth:`adjust` zeroes
+        the other rows, and the matcher leaves them out of BERT's passes
+        before the first label.  Keyed on the pair index arrays themselves,
+        not their length: a count-preserving mutation (prune one pair,
+        ``ensure_pair`` another) changes which pair sits at each row, and a
+        length-keyed cache would silently zero the wrong candidates.
         """
         key = self._pair_fingerprint()
         if self._dtype_mask is None or key != self._dtype_mask_key:
@@ -119,7 +121,7 @@ class ScoreAdjuster:
         """Return the adjusted copy of ``scores`` (input is not mutated)."""
         adjusted = scores.astype(np.float64).copy()
         if self.apply_dtype_filter:
-            adjusted[~self._current_dtype_mask()] = 0.0
+            adjusted[~self.dtype_mask()] = 0.0
         if self._join_graph is not None:
             matched_entities = self.store.matched_target_entities()
             if matched_entities:
@@ -139,7 +141,7 @@ class ScoreAdjuster:
                     )
                     adjusted *= factor
         if obs.enabled() and self.apply_dtype_filter:
-            mask = self._current_dtype_mask()
+            mask = self.dtype_mask()
             obs.check(
                 "scoring.dtype_mask_aligned",
                 mask.shape[0] == self.store.num_pairs,

@@ -10,9 +10,12 @@ This module plans the batch layout instead:
 2. within each bucket, cut rows into chunks of at most ``microbatch_size``,
    each padded to the bucket's length.
 
-:data:`MICROBATCH_SIZE` and :data:`BUCKET_GRANULARITY` are the defaults of
-every planner, of :class:`repro.engine.EngineConfig` and of the serving
-scheduler.
+:data:`MICROBATCH_SIZE` is the default chunk size of every planner and of
+:class:`repro.engine.EngineConfig`.  :data:`BUCKET_GRANULARITY` is the
+planners' default width, used where chunk composition is behaviour: the
+rows that share a training step (:func:`plan_training_chunks`) and the
+serving scheduler's batches.  The scoring engine plans at
+:data:`EXACT_LENGTH`, so its micro-batches carry no padding at all.
 
 The planners work on lengths alone.  :func:`plan_bucket_chunks` orders the
 chunks shortest-first for scoring; :func:`plan_training_chunks` shuffles
@@ -39,7 +42,14 @@ from ..lm.tokenizer import EncodedPair, encoded_length, stack_encoded, trim_enco
 #: Default maximum rows per micro-batch.
 MICROBATCH_SIZE = 64
 #: Default bucket width: padded lengths are rounded up to a multiple of it.
+#: Training chunks and the serving scheduler plan with it.
 BUCKET_GRANULARITY = 8
+#: The scoring engine's bucket width: each micro-batch holds rows of one
+#: token count, padded to exactly that count.  While the classifier's
+#: channel path is silent a row's score is the same bits in a plan of any
+#: composition; with it live, BLAS's shape-dependent blocking can move a
+#: row by a few float32 ulps (``tests/engine/test_parity.py``).
+EXACT_LENGTH = 1
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,8 @@ def plan_bucket_chunks(
     into one block -- no per-pair ``attention_mask.sum()``, no
     ``stack_encoded``.  Shorter buckets come first; within a bucket the
     caller's order is preserved; every index appears in exactly one chunk.
+    At ``bucket_granularity=EXACT_LENGTH`` (the scoring engine's plans) a
+    chunk's padded length equals each of its rows' lengths.
     """
     if microbatch_size < 1:
         raise ValueError(f"microbatch_size must be >= 1, got {microbatch_size}")

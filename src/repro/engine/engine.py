@@ -7,9 +7,10 @@ encoded candidate pairs it
    and serves every pair already scored under the current model version from
    an in-memory cache -- after a ``predict()`` that changed nothing, zero
    encoder work happens;
-2. plans the remaining pairs into **length-bucketed micro-batches**
-   (:mod:`repro.engine.batching`) so short names stop paying the padding
-   cost of long descriptions;
+2. plans the remaining pairs into **exact-length micro-batches**
+   (:mod:`repro.engine.batching` at granularity 1): every micro-batch holds
+   rows of one token count and is padded to nothing, so short names stop
+   paying the padding cost of long descriptions;
 3. scores each plan of more than one micro-batch on **threads over the one
    live model**: ``n_workers - 1`` helper threads and the calling thread
    pull micro-batches from a shared cursor.  The forward runs inside
@@ -58,7 +59,7 @@ from ..lm.encode_plane import FINGERPRINT_BYTES
 from ..lm.tokenizer import EncodedPair
 from . import blas
 from .batching import (
-    BUCKET_GRANULARITY,
+    EXACT_LENGTH,
     MICROBATCH_SIZE,
     MicroBatch,
     plan_bucket_chunks,
@@ -86,11 +87,8 @@ class EngineConfig:
     Attributes
     ----------
     microbatch_size:
-        Maximum rows per micro-batch.
-    bucket_granularity:
-        Padded lengths are rounded up to a multiple of this; 1 packs each
-        exact length separately, larger values trade padding for fewer,
-        fuller batches.
+        Maximum rows per micro-batch.  Every micro-batch holds rows of one
+        token count (see :data:`EXACT_LENGTH`).
     n_workers:
         Threads that score one plan, the calling thread included; defaults
         to :func:`default_workers`.  0 and 1 score in-process.  A label
@@ -99,14 +97,11 @@ class EngineConfig:
     """
 
     microbatch_size: int = MICROBATCH_SIZE
-    bucket_granularity: int = BUCKET_GRANULARITY
     n_workers: int = field(default_factory=default_workers)
 
     def __post_init__(self) -> None:
         if self.microbatch_size < 1:
             raise ValueError("microbatch_size must be >= 1")
-        if self.bucket_granularity < 1:
-            raise ValueError("bucket_granularity must be >= 1")
         if self.n_workers < 0:
             raise ValueError("n_workers must be >= 0")
 
@@ -179,10 +174,18 @@ class ScoringEngine:
         whose value is current still count as requested and skipped, as if
         they had hit the fingerprint cache.  Rows it leaves stale (a
         matched source's implied negatives after an update) count as
-        neither.
+        neither, and so do rows it filters out (:meth:`count_filtered`).
         """
         self.stats.pairs_requested += count
         self.stats.pairs_skipped += count
+
+    def count_filtered(self, count: int) -> None:
+        """Count stale pairs a caller left out of a pass without a score.
+
+        The matcher leaves dtype-incompatible rows out of BERT's passes
+        until the first label.  They are neither requested nor skipped.
+        """
+        self.stats.pairs_filtered += count
 
     def clear_cached_scores(self) -> None:
         """Drop cached scores without bumping the model version (testing aid)."""
@@ -334,7 +337,7 @@ class ScoringEngine:
                     plan = plan_microbatches(
                         [encoded[i] for i in dirty],
                         microbatch_size=self.config.microbatch_size,
-                        bucket_granularity=self.config.bucket_granularity,
+                        bucket_granularity=EXACT_LENGTH,
                     )
                 self.stats.buckets += plan_num_buckets(plan)
                 self.stats.microbatches += len(plan)
@@ -351,9 +354,10 @@ class ScoringEngine:
         ``plane`` the :class:`~repro.lm.encode_plane.EncodePlane` that
         produced it.  The
         digest-parity fingerprints share the score cache with
-        :meth:`score_encoded`, bucket planning reads the rows'
-        truncated lengths, and each dirty micro-batch is gathered from the
-        per-attribute id tables into fresh arrays.
+        :meth:`score_encoded`.  Planning reads the dirty rows' truncated
+        lengths and groups them by exact length (:data:`EXACT_LENGTH`), so
+        no micro-batch carries a pad column; each one is gathered from the
+        per-attribute id tables into fresh arrays at its rows' own length.
         """
         self.stats.scoring_calls += 1
         count = len(halves)
@@ -372,7 +376,7 @@ class ScoringEngine:
                     chunks = plan_bucket_chunks(
                         halves.lengths[rows].tolist(),
                         microbatch_size=self.config.microbatch_size,
-                        bucket_granularity=self.config.bucket_granularity,
+                        bucket_granularity=EXACT_LENGTH,
                     )
                     plan = [
                         MicroBatch(

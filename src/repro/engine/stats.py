@@ -26,6 +26,10 @@ class EngineStats(Counters):
     pairs_skipped: int = 0
     #: Pairs actually pushed through the encoder.
     pairs_scored: int = 0
+    #: Stale rows a caller left out of its scoring pass because no output
+    #: reads their score yet (the matcher's dtype-incompatible rows before
+    #: the first label); counted as neither requested nor skipped.
+    pairs_filtered: int = 0
     #: Distinct padded-length buckets across all scoring passes.
     buckets: int = 0
     #: Micro-batches executed (in-process + threaded).

@@ -12,9 +12,9 @@ cut to the row's real length.  A micro-batch whose rows all hit is rebuilt
 as a zero-padded ``(B, T, H)`` block at the micro-batch's padded length.
 That is exact, not approximate: padded keys get exact-zero softmax weights
 in the top block's attention, and the pooler ([CLS]) and the segment sums
-read no pad row, so the values at pad positions never reach a score.  A
-row's padded length is ``bucket_key`` of its own length, so a stored row is
-always rebuilt at the width it was computed at.
+read no pad row, so the values at pad positions never reach a score.  The
+engine plans every micro-batch at its rows' exact length, so a stored row
+is always rebuilt at the width it was computed at, with no pad position.
 
 :class:`ScoringEngine` decides when the store is read and written (see
 :meth:`~repro.engine.ScoringEngine.invalidate_model`); this module keeps

@@ -202,7 +202,13 @@ class TestAddDrift:
         np.testing.assert_array_equal(
             np.sort(store.pair_target[rows]), np.arange(target_schema.num_attributes)
         )
-        assert store.current[rows].all() and not np.isnan(store.features[rows]).any()
+        # Before the first label BERT skips the dtype-incompatible rows.
+        scored = rows[matcher.adjuster.dtype_mask()[rows]]
+        assert 0 < scored.size < rows.size
+        assert store.current[scored].all() and not np.isnan(store.features[scored]).any()
+        bert = matcher.feature_names.index("bert")
+        static = [column for column in range(len(matcher.feature_names)) if column != bert]
+        assert not np.isnan(store.features[np.ix_(rows, static)]).any()
         assert len(predictions.suggestions[new_ref]) == matcher.config.top_k
 
 

@@ -4,12 +4,18 @@
 or of a renamed source) and, after a BERT update, the live rows: those of
 unmatched sources plus the informative labelled rows.  A matched source's
 implied negatives keep the value of the model that last scored them;
-only the meta-learner's fit reads them.  Random scripts interleave every drift kind
+only the meta-learner's fit reads them.  Before the first label, BERT
+leaves the dtype-incompatible rows out (stage 0, differentially tested in
+``tests/core/test_dtype_skip.py``); the first predict that holds a label
+scores those the label froze before any update, and the rest as stale live
+rows.  Random scripts interleave every drift kind
 (including a column dropped and re-added under the same name with new
 text, and a rename followed by a rename back), accepted matches,
 rejections of pruned targets (which re-add rows) and BERT updates.  After
-every ``predict()`` every live row must be current, each pass must hand
-BERT exactly its dirty rows plus its stale live rows, and every current
+every ``predict()`` every live row that is not filtered must be current,
+each pass must hand BERT exactly its dirty rows plus its stale live rows
+(less the filtered ones, plus the frozen ones the filter left unscored),
+and every current
 row must equal the per-pair reference
 (``tests/featurizers/pair_reference.py``) over its current view, bit for
 bit.  That BERT reference pass must score no new pair: every clean current
@@ -84,6 +90,23 @@ def expected_live(store) -> np.ndarray:
     )
 
 
+def expected_filtered(store) -> np.ndarray:
+    """Rows stage 0 leaves out of BERT: the dtype-incompatible ones, while
+    the store holds no label, derived from the schemas alone."""
+    if (store.labels >= 0).any():
+        return np.zeros(store.num_pairs, dtype=bool)
+    source = [store.source_schema.attribute(ref).dtype for ref in store.source_refs]
+    target = [store.target_schema.attribute(ref).dtype for ref in store.target_refs]
+    return np.fromiter(
+        (
+            not source[s].is_compatible(target[t])
+            for s, t in zip(store.pair_source, store.pair_target)
+        ),
+        dtype=bool,
+        count=store.num_pairs,
+    )
+
+
 def current_rows(matcher: LearnedSchemaMatcher) -> np.ndarray:
     """Rows scored under the BERT model's current version."""
     store = matcher.store
@@ -95,7 +118,8 @@ def assert_columns_match_full_rescore(matcher: LearnedSchemaMatcher) -> None:
     store = matcher.store
     assert not store.dirty.any()
     current = current_rows(matcher)
-    assert current[expected_live(store)].all(), "a live row is stale"
+    live = expected_live(store) & ~expected_filtered(store)
+    assert current[live].all(), "a live row is stale"
     rows = np.flatnonzero(current)
     views = store.views(rows)
     stats = matcher.bert_featurizer.engine.stats
@@ -123,20 +147,33 @@ def record_scored_rows(matcher: LearnedSchemaMatcher) -> dict[str, list[int]]:
     return handed
 
 
-def predict_and_check_rescore(matcher: LearnedSchemaMatcher, handed) -> None:
+def predict_and_check_rescore(
+    matcher: LearnedSchemaMatcher, handed, filtered_pending: bool = False
+) -> bool:
     """One ``predict()``: BERT is handed exactly the dirty rows plus the
-    live rows its version moved past."""
+    live rows its version moved past, less the filtered rows.  On the first
+    predict that holds a label after a pass filtered rows
+    (``filtered_pending``), it is also handed the unscored rows that are no
+    longer live, before any update.  Returns the new ``filtered_pending``."""
     store = matcher.store
     bert = matcher.bert_featurizer
     dirty, live = store.dirty.copy(), expected_live(store)
     current, version = store.current.copy(), store.scored_version
+    filtered = expected_filtered(store)
+    labelled = not filtered.any() and (store.labels >= 0).any()
+    frozen_unscored = np.zeros_like(dirty)
+    if filtered_pending and labelled:
+        frozen_unscored = ~current & ~dirty & ~live
+        filtered_pending = False
     handed.clear()
     matcher.predict()
     if bert.model_version != version:
         current[:] = False
-    expected = dirty | (live & ~current)
-    assert sum(handed.get(bert.name, [])) == int(np.count_nonzero(expected))
+    stale = dirty | (live & ~current)
+    expected = np.count_nonzero(stale & ~filtered) + np.count_nonzero(frozen_unscored)
+    assert sum(handed.get(bert.name, [])) == int(expected)
     assert_columns_match_full_rescore(matcher)
+    return filtered_pending or bool((stale & filtered).any())
 
 
 class Script:
@@ -145,6 +182,9 @@ class Script:
     def __init__(self, matcher: LearnedSchemaMatcher) -> None:
         self.matcher = matcher
         self.handed = record_scored_rows(matcher)
+        #: Whether a pass left filtered rows unscored and no predict with a
+        #: label has run since.
+        self.filtered_pending = False
         #: (current ref, name to rename it back to)
         self.renamed: list[tuple[AttributeRef, str]] = []
         self.counter = 0
@@ -224,7 +264,12 @@ class Script:
                 start = pick % len(pruned)
                 matcher.record_rejected(ref, pruned[start : start + 2])
         else:
-            predict_and_check_rescore(matcher, self.handed)
+            self.predict_and_check()
+
+    def predict_and_check(self) -> None:
+        self.filtered_pending = predict_and_check_rescore(
+            self.matcher, self.handed, self.filtered_pending
+        )
 
 
 steps = st.lists(
@@ -245,10 +290,10 @@ def test_columns_equal_full_rescore(script, tiny_artifacts, source_schema, targe
     matcher = make_matcher(tiny_artifacts, source_schema, target_schema)
     try:
         runner = Script(matcher)
-        predict_and_check_rescore(matcher, runner.handed)
+        runner.predict_and_check()
         for op, pick in script:
             runner.apply(op, pick)
-        predict_and_check_rescore(matcher, runner.handed)
+        runner.predict_and_check()
     finally:
         matcher.close()
 
@@ -269,27 +314,32 @@ def test_named_scripts(script, tiny_artifacts, source_schema, target_schema):
     matcher = make_matcher(tiny_artifacts, source_schema, target_schema)
     try:
         runner = Script(matcher)
-        matcher.predict()
+        runner.predict_and_check()
         for op, pick in script:
             runner.apply(op, pick)
-        predict_and_check_rescore(matcher, runner.handed)
+        runner.predict_and_check()
     finally:
         matcher.close()
 
 
 def test_clean_predict_scores_nothing(tiny_artifacts, source_schema, target_schema):
     """A second predict with no change scores no row, yet counts every BERT
-    row as requested and skipped."""
+    row that is not filtered as requested and skipped; the filtered rows
+    count as filtered again."""
     matcher = make_matcher(tiny_artifacts, source_schema, target_schema)
     try:
         matcher.predict()
         stats = matcher.bert_featurizer.engine.stats
         handed = record_scored_rows(matcher)
         requested, skipped = stats.pairs_requested, stats.pairs_skipped
+        filtered_before = stats.pairs_filtered
         matcher.predict()
+        filtered = int(np.count_nonzero(expected_filtered(matcher.store)))
+        assert filtered > 0
         assert handed == {}
-        assert stats.pairs_requested - requested == matcher.store.num_pairs
-        assert stats.pairs_skipped - skipped == matcher.store.num_pairs
+        assert stats.pairs_requested - requested == matcher.store.num_pairs - filtered
+        assert stats.pairs_skipped - skipped == matcher.store.num_pairs - filtered
+        assert stats.pairs_filtered - filtered_before == filtered
     finally:
         matcher.close()
 
@@ -335,6 +385,10 @@ def test_trace_explains_the_rescore(
     try:
         matcher.predict()
         store = matcher.store
+        # The rows of qty the first pass filtered.
+        qty_filtered = int(
+            np.count_nonzero(expected_filtered(store)[store.pairs_of_source(qty)])
+        )
         if reject_first:
             other = next(ref for ref in store.source_refs if ref != qty)
             pruned = next(t for t in store.target_refs if store.pair_id(other, t) is None)
@@ -345,6 +399,9 @@ def test_trace_explains_the_rescore(
         report = matcher.apply_delta(SchemaDelta((RenameColumn(qty, renamed.attribute),)))
         renamed_rows = store.pairs_of_source_index(store.source_index(renamed))
         after = targets_of(store, renamed)
+        filtered_rows = expected_filtered(store)
+        renamed_filtered = int(np.count_nonzero(filtered_rows[renamed_rows]))
+        filtered = int(np.count_nonzero(filtered_rows))
         matcher.predict()
         num_pairs = store.num_pairs
     finally:
@@ -360,8 +417,23 @@ def test_trace_explains_the_rescore(
     first, second = featurize
     assert first["rows_clean"] == 0
     rescored = report.rows_dirtied + pending
-    assert set(second["rows_dirty"].values()) == {rescored}
-    assert second["rows_clean"] == num_pairs - rescored
+    assert second["rows_dirty"]["lexical"] == second["rows_dirty"]["embedding"] == rescored
+    if reject_first:
+        # The rejection is the first label: the second pass filters
+        # nothing, and BERT also scores every row the first pass filtered
+        # that the rename left clean.
+        assert second["rows_filtered"] == 0
+        bert = rescored + first["rows_filtered"] - qty_filtered
+    else:
+        # Before any label BERT skips the renamed rows that are filtered.
+        bert = rescored - renamed_filtered
+    assert second["rows_dirty"]["bert"] == bert
+    assert second["rows_frozen"] == 0
+    assert (
+        second["rows_clean"] + second["rows_dirty"]["bert"] + second["rows_filtered"]
+        == num_pairs
+    )
+    assert second["rows_filtered"] == (0 if reject_first else filtered)
 
 
 def test_delta_before_first_predict(tiny_artifacts, source_schema, target_schema):
@@ -421,13 +493,19 @@ def test_bert_rescore_after_update_on_a_large_store(tiny_artifacts):
         fingerprints = stats.fingerprints
         version = bert.model_version
         refs = source.attribute_refs(), target.attribute_refs()
+        # The matched source's rows the first pass filtered are hashed once,
+        # when they are scored before the update.
+        prescored = int(
+            np.count_nonzero(expected_filtered(store)[store.pairs_of_source(refs[0][0])])
+        )
+        assert prescored > 0
         matcher.record_match(refs[0][0], refs[1][0])
         matcher.predict()
         assert bert.model_version > version, "the label must trigger a BERT update"
         # The matched source's width - 1 implied negatives stay frozen.
         live = store.num_pairs - width + 1
         assert live > 8192
-        assert stats.fingerprints - fingerprints == live
+        assert stats.fingerprints - fingerprints == live + prescored
         current = current_rows(matcher)
         assert int(np.count_nonzero(current)) == live
         rows = np.flatnonzero(current)

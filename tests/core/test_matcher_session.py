@@ -43,17 +43,21 @@ class TestMatcherPredict:
             assert scores == sorted(scores, reverse=True)
 
     def test_feature_columns_follow_featurizer_order(self, matcher):
-        """Column ``i`` holds featurizer ``i``'s scores over every row, and
-        each featurizer's seconds report under ``pipeline.<name>``."""
+        """Column ``i`` holds featurizer ``i``'s scores over every row (BERT's
+        over the dtype-compatible rows: before the first label it skips the
+        others), and each featurizer's seconds report under
+        ``pipeline.<name>``."""
         predictions = matcher.predict()
         names = ["lexical", "embedding", "bert"]
         assert matcher.feature_names == names
         assert list(matcher.store.feature_names) == names
         assert predictions.feature_names == names
-        batch = matcher.store.pair_batch(np.arange(matcher.store.num_pairs))
+        compatible = matcher.adjuster.dtype_mask()
         for column, featurizer in enumerate(matcher.featurizers):
+            rows = compatible if featurizer is matcher.bert_featurizer else slice(None)
+            batch = matcher.store.pair_batch(np.arange(matcher.store.num_pairs)[rows])
             np.testing.assert_array_equal(
-                matcher.store.features[:, column], featurizer.score_pairs(batch)
+                matcher.store.features[rows, column], featurizer.score_pairs(batch)
             )
         stats = matcher.engine_stats()
         assert all(stats[f"pipeline.{name}"] > 0 for name in names)

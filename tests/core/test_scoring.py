@@ -85,7 +85,7 @@ class TestDtypeFilter:
         row layout) silently zeroed the wrong candidates."""
         adjuster = ScoreAdjuster(store, target_schema, apply_entity_penalty=False)
         adjuster.adjust(np.ones(store.num_pairs))  # populate the mask cache
-        stale_mask = adjuster._current_dtype_mask().copy()
+        stale_mask = adjuster.dtype_mask().copy()
         before = store.num_pairs
 
         all_pairs = set(zip(store.pair_source.tolist(), store.pair_target.tolist()))
@@ -145,7 +145,7 @@ class TestDtypeMaskParity:
         adjuster = ScoreAdjuster(store, target, apply_entity_penalty=False)
         expected = reference_dtype_mask(store)
         np.testing.assert_array_equal(dtype_compatibility_mask(store), expected)
-        np.testing.assert_array_equal(adjuster._current_dtype_mask(), expected)
+        np.testing.assert_array_equal(adjuster.dtype_mask(), expected)
 
         # Retype one source column to a type of another family (or to or
         # from UNKNOWN) and the invalidated adjuster must follow it.
@@ -159,7 +159,7 @@ class TestDtypeMaskParity:
         adjuster.invalidate_dtype_mask()
         expected = reference_dtype_mask(store)
         np.testing.assert_array_equal(dtype_compatibility_mask(store), expected)
-        np.testing.assert_array_equal(adjuster._current_dtype_mask(), expected)
+        np.testing.assert_array_equal(adjuster.dtype_mask(), expected)
 
 
 class TestEntityPenalty:

@@ -25,9 +25,12 @@ from .test_batching import encoded_of_length
 def incremental_config() -> LsmConfig:
     # A huge update threshold isolates incremental re-scoring from
     # retraining: one label must not touch the BERT weights, so every
-    # unchanged pair stays clean.
+    # unchanged pair stays clean.  Without the dtype filter the cold pass
+    # scores every row: no row waits for the first label (stage 0, see
+    # tests/core/test_dtype_skip.py).
     return LsmConfig(
         update_bert_every=10**9,
+        apply_dtype_filter=False,
         engine=EngineConfig(microbatch_size=16),
     )
 
@@ -110,8 +113,14 @@ class TestMatcherIncrementalRescoring:
             stats = matcher.bert_featurizer.engine.stats
             matcher.predict()
             num_pairs = matcher.store.num_pairs
+            filtered = stats.pairs_filtered
             source, target = next(iter(ground_truth.items()))
-            siblings = matcher.store.pairs_of_source(source).size
+            rows = matcher.store.pairs_of_source(source)
+            siblings = rows.size
+            # The matched source's filtered rows are scored under the model
+            # before the update, then freeze with the other implied negatives.
+            prescored = int(np.count_nonzero(~matcher.store.current[rows]))
+            assert prescored > 0
             matcher.record_match(source, target)
             requested = stats.pairs_requested
             matcher.predict()  # triggers a BERT update
@@ -119,9 +128,9 @@ class TestMatcherIncrementalRescoring:
             # Every other source's rows plus the positive rescore; the
             # matched source's implied negatives stay frozen.
             live = num_pairs - siblings + 1
-            assert stats.pairs_scored == num_pairs + live
+            assert stats.pairs_scored == num_pairs - filtered + prescored + live
             # Frozen rows count as neither requested nor skipped.
-            assert stats.pairs_requested - requested == live
+            assert stats.pairs_requested - requested == prescored + live
         finally:
             matcher.close()
 

@@ -42,10 +42,9 @@ MAX_LENGTH = 32
 
 WORKER_COUNTS = (0, 1, 2, 4)
 
-#: Engine-vs-sequential tolerance once the channel path is live.  Bucketing
-#: pads a pair to its micro-batch's length and BLAS picks its summation
-#: order by GEMM shape, so float32 hidden states differ by a few ulps between
-#: a pair scored alone and in a batch.  Through the live channel path those
+#: Engine-vs-sequential tolerance once the channel path is live.  BLAS
+#: picks its summation order by GEMM shape, so float32 values differ by a
+#: few ulps between a pair scored alone and in a batch.  Through the live channel path those
 #: reach the probability: deviations measured 1.4-1.8e-7, i.e. 2-3 float32
 #: ulps (6e-8) at p = 0.5.  1e-6 is ~16 ulps at p = 1, far below the 1e-3
 #: a block-weight change moves the scores by (the guard test below).
@@ -136,7 +135,7 @@ def test_monolithic_batch_matches_sequential(scoring_stack):
 
 def _assert_engine_matches_sequential(stack, n_workers: int, atol: float) -> None:
     model, classifier, special_ids, encoded, sequential = stack
-    config = EngineConfig(n_workers=n_workers, bucket_granularity=4)
+    config = EngineConfig(n_workers=n_workers)
     engine = ScoringEngine(model, classifier, special_ids, config)
     try:
         for batch_size in _batch_sizes(len(encoded)):
@@ -173,7 +172,7 @@ def test_engine_matches_sequential_live_channel(live_scoring_stack, n_workers):
 
 def _engine_scores(stack, n_workers: int) -> list[np.ndarray]:
     model, classifier, special_ids, encoded, _ = stack
-    config = EngineConfig(n_workers=n_workers, bucket_granularity=4)
+    config = EngineConfig(n_workers=n_workers)
     engine = ScoringEngine(model, classifier, special_ids, config)
     try:
         scores = []
@@ -215,7 +214,7 @@ def test_engine_scores_are_order_independent(scoring_stack):
         model,
         classifier,
         special_ids,
-        EngineConfig(microbatch_size=13, bucket_granularity=4),
+        EngineConfig(microbatch_size=13),
     )
     try:
         permutation = np.random.default_rng(0).permutation(len(encoded))
@@ -236,3 +235,74 @@ def test_plan_covers_every_pair_once(scoring_stack):
         assert len(microbatch.indices) <= 7
         lengths = microbatch.batch.attention_mask.sum(axis=1)
         assert int(lengths.max()) <= microbatch.padded_length
+
+
+def _recorded_plans(engine: ScoringEngine) -> list:
+    """Wrap ``engine._score_plan`` to log every plan it scores."""
+    plans: list = []
+    score_plan = engine._score_plan
+
+    def recorded(plan, trunk_jobs=None):
+        plans.append(plan)
+        return score_plan(plan, trunk_jobs)
+
+    engine._score_plan = recorded
+    return plans
+
+
+def test_engine_plans_at_exact_length(scoring_stack):
+    """Every micro-batch the engine plans is padded to exactly the token
+    count of each of its rows: no pad column is ever scored."""
+    model, classifier, special_ids, encoded, _ = scoring_stack
+    engine = ScoringEngine(model, classifier, special_ids, EngineConfig(microbatch_size=7))
+    try:
+        plans = _recorded_plans(engine)
+        engine.score_encoded(encoded)
+    finally:
+        engine.close()
+    (plan,) = plans
+    assert len({microbatch.padded_length for microbatch in plan}) > 1
+    for microbatch in plan:
+        lengths = microbatch.batch.attention_mask.sum(axis=1)
+        assert (lengths == microbatch.padded_length).all()
+
+
+def _scores_by_composition(stack) -> list[np.ndarray]:
+    """Each row's score from plans of different composition: micro-batch
+    sizes 1, 7 and 64, a permuted row order, one to four threads."""
+    model, classifier, special_ids, encoded, _ = stack
+    results = []
+    for microbatch_size, n_workers in ((64, 1), (7, 2), (1, 1), (13, 4)):
+        engine = ScoringEngine(
+            model,
+            classifier,
+            special_ids,
+            EngineConfig(microbatch_size=microbatch_size, n_workers=n_workers),
+        )
+        try:
+            order = np.random.default_rng(microbatch_size).permutation(len(encoded))
+            scores = np.empty(len(encoded))
+            scores[order] = engine.score_encoded([encoded[i] for i in order])
+        finally:
+            engine.close()
+        results.append(scores)
+    return results
+
+
+def test_row_score_is_independent_of_plan_composition(scoring_stack):
+    """With the channel path silent -- every model before its first label
+    update, since pretraining fits the scalar path alone -- a row's score
+    is the same bits in every plan, and equals the one-pair reference."""
+    _, _, _, _, sequential = scoring_stack
+    for scores in _scores_by_composition(scoring_stack):
+        np.testing.assert_array_equal(scores, sequential)
+
+
+def test_live_row_score_moves_within_tolerance_across_plans(live_scoring_stack):
+    """With the channel path live a row's bits can move with its plan's
+    composition: BLAS picks its blocking by GEMM shape, so the number of
+    rows sharing a micro-batch can change a row's float32 rounding by a few ulps.  The scores stay within
+    :data:`LIVE_ATOL` of each other."""
+    first, *others = _scores_by_composition(live_scoring_stack)
+    for scores in others:
+        np.testing.assert_allclose(scores, first, atol=LIVE_ATOL, rtol=0)

@@ -79,11 +79,7 @@ def run_updates(stack, config: EngineConfig) -> ScoringEngine:
     threads, not by batching numerics.
     """
     model, classifier, special_ids, encoded = stack
-    reference_config = EngineConfig(
-        n_workers=1,
-        microbatch_size=config.microbatch_size,
-        bucket_granularity=config.bucket_granularity,
-    )
+    reference_config = EngineConfig(n_workers=1, microbatch_size=config.microbatch_size)
     engine = ScoringEngine(model, classifier, special_ids, config)
     reference_engine = ScoringEngine(model, classifier, special_ids, reference_config)
     try:

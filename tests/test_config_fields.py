@@ -46,7 +46,7 @@ EXPECTED_FIELDS = {
         "iss_subsample_per_update",
         "seed",
     ),
-    EngineConfig: ("microbatch_size", "bucket_granularity", "n_workers"),
+    EngineConfig: ("microbatch_size", "n_workers"),
     ServeConfig: (
         "max_sessions",
         "max_inflight_per_session",
